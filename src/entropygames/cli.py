@@ -74,7 +74,6 @@ class RunConfig:
     cap: int | None
     horizon: int
     seed: int
-    threads: int | None
     machine_readable: bool
 
     def __post_init__(self):
@@ -138,7 +137,7 @@ def cmd_translate(cfg: RunConfig) -> int:
 def cmd_value(cfg: RunConfig) -> int:
     kind, value = _load(cfg)
     if kind == io.ARENA:
-        sol = solve(value, cfg.tol, cfg.cap, cfg.threads)
+        sol = solve(value, cfg.tol, cfg.cap)
         vi = sol.value
         if cfg.machine_readable:
             _emit_json(
@@ -165,7 +164,7 @@ def cmd_value(cfg: RunConfig) -> int:
         return 0
     if kind == io.PAIR:
         a_set, e_set = value
-        vi = value_bisection(a_set, e_set, cfg.tol, cfg.cap, cfg.threads)
+        vi = value_bisection(a_set, e_set, cfg.tol, cfg.cap)
         if cfg.machine_readable:
             _emit_json(
                 cfg,
@@ -198,7 +197,7 @@ def cmd_decide(cfg: RunConfig, query: str, alpha_text: str) -> int:
         if kind != io.PAIR:
             raise ValueError(f"query {query} expects a pair document, got {kind}")
         a_set, e_set = value
-        answer, cert = decide(a_set, e_set, alpha, cfg.cap, cfg.threads)
+        answer, cert = decide(a_set, e_set, alpha, cfg.cap)
     if cfg.machine_readable:
         _emit_json(
             cfg,
@@ -428,7 +427,7 @@ def cmd_mpg(cfg: RunConfig, do_solve: bool) -> int:
     if not do_solve:
         _emit_text(cfg, io.dumps_document(mpg_to_weighted_eg(value)))
         return 0
-    (lo, hi), sol = mpg_value(value, cfg.tol, cfg.cap, cfg.threads)
+    (lo, hi), sol = mpg_value(value, cfg.tol, cfg.cap)
     if cfg.machine_readable:
         _emit_json(
             cfg,
@@ -462,9 +461,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--tol", default=d("1/1000000"), help="tolerance as p/q (default 1/1000000)"
     )
     parser.add_argument("--cap", type=int, default=d(None), help="member enumeration cap")
-    parser.add_argument(
-        "--threads", type=int, default=d(None), help="worker processes for decisions"
-    )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for random strategies")
     if top_level:
         parser.add_argument(
@@ -543,7 +539,6 @@ def main(argv=None) -> int:
             cap=args.cap,
             horizon=getattr(args, "turns", 50),
             seed=args.seed,
-            threads=args.threads,
             machine_readable=args.json,
         )
         if args.subcommand == "translate":

@@ -20,17 +20,22 @@ Matrix multiplication game thresholds reduce to these: the minimising player
 can commit to one matrix choice, and for a fixed choice the product set is
 again an IruSet by ``right_product``.  Certificates carry the chosen matrix
 so verification stays a one-pass exact check.
+
+The game value itself comes from a saddle point of rho(A E) over the
+members (``find_saddle``, confirmed with exact radius comparisons): the
+value is the radius of the saddle product, bracketed by Sturm bisection and
+certified at each end by the two committed-strategy LPs.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .iru import IruSet, enumerate_members, right_product
-from .linalg import Matrix, one_norm, rat
+from . import realroots
+from .iru import IruSet, RowSet, enumerate_members, right_product
+from .kernels import power_enclosure
+from .linalg import Matrix, RadiusEstimate, mat_mul, one_norm, rat, spectral_radius
 from .lp import (
     EQUAL,
     FeasibilitySystem,
@@ -206,73 +211,41 @@ def _check_game_shapes(a_set: IruSet, e_set: IruSet):
         )
 
 
-def _mm_lt_probe(args):
-    e_set, a_member_rows, alpha = args
-    a0 = Matrix(a_member_rows)
-    ok, cert = decide_jsr_lt(right_product(e_set, a0), alpha)
-    return ok, (cert.vector if cert else None)
-
-
-def _mm_ge_probe(args):
-    a_set, e_member_rows, alpha = args
-    e0 = Matrix(e_member_rows)
-    ok, cert = decide_jssr_ge(right_product(a_set, e0), alpha)
-    return ok, (cert.vector if cert else None)
-
-
-def _first_hit(probe, jobs, threads):
-    """Run probes over the lexicographically ordered jobs, returning the
-    first success.  With threads > 1 the evaluation order is parallel but
-    the selected index is still the smallest, so results are deterministic."""
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for k, (ok, payload) in enumerate(pool.map(probe, jobs, chunksize=1)):
-                if ok:
-                    return k, payload
-        return None, None
-    for k, job in enumerate(jobs):
-        ok, payload = probe(job)
-        if ok:
-            return k, payload
-    return None, None
-
-
 def decide_mm_lt(
-    a_set: IruSet, e_set: IruSet, alpha, cap=None, threads=None
+    a_set: IruSet, e_set: IruSet, alpha, cap=None
 ) -> tuple[bool, Certificate | None]:
     """Is the matrix multiplication game value strictly below alpha?
 
     True exactly when the minimiser can commit to one member whose induced
-    product set has joint spectral radius below alpha.  The certificate
-    carries that matrix and the contraction vector."""
+    product set has joint spectral radius below alpha.  Members are tried in
+    lexicographic order; the certificate carries the first that works and
+    its contraction vector."""
     _check_game_shapes(a_set, e_set)
     alpha = rat(alpha)
-    members = list(enumerate_members(a_set, cap))
-    jobs = [(e_set, m.data, alpha) for m in members]
-    k, vector = _first_hit(_mm_lt_probe, jobs, threads)
-    if k is None:
-        return False, None
-    return True, Certificate(MM_LT, vector, chosen_matrix=members[k])
+    for a0 in enumerate_members(a_set, cap):
+        ok, cert = decide_jsr_lt(right_product(e_set, a0), alpha)
+        if ok:
+            return True, Certificate(MM_LT, cert.vector, chosen_matrix=a0)
+    return False, None
 
 
 def decide_mm_ge(
-    a_set: IruSet, e_set: IruSet, alpha, cap=None, threads=None
+    a_set: IruSet, e_set: IruSet, alpha, cap=None
 ) -> tuple[bool, Certificate | None]:
     """Is the game value at least alpha?  Dual to decide_mm_lt: the
     maximiser commits to one member and the induced product set must have
     joint spectral subradius at least alpha."""
     _check_game_shapes(a_set, e_set)
     alpha = rat(alpha)
-    members = list(enumerate_members(e_set, cap))
-    jobs = [(a_set, m.data, alpha) for m in members]
-    k, vector = _first_hit(_mm_ge_probe, jobs, threads)
-    if k is None:
-        return False, None
-    return True, Certificate(MM_GE, vector, chosen_matrix=members[k])
+    for e0 in enumerate_members(e_set, cap):
+        ok, cert = decide_jssr_ge(right_product(a_set, e0), alpha)
+        if ok:
+            return True, Certificate(MM_GE, cert.vector, chosen_matrix=e0)
+    return False, None
 
 
 def decide_mm_le(
-    a_set: IruSet, e_set: IruSet, alpha, cap=None, threads=None
+    a_set: IruSet, e_set: IruSet, alpha, cap=None
 ) -> tuple[bool, Certificate | None]:
     """Is the game value at most alpha?  Positive sets only (the committed
     product sets are then positive too, which the non-strict decision
@@ -347,15 +320,120 @@ def verify_certificate(cert: Certificate, a_set: IruSet, e_set=None, alpha=None)
 
 
 @dataclass(frozen=True)
+class SaddlePoint:
+    """A pair of members certified extremal against all unilateral
+    deviations, with a certified enclosure of the product's radius."""
+
+    despot_matrix: Matrix
+    tribune_matrix: Matrix
+    radius: RadiusEstimate
+
+
+def _radius_cmp(cache, p: Matrix, q: Matrix) -> int:
+    """Exact sign(rho(p) - rho(q)) with an enclosure fast path."""
+    if p.data == q.data:
+        return 0
+    ep = cache.setdefault(p.data, spectral_radius(p))
+    eq = cache.setdefault(q.data, spectral_radius(q))
+    if ep.upper < eq.lower:
+        return -1
+    if ep.lower > eq.upper:
+        return 1
+    return realroots.compare_radii(p, q)
+
+
+def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
+    """Search the member grid for a saddle point of rho(A E): a pair where
+    no unilateral member swap raises Despot's guarantee or lowers Tribune's.
+
+    Float radii (power iteration) pick the likely cells, those near both
+    their row's maximum and their column's minimum; they are tried first,
+    the rest after them.  Every pair is confirmed with exact comparisons, so
+    the returned pair is a true saddle.  The lexicographically first
+    confirmed pair among the likely cells wins (else among the rest),
+    making the result deterministic."""
+    _check_game_shapes(a_set, e_set)
+    a_members = list(enumerate_members(a_set, cap))
+    e_members = list(enumerate_members(e_set, cap))
+    na, ne = len(a_members), len(e_members)
+    kernel_tol = 1e-10
+    table = [[0.0] * ne for _ in range(na)]
+    products: dict[tuple[int, int], Matrix] = {}
+
+    def product(i: int, j: int) -> Matrix:
+        m = products.get((i, j))
+        if m is None:
+            m = mat_mul(a_members[i], e_members[j])
+            products[(i, j)] = m
+        return m
+
+    for i in range(na):
+        for j in range(ne):
+            m = product(i, j)
+            lo, hi, _, _ = power_enclosure(
+                m.flat_floats(), m.rows, kernel_tol, 2000
+            )
+            table[i][j] = (lo + hi) / 2.0
+    row_max = [max(table[i]) for i in range(na)]
+    col_min = [min(table[i][j] for i in range(na)) for j in range(ne)]
+    slack = 1e-7
+    likely, unlikely = [], []
+    for i in range(na):
+        for j in range(ne):
+            near = row_max[i] - slack <= table[i][j] <= col_min[j] + slack
+            (likely if near else unlikely).append((i, j))
+    # The float table can misjudge reducible products (the power iterate
+    # need not converge to the radius), so when no likely cell confirms, the
+    # others are tried too; a saddle always exists, so one of them confirms.
+    cache: dict = {}
+    for i, j in likely + unlikely:
+        centre = product(i, j)
+        if any(
+            _radius_cmp(cache, product(i, jj), centre) > 0 for jj in range(ne)
+        ):
+            continue
+        if any(
+            _radius_cmp(cache, product(ii, j), centre) < 0 for ii in range(na)
+        ):
+            continue
+        estimate = cache.setdefault(centre.data, spectral_radius(centre))
+        return SaddlePoint(
+            despot_matrix=a_members[i],
+            tribune_matrix=e_members[j],
+            radius=estimate,
+        )
+    raise RuntimeError("no saddle point found; the input violates the minimax structure")
+
+
+def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix, cap=None) -> bool:
+    """Exact check that (a0, e0) is a saddle of rho(A E) over the members:
+    rho(a0 E) <= rho(a0 e0) <= rho(A e0) for every member E and A."""
+    if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
+        return False
+    centre = mat_mul(a0, e0)
+    cache: dict = {}
+    for e in enumerate_members(e_set, cap):
+        if _radius_cmp(cache, mat_mul(a0, e), centre) > 0:
+            return False
+    for a in enumerate_members(a_set, cap):
+        if _radius_cmp(cache, mat_mul(a, e0), centre) < 0:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
 class ValueInterval:
     """A certified rational bracket around a game value: the lower
-    certificate proves value >= lower, the upper one proves value < upper."""
+    certificate proves value >= lower, the upper one proves value < upper.
+    ``saddle`` is the optimal strategy pair whose product radius is the
+    value."""
 
     lower: Fraction
     upper: Fraction
     lower_certificate: Certificate
     upper_certificate: Certificate
     bisections: int
+    saddle: SaddlePoint
 
     def width(self) -> Fraction:
         return self.upper - self.lower
@@ -373,32 +451,36 @@ def norm_bound(a_set: IruSet, e_set: IruSet) -> Fraction:
     return set_bound(a_set) * set_bound(e_set)
 
 
-def value_bisection(
-    a_set: IruSet, e_set: IruSet, tol, cap=None, threads=None
-) -> ValueInterval:
-    """Bracket the game value to within tol by bisection on the strict-upper
-    decision, then re-derive certificates at the final endpoints.
+def _only(m: Matrix) -> IruSet:
+    """The IruSet whose single member is m."""
+    return IruSet(tuple(RowSet((row,)) for row in m.data))
 
-    The maintained exact invariant is lower <= value < upper.  The starting
-    upper bound is the product of member norm maxima plus one, so the first
-    strict decision is guaranteed true; endpoints stay dyadic rationals."""
+
+def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterval:
+    """Bracket the game value to within tol, with one certificate per end.
+
+    The game is determined, so once find_saddle has exactly confirmed a
+    saddle (a0, e0) the value is rho(a0 e0).  The bracket starts at
+    [0, floor(norm_bound) + 1) and is halved until it is at most tol wide,
+    each step decided exactly by Sturm counting on the characteristic
+    polynomial of a0 e0; the invariant lower <= value < upper holds
+    throughout, and endpoints stay dyadic rationals.  Committing Despot to
+    a0 certifies value < upper with one contraction LP, and committing
+    Tribune to e0 certifies value >= lower with one expansion LP: with
+    independent rows, the joint spectral radius (subradius) of a set is its
+    largest (smallest) member radius, which the saddle pins to the value."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    _check_game_shapes(a_set, e_set)
-    lower = Fraction(0)
-    upper = Fraction(int(norm_bound(a_set, e_set)) + 1)
-    steps = 0
-    while upper - lower > tol:
-        mid = (lower + upper) / 2
-        below, _ = decide_mm_lt(a_set, e_set, mid, cap, threads)
-        if below:
-            upper = mid
-        else:
-            lower = mid
-        steps += 1
-    ge_ok, lower_cert = decide_mm_ge(a_set, e_set, lower, cap, threads)
-    lt_ok, upper_cert = decide_mm_lt(a_set, e_set, upper, cap, threads)
+    sp = find_saddle(a_set, e_set, cap)
+    lower, upper, steps = realroots.bisect_radius(
+        mat_mul(sp.despot_matrix, sp.tribune_matrix),
+        Fraction(0),
+        Fraction(int(norm_bound(a_set, e_set)) + 1),
+        tol,
+    )
+    ge_ok, lower_cert = decide_mm_ge(a_set, _only(sp.tribune_matrix), lower)
+    lt_ok, upper_cert = decide_mm_lt(_only(sp.despot_matrix), e_set, upper)
     if not (ge_ok and lt_ok):
         raise RuntimeError("bisection invariant violated at the final bracket")
     return ValueInterval(
@@ -407,4 +489,5 @@ def value_bisection(
         lower_certificate=lower_cert,
         upper_certificate=upper_cert,
         bisections=steps,
+        saddle=sp,
     )

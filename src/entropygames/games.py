@@ -17,18 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .decide import ValueInterval, value_bisection
-from .iru import IruSet, RowSet, enumerate_members
-from .linalg import (
-    Matrix,
-    RadiusEstimate,
-    Vector,
-    mat_mul,
-    rat,
-    spectral_radius,
+# find_saddle and verify_saddle are re-exported: callers reach them here too.
+from .decide import (
+    SaddlePoint,
+    ValueInterval,
+    find_saddle,
+    value_bisection,
+    verify_saddle,
 )
-from . import realroots
-from .kernels import power_enclosure
+from .iru import IruSet, RowSet, enumerate_members
+from .linalg import Matrix, Vector, rat
 
 DESPOT = "despot"
 TRIBUNE = "tribune"
@@ -219,102 +217,6 @@ def arena_to_iru(a: Arena) -> Translation:
 
 
 @dataclass(frozen=True)
-class SaddlePoint:
-    """A pair of members certified extremal against all unilateral
-    deviations, with a certified enclosure of the product's radius."""
-
-    despot_matrix: Matrix
-    tribune_matrix: Matrix
-    radius: RadiusEstimate
-
-
-def _radius_cmp(cache, p: Matrix, q: Matrix) -> int:
-    """Exact sign(rho(p) - rho(q)) with an enclosure fast path."""
-    if p.data == q.data:
-        return 0
-    ep = cache.setdefault(p.data, spectral_radius(p))
-    eq = cache.setdefault(q.data, spectral_radius(q))
-    if ep.upper < eq.lower:
-        return -1
-    if ep.lower > eq.upper:
-        return 1
-    return realroots.compare_radii(p, q)
-
-
-def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
-    """Search the member grid for a saddle point of rho(A E): a pair where
-    no unilateral member swap raises Despot's guarantee or lowers Tribune's.
-
-    Float radii (power iteration) prune the grid; every surviving candidate
-    is confirmed with exact comparisons, so the returned pair is a true
-    saddle.  The lexicographically first confirmed pair wins, making the
-    result deterministic."""
-    if a_set.n_cols != e_set.n_rows or e_set.n_cols != a_set.n_rows:
-        raise ValueError("incompatible shapes: need a_set n x m and e_set m x n")
-    a_members = list(enumerate_members(a_set, cap))
-    e_members = list(enumerate_members(e_set, cap))
-    na, ne = len(a_members), len(e_members)
-    kernel_tol = 1e-10
-    table = [[0.0] * ne for _ in range(na)]
-    products: dict[tuple[int, int], Matrix] = {}
-
-    def product(i: int, j: int) -> Matrix:
-        m = products.get((i, j))
-        if m is None:
-            m = mat_mul(a_members[i], e_members[j])
-            products[(i, j)] = m
-        return m
-
-    for i in range(na):
-        for j in range(ne):
-            m = product(i, j)
-            lo, hi, _, _ = power_enclosure(
-                m.flat_floats(), m.rows, kernel_tol, 2000
-            )
-            table[i][j] = (lo + hi) / 2.0
-    row_max = [max(table[i]) for i in range(na)]
-    col_min = [min(table[i][j] for i in range(na)) for j in range(ne)]
-    slack = 1e-7
-    cache: dict = {}
-    for i in range(na):
-        for j in range(ne):
-            if table[i][j] < row_max[i] - slack or table[i][j] > col_min[j] + slack:
-                continue
-            centre = product(i, j)
-            if any(
-                _radius_cmp(cache, product(i, jj), centre) > 0 for jj in range(ne)
-            ):
-                continue
-            if any(
-                _radius_cmp(cache, product(ii, j), centre) < 0 for ii in range(na)
-            ):
-                continue
-            estimate = cache.setdefault(centre.data, spectral_radius(centre))
-            return SaddlePoint(
-                despot_matrix=a_members[i],
-                tribune_matrix=e_members[j],
-                radius=estimate,
-            )
-    raise RuntimeError("no saddle point found; the input violates the minimax structure")
-
-
-def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix, cap=None) -> bool:
-    """Exact check that (a0, e0) is a saddle of rho(A E) over the members:
-    rho(a0 E) <= rho(a0 e0) <= rho(A e0) for every member E and A."""
-    if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
-        return False
-    centre = mat_mul(a0, e0)
-    cache: dict = {}
-    for e in enumerate_members(e_set, cap):
-        if _radius_cmp(cache, mat_mul(a0, e), centre) > 0:
-            return False
-    for a in enumerate_members(a_set, cap):
-        if _radius_cmp(cache, mat_mul(a, e0), centre) < 0:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
 class GameSolution:
     """Solved entropy game: a certified value bracket, optimal positional
     strategies for both players, and the saddle pair behind them."""
@@ -333,32 +235,22 @@ class GameSolution:
         return math.log2(mid) / 4
 
 
-def solve(a: Arena, tol=Fraction(1, 10**6), cap=None, threads=None) -> GameSolution:
+def solve(a: Arena, tol=Fraction(1, 10**6), cap=None) -> GameSolution:
     """Solve an entropy game end to end.
 
-    Translates the arena, finds and exactly verifies a saddle pair (which
-    yields optimal positional strategies), and brackets the value by
-    certified bisection.  The returned interval is the hull of the bisection
-    bracket and the saddle radius enclosure, so it always contains the
-    latter; its width stays within tol because both parts are run at tol/2.
-    """
+    Translates the arena and brackets the value with value_bisection at
+    tol/2: that finds and exactly confirms a saddle pair, whose members are
+    the optimal positional strategies returned here, halves the value
+    bracket by Sturm counting on the saddle product, and certifies both
+    ends with one committed-strategy LP each."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tr = arena_to_iru(a)
-    sp = find_saddle(tr.a_set, tr.e_set, cap)
-    vi = value_bisection(tr.a_set, tr.e_set, tol / 2, cap, threads)
-    lower = min(vi.lower, sp.radius.lower)
-    upper = max(vi.upper, sp.radius.upper)
-    interval = ValueInterval(
-        lower=lower,
-        upper=upper,
-        lower_certificate=vi.lower_certificate,
-        upper_certificate=vi.upper_certificate,
-        bisections=vi.bisections,
-    )
+    vi = value_bisection(tr.a_set, tr.e_set, tol / 2, cap)
+    sp = vi.saddle
     return GameSolution(
-        value=interval,
+        value=vi,
         despot_strategy=tr.despot_strategy_for(sp.despot_matrix),
         tribune_strategy=tr.tribune_strategy_for(sp.tribune_matrix),
         saddle=sp,
@@ -618,10 +510,10 @@ def mpg_to_weighted_eg(m: MpgArena) -> Arena:
     )
 
 
-def mpg_value(m: MpgArena, tol=Fraction(1, 10**6), cap=None, threads=None):
+def mpg_value(m: MpgArena, tol=Fraction(1, 10**6), cap=None):
     """Mean payoff value bracket [log2 lower, log2 upper] via the entropy
     game encoding, together with the full entropy game solution."""
-    solution = solve(mpg_to_weighted_eg(m), tol, cap, threads)
+    solution = solve(mpg_to_weighted_eg(m), tol, cap)
     lo = float(solution.value.lower)
     hi = float(solution.value.upper)
     if lo <= 0:

@@ -550,16 +550,3 @@ def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
         kernel_tol /= 16.0
     raise RuntimeError("perron iteration failed to reach the requested residual")
 
-
-def rationalize(value: float, verifier, max_denominator=WITNESS_DENOMINATOR_CAP):
-    """Snap a float to a nearby rational accepted by ``verifier`` (a
-    predicate on Fractions), widening the denominator cap if the first
-    attempt is rejected.  Returns the accepted Fraction or None."""
-    cap = 10**6
-    while cap <= max_denominator:
-        candidate = Fraction(value).limit_denominator(cap)
-        if verifier(candidate):
-            return candidate
-        cap *= 1000
-    exact = Fraction(value)
-    return exact if verifier(exact) else None

@@ -254,3 +254,34 @@ def compare_radii(p_matrix: Matrix, q_matrix: Matrix) -> int:
 def compare_radius_with_rational(m: Matrix, r) -> int:
     """Sign of rho(m) - r for a non-negative square matrix, exact."""
     return compare_largest_root_with_rational(charpoly(m), r)
+
+
+def bisect_radius(m: Matrix, lower, upper, tol) -> tuple[Fraction, Fraction, int]:
+    """Halve [lower, upper) around rho(m) until it is at most tol wide.
+
+    Needs lower <= rho(m) < upper for a non-negative square m, and keeps
+    that invariant exactly: a midpoint equal to rho goes to lower.  The
+    square-free Sturm chain of the characteristic polynomial is built once;
+    since rho is its largest real root, rho >= x exactly when x is a root or
+    some root lies above x.  Returns (lower, upper, halvings)."""
+    lower, upper, tol = rat(lower), rat(upper), rat(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    p = square_free(charpoly(m))
+    chain = sturm_chain(p)
+    above_all = _sign_variations(chain, root_bound(p))
+
+    def at_most_rho(x: Fraction) -> bool:
+        return poly_eval(p, x) == 0 or _sign_variations(chain, x) > above_all
+
+    if not at_most_rho(lower) or at_most_rho(upper):
+        raise ValueError("the bracket must satisfy lower <= rho < upper")
+    steps = 0
+    while upper - lower > tol:
+        mid = (lower + upper) / 2
+        if at_most_rho(mid):
+            lower = mid
+        else:
+            upper = mid
+        steps += 1
+    return lower, upper, steps

@@ -1,10 +1,14 @@
 """Independent reference routes used to derive and freeze expected test values.
 
-Nothing here imports the package under test. Spectral radii come from numpy
-eigenvalues, forest traces from a direct walk on the arena graph, mean-payoff
-values from positional brute force with cycle detection, machine behaviour from
-a literal interpreter, and the encoder templates are instantiated a second time
-from scratch so the package encoders can be compared entry by entry.
+Spectral radii come from numpy eigenvalues, forest traces from a direct walk on
+the arena graph, mean-payoff values from positional brute force with cycle
+detection, machine behaviour from a literal interpreter, and the encoder
+templates are instantiated a second time from scratch so the package encoders
+can be compared entry by entry. None of these import the package under test.
+
+The one exception is member_scan_bisection, the LP-only route to the game
+value that value_bisection replaced; it is built from the package's LP
+deciders and serves as the differential reference for the saddle route.
 """
 
 from __future__ import annotations
@@ -256,3 +260,29 @@ def reference_nonneg_encoding(states, program):
 
 def vec_mat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
+
+
+def member_scan_bisection(a_set, e_set, tol, cap=None):
+    """The game value bracket by LP bisection, needing no saddle point.
+
+    Halves [0, floor(norm_bound) + 1) with one member-scan decide_mm_lt per
+    step (value < mid?), then certifies the final ends with decide_mm_ge and
+    decide_mm_lt over the full sets.  Returns (lower, upper, bisections,
+    lower_certificate, upper_certificate)."""
+    from entropygames.decide import decide_mm_ge, decide_mm_lt, norm_bound
+
+    lower = Fraction(0)
+    upper = Fraction(int(norm_bound(a_set, e_set)) + 1)
+    steps = 0
+    while upper - lower > tol:
+        mid = (lower + upper) / 2
+        below, _ = decide_mm_lt(a_set, e_set, mid, cap)
+        if below:
+            upper = mid
+        else:
+            lower = mid
+        steps += 1
+    ge_ok, lower_cert = decide_mm_ge(a_set, e_set, lower, cap)
+    lt_ok, upper_cert = decide_mm_lt(a_set, e_set, upper, cap)
+    assert ge_ok and lt_ok, "bisection invariant violated at the final bracket"
+    return lower, upper, steps, lower_cert, upper_cert

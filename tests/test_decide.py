@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _frozen as frozen
+import oracle_helpers
 from entropygames.decide import (
     Certificate,
     PositivityRequiredError,
@@ -21,7 +22,7 @@ from entropygames.decide import (
     verify_certificate,
 )
 from entropygames.iru import iru_set, jsr_jssr
-from entropygames.linalg import Matrix
+from entropygames.linalg import Matrix, mat_mul
 from entropygames.realroots import compare_radius_with_rational
 
 A_SET = iru_set(frozen.FIG1_A_ROW_SETS)
@@ -98,15 +99,6 @@ def test_mm_lt_ge_complementary():
         assert below != above
 
 
-def test_mm_threads_agree_with_serial():
-    alpha = Fraction(357, 100)
-    serial = decide_mm_lt(A_SET, E_SET, alpha)
-    parallel = decide_mm_lt(A_SET, E_SET, alpha, threads=2)
-    assert serial[0] == parallel[0]
-    assert serial[1].chosen_matrix == parallel[1].chosen_matrix
-    assert serial[1].vector == parallel[1].vector
-
-
 def test_verification_is_threshold_sensitive():
     ok, cert = decide_jsr_lt(A_SET, Fraction(21, 10))
     assert ok
@@ -158,6 +150,84 @@ def test_value_bisection_running():
 def test_value_bisection_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         value_bisection(A_SET, E_SET, 0)
+
+
+def _assert_matches_member_scan(a_set, e_set, tol):
+    """value_bisection against the LP-only member-scan route: the same
+    bracket and step count, and certificates that hold for the full sets."""
+    interval = value_bisection(a_set, e_set, tol)
+    lower, upper, steps, _, _ = oracle_helpers.member_scan_bisection(a_set, e_set, tol)
+    assert (interval.lower, interval.upper, interval.bisections) == (lower, upper, steps)
+    assert verify_certificate(
+        interval.lower_certificate, a_set, e_set, alpha=interval.lower
+    )
+    assert verify_certificate(
+        interval.upper_certificate, a_set, e_set, alpha=interval.upper
+    )
+    # the certificates commit to the saddle's strategies
+    assert interval.lower_certificate.chosen_matrix == interval.saddle.tribune_matrix
+    assert interval.upper_certificate.chosen_matrix == interval.saddle.despot_matrix
+    return interval
+
+
+@pytest.mark.parametrize(
+    "a_rows, e_rows, value",
+    [
+        # value 6 = 16 * 3/8 is a midpoint of [0, 16): the root goes to lower
+        ([[(2,), (5,)]], [[(1,), (3,)]], 6),
+        # nilpotent products: zero radius, and lower stays at 0
+        ([[(0, 1), (0, 2)], [(0, 0)]], [[(1, 0), (1, 1)], [(0, 1)]], 0),
+        # reducible diagonal products, two members tied at 4; value 3 on the
+        # grid of [0, 16)
+        ([[(1, 0), (2, 0)], [(0, 1)]], [[(2, 0)], [(0, 2), (0, 3)]], 3),
+    ],
+)
+def test_value_bisection_hard_cases(a_rows, e_rows, value):
+    interval = _assert_matches_member_scan(
+        iru_set(a_rows), iru_set(e_rows), Fraction(1, 64)
+    )
+    assert interval.lower == value < interval.upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_value_bisection_matches_member_scan(rng):
+    kind = rng.choice(("random", "sparse", "zero", "diagonal"))
+    n = rng.randint(1, 3)
+    m = n if kind in ("zero", "diagonal") else rng.randint(1, 3)
+
+    def row_sets(rows, cols, make_row):
+        return iru_set(
+            [[make_row(i, cols) for _ in range(rng.randint(1, 2))] for i in range(rows)]
+        )
+
+    if kind == "random":
+        def make(i, cols):
+            return tuple(rng.randint(0, 3) for _ in range(cols))
+        a_set, e_set = row_sets(n, m, make), row_sets(m, n, make)
+    elif kind == "sparse":
+        # 0/1 entries: reducible products, ties and identical rows
+        def make(i, cols):
+            return tuple(rng.randint(0, 1) for _ in range(cols))
+        a_set, e_set = row_sets(n, m, make), row_sets(m, n, make)
+    elif kind == "zero":
+        # strictly upper triangular times upper triangular is nilpotent
+        a_set = row_sets(n, n, lambda i, cols: tuple(
+            rng.randint(0, 2) if j > i else 0 for j in range(cols)))
+        e_set = row_sets(n, n, lambda i, cols: tuple(
+            rng.randint(0, 2) if j >= i else 0 for j in range(cols)))
+    else:
+        # diagonal members: an integer value, often on the bisection grid
+        def make(i, cols):
+            return tuple(rng.randint(1, 4) if j == i else 0 for j in range(cols))
+        a_set, e_set = row_sets(n, n, make), row_sets(n, n, make)
+    interval = _assert_matches_member_scan(a_set, e_set, Fraction(1, 16))
+    if kind == "zero":
+        assert interval.lower == 0
+    saddle = interval.saddle
+    saddle_product = mat_mul(saddle.despot_matrix, saddle.tribune_matrix)
+    assert compare_radius_with_rational(saddle_product, interval.lower) >= 0
+    assert compare_radius_with_rational(saddle_product, interval.upper) < 0
 
 
 @settings(max_examples=50, deadline=None)

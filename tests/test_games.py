@@ -102,6 +102,17 @@ def test_find_saddle_running():
     assert sp.radius.lower <= Fraction(frozen.RUNNING_VALUE) <= sp.radius.upper
 
 
+def test_find_saddle_when_floats_misjudge_reducible_products():
+    # the products are diagonal; power iteration from the all-ones vector
+    # misplaces the radius of several of them, so the float table picks no
+    # saddle and the exact pass over the remaining cells must find it
+    a_set = iru_set([[(3, 0), (4, 0)], [(0, 1), (0, 4)]])
+    e_set = iru_set([[(2, 0)], [(0, 1), (0, 3)]])
+    sp = find_saddle(a_set, e_set)
+    assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+    assert sp.radius.lower <= 6 <= sp.radius.upper
+
+
 def test_verify_saddle():
     a0 = Matrix(frozen.SADDLE_A0)
     e0 = Matrix(frozen.SADDLE_E0)
@@ -121,6 +132,35 @@ def test_solve_running_game():
     assert all(a == "a" for a in sol.tribune_strategy.choice.values())
     assert abs(sol.entropy_bits() - frozen.RUNNING_ENTROPY_BITS) < 1e-4
     assert sol.saddle.despot_matrix == Matrix(frozen.SADDLE_A0)
+
+
+def test_solve_runs_one_saddle_search_and_few_lps(monkeypatch):
+    from entropygames import decide
+
+    calls = {"find_saddle": 0, "lp_max": 0}
+
+    def counted(name):
+        original = getattr(decide, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decide, name, wrapper)
+
+    counted("find_saddle")
+    counted("lp_max")
+    mpg = MpgArena(("d1", "d2"), ("t1", "t2"), (
+        ("d1", "t1", 1), ("d1", "t2", 3), ("d2", "t1", 0), ("d2", "t2", 2),
+        ("t1", "d1", 2), ("t1", "d2", 0), ("t2", "d1", 1), ("t2", "d2", 3),
+    ))
+    for arena in (fig1_arena(), mpg_to_weighted_eg(mpg)):
+        calls.update(find_saddle=0, lp_max=0)
+        solve(arena)
+        # one contraction LP for the upper end, and the expansion LP's pin
+        # loop tries at most one coordinate per despot state
+        assert calls["find_saddle"] == 1
+        assert 2 <= calls["lp_max"] <= 1 + len(arena.despot_states)
 
 
 def test_solve_rejects_bad_tolerance():

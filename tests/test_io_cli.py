@@ -6,8 +6,10 @@ import pytest
 import _frozen as frozen
 from entropygames import io
 from entropygames.cli import main
+from entropygames.decide import Certificate, verify_certificate
 from entropygames.games import Arena, MpgArena
 from entropygames.iru import iru_set
+from entropygames.linalg import Matrix
 from entropygames.minsky import parse_machine
 from entropygames.reductions import encode_integer, encode_nonneg
 
@@ -154,11 +156,34 @@ def test_cli_value_arena(files, capsys):
     assert abs(doc["entropy_bits"] - frozen.RUNNING_ENTROPY_BITS) < 1e-3
 
 
+def parse_certificate(doc) -> Certificate:
+    """A certificate back from the CLI's JSON form."""
+    chosen = doc.get("chosen_matrix")
+    return Certificate(
+        doc["kind"],
+        tuple(io.parse_rational(x) for x in doc["vector"]),
+        chosen_matrix=None if chosen is None else Matrix(
+            tuple(tuple(io.parse_rational(x) for x in row) for row in chosen)
+        ),
+    )
+
+
 def test_cli_value_pair_and_flag_positions(files, capsys):
     # shared flags are accepted before and after the subcommand
     code, doc = run_json(capsys, ["--json", "--tol", "1/1000", "value", files["pair"]])
     assert code == 0
-    assert float(Fraction(doc["value"]["lower"])) <= frozen.RUNNING_VALUE
+    lower = Fraction(doc["value"]["lower"])
+    upper = Fraction(doc["value"]["upper"])
+    assert lower <= frozen.RUNNING_VALUE < upper
+    # both certificates re-check against the full sets at the reported ends;
+    # they commit to the saddle's strategies
+    for key, alpha, kind, chosen in (
+        ("lower_certificate", lower, "mm_ge", frozen.SADDLE_E0),
+        ("upper_certificate", upper, "mm_lt", frozen.SADDLE_A0),
+    ):
+        cert = parse_certificate(doc[key])
+        assert cert.kind == kind and cert.chosen_matrix == Matrix(chosen)
+        assert verify_certificate(cert, A_SET, E_SET, alpha=alpha)
     code2 = main(["value", "--tol", "1/1000", files["pair"]])
     out = capsys.readouterr().out
     assert code2 == 0 and "value in [" in out

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entropygames.linalg import Matrix
 from entropygames.realroots import (
+    bisect_radius,
     charpoly,
     compare_largest_root_with_rational,
     compare_largest_roots,
@@ -122,3 +123,13 @@ def test_compare_radii_matches_numpy_on_clear_separations(rng):
     if abs(ra - rb) < 1e-6:
         return  # too close to trust the float reference
     assert compare_radii(a, b) == (1 if ra > rb else -1)
+
+
+def test_bisect_radius_keeps_root_in_lower():
+    m = Matrix(((2, 0), (0, 1)))  # rho = 2, the first midpoint of [0, 4)
+    assert bisect_radius(m, 0, 4, Fraction(1, 4)) == (2, Fraction(9, 4), 4)
+    lower, upper, _ = bisect_radius(RUNNING, 0, 8, Fraction(1, 10**6))
+    assert compare_radius_with_rational(RUNNING, lower) > 0
+    assert compare_radius_with_rational(RUNNING, upper) < 0
+    with pytest.raises(ValueError):
+        bisect_radius(m, 0, 2, Fraction(1, 4))  # rho is not below upper
