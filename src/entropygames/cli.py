@@ -192,7 +192,7 @@ def cmd_decide(cfg: RunConfig, query: str, alpha_text: str) -> int:
     if shape == "set":
         if kind != io.MATRIX_SET:
             raise ValueError(f"query {query} expects a matrix-set document, got {kind}")
-        answer, cert = decide(value, alpha, cfg.cap)
+        answer, cert = decide(value, alpha)
     else:
         if kind != io.PAIR:
             raise ValueError(f"query {query} expects a pair document, got {kind}")

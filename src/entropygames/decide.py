@@ -106,7 +106,7 @@ def _strict_contraction_lp(s: IruSet, alpha: Fraction):
     return lp_max(FeasibilitySystem(n + 1, tuple(cons), objective))
 
 
-def decide_jsr_lt(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None]:
+def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral radius of S strictly below alpha?
 
     Exact: returns (True, certificate) or (False, None).  The certificate
@@ -121,7 +121,7 @@ def decide_jsr_lt(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None]
     return False, None
 
 
-def decide_jssr_ge(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None]:
+def decide_jssr_ge(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius of S at least alpha?
 
     Exact.  Searches for a non-negative common expansion vector, pinning
@@ -148,7 +148,7 @@ def decide_jssr_ge(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None
     return False, None
 
 
-def decide_jsr_le(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None]:
+def decide_jsr_le(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral radius at most alpha?  Positive sets only."""
     _require_square(s)
     if not s.is_positive:
@@ -172,7 +172,7 @@ def decide_jsr_le(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None]
     return False, None
 
 
-def decide_jssr_gt(s: IruSet, alpha, cap=None) -> tuple[bool, Certificate | None]:
+def decide_jssr_gt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius strictly above alpha?  Positive sets
     only; strictness via a maximised slack as in decide_jsr_lt."""
     _require_square(s)

@@ -26,7 +26,7 @@ from .decide import (
     verify_saddle,
 )
 from .iru import IruSet, RowSet, enumerate_members
-from .linalg import Matrix, Vector, rat
+from .linalg import Matrix, Vector, _float_mul, rat
 
 DESPOT = "despot"
 TRIBUNE = "tribune"
@@ -345,12 +345,6 @@ def forest_counts(
     return levels
 
 
-def population_trace(a: Arena, damien, theo, turns: int) -> list[Vector]:
-    """forest_counts under its population reading: damien tends the despot
-    states' populations, theo the tribune states'."""
-    return forest_counts(a, damien, theo, turns)
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     """Per-turn growth estimates of a simulated matrix product.
@@ -395,8 +389,6 @@ def simulate_payoff(
     nor underflow."""
     if steps <= 0:
         raise ValueError("steps must be positive")
-    import numpy as np
-
     adam_oracle = _as_matrix_oracle(a_source, adam, "adam")
     eve_oracle = _as_matrix_oracle(e_source, eve, "eve")
     history: list[tuple[Matrix, Matrix]] = []
@@ -410,15 +402,15 @@ def simulate_payoff(
         if not isinstance(a, Matrix) or not isinstance(e, Matrix):
             raise ValueError("matrix oracles must return Matrix instances")
         history.append((a, e))
-        step_np = np.array(a.to_floats()) @ np.array(e.to_floats())
-        product = step_np if product is None else product @ step_np
-        total = float(np.abs(product).sum())
+        step = _float_mul(a.to_floats(), e.to_floats())
+        product = step if product is None else _float_mul(product, step)
+        total = sum(abs(x) for row in product for x in row)
         if total == 0.0:
             zeroed_at = turn
             per_turn.extend([0.0] * (steps - turn + 1))
             break
         log_norm += math.log(total)
-        product = product / total
+        product = [[x / total for x in row] for row in product]
         per_turn.append(math.exp(log_norm / turn))
     tail_start = (3 * steps) // 4
     tail = max(per_turn[tail_start:]) if per_turn[tail_start:] else 0.0

@@ -1,8 +1,7 @@
-"""Pure-Python power iteration kernel.
+"""Float power iteration kernel.
 
-This is the fallback used when the compiled extension is unavailable.  Both
-implementations expose the same function with the same semantics; the test
-suite runs the pair side by side on identical inputs.
+Its bounds only suggest where a spectral radius lies; ``linalg`` turns them
+into exact certified enclosures, so this loop never decides anything.
 """
 
 from __future__ import annotations

@@ -320,19 +320,18 @@ def _cw_ratios(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     return min(ratios), max(ratios)
 
 
-def _float_square(cur: list[list[float]]) -> list[list[float]]:
-    n = len(cur)
-    nxt = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        row = cur[i]
-        target = nxt[i]
-        for k in range(n):
-            a = row[k]
-            if a != 0.0:
-                other = cur[k]
-                for j in range(n):
-                    target[j] += a * other[j]
-    return nxt
+def _float_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """Float product of a p x q and a q x r matrix given as row lists."""
+    if len(a[0]) != len(b):
+        raise ValueError("matrix shapes do not match for multiplication")
+    cols = len(b[0])
+    out = [[0.0] * cols for _ in a]
+    for row, target in zip(a, out):
+        for x, other in zip(row, b):
+            if x != 0.0:
+                for j in range(cols):
+                    target[j] += x * other[j]
+    return out
 
 
 def gelfand_bounds(m: Matrix, doublings: int = 5) -> list[float]:
@@ -348,7 +347,7 @@ def gelfand_bounds(m: Matrix, doublings: int = 5) -> list[float]:
     log_scale = 0.0
     power = 1
     for _ in range(doublings):
-        nxt = _float_square(cur)
+        nxt = _float_mul(cur, cur)
         power *= 2
         log_scale *= 2
         total = sum(x for row in nxt for x in row)
@@ -536,9 +535,7 @@ def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
     rho = rat(estimate.value)
     kernel_tol = float(tol)
     for attempt in range(6):
-        klo, khi, iters, vf = power_enclosure(
-            m.flat_floats(), m.rows, kernel_tol, POWER_ITERATION_CAP
-        )
+        klo, khi, iters, vf = _kernel_enclosure(m, kernel_tol)
         v = _rationalize_positive(vf)
         total = sum(v)
         v = tuple(x / total for x in v)

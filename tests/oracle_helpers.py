@@ -1,10 +1,11 @@
 """Independent reference routes used to derive and freeze expected test values.
 
-Spectral radii come from numpy eigenvalues, forest traces from a direct walk on
-the arena graph, mean-payoff values from positional brute force with cycle
-detection, machine behaviour from a literal interpreter, and the encoder
-templates are instantiated a second time from scratch so the package encoders
-can be compared entry by entry. None of these import the package under test.
+Spectral radii come from numpy eigenvalues, simulated growth from numpy float
+products, forest traces from a direct walk on the arena graph, mean-payoff
+values from positional brute force with cycle detection, machine behaviour
+from a literal interpreter, and the encoder templates are instantiated a
+second time from scratch so the package encoders can be compared entry by
+entry. None of these import the package under test.
 
 The one exception is member_scan_bisection, the LP-only route to the game
 value that value_bisection replaced; it is built from the package's LP
@@ -14,6 +15,7 @@ deciders and serves as the differential reference for the saddle route.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,33 @@ import numpy as np
 def rho_numpy(mat) -> float:
     arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
     return float(max(abs(np.linalg.eigvals(arr)))) if arr.size else 0.0
+
+
+def numpy_growth(turns):
+    """The per-turn growth of a simulated play, by numpy float products.
+
+    ``turns`` lists one (adam, eve) pair of row-list matrices per turn.
+    Returns (per_turn, tail, zeroed_at) as simulate_payoff defines them: the
+    product is renormalised by the sum of its absolute entries every turn,
+    and a vanished product reports growth 0 from that turn on."""
+    steps = len(turns)
+    product = None
+    log_norm = 0.0
+    per_turn = []
+    zeroed_at = None
+    for turn, (a, e) in enumerate(turns, start=1):
+        step = np.array(a, dtype=float) @ np.array(e, dtype=float)
+        product = step if product is None else product @ step
+        total = float(np.abs(product).sum())
+        if total == 0.0:
+            zeroed_at = turn
+            per_turn.extend([0.0] * (steps - turn + 1))
+            break
+        log_norm += math.log(total)
+        product = product / total
+        per_turn.append(math.exp(log_norm / turn))
+    tail = max(per_turn[(3 * steps) // 4:], default=0.0)
+    return tuple(per_turn), tail, zeroed_at
 
 
 def mat_mul_lists(a, b):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,14 @@ from entropygames.games import (
     forest_counts,
     mpg_to_weighted_eg,
     mpg_value,
-    population_trace,
     simulate_payoff,
     solve,
     verify_saddle,
 )
 from entropygames.iru import iru_set
 from entropygames.linalg import Matrix, mat_mul
+from entropygames.minsky import parse_machine
+from entropygames.reductions import encode_integer, run_scripted_play
 
 
 def fig1_arena() -> Arena:
@@ -173,9 +175,6 @@ def test_forest_counts_scripted():
     assert [v.entries for v in levels] == [
         tuple(row) for row in frozen.FOREST_TRACE_AB_AA
     ]
-    assert population_trace(
-        fig1_arena(), ("script", "ab"), ("script", "aa"), 2
-    ) == levels
 
 
 def test_forest_counts_zero_turns():
@@ -252,12 +251,104 @@ def test_simulate_payoff_iru_sources():
     assert abs(ok.tail - frozen.RUNNING_VALUE) < 0.1
 
 
+def _replay(turns):
+    """simulate_payoff on a fixed sequence of (adam, eve) matrices, next to
+    the numpy reference on the same sequence."""
+    report = simulate_payoff(
+        lambda turn, history: turns[turn - 1][0],
+        lambda turn, history: turns[turn - 1][1],
+        steps=len(turns),
+    )
+    reference = oracle_helpers.numpy_growth(
+        [(a.to_floats(), e.to_floats()) for a, e in turns]
+    )
+    return report, reference
+
+
+def _assert_growth_agrees(report, reference):
+    per_turn, tail, zeroed_at = reference
+    assert report.per_turn == pytest.approx(per_turn, rel=1e-12, abs=0)
+    assert report.tail == pytest.approx(tail, rel=1e-12, abs=0)
+    assert report.zeroed_at == zeroed_at
+
+
+_ENTRIES = (-3, -1, 0, 0, 0, 1, 2, 5, Fraction(1, 3), Fraction(-2, 7))
+
+
+def _random_play(rng):
+    n, m = rng.randint(1, 4), rng.randint(1, 4)
+
+    def draw(rows, cols):
+        return Matrix(
+            tuple(tuple(rng.choice(_ENTRIES) for _ in range(cols)) for _ in range(rows))
+        )
+
+    adam = [draw(n, m) for _ in range(3)]
+    eve = [draw(m, n) for _ in range(3)]
+    if n == m:
+        adam.append(Matrix(tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n))))
+        eve.append(Matrix(tuple((0,) * n for _ in range(n))))
+    return [(rng.choice(adam), rng.choice(eve)) for _ in range(rng.randint(1, 40))]
+
+
+def _exact_vanishing_turn(turns):
+    product = None
+    for turn, (a, e) in enumerate(turns, start=1):
+        step = oracle_helpers.mat_mul_lists(a.data, e.data)
+        product = step if product is None else oracle_helpers.mat_mul_lists(product, step)
+        if not any(x for row in product for x in row):
+            return turn
+    return None
+
+
+def test_simulate_payoff_matches_numpy_reference():
+    # rectangular, signed, zero and nilpotent members.  Once the exact
+    # product vanishes, each float route sees its own rounding residue (either
+    # may miss the exact zero), so only the turns before that are compared.
+    vanished = 0
+    for seed in range(300):
+        turns = _random_play(random.Random(seed))
+        report, reference = _replay(turns)
+        gone = _exact_vanishing_turn(turns)
+        if gone is None:
+            _assert_growth_agrees(report, reference)
+        else:
+            vanished += 1
+            assert report.per_turn[: gone - 1] == pytest.approx(
+                reference[0][: gone - 1], rel=1e-12, abs=0
+            )
+    assert 0 < vanished < 300
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        frozen.M1_PROGRAM_TEXT,
+        "q0: inc x -> q1\nq1: ifz x -> q2 else dec -> q1\nq2: stop\n",
+        "q0: inc x -> q0\n",
+    ],
+)
+@pytest.mark.parametrize("cheat_turn", [None, 2, 3])
+def test_simulate_payoff_matches_numpy_on_audited_2cmm_plays(program, cheat_turn):
+    machine = parse_machine(program)
+    g = encode_integer(machine)
+    play = run_scripted_play(g, machine, 30, cheat_turn=cheat_turn)
+    adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
+    turns = [(adam[a], eve[e]) for a, e in zip(play.adam_moves, play.eve_moves)]
+    report, reference = _replay(turns)
+    _assert_growth_agrees(report, reference)
+    # the audit's punishment zeroes the integer product exactly
+    assert report.zeroed_at == play.annihilation_turn
+
+
 def test_simulate_payoff_errors():
     a0 = Matrix(frozen.SADDLE_A0)
     with pytest.raises(ValueError):
         simulate_payoff(a0, a0, steps=0)
     with pytest.raises(ValueError, match="Matrix instances"):
         simulate_payoff(lambda t, h: "nope", a0, steps=3)
+    with pytest.raises(ValueError):
+        simulate_payoff(Matrix(((1, 2, 3),)), Matrix(((1,), (2,))), steps=3)
 
 
 def test_eg_payoff_entropy_values():

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import _frozen as frozen
+import entropygames
 from entropygames import io
 from entropygames.cli import main
 from entropygames.decide import Certificate, verify_certificate
@@ -291,6 +296,45 @@ def test_cli_simulate_pair_growth(files, capsys):
     assert code == 0
     assert abs(doc["growth_tail"] - frozen.RUNNING_VALUE) < 0.05
     assert doc["zeroed_at"] is None
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from entropygames import io as eio, simulate_payoff, solve
+from entropygames.cli import main
+from entropygames.linalg import Matrix
+
+arena_path, pair_path = sys.argv[1:]
+value = solve(eio.load_document(arena_path)[1]).value
+report = simulate_payoff(Matrix(((2, 1), (1, 0))), Matrix(((1, -1), (0, 1))), steps=20)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["simulate", "--json", "--despot", "constant:1", "--tribune",
+                 "constant:2", "--turns", "300", pair_path])
+json.dump({"lower": str(value.lower), "upper": str(value.upper),
+           "tail": report.tail, "code": code,
+           "growth_tail": json.loads(out.getvalue())["growth_tail"]}, sys.stdout)
+"""
+
+
+def test_package_runs_without_numpy(files):
+    src = str(Path(entropygames.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, files["arena"], files["pair"]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert Fraction(doc["lower"]) <= frozen.RUNNING_VALUE < Fraction(doc["upper"])
+    assert doc["code"] == 0
+    assert abs(doc["growth_tail"] - frozen.RUNNING_VALUE) < 0.05
+    assert doc["tail"] > 0
 
 
 def test_cli_encode(files, capsys):

@@ -1,21 +1,8 @@
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from entropygames.kernels import KERNEL_IMPL, power_enclosure
-from entropygames.kernels import _power_py
-
-try:
-    from entropygames.kernels import _power as compiled
-except ImportError:
-    compiled = None
-
-
-def test_selected_kernel_reports_implementation():
-    assert KERNEL_IMPL in ("compiled", "pure-python", "pure-python (forced)")
+from entropygames.kernels import power_enclosure
 
 
 def test_known_radius_running_product():
@@ -47,20 +34,3 @@ def test_iteration_cap_reported():
     lo, hi, iters, _ = power_enclosure(flat, 2, 0.0, 3)
     assert iters == 3
     assert lo <= 2.0 <= hi
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-def test_compiled_matches_pure(n, seed):
-    rng = random.Random(seed)
-    flat = [rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(n * n)]
-    pure = _power_py.power_enclosure(flat, n, 1e-10, 5000)
-    comp = compiled.power_enclosure(flat, n, 1e-10, 5000)
-    assert pure[0] == pytest.approx(comp[0], rel=1e-9, abs=1e-9)
-    assert pure[1] == pytest.approx(comp[1], rel=1e-9, abs=1e-9)
-    assert pure[2] == comp[2]
-    assert list(pure[3]) == pytest.approx(list(comp[3]), rel=1e-9, abs=1e-12)
