@@ -22,9 +22,13 @@ again an IruSet by ``right_product``.  Certificates carry the chosen matrix
 so verification stays a one-pass exact check.
 
 The game value itself comes from a saddle point of rho(A E) over the
-members (``find_saddle``, confirmed with exact radius comparisons): the
-value is the radius of the saddle product, bracketed by Sturm bisection and
-certified at each end by the two committed-strategy LPs.
+members (``find_saddle``): the value is the radius of the saddle product,
+bracketed by Sturm bisection and certified at each end by the two
+committed-strategy LPs.  The saddle search is block-aware.  A float table,
+read per strongly connected block of each product, suggests the likely
+cells.  Exact comparisons confirm them: per-block Collatz-Wielandt
+enclosures first, Sturm counting when two enclosures overlap
+(``realroots.compare_radii_enclosed``).
 """
 
 from __future__ import annotations
@@ -34,8 +38,16 @@ from fractions import Fraction
 
 from . import realroots
 from .iru import IruSet, RowSet, enumerate_members, right_product
-from .kernels import power_enclosure
-from .linalg import Matrix, RadiusEstimate, mat_mul, one_norm, rat, spectral_radius
+from .linalg import (
+    Matrix,
+    RadiusEstimate,
+    _float_mul,
+    float_radius,
+    mat_mul,
+    one_norm,
+    rat,
+    spectral_radius,
+)
 from .lp import (
     EQUAL,
     FeasibilitySystem,
@@ -329,27 +341,17 @@ class SaddlePoint:
     radius: RadiusEstimate
 
 
-def _radius_cmp(cache, p: Matrix, q: Matrix) -> int:
-    """Exact sign(rho(p) - rho(q)) with an enclosure fast path."""
-    if p.data == q.data:
-        return 0
-    ep = cache.setdefault(p.data, spectral_radius(p))
-    eq = cache.setdefault(q.data, spectral_radius(q))
-    if ep.upper < eq.lower:
-        return -1
-    if ep.lower > eq.upper:
-        return 1
-    return realroots.compare_radii(p, q)
-
-
 def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
     """Search the member grid for a saddle point of rho(A E): a pair where
     no unilateral member swap raises Despot's guarantee or lowers Tribune's.
 
-    Float radii (power iteration) pick the likely cells, those near both
-    their row's maximum and their column's minimum; they are tried first,
-    the rest after them.  Every pair is confirmed with exact comparisons, so
-    the returned pair is a true saddle.  The lexicographically first
+    A float table of rho over the grid picks the likely cells, those near
+    both their row's maximum and their column's minimum; they are tried
+    first, the rest after them.  Each table entry is read block by block
+    from the float product (``float_radius``), so reducible products get
+    their radius too.  Every pair is confirmed with exact comparisons,
+    which need the exact products of the rows and columns they touch only,
+    so the returned pair is a true saddle.  The lexicographically first
     confirmed pair among the likely cells wins (else among the rest),
     making the result deterministic."""
     _check_game_shapes(a_set, e_set)
@@ -357,7 +359,12 @@ def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
     e_members = list(enumerate_members(e_set, cap))
     na, ne = len(a_members), len(e_members)
     kernel_tol = 1e-10
-    table = [[0.0] * ne for _ in range(na)]
+    a_floats = [a.to_floats() for a in a_members]
+    e_floats = [e.to_floats() for e in e_members]
+    table = [
+        [float_radius(_float_mul(a, e), kernel_tol, 2000) for e in e_floats]
+        for a in a_floats
+    ]
     products: dict[tuple[int, int], Matrix] = {}
 
     def product(i: int, j: int) -> Matrix:
@@ -367,13 +374,6 @@ def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
             products[(i, j)] = m
         return m
 
-    for i in range(na):
-        for j in range(ne):
-            m = product(i, j)
-            lo, hi, _, _ = power_enclosure(
-                m.flat_floats(), m.rows, kernel_tol, 2000
-            )
-            table[i][j] = (lo + hi) / 2.0
     row_max = [max(table[i]) for i in range(na)]
     col_min = [min(table[i][j] for i in range(na)) for j in range(ne)]
     slack = 1e-7
@@ -382,25 +382,27 @@ def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
         for j in range(ne):
             near = row_max[i] - slack <= table[i][j] <= col_min[j] + slack
             (likely if near else unlikely).append((i, j))
-    # The float table can misjudge reducible products (the power iterate
-    # need not converge to the radius), so when no likely cell confirms, the
-    # others are tried too; a saddle always exists, so one of them confirms.
+    # Float rounding can still misplace a likely cell (near-ties within the
+    # slack, or a table entry off by more than it), so when no likely cell
+    # confirms, the others are tried too; a saddle always exists, so one of
+    # them confirms.
     cache: dict = {}
     for i, j in likely + unlikely:
         centre = product(i, j)
         if any(
-            _radius_cmp(cache, product(i, jj), centre) > 0 for jj in range(ne)
+            realroots.compare_radii_enclosed(cache, product(i, jj), centre) > 0
+            for jj in range(ne)
         ):
             continue
         if any(
-            _radius_cmp(cache, product(ii, j), centre) < 0 for ii in range(na)
+            realroots.compare_radii_enclosed(cache, product(ii, j), centre) < 0
+            for ii in range(na)
         ):
             continue
-        estimate = cache.setdefault(centre.data, spectral_radius(centre))
         return SaddlePoint(
             despot_matrix=a_members[i],
             tribune_matrix=e_members[j],
-            radius=estimate,
+            radius=spectral_radius(centre),
         )
     raise RuntimeError("no saddle point found; the input violates the minimax structure")
 
@@ -413,10 +415,10 @@ def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix, cap=None
     centre = mat_mul(a0, e0)
     cache: dict = {}
     for e in enumerate_members(e_set, cap):
-        if _radius_cmp(cache, mat_mul(a0, e), centre) > 0:
+        if realroots.compare_radii_enclosed(cache, mat_mul(a0, e), centre) > 0:
             return False
     for a in enumerate_members(a_set, cap):
-        if _radius_cmp(cache, mat_mul(a, e0), centre) < 0:
+        if realroots.compare_radii_enclosed(cache, mat_mul(a, e0), centre) < 0:
             return False
     return True
 

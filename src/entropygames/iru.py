@@ -184,35 +184,26 @@ class RadiusPair:
     argmin: Matrix
 
 
-def _exact_less(m_a: Matrix, est_a: RadiusEstimate, m_b: Matrix, est_b: RadiusEstimate) -> bool:
-    """rho(a) < rho(b), decided by enclosures first and Sturm on a tie."""
-    if est_a.upper < est_b.lower:
-        return True
-    if est_a.lower > est_b.upper:
-        return False
-    return realroots.compare_radii(m_a, m_b) < 0
-
-
 def jsr_jssr(s: IruSet, tol=DEFAULT_RADIUS_TOL, cap=None) -> RadiusPair:
     """Joint spectral radius (max member radius) and joint spectral subradius
     (min member radius) of a finite IruSet, by certified enumeration.
 
     Under independent row uncertainty both extremes are attained by single
-    members, so enumeration plus exact comparison settles them.  Ties keep
-    the lexicographically first member."""
+    members, so enumeration plus exact comparison settles them; only the two
+    winners get a certified enclosure.  Ties keep the lexicographically
+    first member."""
     if not s.is_square:
         raise ValueError("spectral radii need square matrices")
-    best_max: tuple[Matrix, RadiusEstimate] | None = None
-    best_min: tuple[Matrix, RadiusEstimate] | None = None
+    cache: dict = {}
+    argmax = argmin = None
     for m in enumerate_members(s, cap):
-        est = spectral_radius(m, tol)
-        if best_max is None or _exact_less(best_max[0], best_max[1], m, est):
-            best_max = (m, est)
-        if best_min is None or _exact_less(m, est, best_min[0], best_min[1]):
-            best_min = (m, est)
-    return RadiusPair(
-        jsr=best_max[1], jssr=best_min[1], argmax=best_max[0], argmin=best_min[0]
-    )
+        if argmax is None or realroots.compare_radii_enclosed(cache, argmax, m) < 0:
+            argmax = m
+        if argmin is None or realroots.compare_radii_enclosed(cache, m, argmin) < 0:
+            argmin = m
+    jsr = spectral_radius(argmax, tol)
+    jssr = jsr if argmin.data == argmax.data else spectral_radius(argmin, tol)
+    return RadiusPair(jsr=jsr, jssr=jssr, argmax=argmax, argmin=argmin)
 
 
 def sample_conv(s: IruSet, seed: int) -> Matrix:

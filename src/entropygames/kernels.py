@@ -12,8 +12,13 @@ def power_enclosure(flat, n, tol, max_iter):
 
     ``flat`` is the row-major matrix as a list of ``n * n`` non-negative
     floats.  At each step the Collatz-Wielandt ratios (m v)_i / v_i are
-    formed; once max - min <= tol the iteration stops.  The shift by the
-    identity keeps every iterate mathematically positive, but on reducible
+    formed; once max - min <= tol the iteration stops.  On irreducible input
+    the shift by the identity makes the iteration converge to the Perron
+    vector, so the ratios close in on the radius.  On reducible input they
+    need not close at all (diag(6, 3) stays at 3 and 6 until ``max_iter``),
+    so callers that need them to close split a matrix into the strongly
+    connected blocks of its support and run the kernel per block.  The
+    shift keeps every iterate mathematically positive, but on reducible
     inputs a transient coordinate can underflow to exact zero; such dead
     coordinates are skipped in the ratio scan.
 

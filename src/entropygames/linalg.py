@@ -297,11 +297,11 @@ def strongly_connected_components(adjacency: list[list[int]]) -> list[list[int]]
 def support_components(m: Matrix) -> list[list[int]]:
     """Strongly connected components of the support digraph (edge i -> j
     iff m[i][j] > 0)."""
-    adj = [
-        [j for j in range(m.cols) if m.data[i][j] > 0]
-        for i in range(m.rows)
-    ]
-    return strongly_connected_components(adj)
+    return strongly_connected_components(_support(m.data))
+
+
+def _support(rows) -> list[list[int]]:
+    return [[j for j, x in enumerate(row) if x > 0] for row in rows]
 
 
 def _rationalize_positive(values: Iterable[float]) -> tuple[Fraction, ...]:
@@ -391,6 +391,57 @@ def _kernel_enclosure(m: Matrix, tol_float: float):
     return power_enclosure(flat, m.rows, tol_float, POWER_ITERATION_CAP)
 
 
+def float_radius(rows: list[list[float]], tol: float, max_iter: int) -> float:
+    """Float estimate of rho for a non-negative square matrix of floats.
+
+    The radius of a reducible matrix is the largest radius of the strongly
+    connected diagonal blocks of its support (Frobenius normal form), so the
+    estimate is taken block by block: a singleton block gives its diagonal
+    entry, a larger block the midpoint of the power enclosure on it, where
+    power iteration converges.  Advisory only, like the kernel itself."""
+    best = 0.0
+    for comp in strongly_connected_components(_support(rows)):
+        if len(comp) == 1:
+            estimate = rows[comp[0]][comp[0]]
+        else:
+            flat = [rows[i][j] for i in comp for j in comp]
+            lo, hi, _, _ = power_enclosure(flat, len(comp), tol, max_iter)
+            estimate = (lo + hi) / 2.0
+        best = max(best, estimate)
+    return best
+
+
+def _block_enclosures(m: Matrix, tol_float: float):
+    """Yield (block, lower, upper, witness, iterations) for each strongly
+    connected block of the support of m, with exact lower <= rho(block) <=
+    upper.  A singleton block is its diagonal entry exactly; a larger block
+    is irreducible, so power iteration on it converges, and the exact
+    Collatz-Wielandt ratios of its rationalised iterate bound its radius."""
+    for comp in support_components(m):
+        if len(comp) == 1:
+            i = comp[0]
+            yield comp, m.data[i][i], m.data[i][i], (Fraction(1),), 0
+        else:
+            sub = _submatrix(m, comp)
+            _, _, iterations, vf = _kernel_enclosure(sub, tol_float)
+            witness = _rationalize_positive(vf)
+            lo, hi = _cw_ratios(sub, witness)
+            yield comp, lo, hi, witness, iterations
+
+
+def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction]:
+    """Exact (lower, upper) with lower <= rho(m) <= upper for a non-negative
+    square m: rho(m) is the largest block radius, so lower and upper are the
+    largest block bounds.  No witnesses, no resolvent: the cheap enclosure
+    that exact radius comparisons try before Sturm counting."""
+    lower = upper = Fraction(0)
+    tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
+    for _, lo, hi, _, _ in _block_enclosures(m, tol_float):
+        lower = max(lower, lo)
+        upper = max(upper, hi)
+    return lower, upper
+
+
 def _block_path(m: Matrix, tol: Fraction, spent_iterations: int) -> RadiusEstimate:
     """Certified enclosure for matrices where the single-witness iteration
     stalls (reducible support, or clustered moduli).  Works per strongly
@@ -402,24 +453,14 @@ def _block_path(m: Matrix, tol: Fraction, spent_iterations: int) -> RadiusEstima
       the lower bound, escalating r until u > 0 and m u <= r u hold exactly.
     """
     n = m.rows
-    comps = support_components(m)
     total_iters = spent_iterations
     best_lower = Fraction(0)
     best_block: list[int] | None = None
     best_witness: tuple[Fraction, ...] | None = None
     block_upper = Fraction(0)
     tol_float = float(tol) / _FLOAT_KERNEL_SLACK
-    for comp in comps:
-        if len(comp) == 1:
-            i = comp[0]
-            lo = hi = m.data[i][i]
-            wit = (Fraction(1),)
-        else:
-            sub = _submatrix(m, comp)
-            klo, khi, iters, vf = _kernel_enclosure(sub, tol_float)
-            total_iters += iters
-            wit = _rationalize_positive(vf)
-            lo, hi = _cw_ratios(sub, wit)
+    for comp, lo, hi, wit, iters in _block_enclosures(m, tol_float):
+        total_iters += iters
         if lo > best_lower or best_block is None:
             best_lower = lo
             best_block = comp

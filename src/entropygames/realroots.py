@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, rat
+from .linalg import Matrix, block_radius_bounds, rat
 
 Poly = list
 
@@ -249,6 +249,32 @@ def compare_radii(p_matrix: Matrix, q_matrix: Matrix) -> int:
     if p_matrix.data == q_matrix.data:
         return 0
     return compare_largest_roots(charpoly(p_matrix), charpoly(q_matrix))
+
+
+def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> int:
+    """Sign of rho(P) - rho(Q) for non-negative square matrices, exact.
+
+    Per-block enclosures (``block_radius_bounds``, kept in ``cache`` by
+    matrix entries) settle the comparison when they separate, or when both
+    are the same single point; otherwise compare_radii decides it."""
+    if p_matrix.data == q_matrix.data:
+        return 0
+    p_lo, p_hi = _cached_bounds(cache, p_matrix)
+    q_lo, q_hi = _cached_bounds(cache, q_matrix)
+    if p_hi < q_lo:
+        return -1
+    if p_lo > q_hi:
+        return 1
+    if p_lo == p_hi == q_lo == q_hi:
+        return 0
+    return compare_radii(p_matrix, q_matrix)
+
+
+def _cached_bounds(cache: dict, m: Matrix) -> tuple[Fraction, Fraction]:
+    bounds = cache.get(m.data)
+    if bounds is None:
+        bounds = cache[m.data] = block_radius_bounds(m)
+    return bounds
 
 
 def compare_radius_with_rational(m: Matrix, r) -> int:

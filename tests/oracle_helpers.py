@@ -7,9 +7,11 @@ from a literal interpreter, and the encoder templates are instantiated a
 second time from scratch so the package encoders can be compared entry by
 entry. None of these import the package under test.
 
-The one exception is member_scan_bisection, the LP-only route to the game
-value that value_bisection replaced; it is built from the package's LP
-deciders and serves as the differential reference for the saddle route.
+The exceptions are built from the package's slow exact routes and serve as
+differential references for the fast ones: member_scan_bisection, the
+LP-only route to the game value that value_bisection replaced, and
+sturm_saddle_check and sturm_extremes, which compare member radii with
+realroots.compare_radii alone, with no enclosure and no float.
 """
 
 from __future__ import annotations
@@ -315,3 +317,36 @@ def member_scan_bisection(a_set, e_set, tol, cap=None):
     lt_ok, upper_cert = decide_mm_lt(a_set, e_set, upper, cap)
     assert ge_ok and lt_ok, "bisection invariant violated at the final bracket"
     return lower, upper, steps, lower_cert, upper_cert
+
+
+def sturm_saddle_check(a_set, e_set, a0, e0):
+    """Is (a0, e0) a saddle of rho(A E) over the members, that is
+    rho(a0 E) <= rho(a0 e0) <= rho(A e0) for every member E and A?  Every
+    comparison is a Sturm comparison of characteristic polynomials."""
+    from entropygames.iru import enumerate_members
+    from entropygames.linalg import mat_mul
+    from entropygames.realroots import compare_radii
+
+    if not (a_set.contains_matrix(a0) and e_set.contains_matrix(e0)):
+        return False
+    centre = mat_mul(a0, e0)
+    return all(
+        compare_radii(mat_mul(a0, e), centre) <= 0 for e in enumerate_members(e_set)
+    ) and all(
+        compare_radii(mat_mul(a, e0), centre) >= 0 for a in enumerate_members(a_set)
+    )
+
+
+def sturm_extremes(s):
+    """(argmax, argmin) of the member radius of a square IruSet, the
+    lexicographically first member on ties, by Sturm comparisons alone."""
+    from entropygames.iru import enumerate_members
+    from entropygames.realroots import compare_radii
+
+    argmax = argmin = None
+    for m in enumerate_members(s):
+        if argmax is None or compare_radii(argmax, m) < 0:
+            argmax = m
+        if argmin is None or compare_radii(m, argmin) < 0:
+            argmin = m
+    return argmax, argmin

@@ -17,12 +17,14 @@ from entropygames.decide import (
     decide_mm_ge,
     decide_mm_le,
     decide_mm_lt,
+    find_saddle,
     norm_bound,
     value_bisection,
     verify_certificate,
+    verify_saddle,
 )
-from entropygames.iru import iru_set, jsr_jssr
-from entropygames.linalg import Matrix, mat_mul
+from entropygames.iru import enumerate_members, iru_set, jsr_jssr, right_product
+from entropygames.linalg import Matrix, mat_mul, spectral_radius
 from entropygames.realroots import compare_radius_with_rational
 
 A_SET = iru_set(frozen.FIG1_A_ROW_SETS)
@@ -189,10 +191,11 @@ def test_value_bisection_hard_cases(a_rows, e_rows, value):
     assert interval.lower == value < interval.upper
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_value_bisection_matches_member_scan(rng):
-    kind = rng.choice(("random", "sparse", "zero", "diagonal"))
+def _generated_pair(rng, kinds=("random", "sparse", "zero", "diagonal")):
+    """A random n x m and m x n pair of IruSets (n, m <= 3) of one kind:
+    random entries, 0/1 entries, nilpotent products, diagonal members, or
+    one row set shared by every row index.  Returns (kind, a_set, e_set)."""
+    kind = rng.choice(kinds)
     n = rng.randint(1, 3)
     m = n if kind in ("zero", "diagonal") else rng.randint(1, 3)
 
@@ -216,11 +219,24 @@ def test_value_bisection_matches_member_scan(rng):
             rng.randint(0, 2) if j > i else 0 for j in range(cols)))
         e_set = row_sets(n, n, lambda i, cols: tuple(
             rng.randint(0, 2) if j >= i else 0 for j in range(cols)))
-    else:
+    elif kind == "diagonal":
         # diagonal members: an integer value, often on the bisection grid
         def make(i, cols):
             return tuple(rng.randint(1, 4) if j == i else 0 for j in range(cols))
         a_set, e_set = row_sets(n, n, make), row_sets(n, n, make)
+    else:
+        # identical rows across row indices, and members with tied radii
+        def shared(rows, cols):
+            pool = [tuple(rng.randint(0, 2) for _ in range(cols)) for _ in range(2)]
+            return iru_set([pool] * rows)
+        a_set, e_set = shared(n, m), shared(m, n)
+    return kind, a_set, e_set
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_value_bisection_matches_member_scan(rng):
+    kind, a_set, e_set = _generated_pair(rng)
     interval = _assert_matches_member_scan(a_set, e_set, Fraction(1, 16))
     if kind == "zero":
         assert interval.lower == 0
@@ -228,6 +244,39 @@ def test_value_bisection_matches_member_scan(rng):
     saddle_product = mat_mul(saddle.despot_matrix, saddle.tribune_matrix)
     assert compare_radius_with_rational(saddle_product, interval.lower) >= 0
     assert compare_radius_with_rational(saddle_product, interval.upper) < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_saddle_search_matches_sturm_only_oracle(rng):
+    kind, a_set, e_set = _generated_pair(
+        rng, ("random", "sparse", "zero", "diagonal", "shared")
+    )
+    sp = find_saddle(a_set, e_set)
+    assert oracle_helpers.sturm_saddle_check(
+        a_set, e_set, sp.despot_matrix, sp.tribune_matrix
+    )
+    # verify_saddle on the found pair and on random pairs of the grid, saddles
+    # or not, agrees with the oracle
+    a_members = list(enumerate_members(a_set))
+    e_members = list(enumerate_members(e_set))
+    pairs = [(sp.despot_matrix, sp.tribune_matrix)] + [
+        (rng.choice(a_members), rng.choice(e_members)) for _ in range(4)
+    ]
+    for a0, e0 in pairs:
+        assert verify_saddle(a_set, e_set, a0, e0) == oracle_helpers.sturm_saddle_check(
+            a_set, e_set, a0, e0
+        )
+    # extremes of square sets: the tribune's induced product set, and a_set
+    # itself when it is square
+    squares = [right_product(a_set, sp.tribune_matrix)]
+    if a_set.is_square:
+        squares.append(a_set)
+    for s in squares:
+        pair = jsr_jssr(s)
+        assert (pair.argmax, pair.argmin) == oracle_helpers.sturm_extremes(s)
+        assert pair.jsr == spectral_radius(pair.argmax)
+        assert pair.jssr == spectral_radius(pair.argmin)
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,8 +21,9 @@ from entropygames.games import (
     solve,
     verify_saddle,
 )
-from entropygames.iru import iru_set
+from entropygames.iru import enumerate_members, iru_set
 from entropygames.linalg import Matrix, mat_mul
+from entropygames.realroots import compare_radii
 from entropygames.minsky import parse_machine
 from entropygames.reductions import encode_integer, run_scripted_play
 
@@ -105,14 +106,51 @@ def test_find_saddle_running():
 
 
 def test_find_saddle_when_floats_misjudge_reducible_products():
-    # the products are diagonal; power iteration from the all-ones vector
-    # misplaces the radius of several of them, so the float table picks no
-    # saddle and the exact pass over the remaining cells must find it
+    # a regression case: the products are diagonal, and power iteration on a
+    # whole product from the all-ones vector misplaces the radius of several
+    # of them, which once left the float table with no confirmable likely
+    # cell; the table now reads each diagonal block's radius exactly
     a_set = iru_set([[(3, 0), (4, 0)], [(0, 1), (0, 4)]])
     e_set = iru_set([[(2, 0)], [(0, 1), (0, 3)]])
     sp = find_saddle(a_set, e_set)
     assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
     assert sp.radius.lower <= 6 <= sp.radius.upper
+
+
+@pytest.mark.parametrize(
+    "a_rows, e_rows",
+    [
+        # products 2, 6 / 5, 15: the negated table's only likely cell is
+        # (5, 1), whose row reaches 15
+        ([[(5,), (2,)]], [[(1,), (3,)]]),
+        ([[(3, 0), (4, 0)], [(0, 1), (0, 4)]], [[(2, 0)], [(0, 1), (0, 3)]]),
+    ],
+)
+def test_find_saddle_falls_back_past_an_adversarial_float_table(monkeypatch, a_rows, e_rows):
+    # with every radius negated, the likely cells are row minima and column
+    # maxima of rho; such a cell is a saddle only if its row and its column
+    # are constant, which no cell here has, so no likely cell confirms and
+    # only the exact pass over the remaining cells can return the saddle
+    from entropygames import decide
+
+    true_radius = decide.float_radius
+    monkeypatch.setattr(
+        decide, "float_radius", lambda rows, tol, cap: -true_radius(rows, tol, cap)
+    )
+    a_set, e_set = iru_set(a_rows), iru_set(e_rows)
+    grid = [[mat_mul(a, e) for e in enumerate_members(e_set)] for a in enumerate_members(a_set)]
+
+    def constant(cells):
+        return all(compare_radii(c, cells[0]) == 0 for c in cells)
+
+    rows_constant = [constant(row) for row in grid]
+    cols_constant = [constant(col) for col in zip(*grid)]
+    assert not any(r and c for r in rows_constant for c in cols_constant)
+    sp = find_saddle(a_set, e_set)
+    assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+    assert oracle_helpers.sturm_saddle_check(
+        a_set, e_set, sp.despot_matrix, sp.tribune_matrix
+    )
 
 
 def test_verify_saddle():

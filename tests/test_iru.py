@@ -108,6 +108,27 @@ def test_jsr_jssr_two_by_two():
     assert abs(pair.jsr.value - frozen.TWO_BY_TWO_JSR) < 1e-8
 
 
+def test_jsr_jssr_certifies_only_the_winners(monkeypatch):
+    from entropygames import iru
+
+    certified = []
+
+    def counted(m, tol):
+        certified.append(m)
+        return spectral_radius(m, tol)
+
+    monkeypatch.setattr(iru, "spectral_radius", counted)
+    s = iru_set([[(2, 0), (0, 1), (1, 1)], [(0, 2), (1, 0), (1, 1)]])
+    pair = jsr_jssr(s)
+    assert s.size == 9
+    assert certified == [pair.argmax, pair.argmin]
+    # one member is both extremes and is certified once
+    certified.clear()
+    single = iru_set([[(2, 1)], [(1, 3)]])
+    pair = jsr_jssr(single)
+    assert certified == [pair.argmax] and pair.jsr is pair.jssr
+
+
 def test_sample_conv_protocol_is_deterministic():
     a = sample_conv(A_SET, seed=11)
     b = sample_conv(A_SET, seed=11)

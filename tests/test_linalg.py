@@ -11,8 +11,10 @@ from entropygames.linalg import (
     Matrix,
     ReducibleMatrixError,
     Vector,
+    block_radius_bounds,
     certify_radius_lower,
     certify_radius_upper,
+    float_radius,
     gelfand_bounds,
     mat_mul,
     mat_vec,
@@ -21,8 +23,10 @@ from entropygames.linalg import (
     rat,
     spectral_radius,
     strongly_connected_components,
+    support_components,
     vec_mat,
 )
+from entropygames.realroots import compare_radius_with_rational
 
 RUNNING = Matrix(((2, 1, 1), (1, 0, 1), (1, 1, 2)))
 RUNNING_RHO = (3 + math.sqrt(17)) / 2
@@ -100,6 +104,50 @@ def test_spectral_radius_reducible_paths():
     triangular = spectral_radius(Matrix(((2, 5), (0, 3))))
     assert float(triangular.lower) <= 3.0 <= float(triangular.upper)
     assert triangular.upper - triangular.lower <= Fraction(1, 10**9)
+
+
+def test_float_radius_reads_each_block():
+    # power iteration on the whole of diag(6, 3) from the all-ones vector
+    # stalls with ratios 3 and 6; block by block the radius is exact
+    assert float_radius([[6.0, 0.0], [0.0, 3.0]], 1e-10, 2000) == 6.0
+    assert float_radius([[0.0, 1.0], [0.0, 0.0]], 1e-10, 2000) == 0.0
+    assert float_radius([[2.0, 5.0], [0.0, 3.0]], 1e-10, 2000) == 3.0
+    coupled = [
+        [1.0, 2.0, 1.0, 0.0],
+        [3.0, 1.0, 0.0, 1.0],
+        [0.0, 0.0, 2.0, 1.0],
+        [0.0, 0.0, 1.0, 2.0],
+    ]
+    assert float_radius(coupled, 1e-10, 2000) == pytest.approx(1 + math.sqrt(6), abs=1e-9)
+
+
+def test_block_radius_bounds_on_reducible_matrices():
+    assert block_radius_bounds(Matrix(((0, 1), (0, 0)))) == (0, 0)
+    assert block_radius_bounds(Matrix(((2, 5), (0, 3)))) == (3, 3)
+    assert block_radius_bounds(Matrix(((6, 0), (0, 3)))) == (6, 6)
+    reducible = [
+        # two coupled irreducible 2x2 blocks, radii 1 + sqrt 6 and 3
+        ((1, 2, 1, 0), (3, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 2)),
+        # the same blocks with the larger one downstream
+        ((2, 1, 1, 0), (1, 2, 0, 1), (0, 0, 1, 2), (0, 0, 3, 1)),
+        # a singleton block without a loop feeding a block of radius 1 + sqrt 2
+        ((0, 1, 2), (0, 1, 2), (0, 1, 1)),
+        # all three kinds of block in one matrix
+        (
+            (1, 2, 1, 0, 0),
+            (3, 1, 0, 1, 1),
+            (0, 0, 2, 1, 0),
+            (0, 0, 1, 2, 0),
+            (1, 0, 1, 0, 0),
+        ),
+    ]
+    for rows in reducible:
+        m = Matrix(rows)
+        assert len(support_components(m)) > 1
+        lower, upper = block_radius_bounds(m)
+        assert compare_radius_with_rational(m, lower) >= 0
+        assert compare_radius_with_rational(m, upper) <= 0
+        assert upper - lower <= Fraction(1, 10**9)
 
 
 def test_spectral_radius_rejects_bad_input():

@@ -13,6 +13,7 @@ from entropygames.realroots import (
     compare_largest_root_with_rational,
     compare_largest_roots,
     compare_radii,
+    compare_radii_enclosed,
     compare_radius_with_rational,
     count_roots,
     isolate_largest_root,
@@ -133,3 +134,40 @@ def test_bisect_radius_keeps_root_in_lower():
     assert compare_radius_with_rational(RUNNING, upper) < 0
     with pytest.raises(ValueError):
         bisect_radius(m, 0, 2, Fraction(1, 4))  # rho is not below upper
+
+
+def test_compare_radii_enclosed_settles_ties_of_single_points(monkeypatch):
+    import entropygames.realroots as realroots
+
+    def refuse(p, q):
+        raise AssertionError("separated or equal single-point enclosures need no Sturm")
+
+    monkeypatch.setattr(realroots, "compare_radii", refuse)
+    cache: dict = {}
+    diag = Matrix(((6, 0), (0, 3)))
+    assert compare_radii_enclosed(cache, diag, Matrix(((3, 0), (0, 6)))) == 0
+    assert compare_radii_enclosed(cache, diag, Matrix(((2, 5), (0, 3)))) == 1
+    assert compare_radii_enclosed(cache, Matrix(((0, 1), (0, 0))), RUNNING) == -1
+    assert diag.data in cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_compare_radii_enclosed_matches_compare_radii(rng):
+    n = rng.randint(1, 3)
+    high = rng.choice((1, 3))
+    p, q = (
+        Matrix(tuple(tuple(rng.randint(0, high) for _ in range(n)) for _ in range(n)))
+        for _ in range(2)
+    )
+    cache: dict = {}
+    assert compare_radii_enclosed(cache, p, q) == compare_radii(p, q)
+    assert compare_radii_enclosed(cache, q, p) == compare_radii(q, p)
+
+
+def test_compare_radii_enclosed_falls_back_when_enclosures_overlap():
+    # valid but loose enclosures that touch at 3: only Sturm tells 3 from 4
+    p, q = Matrix(((3, 0), (0, 0))), Matrix(((3, 1), (1, 3)))
+    cache = {p.data: (Fraction(3), Fraction(3)), q.data: (Fraction(3), Fraction(4))}
+    assert compare_radii_enclosed(cache, p, q) == -1
+    assert compare_radii_enclosed(cache, q, p) == 1
