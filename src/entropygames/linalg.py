@@ -15,12 +15,21 @@ The certificates rest on two one-line facts about a non-negative square m:
 ``certify_radius_upper`` and ``certify_radius_lower`` are exactly these
 checks and accept any vector, so a sceptical caller can re-run them without
 trusting the iteration that produced the witness.
+
+The products ``mat_mul``, ``mat_vec`` and ``vec_mat`` run over Python ints:
+each row (or column) is put over a common denominator once, the numerators
+are multiplied and summed as ints, and each result entry becomes one
+Fraction at the end.  The results are exact and equal to the entrywise
+Fraction sums; only the per-operation gcd work of Fraction arithmetic is
+saved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .kernels import power_enclosure
@@ -32,6 +41,8 @@ POWER_ITERATION_CAP = 10_000
 WITNESS_DENOMINATOR_CAP = 10**12
 
 _FLOAT_KERNEL_SLACK = 4.0
+
+_ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
@@ -96,7 +107,11 @@ class Vector:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rational matrix stored as a tuple of row tuples."""
+    """Immutable rational matrix stored as a tuple of row tuples.
+
+    The integer forms the products read are computed on first use and kept:
+    the matrix never changes, so they never go stale, and they are not
+    fields, so equality and hashing ignore them."""
 
     data: tuple[tuple[Fraction, ...], ...]
 
@@ -157,31 +172,90 @@ class Matrix:
     def __str__(self):
         return "\n".join("[" + "  ".join(str(x) for x in row) + "]" for row in self.data)
 
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row as (numerators, d) with row == numerators / d."""
+        return _over_common_denominator(self.data)
+
+    @cached_property
+    def _int_cols(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Each column over its own common denominator, laid out by rows:
+        (numerator rows, column denominators), with entry [i][j] equal to
+        numerator_rows[i][j] / denominators[j]."""
+        cols = _over_common_denominator(zip(*self.data))
+        return tuple(zip(*(nums for nums, _ in cols))), tuple(d for _, d in cols)
+
+
+def _over_common_denominator(rows) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each row of Fractions as (numerators, d) with row == numerators / d,
+    where d is the lcm of the row's denominators."""
+    out = []
+    for row in rows:
+        d = math.lcm(*[x.denominator for x in row])
+        if d == 1:
+            out.append((tuple([x.numerator for x in row]), 1))
+        else:
+            out.append((tuple([x.numerator * (d // x.denominator) for x in row]), d))
+    return tuple(out)
+
+
+def _combine(nums: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The integer row sum over k of nums[k] * rows[k], skipping zero nums."""
+    acc = [0] * width
+    for x, row in zip(nums, rows):
+        if x:
+            acc = [s + x * y for s, y in zip(acc, row)]
+    return acc
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    if not n:
+        return _ZERO
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product; raises ValueError on a dimension mismatch."""
+    """Exact product of a p x q and a q x r Matrix; raises ValueError on a
+    dimension mismatch.  Row i of the result is the integer combination of
+    b's column-form numerator rows weighted by the non-zero numerators of
+    a's row i, each entry over that row's and column's denominators."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = list(zip(*b.data))
+    b_rows, b_dens = b._int_cols
     return Matrix(
         tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.data
+            tuple(
+                _fraction(s, da * db)
+                for s, db in zip(_combine(nums, b_rows, b.cols), b_dens)
+            )
+            for nums, da in a._int_rows
         )
     )
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
+    """Exact column product m v.  v is any sequence of values ``rat``
+    accepts (ints, Fractions, ``p/q`` strings) of length m.cols; the result
+    is a tuple of Fractions."""
     if m.cols != len(v):
         raise ValueError("dimension mismatch in matrix-vector product")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m.data)
+    ((v_nums, dv),) = _over_common_denominator([[rat(x) for x in v]])
+    nz = [(k, x) for k, x in enumerate(v_nums) if x]
+    return tuple(
+        _fraction(sum(nums[k] * x for k, x in nz), d * dv) for nums, d in m._int_rows
+    )
 
 
-def vec_mat(v: Sequence[Fraction], m: Matrix) -> tuple[Fraction, ...]:
+def vec_mat(v: Sequence, m: Matrix) -> tuple[Fraction, ...]:
+    """Exact row product v m.  v is any sequence of values ``rat`` accepts
+    (ints, Fractions, ``p/q`` strings) of length m.rows; the result is a
+    tuple of Fractions."""
     if m.rows != len(v):
         raise ValueError("dimension mismatch in vector-matrix product")
+    ((v_nums, dv),) = _over_common_denominator([[rat(x) for x in v]])
+    m_rows, m_dens = m._int_cols
     return tuple(
-        sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)
+        _fraction(s, dv * dm) for s, dm in zip(_combine(v_nums, m_rows, m.cols), m_dens)
     )
 
 

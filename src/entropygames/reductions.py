@@ -21,6 +21,7 @@ capping long-run growth strictly below 2 on punished plays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -219,6 +220,16 @@ def encode_nonneg(m: TwoCounterMachine) -> EncodedMmg:
     )
 
 
+def _check_cheat_turn(cheat_turn: int | None, horizon: int) -> None:
+    if cheat_turn is not None and not 1 <= cheat_turn <= horizon:
+        raise ValueError("cheat turn must be in 1..horizon")
+
+
+def _log(q: Fraction) -> float:
+    """Natural log of a positive Fraction of any size, without overflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 class _EveSimulation:
     """Eve's private machine run: faithful moves, forced moves once halted,
     and optional deliberate deviations.  After any deviation the simulation
@@ -323,13 +334,14 @@ def run_scripted_play(
     contradicts his own simulation flashes the negative coordinate, adjusts
     it up to -1, punishes and reinitialises; that zeroes the running product
     exactly.  Deviations that leave no negative coordinate are reported as
-    undetectable."""
+    undetectable.  ``cheat_turn``, when given, must be in 1..max_turns."""
     if g.variant != INTEGER:
         raise ValueError("scripted plays are defined for the integer variant")
     if g.degenerate:
         raise ValueError("degenerate encoding: Eve has no moves")
     if max_turns <= 0:
         raise ValueError("max_turns must be positive")
+    _check_cheat_turn(cheat_turn, max_turns)
     moves = machine_transitions(m)
     if len(moves) != len(g.eve_matrices):
         raise ValueError("encoding does not match the machine")
@@ -483,7 +495,10 @@ class NonnegPunishmentReport:
     unit * 2^k after k turns of a segment and the counter pairs must
     multiply to its square; ``magnitude_ok`` records that.  When resets
     happen, each completed segment's growth must stay within 2^(f-1) and
-    the whole play's per-turn growth strictly below 2."""
+    the whole play's per-turn growth strictly below 2.
+    ``aggregate_below_two`` is decided exactly (final norm < start norm *
+    2^turns); ``aggregate_growth`` is the per-turn growth as a float, for
+    display."""
 
     turns: int
     adam_moves: tuple[str, ...]
@@ -510,13 +525,15 @@ def check_nonneg_punishment(
     optionally cheating once); Adam watches with Id and answers any
     contradiction with the matching reset: P[q] for a state lie, P[x]/P[y]
     for a counter lie.  The report collects the exact per-segment growth
-    ratios and the structural magnitude checks of faithful play."""
+    ratios and the structural magnitude checks of faithful play.
+    ``cheat_turn``, when given, must be in 1..horizon."""
     if g.variant != NONNEG:
         raise ValueError("punishment audits are defined for the non-negative variant")
     if g.degenerate:
         raise ValueError("degenerate encoding: Eve has no moves")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    _check_cheat_turn(cheat_turn, horizon)
     moves = machine_transitions(m)
     if len(moves) != len(g.eve_matrices):
         raise ValueError("encoding does not match the machine")
@@ -625,8 +642,10 @@ def check_nonneg_punishment(
             halted_turn = turn
 
     final_norm = one_norm(v)
+    # growth per turn (final / start)^(1/horizon), reported in log space so
+    # long horizons cannot overflow; the < 2 verdict is decided exactly
     total_growth = (
-        float(final_norm / start_norm) ** (1.0 / horizon) if final_norm else 0.0
+        math.exp((_log(final_norm) - _log(start_norm)) / horizon) if final_norm else 0.0
     )
     return NonnegPunishmentReport(
         turns=horizon,
@@ -638,6 +657,6 @@ def check_nonneg_punishment(
         segments=tuple(segments),
         segment_bounds_ok=all(s.within_bound for s in segments),
         aggregate_growth=total_growth,
-        aggregate_below_two=total_growth < 2.0,
+        aggregate_below_two=final_norm < start_norm * 2**horizon,
         final_norm=final_norm,
     )

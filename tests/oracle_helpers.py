@@ -12,6 +12,8 @@ differential references for the fast ones: member_scan_bisection, the
 LP-only route to the game value that value_bisection replaced, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
 realroots.compare_radii alone, with no enclosure and no float.
+fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
+Fraction loops that the integer-numerator products in linalg replaced.
 """
 
 from __future__ import annotations
@@ -291,6 +293,34 @@ def reference_nonneg_encoding(states, program):
 
 def vec_mat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
+
+
+def fraction_mat_mul(a, b):
+    """The Matrix product a b by Fraction sums, entry by entry."""
+    from entropygames.linalg import Matrix
+
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    bt = list(zip(*b.data))
+    return Matrix(
+        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.data)
+    )
+
+
+def fraction_mat_vec(m, v):
+    """The column product m v of a Matrix by Fraction sums."""
+    if m.cols != len(v):
+        raise ValueError("dimension mismatch in matrix-vector product")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m.data)
+
+
+def fraction_vec_mat(v, m):
+    """The row product v m of a Matrix by Fraction sums."""
+    if m.rows != len(v):
+        raise ValueError("dimension mismatch in vector-matrix product")
+    return tuple(
+        sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)
+    )
 
 
 def member_scan_bisection(a_set, e_set, tol, cap=None):

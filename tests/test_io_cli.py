@@ -385,6 +385,14 @@ def test_cli_check(files, capsys):
     assert doc3["flashes"]
 
 
+@pytest.mark.parametrize("variant", ["integer", "nonnegative"])
+@pytest.mark.parametrize("cheat", ["0", "-1", "13"])
+def test_cli_check_rejects_cheat_turn_out_of_range(files, capsys, variant, cheat):
+    args = ["check-2cmm", "--variant", variant, "--turns", "12", f"--cheat-turn={cheat}"]
+    assert main(args + [files["m1"]]) == 2
+    assert capsys.readouterr().err == "error: cheat turn must be in 1..horizon\n"
+
+
 def test_cli_mpg(files, capsys):
     code, doc = run_json(capsys, ["mpg", "--json", "--solve", "--tol", "1/100", files["mpg"]])
     assert code == 0

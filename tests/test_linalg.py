@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _frozen as frozen
+import oracle_helpers
 from entropygames.linalg import (
     Matrix,
     ReducibleMatrixError,
@@ -74,6 +75,101 @@ def test_mat_vec_and_vec_mat():
     m = Matrix(((1, 2), (3, 4)))
     assert tuple(mat_vec(m, (1, 1))) == (Fraction(3), Fraction(7))
     assert tuple(vec_mat((1, 1), m)) == (Fraction(4), Fraction(6))
+
+
+def test_products_reject_shape_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: 1x2 times 1x2"):
+        mat_mul(Matrix(((1, 2),)), Matrix(((1, 2),)))
+    with pytest.raises(ValueError, match="matrix-vector"):
+        mat_vec(RUNNING, (1, 1))
+    with pytest.raises(ValueError, match="vector-matrix"):
+        vec_mat((1, 1, 1, 1), RUNNING)
+
+
+BIG = 2**800
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2**64)),
+)
+
+
+@st.composite
+def matrices(draw, rows, cols, entries=ENTRIES):
+    """A rows x cols Matrix, sometimes with a zeroed row and a zeroed column."""
+    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))] = [0] * cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in data:
+            row[j] = 0
+    return Matrix(tuple(tuple(row) for row in data))
+
+
+def vectors(size):
+    """Vectors of plain ints or of mixed values, as tuples or lists."""
+    ints = st.lists(st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG)),
+                    min_size=size, max_size=size)
+    mixed = st.lists(ENTRIES, min_size=size, max_size=size)
+    return st.one_of(ints, mixed, mixed.map(tuple))
+
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+@st.composite
+def product_cases(draw):
+    p, q, r = (draw(st.integers(1, 5)) for _ in range(3))
+    return (draw(matrices(p, q)), draw(matrices(q, r)), draw(vectors(q)), draw(vectors(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases())
+def test_products_match_fraction_loops(case):
+    a, b, v, w = case
+    got = mat_mul(a, b)
+    assert got == oracle_helpers.fraction_mat_mul(a, b)
+    assert all(all_fractions(row) for row in got.data)
+    column = mat_vec(a, v)
+    assert column == oracle_helpers.fraction_mat_vec(a, v)
+    assert type(column) is tuple and all_fractions(column)
+    row = vec_mat(w, a)
+    assert row == oracle_helpers.fraction_vec_mat(w, a)
+    assert type(row) is tuple and all_fractions(row)
+
+
+@st.composite
+def certificate_cases(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(matrices(n, n, ENTRIES.map(abs)))
+    v = draw(st.lists(ENTRIES.map(abs), min_size=n, max_size=n))
+    if not any(v):
+        v[0] = 1
+    image = oracle_helpers.fraction_mat_vec(m, v)
+    ratios = [lhs / x for lhs, x in zip(image, v) if x]
+    rho = draw(st.one_of(
+        st.sampled_from([min(ratios), max(ratios)]),
+        st.fractions(min_value=0, max_value=100, max_denominator=12),
+    ))
+    return m, v, rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+def test_certificate_verdicts_match_fraction_loops(case):
+    m, v, rho = case
+    image = oracle_helpers.fraction_mat_vec(m, v)
+    assert certify_radius_lower(m, rho, v) == all(
+        lhs >= rho * x for lhs, x in zip(image, v)
+    )
+    if all(x > 0 for x in v):
+        assert certify_radius_upper(m, rho, v) == all(
+            lhs <= rho * x for lhs, x in zip(image, v)
+        )
 
 
 def test_one_norm():

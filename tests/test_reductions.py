@@ -4,7 +4,8 @@ import pytest
 
 import _frozen as frozen
 import oracle_helpers
-from entropygames.linalg import Matrix, vec_mat
+from entropygames import reductions
+from entropygames.linalg import Matrix, one_norm, vec_mat
 from entropygames.minsky import parse_machine, run_machine
 from entropygames.reductions import (
     INTEGER,
@@ -225,6 +226,10 @@ def test_scripted_play_errors():
     stopper = parse_machine("q0: stop\n")
     with pytest.raises(ValueError, match="degenerate"):
         run_scripted_play(encode_integer(stopper), stopper, 10)
+    for cheat in (0, -1, 11):
+        with pytest.raises(ValueError, match=r"cheat turn must be in 1\.\.horizon"):
+            run_scripted_play(g, M1, 10, cheat_turn=cheat)
+    assert run_scripted_play(g, M1, 10, cheat_turn=10).turns == 10
 
 
 def test_nonneg_faithful_looper_not_punished():
@@ -289,3 +294,52 @@ def test_nonneg_errors():
     stopper = parse_machine("q0: stop\n")
     with pytest.raises(ValueError, match="degenerate"):
         check_nonneg_punishment(encode_nonneg(stopper), stopper, 10)
+    for cheat in (0, -1, 11):
+        with pytest.raises(ValueError, match=r"cheat turn must be in 1\.\.horizon"):
+            check_nonneg_punishment(g, M1, 10, cheat_turn=cheat)
+    assert check_nonneg_punishment(g, M1, 10, cheat_turn=10).turns == 10
+
+
+@pytest.mark.parametrize("horizon", [600, 1200])
+def test_nonneg_long_horizons_decide_below_two_exactly(horizon):
+    # the norm ratio outgrows a float from about 520 turns on
+    looper = check_nonneg_punishment(encode_nonneg(LOOPER), LOOPER, horizon)
+    assert not looper.punished and looper.magnitude_ok
+    assert not looper.aggregate_below_two
+    assert 3.9 < looper.aggregate_growth < 4
+    halting = check_nonneg_punishment(encode_nonneg(M2), M2, horizon)
+    assert halting.punished and halting.segment_bounds_ok
+    assert halting.aggregate_below_two
+    assert halting.final_norm < Fraction(2) ** horizon * one_norm(encode_nonneg(M2).start_vector)
+    assert 0 < halting.aggregate_growth < 2
+
+
+AUDITED = [("looper", LOOPER), ("m1", M1), ("m2", M2), ("m3", M3)]
+
+
+def audit_cases():
+    for name, machine in AUDITED:
+        trace, halted = run_machine(machine, 1000)
+        cheats = range(1, len(trace) + 1) if halted else ()
+        for cheat in (None, *cheats):
+            yield pytest.param(machine, cheat, id=f"{name}-cheat{cheat}")
+
+
+@pytest.mark.parametrize("machine,cheat", list(audit_cases()))
+def test_audits_replay_with_fraction_products(monkeypatch, machine, cheat):
+    g_int, g_nn = encode_integer(machine), encode_nonneg(machine)
+    fast = (
+        run_scripted_play(g_int, machine, 40, cheat),
+        check_nonneg_punishment(g_nn, machine, 40, cheat),
+    )
+    monkeypatch.setattr(reductions, "mat_mul", oracle_helpers.fraction_mat_mul)
+    monkeypatch.setattr(reductions, "vec_mat", oracle_helpers.fraction_vec_mat)
+    slow = (
+        run_scripted_play(g_int, machine, 40, cheat),
+        check_nonneg_punishment(g_nn, machine, 40, cheat),
+    )
+    assert fast[0].vectors == slow[0].vectors
+    assert fast[0].final_product == slow[0].final_product
+    assert fast[0].annihilation_turn == slow[0].annihilation_turn
+    assert [seg.ratio for seg in fast[1].segments] == [seg.ratio for seg in slow[1].segments]
+    assert fast == slow
