@@ -460,7 +460,14 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     parser.add_argument(
         "--tol", default=d("1/1000000"), help="tolerance as p/q (default 1/1000000)"
     )
-    parser.add_argument("--cap", type=int, default=d(None), help="member enumeration cap")
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=d(None),
+        help="cap on the members a step may enumerate: the saddle check of a "
+        "reducible centre product, the saddle search's exact fallback, the "
+        "member scans of decide and simulate's strategy parsing",
+    )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for random strategies")
     if top_level:
         parser.add_argument(

@@ -24,11 +24,39 @@ so verification stays a one-pass exact check.
 The game value itself comes from a saddle point of rho(A E) over the
 members (``find_saddle``): the value is the radius of the saddle product,
 bracketed by Sturm bisection and certified at each end by the two
-committed-strategy LPs.  The saddle search is block-aware.  A float table,
-read per strongly connected block of each product, suggests the likely
-cells.  Exact comparisons confirm them: per-block Collatz-Wielandt
-enclosures first, Sturm counting when two enclosures overlap
-(``realroots.compare_radii_enclosed``).
+committed-strategy LPs.  The pair is guessed by float strategy iteration:
+Tribune answers a despot member by row switching on the product set E a
+(Protasov's spectral simplex method), and Despot improves against that
+answer in a Hoffman-Karp loop.  Floats decide nothing: one exact check,
+shared with ``verify_saddle``, confirms the pair, comparing radii with
+per-block Collatz-Wielandt enclosures first and Sturm counting when they
+overlap (``realroots.compare_radii_enclosed``).
+
+The check rests on the single-row lemma.  Let C be a non-negative
+irreducible n x n matrix with Perron vector v > 0 and radius rho, and let
+C' be C with row i replaced by a non-negative row r.
+
+* Every j still reaches i in the support of C', because only row i
+  changed: a shortest path from j to i in C leaves i by no edge, so C' has
+  it too.
+* Let w = C'v - rho v.  Then w_j = 0 for j != i and w_i = r.v - rho v_i.
+  Let S = sum_{m<n} C'^m, which commutes with C'; (S w)_j has the sign of
+  w_i for every j, as j reaches i within n - 1 steps, and u = S v > 0.
+  If r.v > rho v_i then C'u - rho u = S w > 0 entrywise, so by
+  Collatz-Wielandt rho(C') >= min_j (C'u)_j / u_j > rho.  If r.v <
+  rho v_i then C'u < rho u entrywise, so rho(C') <= max_j (C'u)_j / u_j
+  < rho.  If r.v = rho v_i then C'v = rho v with v > 0, so rho(C') = rho.
+* Hence if no single-row switch raises rho, r.v <= rho v_i for every
+  candidate row r of every row set i, so M v <= rho v and rho(M) <= rho
+  for every member M (v > 0); if no switch lowers rho, M v >= rho v and
+  rho(M) >= rho for every member M.
+
+So on a side whose centre product is irreducible, the Sigma (|S_i| - 1)
+single-row deviations, each compared exactly with the centre, settle all
+Pi |S_i| members.  On a reducible centre they do not: with Despot's
+identity against Tribune's rows (1, 0) | (0, 5) and (0, 1) | (5, 0),
+every single swap of E = I keeps rho at 1 but swapping both gives 5.  Such
+a side is compared with every member, under the enumeration cap.
 """
 
 from __future__ import annotations
@@ -37,16 +65,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
-from .iru import IruSet, RowSet, enumerate_members, right_product
+from .iru import (
+    EnumerationCapError,
+    IruSet,
+    RowSet,
+    enumerate_members,
+    resolve_enum_cap,
+    right_product,
+)
+from .kernels import power_enclosure
 from .linalg import (
     Matrix,
     RadiusEstimate,
     _float_mul,
-    float_radius,
+    _support,
     mat_mul,
     one_norm,
     rat,
     spectral_radius,
+    strongly_connected_components,
+    support_components,
+    vec_mat,
 )
 from .lp import (
     EQUAL,
@@ -341,86 +380,252 @@ class SaddlePoint:
     radius: RadiusEstimate
 
 
-def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
-    """Search the member grid for a saddle point of rho(A E): a pair where
-    no unilateral member swap raises Despot's guarantee or lowers Tribune's.
+# Float strategy iteration: relative margin a switch must win by, kernel
+# tolerance and iteration cap per block, and switching rounds per loop.
+_SWITCH_MARGIN = 1e-9
+_KERNEL_TOL = 1e-10
+_KERNEL_CAP = 2000
+_SWITCH_ROUNDS = 64
+# Exact checks of iterated pairs before the exact pass over the grid cells.
+_EXACT_ROUNDS = 8
 
-    A float table of rho over the grid picks the likely cells, those near
-    both their row's maximum and their column's minimum; they are tried
-    first, the rest after them.  Each table entry is read block by block
-    from the float product (``float_radius``), so reducible products get
-    their radius too.  Every pair is confirmed with exact comparisons,
-    which need the exact products of the rows and columns they touch only,
-    so the returned pair is a true saddle.  The lexicographically first
-    confirmed pair among the likely cells wins (else among the rest),
-    making the result deterministic."""
-    _check_game_shapes(a_set, e_set)
-    a_members = list(enumerate_members(a_set, cap))
-    e_members = list(enumerate_members(e_set, cap))
-    na, ne = len(a_members), len(e_members)
-    kernel_tol = 1e-10
-    a_floats = [a.to_floats() for a in a_members]
-    e_floats = [e.to_floats() for e in e_members]
-    table = [
-        [float_radius(_float_mul(a, e), kernel_tol, 2000) for e in e_floats]
-        for a in a_floats
-    ]
-    products: dict[tuple[int, int], Matrix] = {}
 
-    def product(i: int, j: int) -> Matrix:
-        m = products.get((i, j))
-        if m is None:
-            m = mat_mul(a_members[i], e_members[j])
-            products[(i, j)] = m
-        return m
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= _SWITCH_MARGIN * max(abs(x), abs(y))
 
-    row_max = [max(table[i]) for i in range(na)]
-    col_min = [min(table[i][j] for i in range(na)) for j in range(ne)]
-    slack = 1e-7
-    likely, unlikely = [], []
-    for i in range(na):
-        for j in range(ne):
-            near = row_max[i] - slack <= table[i][j] <= col_min[j] + slack
-            (likely if near else unlikely).append((i, j))
-    # Float rounding can still misplace a likely cell (near-ties within the
-    # slack, or a table entry off by more than it), so when no likely cell
-    # confirms, the others are tried too; a saddle always exists, so one of
-    # them confirms.
-    cache: dict = {}
-    for i, j in likely + unlikely:
-        centre = product(i, j)
-        if any(
-            realroots.compare_radii_enclosed(cache, product(i, jj), centre) > 0
-            for jj in range(ne)
-        ):
-            continue
-        if any(
-            realroots.compare_radii_enclosed(cache, product(ii, j), centre) < 0
-            for ii in range(na)
-        ):
-            continue
-        return SaddlePoint(
-            despot_matrix=a_members[i],
-            tribune_matrix=e_members[j],
-            radius=spectral_radius(centre),
+
+def _valuation(rows: list[list[float]]) -> tuple[list[float], list[float]]:
+    """Per-node (gain, weight) of a non-negative square float matrix C, read
+    block by block of its support.
+
+    The gain g of node j is the largest radius of a strongly connected
+    block that j reaches: its growth rate.  The weights form a non-negative
+    eigenvector for the gains.  A block whose own radius is its gain takes
+    its Perron vector, scaled to maximum 1; a block B below its gain takes
+    the solution of (g I - C_BB) x = C_B,k w_k, summed over the later nodes
+    k of the same gain, so that C w = g w holds on it too.  On an
+    irreducible C every gain is rho and the weights are the Perron
+    vector."""
+    gain = [0.0] * len(rows)
+    weight = [1.0] * len(rows)
+    support = _support(rows)
+    # Tarjan emits blocks sinks first, so the later nodes are done
+    for comp in strongly_connected_components(support):
+        if len(comp) == 1:
+            rho, v = rows[comp[0]][comp[0]], [1.0]
+        else:
+            flat = [rows[i][j] for i in comp for j in comp]
+            lo, hi, _, v = power_enclosure(flat, len(comp), _KERNEL_TOL, _KERNEL_CAP)
+            rho = (lo + hi) / 2.0
+        inside = set(comp)
+        g = max([rho] + [gain[k] for i in comp for k in support[i] if k not in inside])
+        if _close(rho, g):
+            top = max(v)
+            v = [x / top for x in v]
+        else:
+            feed = [
+                sum(rows[i][k] * weight[k] for k in support[i] if k not in inside and gain[k] == g)
+                for i in comp
+            ]
+            v = _float_solve(
+                [[(g if i == j else 0.0) - rows[i][j] for j in comp] for i in comp], feed
+            )
+        for i, x in zip(comp, v):
+            gain[i] = g
+            weight[i] = x
+    return gain, weight
+
+
+def _float_solve(rows: list[list[float]], rhs: list[float]) -> list[float]:
+    """Solve rows x = rhs by Gaussian elimination without pivoting, which
+    is stable for the non-singular M-matrices gI - C_BB it is given."""
+    n = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        for r in range(c + 1, n):
+            f = aug[r][c] / aug[c][c]
+            if f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        x[r] = (aug[r][n] - sum(aug[r][k] * x[k] for k in range(r + 1, n))) / aug[r][r]
+    return x
+
+
+def _switch(candidates, choice, maximise: bool):
+    """One round of row switching on the float product rows
+    ``candidates[i][k]`` at the current ``choice``, or None when no row
+    improves.  A candidate row is scored by the largest gain it reaches,
+    then by its weighted sum over the nodes at that gain (r . v on an
+    irreducible product); every row switches to its best candidate when
+    that beats the current row by the margin, upwards for the maximiser and
+    downwards for the minimiser."""
+    gain, weight = _valuation([rows[k] for rows, k in zip(candidates, choice)])
+    sign = 1.0 if maximise else -1.0
+
+    def score(row):
+        reach = max((gain[k] for k, x in enumerate(row) if x > 0.0), default=0.0)
+        bias = sum(x * weight[k] for k, x in enumerate(row) if x > 0.0 and _close(gain[k], reach))
+        return reach, bias
+
+    def beats(new, old) -> bool:
+        for x, y in zip(new, old):
+            if not _close(x, y):
+                return sign * (x - y) > 0
+        return False
+
+    switched = list(choice)
+    for i, rows in enumerate(candidates):
+        best = score(rows[choice[i]])
+        for k, row in enumerate(rows):
+            s = score(row)
+            if beats(s, best):
+                best, switched[i] = s, k
+    return None if switched == list(choice) else switched
+
+
+def _respond(candidates, choice, maximise: bool):
+    """Switch rows until none improves, a choice repeats or the rounds run
+    out; returns the last choice."""
+    seen = set()
+    for _ in range(_SWITCH_ROUNDS):
+        seen.add(tuple(choice))
+        switched = _switch(candidates, choice, maximise)
+        if switched is None or tuple(switched) in seen:
+            break
+        choice = switched
+    return choice
+
+
+def _iterate(a_rows, e_rows, a, e):
+    """Float Hoffman-Karp iteration from the row choices (a, e): Tribune
+    answers Despot's member by row switching on E a (maximising), then
+    Despot switches rows once on a E against that answer (minimising), until
+    Despot stops improving.  A suggestion only: the exact check decides."""
+    seen = set()
+    for _ in range(_SWITCH_ROUNDS):
+        seen.add(tuple(a))
+        despot = [rows[k] for rows, k in zip(a_rows, a)]
+        e = _respond([_float_mul(rows, despot) for rows in e_rows], e, True)
+        tribune = [rows[k] for rows, k in zip(e_rows, e)]
+        switched = _switch([_float_mul(rows, tribune) for rows in a_rows], a, False)
+        if switched is None or tuple(switched) in seen:
+            break
+        a = switched
+    return a, e
+
+
+def _members(s: IruSet, cap, stage: str):
+    """enumerate_members, with a cap error that names the enumerating stage."""
+    limit = resolve_enum_cap(cap)
+    if s.size > limit:
+        raise EnumerationCapError(
+            f"{stage}: {s.size} members exceed the enumeration cap of {limit}"
         )
+    return enumerate_members(s, limit)
+
+
+def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cap, cache, side: str):
+    """A member of s that beats ``own`` against ``other``, or None.
+
+    The centre is C = own . other; a member M beats own when sign *
+    (rho(M other) - rho(C)) > 0, so sign is +1 for the maximiser (Tribune)
+    and -1 for the minimiser (Despot).  On an irreducible C only the
+    single-row deviations are compared (see the module docstring for why
+    they suffice): one vec_mat and one exact comparison each, the first
+    that beats own is returned.  A reducible C has no such lemma, and every
+    member is compared, under the cap."""
+    centre = mat_mul(own, other)
+    if len(support_components(centre)) > 1:
+        for m in _members(s, cap, f"reducible centre on {side}"):
+            if sign * realroots.compare_radii_enclosed(cache, mat_mul(m, other), centre) > 0:
+                return m
+        return None
+    rows = list(centre.data)
+    for i, rs in enumerate(s.row_sets):
+        for r in rs.rows:
+            row = vec_mat(r, other)
+            if row == centre.data[i]:
+                continue
+            rows[i] = row
+            deviation = Matrix._of_fractions(tuple(rows))
+            rows[i] = centre.data[i]
+            if sign * realroots.compare_radii_enclosed(cache, deviation, centre) > 0:
+                return Matrix._of_fractions(own.data[:i] + (r,) + own.data[i + 1:])
+    return None
+
+
+def _refute_pair(a_set, e_set, a0, e0, cap, cache):
+    """None when (a0, e0) is a saddle, else the pair with one side replaced
+    by a member that beats it: Tribune's deviations on e0 a0 are checked
+    first, then Despot's on a0 e0."""
+    better = _refute(e_set, e0, a0, 1, cap, cache, "Tribune's side")
+    if better is not None:
+        return a0, better
+    better = _refute(a_set, a0, e0, -1, cap, cache, "Despot's side")
+    if better is not None:
+        return better, e0
+    return None
+
+
+def _float_rows(s: IruSet) -> list[list[list[float]]]:
+    return [[[float(x) for x in row] for row in rs.rows] for rs in s.row_sets]
+
+
+def _choice(s: IruSet, m: Matrix) -> list[int]:
+    return [rs.rows.index(row) for rs, row in zip(s.row_sets, m.data)]
+
+
+def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
+    """A saddle point of rho(A E): a pair where no unilateral member swap
+    raises Despot's guarantee or lowers Tribune's.
+
+    Float strategy iteration (``_iterate``) suggests the pair and the
+    shared exact check (``_refute_pair``) confirms it.  A refuting member is
+    an exactly confirmed improvement for its side; iteration resumes from
+    it.  After a fixed number of refuted rounds the grid cells are checked
+    exactly in lexicographic order, under the cap; a saddle always exists,
+    so one of them confirms.  No member grid is formed otherwise, and on a
+    side with an irreducible centre the check makes at most
+    sum(|S_i| - 1) exact comparisons."""
+    _check_game_shapes(a_set, e_set)
+    a_rows, e_rows = _float_rows(a_set), _float_rows(e_set)
+    a, e = [0] * a_set.n_rows, [0] * e_set.n_rows
+    cache: dict = {}
+    for _ in range(_EXACT_ROUNDS):
+        a, e = _iterate(a_rows, e_rows, a, e)
+        a0, e0 = a_set.member(a), e_set.member(e)
+        better = _refute_pair(a_set, e_set, a0, e0, cap, cache)
+        if better is None:
+            return _saddle_point(a0, e0)
+        a, e = _choice(a_set, better[0]), _choice(e_set, better[1])
+    stage = "exact fallback of the saddle search"
+    for a0 in _members(a_set, cap, stage):
+        for e0 in _members(e_set, cap, stage):
+            if _refute_pair(a_set, e_set, a0, e0, cap, cache) is None:
+                return _saddle_point(a0, e0)
     raise RuntimeError("no saddle point found; the input violates the minimax structure")
+
+
+def _saddle_point(a0: Matrix, e0: Matrix) -> SaddlePoint:
+    return SaddlePoint(
+        despot_matrix=a0, tribune_matrix=e0, radius=spectral_radius(mat_mul(a0, e0))
+    )
 
 
 def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix, cap=None) -> bool:
     """Exact check that (a0, e0) is a saddle of rho(A E) over the members:
-    rho(a0 E) <= rho(a0 e0) <= rho(A e0) for every member E and A."""
+    rho(a0 E) <= rho(a0 e0) <= rho(A e0) for every member E and A.
+
+    It is find_saddle's check.  Each side is settled by its centre, e0 a0
+    for Tribune and a0 e0 for Despot (rho(a0 E) = rho(E a0), as the two
+    products share their non-zero eigenvalues).  An irreducible centre
+    needs only its single-row deviations, by the lemma in the module
+    docstring; a reducible one is compared with every member, under the
+    cap."""
     if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
         return False
-    centre = mat_mul(a0, e0)
-    cache: dict = {}
-    for e in enumerate_members(e_set, cap):
-        if realroots.compare_radii_enclosed(cache, mat_mul(a0, e), centre) > 0:
-            return False
-    for a in enumerate_members(a_set, cap):
-        if realroots.compare_radii_enclosed(cache, mat_mul(a, e0), centre) < 0:
-            return False
-    return True
+    return _refute_pair(a_set, e_set, a0, e0, cap, {}) is None
 
 
 @dataclass(frozen=True)

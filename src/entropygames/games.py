@@ -26,7 +26,7 @@ from .decide import (
     verify_saddle,
 )
 from .iru import IruSet, RowSet, enumerate_members
-from .linalg import Matrix, Vector, _float_mul, rat
+from .linalg import Matrix, Vector, _float_mul, mat_mul, rat
 
 DESPOT = "despot"
 TRIBUNE = "tribune"
@@ -377,6 +377,23 @@ def _as_matrix_oracle(source, chooser, side: str):
     raise ValueError(f"cannot interpret {side} source {source!r}")
 
 
+def _support_sets(m: Matrix) -> list[set[int]]:
+    return [{j for j, x in enumerate(row) if x} for row in m.data]
+
+
+def _support_mul(p: list[set[int]], q: list[set[int]]) -> list[set[int]]:
+    """Support of a product of non-negative matrices from their supports."""
+    return [set().union(*(q[k] for k in row)) for row in p]
+
+
+def _exact_product(history) -> Matrix:
+    product = None
+    for a, e in history:
+        step = mat_mul(a, e)
+        product = step if product is None else mat_mul(product, step)
+    return product
+
+
 def simulate_payoff(
     a_source, e_source, adam=None, eve=None, steps: int = 100
 ) -> GrowthReport:
@@ -386,13 +403,17 @@ def simulate_payoff(
     ``(turn, history) -> Matrix``), or matrix-valued callables.  One turn
     multiplies by one Adam choice and one Eve choice.  Products are tracked
     in floats with per-step renormalisation, so long plays neither overflow
-    nor underflow."""
+    nor underflow.  Whether the product has vanished is decided exactly:
+    from the boolean support product while every member is non-negative
+    (no entry can cancel), else from the exact product."""
     if steps <= 0:
         raise ValueError("steps must be positive")
     adam_oracle = _as_matrix_oracle(a_source, adam, "adam")
     eve_oracle = _as_matrix_oracle(e_source, eve, "eve")
     history: list[tuple[Matrix, Matrix]] = []
     product = None
+    support = None
+    exact = None
     log_norm = 0.0
     per_turn: list[float] = []
     zeroed_at = None
@@ -404,13 +425,28 @@ def simulate_payoff(
         history.append((a, e))
         step = _float_mul(a.to_floats(), e.to_floats())
         product = step if product is None else _float_mul(product, step)
-        total = sum(abs(x) for row in product for x in row)
-        if total == 0.0:
+        if exact is None and a.is_nonnegative and e.is_nonnegative:
+            step_support = _support_mul(_support_sets(a), _support_sets(e))
+            support = step_support if support is None else _support_mul(support, step_support)
+            vanished = not any(support)
+        else:
+            exact = _exact_product(history) if exact is None else mat_mul(exact, mat_mul(a, e))
+            vanished = not any(x for row in exact.data for x in row)
+        if vanished:
             zeroed_at = turn
             per_turn.extend([0.0] * (steps - turn + 1))
             break
-        log_norm += math.log(total)
-        product = [[x / total for x in row] for row in product]
+        total = sum(abs(x) for row in product for x in row)
+        if total == 0.0:
+            # every float entry cancelled or underflowed although the exact
+            # product is not zero: restart the float product from it
+            rows = _exact_product(history).data
+            exact_total = sum(abs(x) for row in rows for x in row)
+            product = [[float(x / exact_total) for x in row] for row in rows]
+            log_norm = math.log(exact_total.numerator) - math.log(exact_total.denominator)
+        else:
+            log_norm += math.log(total)
+            product = [[x / total for x in row] for row in product]
         per_turn.append(math.exp(log_norm / turn))
     tail_start = (3 * steps) // 4
     tail = max(per_turn[tail_start:]) if per_turn[tail_start:] else 0.0

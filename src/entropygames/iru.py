@@ -126,7 +126,7 @@ class IruSet:
     def member(self, choice) -> Matrix:
         if len(choice) != self.n_rows:
             raise ValueError("one row choice per row index required")
-        return Matrix(
+        return Matrix._of_fractions(
             tuple(self.row_sets[i].rows[k] for i, k in enumerate(choice))
         )
 
@@ -153,7 +153,7 @@ def enumerate_members(s: IruSet, cap=None):
             f"{s.size} members exceed the enumeration cap of {limit}"
         )
     for rows in itertools.product(*(rs.rows for rs in s.row_sets)):
-        yield Matrix(rows)
+        yield Matrix._of_fractions(rows)
 
 
 def right_product(s: IruSet, b: Matrix) -> IruSet:

@@ -124,6 +124,16 @@ class Matrix:
             raise ValueError("ragged rows")
         object.__setattr__(self, "data", rows)
 
+    @classmethod
+    def _of_fractions(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
+        """A Matrix from a non-empty rectangular tuple of row tuples whose
+        entries are all Fractions already, skipping the coercion and shape
+        pass of the constructor.  Only for results the package builds
+        itself, such as products."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", rows)
+        return m
+
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(
@@ -222,7 +232,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     b_rows, b_dens = b._int_cols
-    return Matrix(
+    return Matrix._of_fractions(
         tuple(
             tuple(
                 _fraction(s, da * db)
@@ -463,26 +473,6 @@ def _submatrix(m: Matrix, indices: list[int]) -> Matrix:
 def _kernel_enclosure(m: Matrix, tol_float: float):
     flat = m.flat_floats()
     return power_enclosure(flat, m.rows, tol_float, POWER_ITERATION_CAP)
-
-
-def float_radius(rows: list[list[float]], tol: float, max_iter: int) -> float:
-    """Float estimate of rho for a non-negative square matrix of floats.
-
-    The radius of a reducible matrix is the largest radius of the strongly
-    connected diagonal blocks of its support (Frobenius normal form), so the
-    estimate is taken block by block: a singleton block gives its diagonal
-    entry, a larger block the midpoint of the power enclosure on it, where
-    power iteration converges.  Advisory only, like the kernel itself."""
-    best = 0.0
-    for comp in strongly_connected_components(_support(rows)):
-        if len(comp) == 1:
-            estimate = rows[comp[0]][comp[0]]
-        else:
-            flat = [rows[i][j] for i in comp for j in comp]
-            lo, hi, _, _ = power_enclosure(flat, len(comp), tol, max_iter)
-            estimate = (lo + hi) / 2.0
-        best = max(best, estimate)
-    return best
 
 
 def _block_enclosures(m: Matrix, tol_float: float):

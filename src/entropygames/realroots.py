@@ -245,10 +245,13 @@ def charpoly(m: Matrix) -> Poly:
 
 
 def compare_radii(p_matrix: Matrix, q_matrix: Matrix) -> int:
-    """Sign of rho(P) - rho(Q) for non-negative square matrices, exact."""
+    """Sign of rho(P) - rho(Q) for non-negative square matrices, exact.
+    Equal characteristic polynomials mean equal spectra, a tie settled
+    without root isolation."""
     if p_matrix.data == q_matrix.data:
         return 0
-    return compare_largest_roots(charpoly(p_matrix), charpoly(q_matrix))
+    p, q = charpoly(p_matrix), charpoly(q_matrix)
+    return 0 if p == q else compare_largest_roots(p, q)
 
 
 def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> int:

@@ -11,7 +11,9 @@ The exceptions are built from the package's slow exact routes and serve as
 differential references for the fast ones: member_scan_bisection, the
 LP-only route to the game value that value_bisection replaced, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
-realroots.compare_radii alone, with no enclosure and no float.
+realroots.compare_radii alone, with no enclosure and no float, and
+grid_saddle, the member-grid saddle search that strategy iteration
+replaced in decide.find_saddle.
 fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced.
 """
@@ -380,3 +382,30 @@ def sturm_extremes(s):
         if argmin is None or compare_radii(m, argmin) < 0:
             argmin = m
     return argmax, argmin
+
+
+def grid_saddle(a_set, e_set):
+    """The member-grid saddle search that decide.find_saddle replaced.
+
+    A float table of rho over the whole |A| x |E| grid (numpy eigenvalues)
+    orders the cells: those within a slack of both their row's maximum and
+    their column's minimum come first, the rest after them, each group in
+    lexicographic order.  The first cell that sturm_saddle_check confirms
+    is returned as (a0, e0); a saddle always exists, so one confirms."""
+    from entropygames.iru import enumerate_members
+
+    a_members = list(enumerate_members(a_set))
+    e_members = list(enumerate_members(e_set))
+    table = [[rho_numpy(mat_mul_lists(a.data, e.data)) for e in e_members] for a in a_members]
+    row_max = [max(row) for row in table]
+    col_min = [min(col) for col in zip(*table)]
+    slack = 1e-7
+    cells = itertools.product(range(len(a_members)), range(len(e_members)))
+    ordered = sorted(
+        cells,
+        key=lambda c: not (row_max[c[0]] - slack <= table[c[0]][c[1]] <= col_min[c[1]] + slack),
+    )
+    for i, j in ordered:
+        if sturm_saddle_check(a_set, e_set, a_members[i], e_members[j]):
+            return a_members[i], e_members[j]
+    raise AssertionError("no saddle point in the member grid")

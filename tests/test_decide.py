@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from entropygames.decide import (
     Certificate,
     PositivityRequiredError,
     ValueInterval,
+    _valuation,
     decide_jsr_le,
     decide_jsr_lt,
     decide_jssr_ge,
@@ -23,9 +25,15 @@ from entropygames.decide import (
     verify_certificate,
     verify_saddle,
 )
-from entropygames.iru import enumerate_members, iru_set, jsr_jssr, right_product
+from entropygames.iru import (
+    EnumerationCapError,
+    enumerate_members,
+    iru_set,
+    jsr_jssr,
+    right_product,
+)
 from entropygames.linalg import Matrix, mat_mul, spectral_radius
-from entropygames.realroots import compare_radius_with_rational
+from entropygames.realroots import compare_radii, compare_radius_with_rational
 
 A_SET = iru_set(frozen.FIG1_A_ROW_SETS)
 E_SET = iru_set(frozen.FIG1_E_ROW_SETS)
@@ -193,21 +201,41 @@ def test_value_bisection_hard_cases(a_rows, e_rows, value):
 
 def _generated_pair(rng, kinds=("random", "sparse", "zero", "diagonal")):
     """A random n x m and m x n pair of IruSets (n, m <= 3) of one kind:
-    random entries, 0/1 entries, nilpotent products, diagonal members, or
-    one row set shared by every row index.  Returns (kind, a_set, e_set)."""
+    random entries, 0/1 entries, nilpotent products, diagonal members, one
+    row set shared by every row index, despot rows whose products coincide,
+    or random entries with n != m.  Returns (kind, a_set, e_set)."""
     kind = rng.choice(kinds)
     n = rng.randint(1, 3)
-    m = n if kind in ("zero", "diagonal") else rng.randint(1, 3)
+    if kind in ("zero", "diagonal"):
+        m = n
+    elif kind == "rectangular":
+        m = rng.choice([k for k in (1, 2, 3) if k != n])
+    else:
+        m = rng.randint(1, 3)
 
     def row_sets(rows, cols, make_row):
         return iru_set(
             [[make_row(i, cols) for _ in range(rng.randint(1, 2))] for i in range(rows)]
         )
 
-    if kind == "random":
+    if kind in ("random", "rectangular"):
         def make(i, cols):
             return tuple(rng.randint(0, 3) for _ in range(cols))
         a_set, e_set = row_sets(n, m, make), row_sets(m, n, make)
+    elif kind == "duplicate":
+        # despot rows that differ only in column 0, against tribune members
+        # whose row 0 is zero: distinct rows with identical product rows
+        def pair(cols):
+            row = [rng.randint(0, 3) for _ in range(cols)]
+            return [tuple(row), tuple([row[0] + 1] + row[1:])]
+        a_set = iru_set([pair(m) for _ in range(n)])
+        e_set = iru_set(
+            [[(0,) * n]]
+            + [
+                [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+                for _ in range(m - 1)
+            ]
+        )
     elif kind == "sparse":
         # 0/1 entries: reducible products, ties and identical rows
         def make(i, cols):
@@ -277,6 +305,64 @@ def test_saddle_search_matches_sturm_only_oracle(rng):
         assert (pair.argmax, pair.argmin) == oracle_helpers.sturm_extremes(s)
         assert pair.jsr == spectral_radius(pair.argmax)
         assert pair.jssr == spectral_radius(pair.argmin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_find_saddle_matches_grid_oracle(rng):
+    kind, a_set, e_set = _generated_pair(
+        rng, ("random", "sparse", "zero", "diagonal", "shared", "duplicate", "rectangular")
+    )
+    sp = find_saddle(a_set, e_set)
+    assert oracle_helpers.sturm_saddle_check(
+        a_set, e_set, sp.despot_matrix, sp.tribune_matrix
+    )
+    # several saddles may exist, but they all share the value
+    a1, e1 = oracle_helpers.grid_saddle(a_set, e_set)
+    centre = mat_mul(sp.despot_matrix, sp.tribune_matrix)
+    assert compare_radii(centre, mat_mul(a1, e1)) == 0
+    a_members = list(enumerate_members(a_set))
+    e_members = list(enumerate_members(e_set))
+    for _ in range(4):
+        a0, e0 = rng.choice(a_members), rng.choice(e_members)
+        assert verify_saddle(a_set, e_set, a0, e0) == oracle_helpers.sturm_saddle_check(
+            a_set, e_set, a0, e0
+        )
+
+
+def test_switch_gains_read_each_block():
+    # power iteration on the whole of diag(6, 3) from the all-ones vector
+    # stalls with ratios 3 and 6; block by block each node's gain is exact
+    assert _valuation([[6.0, 0.0], [0.0, 3.0]]) == ([6.0, 3.0], [1.0, 1.0])
+    assert _valuation([[0.0, 1.0], [0.0, 0.0]])[0] == [0.0, 0.0]
+    # node 0 (radius 2) feeds node 1 (radius 3): w0 = 5 w1 / (3 - 2)
+    assert _valuation([[2.0, 5.0], [0.0, 3.0]]) == ([3.0, 3.0], [5.0, 1.0])
+    coupled = [
+        [1.0, 2.0, 1.0, 0.0],
+        [3.0, 1.0, 0.0, 1.0],
+        [0.0, 0.0, 2.0, 1.0],
+        [0.0, 0.0, 1.0, 2.0],
+    ]
+    gain, weight = _valuation(coupled)
+    assert gain == pytest.approx([1 + math.sqrt(6)] * 2 + [3.0] * 2, abs=1e-9)
+    # the upper block's weights are its Perron vector: C w = rho w there
+    image = [sum(x * w for x, w in zip(row[:2], weight[:2])) for row in coupled[:2]]
+    assert image == pytest.approx([gain[0] * w for w in weight[:2]], rel=1e-9)
+
+
+def test_cap_errors_name_the_enumerating_stage(monkeypatch):
+    from entropygames import decide
+
+    # a0 e0 = I is reducible on Despot's side, which has four members
+    a_set = iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]])
+    e_set = iru_set([[(1, 0)], [(0, 1)]])
+    identity = Matrix(((1, 0), (0, 1)))
+    with pytest.raises(EnumerationCapError, match="reducible centre on Despot's side"):
+        verify_saddle(a_set, e_set, identity, identity, cap=1)
+    assert verify_saddle(a_set, e_set, identity, identity, cap=4)
+    monkeypatch.setattr(decide, "_EXACT_ROUNDS", 0)
+    with pytest.raises(EnumerationCapError, match="exact fallback of the saddle search"):
+        find_saddle(iru_set([[(5,), (2,)]]), iru_set([[(1,), (3,)]]), cap=1)
 
 
 @settings(max_examples=50, deadline=None)

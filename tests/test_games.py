@@ -6,6 +6,7 @@ import pytest
 
 import _frozen as frozen
 import oracle_helpers
+from entropygames.decide import _switch
 from entropygames.games import (
     Arena,
     MpgArena,
@@ -108,8 +109,8 @@ def test_find_saddle_running():
 def test_find_saddle_when_floats_misjudge_reducible_products():
     # a regression case: the products are diagonal, and power iteration on a
     # whole product from the all-ones vector misplaces the radius of several
-    # of them, which once left the float table with no confirmable likely
-    # cell; the table now reads each diagonal block's radius exactly
+    # of them; the float step reads each diagonal block's radius exactly, and
+    # both centres are reducible, so each side is checked member by member
     a_set = iru_set([[(3, 0), (4, 0)], [(0, 1), (0, 4)]])
     e_set = iru_set([[(2, 0)], [(0, 1), (0, 3)]])
     sp = find_saddle(a_set, e_set)
@@ -117,40 +118,60 @@ def test_find_saddle_when_floats_misjudge_reducible_products():
     assert sp.radius.lower <= 6 <= sp.radius.upper
 
 
+def _stalled_switch(candidates, choice, maximise):
+    return None
+
+
+def _backwards_switch(candidates, choice, maximise):
+    # switches every row the wrong way: Tribune downwards, Despot upwards
+    return _switch(candidates, choice, not maximise)
+
+
+@pytest.mark.parametrize("corrupted", [_stalled_switch, _backwards_switch])
 @pytest.mark.parametrize(
     "a_rows, e_rows",
     [
-        # products 2, 6 / 5, 15: the negated table's only likely cell is
-        # (5, 1), whose row reaches 15
+        # products 2, 6 / 5, 15: the saddle is (2, 3), the last cell
         ([[(5,), (2,)]], [[(1,), (3,)]]),
         ([[(3, 0), (4, 0)], [(0, 1), (0, 4)]], [[(2, 0)], [(0, 1), (0, 3)]]),
+        # the reducible counterexample below: no single-row switch moves rho
+        ([[(1, 0)], [(0, 1)]], [[(1, 0), (0, 5)], [(0, 1), (5, 0)]]),
     ],
 )
-def test_find_saddle_falls_back_past_an_adversarial_float_table(monkeypatch, a_rows, e_rows):
-    # with every radius negated, the likely cells are row minima and column
-    # maxima of rho; such a cell is a saddle only if its row and its column
-    # are constant, which no cell here has, so no likely cell confirms and
-    # only the exact pass over the remaining cells can return the saddle
+def test_find_saddle_survives_a_corrupted_float_step(monkeypatch, corrupted, a_rows, e_rows):
+    # the float switching step is only a suggestion: when it never moves, or
+    # moves the wrong way, the exact refutations still lead to a true saddle,
+    # and so does the exact pass over the grid cells when no round is left
     from entropygames import decide
 
-    true_radius = decide.float_radius
-    monkeypatch.setattr(
-        decide, "float_radius", lambda rows, tol, cap: -true_radius(rows, tol, cap)
-    )
+    monkeypatch.setattr(decide, "_switch", corrupted)
     a_set, e_set = iru_set(a_rows), iru_set(e_rows)
-    grid = [[mat_mul(a, e) for e in enumerate_members(e_set)] for a in enumerate_members(a_set)]
+    for rounds in (decide._EXACT_ROUNDS, 0):
+        monkeypatch.setattr(decide, "_EXACT_ROUNDS", rounds)
+        sp = find_saddle(a_set, e_set)
+        assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+        assert oracle_helpers.sturm_saddle_check(
+            a_set, e_set, sp.despot_matrix, sp.tribune_matrix
+        )
 
-    def constant(cells):
-        return all(compare_radii(c, cells[0]) == 0 for c in cells)
 
-    rows_constant = [constant(row) for row in grid]
-    cols_constant = [constant(col) for col in zip(*grid)]
-    assert not any(r and c for r in rows_constant for c in cols_constant)
+def test_single_row_checks_do_not_settle_a_reducible_centre():
+    # Tribune's rows (1, 0) | (0, 5) and (0, 1) | (5, 0) against Despot's
+    # identity: every single-row swap of E = I keeps rho at 1, while swapping
+    # both rows gives [[0, 5], [5, 0]] with rho 5.  e0 a0 = I is reducible,
+    # so the check must compare all four members.
+    identity = Matrix(((1, 0), (0, 1)))
+    a_set = iru_set([[(1, 0)], [(0, 1)]])
+    e_set = iru_set([[(1, 0), (0, 5)], [(0, 1), (5, 0)]])
+    for e in enumerate_members(e_set):
+        if e != Matrix(((0, 5), (5, 0))):
+            assert compare_radii(e, identity) == 0
+    assert not verify_saddle(a_set, e_set, identity, identity)
+    assert not oracle_helpers.sturm_saddle_check(a_set, e_set, identity, identity)
     sp = find_saddle(a_set, e_set)
+    assert sp.tribune_matrix == Matrix(((0, 5), (5, 0)))
+    assert sp.radius.lower <= 5 <= sp.radius.upper
     assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
-    assert oracle_helpers.sturm_saddle_check(
-        a_set, e_set, sp.despot_matrix, sp.tribune_matrix
-    )
 
 
 def test_verify_saddle():
@@ -341,13 +362,15 @@ def _exact_vanishing_turn(turns):
 
 def test_simulate_payoff_matches_numpy_reference():
     # rectangular, signed, zero and nilpotent members.  Once the exact
-    # product vanishes, each float route sees its own rounding residue (either
-    # may miss the exact zero), so only the turns before that are compared.
+    # product vanishes, the numpy route sees its own rounding residue (it may
+    # miss the exact zero), so only the turns before that are compared with
+    # it; simulate_payoff decides the vanishing turn exactly.
     vanished = 0
     for seed in range(300):
         turns = _random_play(random.Random(seed))
         report, reference = _replay(turns)
         gone = _exact_vanishing_turn(turns)
+        assert report.zeroed_at == gone
         if gone is None:
             _assert_growth_agrees(report, reference)
         else:
@@ -355,7 +378,23 @@ def test_simulate_payoff_matches_numpy_reference():
             assert report.per_turn[: gone - 1] == pytest.approx(
                 reference[0][: gone - 1], rel=1e-12, abs=0
             )
+            assert set(report.per_turn[gone - 1:]) == {0.0}
     assert 0 < vanished < 300
+
+
+def test_simulate_payoff_decides_vanishing_exactly():
+    # 1 - 2^-60 rounds to 1.0, so the float step product [[1, 1]] times
+    # [[1], [-1.0]] cancels to 0.0 while the exact one is 2^-60: the float
+    # product restarts from the exact one instead of reporting a zero
+    tiny = Fraction(1, 2**60)
+    report = simulate_payoff(Matrix(((1, 1),)), Matrix(((1,), (tiny - 1,))), steps=3)
+    assert report.zeroed_at is None
+    assert report.per_turn == pytest.approx([2.0**-60] * 3, rel=1e-12)
+    # a non-negative play vanishes on the turn its support product empties
+    shift = Matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    report = simulate_payoff(shift, Matrix.identity(3), steps=5)
+    assert report.zeroed_at == 3
+    assert report.per_turn[2:] == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(

@@ -418,3 +418,37 @@ def test_cli_error_paths(files, capsys, tmp_path):
     # bad tolerance is caught before any work happens
     assert main(["value", "--tol", "0", files["arena"]]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path):
+    # Fig. 1's saddle products are irreducible, so its saddle is checked by
+    # single-row deviations and a cap of one member is enough
+    code, doc = run_json(capsys, ["value", "--json", "--cap", "1", files["arena"]])
+    assert code == 0
+    assert doc["despot_strategy"] == {"d1": "a", "d2": "a", "d3": "a"}
+    # Tribune's saddle answer to Despot's only member is diag(2, 3): its
+    # centre product is reducible, so the check compares all four of
+    # Tribune's members, which a cap of one refuses
+    arena = Arena(
+        ("d0", "d1"),
+        ("t0", "t1"),
+        ("a", "b"),
+        (
+            ("d0", "a", "t0", 1),
+            ("d1", "a", "t1", 1),
+            ("t0", "a", "d0", 1),
+            ("t0", "b", "d0", 2),
+            ("t1", "a", "d1", 1),
+            ("t1", "b", "d1", 3),
+        ),
+    )
+    path = tmp_path / "reducible.json"
+    io.save_document(str(path), arena)
+    assert main(["value", "--cap", "1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "reducible centre on Tribune's side" in err
+    assert "4 members exceed the enumeration cap of 1" in err
+    code, doc = run_json(capsys, ["value", "--json", "--cap", "4", str(path)])
+    assert code == 0
+    assert doc["tribune_strategy"] == {"t0": "b", "t1": "b"}
+    assert Fraction(doc["value"]["lower"]) <= 3 < Fraction(doc["value"]["upper"])

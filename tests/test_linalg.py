@@ -15,7 +15,6 @@ from entropygames.linalg import (
     block_radius_bounds,
     certify_radius_lower,
     certify_radius_upper,
-    float_radius,
     gelfand_bounds,
     mat_mul,
     mat_vec,
@@ -200,21 +199,6 @@ def test_spectral_radius_reducible_paths():
     triangular = spectral_radius(Matrix(((2, 5), (0, 3))))
     assert float(triangular.lower) <= 3.0 <= float(triangular.upper)
     assert triangular.upper - triangular.lower <= Fraction(1, 10**9)
-
-
-def test_float_radius_reads_each_block():
-    # power iteration on the whole of diag(6, 3) from the all-ones vector
-    # stalls with ratios 3 and 6; block by block the radius is exact
-    assert float_radius([[6.0, 0.0], [0.0, 3.0]], 1e-10, 2000) == 6.0
-    assert float_radius([[0.0, 1.0], [0.0, 0.0]], 1e-10, 2000) == 0.0
-    assert float_radius([[2.0, 5.0], [0.0, 3.0]], 1e-10, 2000) == 3.0
-    coupled = [
-        [1.0, 2.0, 1.0, 0.0],
-        [3.0, 1.0, 0.0, 1.0],
-        [0.0, 0.0, 2.0, 1.0],
-        [0.0, 0.0, 1.0, 2.0],
-    ]
-    assert float_radius(coupled, 1e-10, 2000) == pytest.approx(1 + math.sqrt(6), abs=1e-9)
 
 
 def test_block_radius_bounds_on_reducible_matrices():
