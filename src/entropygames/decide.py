@@ -1,20 +1,22 @@
-"""LP-backed decision procedures for extremal spectral radii.
+"""Exact decision procedures for extremal spectral radii.
 
 For a square IruSet S with row sets S_1..S_n and a rational threshold alpha,
 the two primitive questions are
 
-* ``jsr(S) < alpha``: certified by a positive vector v with r . v < alpha v_i
+* ``jsr(S) < alpha``: certified by a vector v >= 1 with r . v < alpha v_i
   for every candidate row r of every row set i (a strict common
   contraction);
 * ``jssr(S) >= alpha``: certified by a non-negative non-zero v with
   r . v >= alpha v_i for all candidate rows (a common expansion).
 
-Both are single LPs thanks to the independent-row structure; strictness is
-encoded by maximising a slack variable (for the first) or by pinning one
-coordinate of v to at least 1 (for the second).  The non-strict variant of
-the first and the strict variant of the second hold with the analogous
-non-strict/strict systems only for strictly positive sets, and the
-procedures refuse to answer otherwise.
+The independent-row structure settles each one without enumerating
+members.  The first is decided by Howard policy iteration on the resolvent
+(alpha I - M)^-1 of one member M at a time, switching rows until none
+improves: exact linear solves, no LP.  The second is one LP, normalised by
+sum(v) = 1 and declaring v >= 0 as sign rows, which ``lp_max`` turns into
+non-negative columns.  The non-strict variant of the first and the strict
+variant of the second are single LPs too, but are equivalences only for
+strictly positive sets, and the procedures refuse to answer otherwise.
 
 Matrix multiplication game thresholds reduce to these: the minimising player
 can commit to one matrix choice, and for a fixed choice the product set is
@@ -23,11 +25,12 @@ so verification stays a one-pass exact check.
 
 The game value itself comes from a saddle point of rho(A E) over the
 members (``find_saddle``): the value is the radius of the saddle product,
-bracketed by Sturm bisection and certified at each end by the two
-committed-strategy LPs.  The pair is guessed by float strategy iteration:
-Tribune answers a despot member by row switching on the product set E a
-(Protasov's spectral simplex method), and Despot improves against that
-answer in a Hoffman-Karp loop.  Floats decide nothing: one exact check,
+bracketed by Sturm bisection and certified at each end with one player
+committed to their saddle strategy, by policy iteration above and one LP
+below.  The pair is guessed by float strategy iteration: Tribune answers a
+despot member by row switching on the product set E a (Protasov's
+spectral simplex method), and Despot improves against that answer in a
+Hoffman-Karp loop.  Floats decide nothing: one exact check,
 shared with ``verify_saddle``, confirms the pair, comparing radii with
 per-block Collatz-Wielandt enclosures first and Sturm counting when they
 overlap (``realroots.compare_radii_enclosed``).
@@ -78,6 +81,7 @@ from .linalg import (
     Matrix,
     RadiusEstimate,
     _float_mul,
+    _solve_exact,
     _support,
     mat_mul,
     one_norm,
@@ -117,7 +121,7 @@ class PositivityRequiredError(ValueError):
 class Certificate:
     """A self-contained witness for one threshold decision.
 
-    ``vector`` is the LP witness; ``chosen_matrix`` is the committed matrix
+    ``vector`` is the witness; ``chosen_matrix`` is the committed matrix
     for game-level (mm_*) kinds and None otherwise.  The threshold is not
     stored: verification always receives it explicitly, so a certificate can
     be re-checked against any threshold a caller cares to try."""
@@ -137,66 +141,78 @@ def _require_square(s: IruSet):
         raise ValueError("threshold decisions need square matrices")
 
 
-def _strict_contraction_lp(s: IruSet, alpha: Fraction):
-    """max eps s.t. r . v + eps <= alpha v_i, v_i >= 1, eps <= 1."""
-    n = s.n_rows
-    cons = []
+def _unit(width: int, j: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1 if k == j else 0) for k in range(width))
+
+
+def _shifted(s: IruSet, alpha: Fraction):
+    """The coefficient rows r - alpha e_i, for every candidate row r of every
+    row set i."""
     for i, rs in enumerate(s.row_sets):
         for row in rs.rows:
-            coeffs = [row[j] - (alpha if j == i else 0) for j in range(n)]
-            coeffs.append(Fraction(1))
-            cons.append((tuple(coeffs), LESS_EQUAL, Fraction(0)))
-    for i in range(n):
-        floor = [Fraction(0)] * (n + 1)
-        floor[i] = Fraction(1)
-        cons.append((tuple(floor), GREATER_EQUAL, Fraction(1)))
-    roof = [Fraction(0)] * (n + 1)
-    roof[n] = Fraction(1)
-    cons.append((tuple(roof), LESS_EQUAL, Fraction(1)))
-    objective = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
-    return lp_max(FeasibilitySystem(n + 1, tuple(cons), objective))
+            yield tuple(x - alpha if j == i else x for j, x in enumerate(row))
 
 
 def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral radius of S strictly below alpha?
 
     Exact: returns (True, certificate) or (False, None).  The certificate
-    vector v >= 1 satisfies r . v < alpha v_i for every candidate row."""
+    vector v >= 1 satisfies r . v < alpha v_i for every candidate row.
+
+    Howard policy iteration on the resolvent, with no LP and no float.  For
+    alpha > 0 and the current member M, v solves (alpha I - M) v = alpha 1,
+    and v >= 1 holds exactly when rho(M) < alpha: if v >= 1 then M v =
+    alpha v - alpha 1 < alpha v, so rho(M) < alpha by Collatz-Wielandt;
+    if rho(M) < alpha then v is the Neumann series sum_k (M / alpha)^k 1
+    >= 1.  A singular system or a v not >= 1 thus shows a member with rho
+    >= alpha.  Otherwise each row set switches to a row with strictly
+    larger r . v; when none does, r . v <= alpha v_i - alpha < alpha v_i
+    for every candidate row and v is the certificate.  A switch raises M v
+    in some rows and lowers it in none, so a next v >= 1 is strictly
+    larger than v: no member repeats and the loop ends."""
     _require_square(s)
     alpha = rat(alpha)
-    result = _strict_contraction_lp(s, alpha)
-    if result.status != OPTIMAL:
-        raise RuntimeError("contraction LP must be bounded and feasible")
-    if result.objective_value > 0:
-        return True, Certificate(JSR_LT, result.solution[:-1])
-    return False, None
+    if alpha <= 0:
+        return False, None
+    n = s.n_rows
+    choice = [0] * n
+    while True:
+        member = [rs.rows[k] for rs, k in zip(s.row_sets, choice)]
+        system = [
+            [alpha - x if j == i else -x for j, x in enumerate(row)]
+            for i, row in enumerate(member)
+        ]
+        v = _solve_exact(system, [alpha] * n)
+        if v is None or any(x < 1 for x in v):
+            return False, None
+        switched = False
+        for i, rs in enumerate(s.row_sets):
+            gains = [sum(x * y for x, y in zip(row, v)) for row in rs.rows]
+            best = max(range(len(gains)), key=gains.__getitem__)
+            if gains[best] > gains[choice[i]]:
+                choice[i] = best
+                switched = True
+        if not switched:
+            return True, Certificate(JSR_LT, v)
 
 
 def decide_jssr_ge(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius of S at least alpha?
 
-    Exact.  Searches for a non-negative common expansion vector, pinning
-    each coordinate in turn to break homogeneity."""
+    Exact, by one LP: a common expansion vector v >= 0 with r . v >= alpha
+    v_i for every candidate row, normalised by sum(v) = 1 to break
+    homogeneity.  The certificate is the solution scaled to maximum 1."""
     _require_square(s)
     alpha = rat(alpha)
     n = s.n_rows
-    base = []
-    for i, rs in enumerate(s.row_sets):
-        for row in rs.rows:
-            coeffs = tuple(row[j] - (alpha if j == i else 0) for j in range(n))
-            base.append((coeffs, GREATER_EQUAL, Fraction(0)))
-    for i in range(n):
-        nonneg = [Fraction(0)] * n
-        nonneg[i] = Fraction(1)
-        base.append((tuple(nonneg), GREATER_EQUAL, Fraction(0)))
-    for pin in range(n):
-        pinned = [Fraction(0)] * n
-        pinned[pin] = Fraction(1)
-        cons = tuple(base) + ((tuple(pinned), GREATER_EQUAL, Fraction(1)),)
-        result = lp_max(FeasibilitySystem(n, cons, None))
-        if result.status == OPTIMAL:
-            return True, Certificate(JSSR_GE, result.solution)
-    return False, None
+    cons = [(coeffs, GREATER_EQUAL, Fraction(0)) for coeffs in _shifted(s, alpha)]
+    cons += [(_unit(n, j), GREATER_EQUAL, Fraction(0)) for j in range(n)]
+    cons.append(((Fraction(1),) * n, EQUAL, Fraction(1)))
+    result = lp_max(FeasibilitySystem(n, tuple(cons)))
+    if result.status != OPTIMAL:
+        return False, None
+    top = max(result.solution)
+    return True, Certificate(JSSR_GE, tuple(x / top for x in result.solution))
 
 
 def decide_jsr_le(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
@@ -208,16 +224,9 @@ def decide_jsr_le(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
         )
     alpha = rat(alpha)
     n = s.n_rows
-    cons = []
-    for i, rs in enumerate(s.row_sets):
-        for row in rs.rows:
-            coeffs = tuple(row[j] - (alpha if j == i else 0) for j in range(n))
-            cons.append((coeffs, LESS_EQUAL, Fraction(0)))
-    for i in range(n):
-        floor = [Fraction(0)] * n
-        floor[i] = Fraction(1)
-        cons.append((tuple(floor), GREATER_EQUAL, Fraction(1)))
-    result = lp_max(FeasibilitySystem(n, tuple(cons), None))
+    cons = [(coeffs, LESS_EQUAL, Fraction(0)) for coeffs in _shifted(s, alpha)]
+    cons += [(_unit(n, i), GREATER_EQUAL, Fraction(1)) for i in range(n)]
+    result = lp_max(FeasibilitySystem(n, tuple(cons)))
     if result.status == OPTIMAL:
         return True, Certificate(JSR_LE, result.solution)
     return False, None
@@ -225,7 +234,8 @@ def decide_jsr_le(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
 
 def decide_jssr_gt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius strictly above alpha?  Positive sets
-    only; strictness via a maximised slack as in decide_jsr_lt."""
+    only.  One LP: maximise eps <= 1 subject to r . v - eps >= alpha v_i
+    and v >= 1; the answer is yes when the maximum is positive."""
     _require_square(s)
     if not s.is_positive:
         raise PositivityRequiredError(
@@ -233,20 +243,12 @@ def decide_jssr_gt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
         )
     alpha = rat(alpha)
     n = s.n_rows
-    cons = []
-    for i, rs in enumerate(s.row_sets):
-        for row in rs.rows:
-            coeffs = [row[j] - (alpha if j == i else 0) for j in range(n)]
-            coeffs.append(Fraction(-1))
-            cons.append((tuple(coeffs), GREATER_EQUAL, Fraction(0)))
-    for i in range(n):
-        floor = [Fraction(0)] * (n + 1)
-        floor[i] = Fraction(1)
-        cons.append((tuple(floor), GREATER_EQUAL, Fraction(1)))
-    roof = [Fraction(0)] * (n + 1)
-    roof[n] = Fraction(1)
-    cons.append((tuple(roof), LESS_EQUAL, Fraction(1)))
-    objective = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
+    cons = [
+        (coeffs + (Fraction(-1),), GREATER_EQUAL, Fraction(0)) for coeffs in _shifted(s, alpha)
+    ]
+    cons += [(_unit(n + 1, i), GREATER_EQUAL, Fraction(1)) for i in range(n)]
+    cons.append((_unit(n + 1, n), LESS_EQUAL, Fraction(1)))
+    objective = _unit(n + 1, n)
     result = lp_max(FeasibilitySystem(n + 1, tuple(cons), objective))
     if result.status != OPTIMAL:
         raise RuntimeError("expansion LP must be bounded and feasible")
@@ -672,8 +674,9 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterva
     each step decided exactly by Sturm counting on the characteristic
     polynomial of a0 e0; the invariant lower <= value < upper holds
     throughout, and endpoints stay dyadic rationals.  Committing Despot to
-    a0 certifies value < upper with one contraction LP, and committing
-    Tribune to e0 certifies value >= lower with one expansion LP: with
+    a0 certifies value < upper by Howard policy iteration over Tribune's
+    rows (``decide_jsr_lt``, no LP), and committing Tribune to e0 certifies
+    value >= lower with one expansion LP (``decide_jssr_ge``): with
     independent rows, the joint spectral radius (subradius) of a set is its
     largest (smallest) member radius, which the saddle pins to the value."""
     tol = rat(tol)

@@ -242,7 +242,8 @@ def solve(a: Arena, tol=Fraction(1, 10**6), cap=None) -> GameSolution:
     tol/2: that finds and exactly confirms a saddle pair, whose members are
     the optimal positional strategies returned here, halves the value
     bracket by Sturm counting on the saddle product, and certifies both
-    ends with one committed-strategy LP each."""
+    ends with one player committed to their saddle strategy: the upper end
+    by Howard policy iteration, the lower end by one expansion LP."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")

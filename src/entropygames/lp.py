@@ -1,9 +1,13 @@
 """Exact rational linear programming, enough for the decision procedures.
 
 A small dense two-phase simplex over ``fractions.Fraction`` with Bland's
-anti-cycling rule.  Variables are free by default and are split internally
-as x = x+ - x-; constraints are <=, >= or == rows.  The sizes here are tiny
-(tens of variables), so exactness beats sparsity.
+anti-cycling rule; constraints are <=, >= or == rows.  The tableau is kept
+lean without a second interface: a row x_j >= 0 (sense >=, right-hand side
+0, one coefficient, positive) makes x_j a non-negative column and adds no
+row, while every other variable is free and split as x = x+ - x-; and a >=
+row with right-hand side 0 is negated to <=, so its slack starts basic and
+it needs no phase-1 artificial.  The sizes here are tiny (tens of
+variables), so exactness beats sparsity.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class FeasibilitySystem:
-    """A finite system of linear constraints over free rational variables,
-    with an optional linear objective to maximise."""
+    """A finite system of linear constraints over rational variables, with
+    an optional linear objective to maximise.  Variables are free unless a
+    row x_j >= 0 bounds them."""
 
     variables: int
     constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
@@ -99,111 +104,114 @@ def _run_simplex(tableau: list[list[Fraction]], basis: list[int], width: int) ->
         basis[leave] = enter
 
 
+_FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
+
+
+def _sign_variable(coeffs, sense: str, rhs: Fraction) -> int | None:
+    """j when the row says x_j >= 0 (sense >=, right-hand side 0 and a
+    single coefficient, positive), else None."""
+    if sense != GREATER_EQUAL or rhs != 0:
+        return None
+    support = [j for j, c in enumerate(coeffs) if c != 0]
+    if len(support) == 1 and coeffs[support[0]] > 0:
+        return support[0]
+    return None
+
+
 def lp_max(system: FeasibilitySystem) -> LpResult:
     """Solve the system, maximising its objective (feasibility only when the
     objective is None).  Returns status optimal, infeasible or unbounded; on
     optimal, an exact optimal solution and objective value."""
     n = system.variables
-    # Build the standard-form tableau: split variables, add slacks, then
-    # artificials for rows that lack a ready basic column.
-    cons = list(system.constraints)
-    m = len(cons)
-    split = 2 * n
-    slack_count = sum(1 for _, sense, _ in cons if sense != EQUAL)
-    width_no_art = split + slack_count
-    body: list[list[Fraction]] = []
-    senses_flipped = []
-    slack_index = 0
-    slack_cols = {}
-    for i, (coeffs, sense, rhs) in enumerate(cons):
-        row = [Fraction(0)] * width_no_art
-        for j, c in enumerate(coeffs):
-            row[2 * j] = c
-            row[2 * j + 1] = -c
-        flip = rhs < 0
-        if flip:
-            row = [-x for x in row]
-            rhs = -rhs
-            sense = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[sense]
-        if sense != EQUAL:
-            col = split + slack_index
-            row[col] = Fraction(1) if sense == LESS_EQUAL else Fraction(-1)
-            slack_cols[i] = (col, sense)
-            slack_index += 1
-        body.append(row + [rhs])
-        senses_flipped.append(sense)
-    # basis: slack column for <= rows, artificial otherwise
-    art_cols = []
-    basis = []
-    for i, sense in enumerate(senses_flipped):
-        if sense == LESS_EQUAL:
-            basis.append(slack_cols[i][0])
+    nonneg = set()
+    cons = []
+    for coeffs, sense, rhs in system.constraints:
+        j = _sign_variable(coeffs, sense, rhs)
+        if j is None:
+            cons.append((coeffs, sense, rhs))
         else:
-            art_cols.append(i)
-            basis.append(None)  # placeholder, filled next
-    total_width = width_no_art + len(art_cols)
-    for k, i in enumerate(art_cols):
-        col = width_no_art + k
-        basis[i] = col
-    tableau = []
-    for i, row in enumerate(body):
-        extended = row[:-1] + [Fraction(0)] * len(art_cols) + [row[-1]]
-        if basis[i] >= width_no_art:
-            extended[basis[i]] = Fraction(1)
-        tableau.append(extended)
-    # phase 1: maximise -(sum of artificials)
-    phase1 = [Fraction(0)] * total_width + [Fraction(0)]
-    for k in range(len(art_cols)):
-        phase1[width_no_art + k] = Fraction(-1)
-    tableau.append(phase1)
-    for i in range(m):
-        if basis[i] >= width_no_art:
-            # price out the basic artificial so its reduced cost starts at 0
-            tableau[-1] = [x + y for x, y in zip(tableau[-1], tableau[i])]
-    status = _run_simplex(tableau, basis, total_width)
-    if status != OPTIMAL:
-        raise RuntimeError("phase 1 cannot be unbounded")
-    if -tableau[-1][-1] != 0:
-        return LpResult(status=INFEASIBLE, objective_value=None, solution=None)
-    # drive any zero-valued artificials out of the basis
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= width_no_art:
-            col = next((j for j in range(width_no_art) if tableau[i][j] != 0), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
+            nonneg.add(j)
+    # x_j is column start[j], less column start[j] + 1 when it is split
+    start = []
+    width = 0
+    for j in range(n):
+        start.append(width)
+        width += 1 if j in nonneg else 2
+
+    def expand(coeffs) -> list[Fraction]:
+        row = [Fraction(0)] * width
+        for j, c in enumerate(coeffs):
+            row[start[j]] = c
+            if j not in nonneg:
+                row[start[j] + 1] = -c
+        return row
+
+    # Negate rows to make every right-hand side non-negative, and >= rows
+    # with right-hand side 0 too: a <= row's slack starts basic, and only
+    # the >= and == rows left need a phase-1 artificial.
+    rows = []
+    for coeffs, sense, rhs in cons:
+        if rhs < 0 or (rhs == 0 and sense == GREATER_EQUAL):
+            coeffs, sense, rhs = [-c for c in coeffs], _FLIPPED[sense], -rhs
+        rows.append((expand(coeffs), sense, rhs))
+    real = width + sum(1 for _, sense, _ in rows if sense != EQUAL)
+    total = real + sum(1 for _, sense, _ in rows if sense != LESS_EQUAL)
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    slack, artificial = width, real
+    for row, sense, rhs in rows:
+        row = row + [Fraction(0)] * (total - width) + [rhs]
+        if sense == LESS_EQUAL:
+            row[slack] = Fraction(1)
+            basis.append(slack)
+        else:
+            if sense == GREATER_EQUAL:
+                row[slack] = Fraction(-1)
+            row[artificial] = Fraction(1)
+            basis.append(artificial)
+            artificial += 1
+        slack += sense != EQUAL
+        tableau.append(row)
+    if total > real:
+        # phase 1: maximise -(sum of artificials), each basic artificial
+        # priced out so its reduced cost starts at 0
+        phase1 = [Fraction(0)] * real + [Fraction(-1)] * (total - real) + [Fraction(0)]
+        for row, b in zip(tableau, basis):
+            if b >= real:
+                phase1 = [x + y for x, y in zip(phase1, row)]
+        tableau.append(phase1)
+        if _run_simplex(tableau, basis, total) != OPTIMAL:
+            raise RuntimeError("phase 1 cannot be unbounded")
+        if tableau.pop()[-1] != 0:
+            return LpResult(status=INFEASIBLE, objective_value=None, solution=None)
+        # drive zero-valued artificials out of the basis; a row with no
+        # real column left is redundant and goes
+        keep = []
+        for i, b in enumerate(basis):
+            if b >= real:
+                col = next((j for j in range(real) if tableau[i][j] != 0), None)
+                if col is None:
+                    continue
                 _pivot(tableau, i, col)
                 basis[i] = col
-    if drop_rows:
-        tableau = [row for i, row in enumerate(tableau[:-1]) if i not in drop_rows] + [
-            tableau[-1]
-        ]
-        basis = [b for i, b in enumerate(basis) if i not in drop_rows]
-        m = len(basis)
-    # strip artificial columns
-    tableau = [row[:width_no_art] + [row[-1]] for row in tableau]
-    # phase 2 objective
-    if system.objective is None:
-        objective = [Fraction(0)] * n
-    else:
-        objective = list(system.objective)
-    obj_row = [Fraction(0)] * width_no_art + [Fraction(0)]
-    for j, c in enumerate(objective):
-        obj_row[2 * j] = c
-        obj_row[2 * j + 1] = -c
-    tableau[-1] = obj_row
-    for i in range(m):
-        c = tableau[-1][basis[i]]
+            keep.append(i)
+        tableau = [tableau[i][:real] + [tableau[i][-1]] for i in keep]
+        basis = [basis[i] for i in keep]
+    objective = system.objective or (Fraction(0),) * n
+    obj_row = expand(objective) + [Fraction(0)] * (real - width + 1)
+    for row, b in zip(tableau, basis):
+        c = obj_row[b]
         if c != 0:
-            tableau[-1] = [x - c * y for x, y in zip(tableau[-1], tableau[i])]
-    status = _run_simplex(tableau, basis, width_no_art)
-    if status == UNBOUNDED:
+            obj_row = [x - c * y for x, y in zip(obj_row, row)]
+    tableau.append(obj_row)
+    if _run_simplex(tableau, basis, real) == UNBOUNDED:
         return LpResult(status=UNBOUNDED, objective_value=None, solution=None)
-    values = [Fraction(0)] * width_no_art
-    for i in range(m):
-        values[basis[i]] = tableau[i][-1]
-    solution = tuple(values[2 * j] - values[2 * j + 1] for j in range(n))
+    values = [Fraction(0)] * real
+    for row, b in zip(tableau, basis):
+        values[b] = row[-1]
+    solution = tuple(
+        values[start[j]] - (0 if j in nonneg else values[start[j] + 1]) for j in range(n)
+    )
     if system.objective is None:
         return LpResult(status=OPTIMAL, objective_value=None, solution=solution)
     value = sum(c * x for c, x in zip(system.objective, solution))

@@ -13,7 +13,8 @@ LP-only route to the game value that value_bisection replaced, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
 realroots.compare_radii alone, with no enclosure and no float, and
 grid_saddle, the member-grid saddle search that strategy iteration
-replaced in decide.find_saddle.
+replaced in decide.find_saddle, and contraction_lp, the strict contraction
+LP that Howard policy iteration replaced in decide.decide_jsr_lt.
 fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced.
 """
@@ -409,3 +410,30 @@ def grid_saddle(a_set, e_set):
         if sturm_saddle_check(a_set, e_set, a_members[i], e_members[j]):
             return a_members[i], e_members[j]
     raise AssertionError("no saddle point in the member grid")
+
+
+def contraction_lp(s, alpha):
+    """jsr(s) < alpha by the strict contraction LP that decide_jsr_lt
+    replaced: max eps subject to r . v + eps <= alpha v_i for every
+    candidate row r of every row set i, v >= 1 and eps <= 1.  The answer is
+    yes exactly when the maximum is positive.  Returns (answer, v), with v
+    None on a no."""
+    from entropygames.lp import GREATER_EQUAL, LESS_EQUAL, OPTIMAL, FeasibilitySystem, lp_max
+
+    n = s.n_rows
+
+    def unit(j):
+        return tuple(Fraction(1 if k == j else 0) for k in range(n + 1))
+
+    cons = []
+    for i, rs in enumerate(s.row_sets):
+        for row in rs.rows:
+            coeffs = tuple(x - alpha if j == i else x for j, x in enumerate(row))
+            cons.append((coeffs + (Fraction(1),), LESS_EQUAL, Fraction(0)))
+    cons += [(unit(i), GREATER_EQUAL, Fraction(1)) for i in range(n)]
+    cons.append((unit(n), LESS_EQUAL, Fraction(1)))
+    result = lp_max(FeasibilitySystem(n + 1, tuple(cons), unit(n)))
+    assert result.status == OPTIMAL, "the contraction LP is bounded and feasible"
+    if result.objective_value > 0:
+        return True, result.solution[:-1]
+    return False, None

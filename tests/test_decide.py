@@ -33,6 +33,7 @@ from entropygames.iru import (
     right_product,
 )
 from entropygames.linalg import Matrix, mat_mul, spectral_radius
+from entropygames.lp import lp_max
 from entropygames.realroots import compare_radii, compare_radius_with_rational
 
 A_SET = iru_set(frozen.FIG1_A_ROW_SETS)
@@ -387,3 +388,83 @@ def test_strict_queries_match_enumeration(rng):
         assert at_least == (compare_radius_with_rational(pair.argmin, alpha) >= 0)
         if at_least:
             assert verify_certificate(cert_a, s, alpha=alpha)
+
+
+def _generated_set(rng):
+    """A random square IruSet (n <= 4, up to 3 rows per row set) of one
+    kind: random entries, 0/1 entries (reducible, tied and repeated rows),
+    strictly upper triangular rows (every member nilpotent), upper
+    triangular rows (reducible members with rational radii, often tied), or
+    one row set shared by every row index.  Returns (kind, set)."""
+    kind = rng.choice(("random", "sparse", "nilpotent", "triangular", "shared"))
+    n = rng.randint(1, 4)
+
+    def entry(i, j):
+        if kind == "sparse":
+            return rng.randint(0, 1)
+        if kind == "nilpotent":
+            return rng.randint(0, 2) if j > i else 0
+        if kind == "triangular":
+            return rng.randint(0, 3) if j >= i else 0
+        return rng.randint(0, 4)
+
+    if kind == "shared":
+        pool = [tuple(entry(0, j) for j in range(n)) for _ in range(rng.randint(1, 3))]
+        return kind, iru_set([pool] * n)
+    return kind, iru_set(
+        [
+            [tuple(entry(i, j) for j in range(n)) for _ in range(rng.randint(1, 3))]
+            for i in range(n)
+        ]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_policy_iteration_matches_contraction_lp(rng):
+    kind, s = _generated_set(rng)
+    argmax = jsr_jssr(s).argmax
+    alphas = [Fraction(0), Fraction(-rng.randint(1, 4), rng.randint(1, 3))]
+    alphas += [Fraction(rng.randint(1, 20), rng.randint(1, 4)) for _ in range(2)]
+    # the rational radius of a random member, when one of its diagonal
+    # entries is that radius (always so for triangular members)
+    member = rng.choice(list(enumerate_members(s)))
+    alphas += [
+        x for x in sorted(set(member.data[i][i] for i in range(s.n_rows)))
+        if compare_radius_with_rational(member, x) == 0
+    ]
+    if kind == "triangular":
+        assert len(alphas) > 4
+    for alpha in alphas:
+        below, cert = decide_jsr_lt(s, alpha)
+        assert below == oracle_helpers.contraction_lp(s, alpha)[0]
+        assert below == (compare_radius_with_rational(argmax, alpha) < 0)
+        if below:
+            assert verify_certificate(cert, s, alpha=alpha)
+        else:
+            assert cert is None
+
+
+def test_jssr_ge_is_one_lp_when_expansions_vanish_on_coordinate_0(monkeypatch):
+    from entropygames import decide
+
+    # at alpha = 2 both rows of row set 0 force v_0 = 0, so pinning v_0 >= 1
+    # is infeasible; the other rows ask v_1 <= v_2 <= 2 v_1.  Every member
+    # is block triangular with radius 1 + sqrt(2) from its block {1, 2}.
+    s = iru_set([[(1, 0, 0), (0, 0, 0)], [(0, 1, 1), (1, 1, 1)], [(0, 2, 1), (1, 2, 1)]])
+    assert compare_radius_with_rational(jsr_jssr(s).argmin, 2) > 0
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return lp_max(system)
+
+    monkeypatch.setattr(decide, "lp_max", counted)
+    ok, cert = decide_jssr_ge(s, 2)
+    assert ok and len(calls) == 1
+    # the LP's vertex has (v_1, v_2) = (1/2, 1/2) or (1/3, 2/3), scaled to
+    # maximum 1
+    assert cert.vector[0] == 0 and max(cert.vector) == 1
+    assert verify_certificate(cert, s, alpha=2)
+    ok_above, _ = decide_jssr_ge(s, Fraction(5, 2))
+    assert not ok_above and len(calls) == 2

@@ -218,10 +218,10 @@ def test_solve_runs_one_saddle_search_and_few_lps(monkeypatch):
     for arena in (fig1_arena(), mpg_to_weighted_eg(mpg)):
         calls.update(find_saddle=0, lp_max=0)
         solve(arena)
-        # one contraction LP for the upper end, and the expansion LP's pin
-        # loop tries at most one coordinate per despot state
+        # policy iteration certifies the upper end with no LP, and one
+        # normalised expansion LP certifies the lower end
         assert calls["find_saddle"] == 1
-        assert 2 <= calls["lp_max"] <= 1 + len(arena.despot_states)
+        assert calls["lp_max"] == 1
 
 
 def test_solve_rejects_bad_tolerance():

@@ -206,3 +206,60 @@ def test_matches_float_solver_on_random_bounded_lps(rng):
         assert res.status == OPTIMAL
         assert abs(float(res.objective_value) + ref.fun) < 1e-7
         assert _satisfies(res.solution, cons)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_lean_tableau_matches_float_solver(rng):
+    # sign rows c x_j >= 0 (c > 0) become non-negative columns and >= rows
+    # with right-hand side 0 are negated; a row -x_j >= 0 bounds x_j above
+    # and must stay a row
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    n = rng.randint(1, 4)
+
+    def unit(j, c):
+        return tuple(c if k == j else 0 for k in range(n))
+
+    cons = [(unit(j, rng.randint(1, 3)), GREATER_EQUAL, 0) for j in range(n) if rng.random() < 0.6]
+    cons.append((unit(rng.randrange(n), -1), GREATER_EQUAL, 0))
+    for _ in range(rng.randint(1, 3)):
+        cons.append((tuple(rng.randint(-3, 3) for _ in range(n)), GREATER_EQUAL, 0))
+    for _ in range(rng.randint(0, 2)):
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+        cons.append((coeffs, rng.choice([LESS_EQUAL, GREATER_EQUAL, EQUAL]), rng.randint(-4, 4)))
+    for j in range(n):
+        if rng.random() < 0.7:
+            cons.append((unit(j, 1), LESS_EQUAL, rng.randint(0, 5)))
+    rng.shuffle(cons)
+    obj = tuple(rng.randint(-3, 3) for _ in range(n))
+    res = lp_max(FeasibilitySystem(variables=n, constraints=tuple(cons), objective=obj))
+
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, sense, rhs in cons:
+        if sense == EQUAL:
+            a_eq.append([float(c) for c in coeffs])
+            b_eq.append(float(rhs))
+        else:
+            flip = 1.0 if sense == LESS_EQUAL else -1.0
+            a_ub.append([flip * float(c) for c in coeffs])
+            b_ub.append(flip * float(rhs))
+    ref = scipy_opt.linprog(
+        [-float(c) for c in obj],
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=[(None, None)] * n,
+        method="highs",
+    )
+    if ref.status == 0:
+        assert res.status == OPTIMAL
+        assert abs(float(res.objective_value) + ref.fun) < 1e-7
+        assert _satisfies(res.solution, cons)
+    elif ref.status == 2:
+        assert res.status == INFEASIBLE
+    elif ref.status == 3:
+        assert res.status == UNBOUNDED
+    else:
+        # HiGHS cannot always tell an infeasible system from an unbounded one
+        assert ref.status == 4 and res.status in (INFEASIBLE, UNBOUNDED)
