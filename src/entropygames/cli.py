@@ -12,6 +12,7 @@ prints exactly one JSON document on standard output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -480,7 +481,10 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parse_args keeps no
+    state between calls, as every flag has an immutable default."""
     parser = argparse.ArgumentParser(
         prog="entropygames",
         description="Solve entropy games and matrix multiplication games "
@@ -535,8 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(
             subcommand=args.subcommand,

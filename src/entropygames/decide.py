@@ -25,15 +25,16 @@ so verification stays a one-pass exact check.
 
 The game value itself comes from a saddle point of rho(A E) over the
 members (``find_saddle``): the value is the radius of the saddle product,
-bracketed by Sturm bisection and certified at each end with one player
-committed to their saddle strategy, by policy iteration above and one LP
-below.  The pair is guessed by float strategy iteration: Tribune answers a
-despot member by row switching on the product set E a (Protasov's
-spectral simplex method), and Despot improves against that answer in a
-Hoffman-Karp loop.  Floats decide nothing: one exact check,
-shared with ``verify_saddle``, confirms the pair, comparing radii with
-per-block Collatz-Wielandt enclosures first and Sturm counting when they
-overlap (``realroots.compare_radii_enclosed``).
+bracketed on a dyadic grid from the saddle's certified enclosure of that
+radius, checked and narrowed by Sturm counting, and certified at each end
+with one player committed to their saddle strategy, by policy iteration
+above and one LP below.  The pair is guessed by float strategy
+iteration: Tribune answers a despot member by row switching on the
+product set E a (Protasov's spectral simplex method), and Despot improves
+against that answer in a Hoffman-Karp loop.  Floats decide nothing: one
+exact check, shared with ``verify_saddle``, confirms the pair, comparing
+radii with per-block Collatz-Wielandt enclosures first and Sturm counting
+when they overlap (``realroots.compare_radii_enclosed``).
 
 The check rests on the single-row lemma.  Let C be a non-negative
 irreducible n x n matrix with Perron vector v > 0 and radius rho, and let
@@ -84,7 +85,6 @@ from .linalg import (
     _solve_exact,
     _support,
     mat_mul,
-    one_norm,
     rat,
     spectral_radius,
     strongly_connected_components,
@@ -651,15 +651,6 @@ class ValueInterval:
         return (self.lower + self.upper) / 2
 
 
-def norm_bound(a_set: IruSet, e_set: IruSet) -> Fraction:
-    """max_A ||A|| * max_E ||E|| over members, an upper bound on the game
-    value.  Row independence makes the max norm a per-row-set maximum."""
-    def set_bound(s: IruSet) -> Fraction:
-        return sum((max(one_norm(r) for r in rs.rows) for rs in s.row_sets), Fraction(0))
-
-    return set_bound(a_set) * set_bound(e_set)
-
-
 def _only(m: Matrix) -> IruSet:
     """The IruSet whose single member is m."""
     return IruSet(tuple(RowSet((row,)) for row in m.data))
@@ -669,13 +660,19 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterva
     """Bracket the game value to within tol, with one certificate per end.
 
     The game is determined, so once find_saddle has exactly confirmed a
-    saddle (a0, e0) the value is rho(a0 e0).  The bracket starts at
-    [0, floor(norm_bound) + 1) and is halved until it is at most tol wide,
-    each step decided exactly by Sturm counting on the characteristic
-    polynomial of a0 e0; the invariant lower <= value < upper holds
-    throughout, and endpoints stay dyadic rationals.  Committing Despot to
-    a0 certifies value < upper by Howard policy iteration over Tribune's
-    rows (``decide_jsr_lt``, no LP), and committing Tribune to e0 certifies
+    saddle (a0, e0) the value is rho(a0 e0), and the saddle carries a
+    certified enclosure of it.  The bracket starts from that enclosure
+    rounded outward onto the dyadic grid of step 2^-k, for the least
+    integer k with 2^-k <= tol: lower rounds down (to at least 0), and
+    upper is lower plus the least power-of-two multiple of the step that
+    lies strictly above the enclosure.  Sturm counting on the
+    characteristic polynomial of a0 e0 then halves it to the step itself,
+    usually in no halving at all, and rechecks lower <= value < upper
+    exactly first, so a wrong enclosure raises rather than yield a wrong
+    bracket.  The endpoints stay on the grid, and a value on the grid comes
+    back exactly as lower.  Committing Despot to a0 certifies value <
+    upper by Howard policy iteration over Tribune's rows
+    (``decide_jsr_lt``, no LP), and committing Tribune to e0 certifies
     value >= lower with one expansion LP (``decide_jssr_ge``): with
     independent rows, the joint spectral radius (subradius) of a set is its
     largest (smallest) member radius, which the saddle pins to the value."""
@@ -683,11 +680,15 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterva
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     sp = find_saddle(a_set, e_set, cap)
+    # 2^e or 2^(e - 1) is the largest power of two at most tol
+    e = tol.numerator.bit_length() - tol.denominator.bit_length()
+    step = Fraction(2) ** e if Fraction(2) ** e <= tol else Fraction(2) ** (e - 1)
+    lower = max(Fraction(0), sp.radius.lower // step * step)
+    width = step
+    while lower + width <= sp.radius.upper:
+        width *= 2
     lower, upper, steps = realroots.bisect_radius(
-        mat_mul(sp.despot_matrix, sp.tribune_matrix),
-        Fraction(0),
-        Fraction(int(norm_bound(a_set, e_set)) + 1),
-        tol,
+        mat_mul(sp.despot_matrix, sp.tribune_matrix), lower, lower + width, tol
     )
     ge_ok, lower_cert = decide_mm_ge(a_set, _only(sp.tribune_matrix), lower)
     lt_ok, upper_cert = decide_mm_lt(_only(sp.despot_matrix), e_set, upper)

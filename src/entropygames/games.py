@@ -240,8 +240,9 @@ def solve(a: Arena, tol=Fraction(1, 10**6), cap=None) -> GameSolution:
 
     Translates the arena and brackets the value with value_bisection at
     tol/2: that finds and exactly confirms a saddle pair, whose members are
-    the optimal positional strategies returned here, halves the value
-    bracket by Sturm counting on the saddle product, and certifies both
+    the optimal positional strategies returned here, rounds the saddle
+    product's certified radius enclosure out onto a dyadic value bracket,
+    checked and narrowed by Sturm counting, and certifies both
     ends with one player committed to their saddle strategy: the upper end
     by Howard policy iteration, the lower end by one expansion LP."""
     tol = rat(tol)

@@ -288,8 +288,13 @@ def compare_radius_with_rational(m: Matrix, r) -> int:
 def bisect_radius(m: Matrix, lower, upper, tol) -> tuple[Fraction, Fraction, int]:
     """Halve [lower, upper) around rho(m) until it is at most tol wide.
 
-    Needs lower <= rho(m) < upper for a non-negative square m, and keeps
-    that invariant exactly: a midpoint equal to rho goes to lower.  The
+    Needs lower <= rho(m) < upper for a non-negative square m, checks it
+    exactly before the first halving (a bracket that misses rho raises
+    ValueError), and keeps that invariant: a midpoint equal to rho goes to
+    lower.  A bracket with ends on the grid of a step s and a width of s
+    times a power of two keeps its ends on that grid while it is halved
+    down to s; value_bisection passes such a bracket, rounded out from a
+    certified enclosure of rho, and often needs no halving.  The
     square-free Sturm chain of the characteristic polynomial is built once;
     since rho is its largest real root, rho >= x exactly when x is a root or
     some root lies above x.  Returns (lower, upper, halvings)."""

@@ -10,6 +10,8 @@ entry. None of these import the package under test.
 The exceptions are built from the package's slow exact routes and serve as
 differential references for the fast ones: member_scan_bisection, the
 LP-only route to the game value that value_bisection replaced, and
+norm_bound_bracket, its Sturm bisection from [0, floor(norm_bound) + 1)
+before the bracket started from the saddle's enclosure, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
 realroots.compare_radii alone, with no enclosure and no float, and
 grid_saddle, the member-grid saddle search that strategy iteration
@@ -326,6 +328,34 @@ def fraction_vec_mat(v, m):
     )
 
 
+def norm_bound(a_set, e_set):
+    """max_A ||A|| * max_E ||E|| over members, an upper bound on the game
+    value.  Row independence makes the max norm a per-row-set maximum."""
+    from entropygames.linalg import one_norm
+
+    def set_bound(s):
+        return sum((max(one_norm(r) for r in rs.rows) for rs in s.row_sets), Fraction(0))
+
+    return set_bound(a_set) * set_bound(e_set)
+
+
+def norm_bound_bracket(a_set, e_set, tol):
+    """The value bracket as value_bisection made it before it started from
+    the saddle's enclosure: realroots.bisect_radius on the saddle product,
+    halving [0, floor(norm_bound) + 1).  Returns (lower, upper, halvings)."""
+    from entropygames.decide import find_saddle
+    from entropygames.linalg import mat_mul
+    from entropygames.realroots import bisect_radius
+
+    sp = find_saddle(a_set, e_set)
+    return bisect_radius(
+        mat_mul(sp.despot_matrix, sp.tribune_matrix),
+        Fraction(0),
+        Fraction(int(norm_bound(a_set, e_set)) + 1),
+        tol,
+    )
+
+
 def member_scan_bisection(a_set, e_set, tol, cap=None):
     """The game value bracket by LP bisection, needing no saddle point.
 
@@ -333,7 +363,7 @@ def member_scan_bisection(a_set, e_set, tol, cap=None):
     step (value < mid?), then certifies the final ends with decide_mm_ge and
     decide_mm_lt over the full sets.  Returns (lower, upper, bisections,
     lower_certificate, upper_certificate)."""
-    from entropygames.decide import decide_mm_ge, decide_mm_lt, norm_bound
+    from entropygames.decide import decide_mm_ge, decide_mm_lt
 
     lower = Fraction(0)
     upper = Fraction(int(norm_bound(a_set, e_set)) + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,11 +21,11 @@ from entropygames.decide import (
     decide_mm_le,
     decide_mm_lt,
     find_saddle,
-    norm_bound,
     value_bisection,
     verify_certificate,
     verify_saddle,
 )
+from entropygames.games import MpgArena, arena_to_iru, mpg_to_weighted_eg
 from entropygames.iru import (
     EnumerationCapError,
     enumerate_members,
@@ -141,20 +142,50 @@ def test_verification_structural_errors():
 
 
 def test_norm_bound_running():
-    assert norm_bound(A_SET, E_SET) == frozen.BISECTION_NORM_BOUND
+    assert oracle_helpers.norm_bound(A_SET, E_SET) == frozen.BISECTION_NORM_BOUND
+
+
+def _grid_step(tol):
+    """2^-k for the least integer k with 2^-k <= tol."""
+    step = Fraction(1)
+    while step * 2 <= tol:
+        step *= 2
+    while step > tol:
+        step /= 2
+    return step
+
+
+def _saddle_product(interval):
+    return mat_mul(interval.saddle.despot_matrix, interval.saddle.tribune_matrix)
+
+
+def _assert_bracket(interval, a_set, e_set, tol):
+    """value_bisection's contract: lower <= rho < upper exactly for the
+    saddle product, width at most tol, both ends on the grid of step 2^-k
+    for the least k with 2^-k <= tol, and both certificates verifying
+    against the full sets."""
+    product = _saddle_product(interval)
+    assert compare_radius_with_rational(product, interval.lower) >= 0
+    assert compare_radius_with_rational(product, interval.upper) < 0
+    assert interval.width() <= tol
+    step = _grid_step(tol)
+    assert (interval.lower / step).denominator == 1
+    assert (interval.upper / step).denominator == 1
+    assert verify_certificate(
+        interval.lower_certificate, a_set, e_set, alpha=interval.lower
+    )
+    assert verify_certificate(
+        interval.upper_certificate, a_set, e_set, alpha=interval.upper
+    )
 
 
 def test_value_bisection_running():
     interval = value_bisection(A_SET, E_SET, Fraction(1, 100))
-    assert interval.width() <= Fraction(1, 100)
+    _assert_bracket(interval, A_SET, E_SET, Fraction(1, 100))
     assert interval.lower <= Fraction(frozen.RUNNING_VALUE) < interval.upper
-    assert interval.bisections > 0
-    assert verify_certificate(
-        interval.lower_certificate, A_SET, E_SET, alpha=interval.lower
-    )
-    assert verify_certificate(
-        interval.upper_certificate, A_SET, E_SET, alpha=interval.upper
-    )
+    # the saddle's enclosure is far narrower than the grid step of 1/128, so
+    # it meets at most one grid point and at most one halving is left
+    assert interval.bisections <= 1
     assert abs(float(interval.midpoint()) - frozen.RUNNING_VALUE) < Fraction(1, 100)
 
 
@@ -164,17 +195,15 @@ def test_value_bisection_rejects_bad_tolerance():
 
 
 def _assert_matches_member_scan(a_set, e_set, tol):
-    """value_bisection against the LP-only member-scan route: the same
-    bracket and step count, and certificates that hold for the full sets."""
+    """value_bisection against the LP-only member-scan route: the bracket
+    contract, and a member-scan bracket that contains the saddle product's
+    radius too."""
     interval = value_bisection(a_set, e_set, tol)
-    lower, upper, steps, _, _ = oracle_helpers.member_scan_bisection(a_set, e_set, tol)
-    assert (interval.lower, interval.upper, interval.bisections) == (lower, upper, steps)
-    assert verify_certificate(
-        interval.lower_certificate, a_set, e_set, alpha=interval.lower
-    )
-    assert verify_certificate(
-        interval.upper_certificate, a_set, e_set, alpha=interval.upper
-    )
+    _assert_bracket(interval, a_set, e_set, tol)
+    lower, upper, _, _, _ = oracle_helpers.member_scan_bisection(a_set, e_set, tol)
+    product = _saddle_product(interval)
+    assert compare_radius_with_rational(product, lower) >= 0
+    assert compare_radius_with_rational(product, upper) < 0
     # the certificates commit to the saddle's strategies
     assert interval.lower_certificate.chosen_matrix == interval.saddle.tribune_matrix
     assert interval.upper_certificate.chosen_matrix == interval.saddle.despot_matrix
@@ -184,12 +213,12 @@ def _assert_matches_member_scan(a_set, e_set, tol):
 @pytest.mark.parametrize(
     "a_rows, e_rows, value",
     [
-        # value 6 = 16 * 3/8 is a midpoint of [0, 16): the root goes to lower
+        # value 6 lies on the grid of step 1/64: it comes back as lower
         ([[(2,), (5,)]], [[(1,), (3,)]], 6),
         # nilpotent products: zero radius, and lower stays at 0
         ([[(0, 1), (0, 2)], [(0, 0)]], [[(1, 0), (1, 1)], [(0, 1)]], 0),
         # reducible diagonal products, two members tied at 4; value 3 on the
-        # grid of [0, 16)
+        # grid
         ([[(1, 0), (2, 0)], [(0, 1)]], [[(2, 0)], [(0, 2), (0, 3)]], 3),
     ],
 )
@@ -269,10 +298,139 @@ def test_value_bisection_matches_member_scan(rng):
     interval = _assert_matches_member_scan(a_set, e_set, Fraction(1, 16))
     if kind == "zero":
         assert interval.lower == 0
-    saddle = interval.saddle
-    saddle_product = mat_mul(saddle.despot_matrix, saddle.tribune_matrix)
-    assert compare_radius_with_rational(saddle_product, interval.lower) >= 0
-    assert compare_radius_with_rational(saddle_product, interval.upper) < 0
+
+
+def _mpg_pair(despot, tribune, edges):
+    """The IruSet pair of a mean payoff game: a weight-w edge becomes a
+    multiplicity 2^w, and the value is 2^(mean payoff)."""
+    tr = arena_to_iru(mpg_to_weighted_eg(MpgArena(despot, tribune, edges)))
+    return tr.a_set, tr.e_set
+
+
+def _random_mpg_pair(rng):
+    """A random mean payoff game with 1-2 states a side, 1-2 edges from each
+    state and weights 0-3, as an IruSet pair."""
+    despot = tuple(f"d{i}" for i in range(rng.randint(1, 2)))
+    tribune = tuple(f"t{i}" for i in range(rng.randint(1, 2)))
+    edges = tuple(
+        (frm, rng.choice(targets), rng.randint(0, 3))
+        for states, targets in ((despot, tribune), (tribune, despot))
+        for frm in states
+        for _ in range(rng.randint(1, 2))
+    )
+    return _mpg_pair(despot, tribune, edges)
+
+
+def _assert_matches_norm_bound_route(a_set, e_set, tol):
+    """value_bisection against Sturm bisection from [0, floor(norm_bound) +
+    1): both brackets contain the saddle product's radius, and an integer
+    radius on the grid comes back exactly as lower."""
+    interval = value_bisection(a_set, e_set, tol)
+    _assert_bracket(interval, a_set, e_set, tol)
+    lower, upper, _ = oracle_helpers.norm_bound_bracket(a_set, e_set, tol)
+    product = _saddle_product(interval)
+    assert compare_radius_with_rational(product, lower) >= 0
+    assert compare_radius_with_rational(product, upper) < 0
+    nearest = round(interval.midpoint())
+    if compare_radius_with_rational(product, nearest) == 0:
+        if (nearest / _grid_step(tol)).denominator == 1:
+            assert interval.lower == nearest
+    return interval
+
+
+@pytest.mark.parametrize(
+    "a_set, e_set, value",
+    [
+        # mean payoff games with weights 1 + 0 and 1 + 2 per turn: values
+        # 2^1 and 2^3, with a tie and dominated edges in the second
+        (*_mpg_pair(("d",), ("t",), (("d", "t", 1), ("t", "d", 0))), 2),
+        (
+            *_mpg_pair(
+                ("d",), ("t",), (("d", "t", 1), ("d", "t", 3), ("t", "d", 2), ("t", "d", 0))
+            ),
+            8,
+        ),
+        # nilpotent products: zero radius
+        (iru_set([[(0, 1), (0, 2)], [(0, 0)]]), iru_set([[(1, 0), (1, 1)], [(0, 1)]]), 0),
+        # reducible diagonal saddle product, Tribune's members tied at 4
+        (iru_set([[(1, 0), (2, 0)], [(0, 1)]]), iru_set([[(2, 0)], [(0, 2), (0, 3)]]), 3),
+        # despot rows (0, 1) and (1, 1) give identical product rows against
+        # Tribune's zero row 0
+        (iru_set([[(0, 1), (1, 1)], [(1, 0)]]), iru_set([[(0, 0)], [(1, 2), (2, 1)]]), None),
+    ],
+)
+@pytest.mark.parametrize("tol", [Fraction(1, 1000), Fraction(1, 2 * 10**6)])
+def test_value_bracket_hard_cases_match_norm_bound_route(a_set, e_set, value, tol):
+    interval = _assert_matches_norm_bound_route(a_set, e_set, tol)
+    if value is not None:
+        assert interval.lower == value < interval.upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_value_bracket_matches_norm_bound_route(rng):
+    if rng.random() < 0.25:
+        kind, (a_set, e_set) = "mpg", _random_mpg_pair(rng)
+    else:
+        kind, a_set, e_set = _generated_pair(
+            rng, ("random", "sparse", "zero", "diagonal", "shared", "duplicate", "rectangular")
+        )
+    tol = rng.choice([Fraction(1, 16), Fraction(1, 1000), Fraction(1, 2 * 10**6), Fraction(3)])
+    interval = _assert_matches_norm_bound_route(a_set, e_set, tol)
+    if kind == "zero":
+        assert interval.lower == 0
+    if kind == "diagonal":
+        # a diagonal saddle product: its radius is its largest entry
+        product = _saddle_product(interval)
+        value = max(product.data[i][i] for i in range(product.rows))
+        assert interval.lower <= value < interval.upper
+        if (value / _grid_step(tol)).denominator == 1:
+            assert interval.lower == value
+
+
+def _with_radius(monkeypatch, lower, upper):
+    """Make value_bisection see the saddle with its radius enclosure
+    replaced by [lower(r), upper(r)], for r the real enclosure."""
+    from entropygames import decide
+
+    real = decide.find_saddle
+
+    def patched(a_set, e_set, cap=None):
+        sp = real(a_set, e_set, cap)
+        radius = dataclasses.replace(
+            sp.radius, lower=lower(sp.radius), upper=upper(sp.radius), converged=False
+        )
+        return dataclasses.replace(sp, radius=radius)
+
+    monkeypatch.setattr(decide, "find_saddle", patched)
+
+
+@pytest.mark.parametrize(
+    "a_set, e_set",
+    [
+        (A_SET, E_SET),
+        _mpg_pair(("d",), ("t",), (("d", "t", 1), ("t", "d", 2))),
+    ],
+)
+def test_value_bisection_halves_a_wide_enclosure(monkeypatch, a_set, e_set):
+    # a valid enclosure 8 wide, as an unconverged one may be: the halving
+    # loop runs down to the grid step and the contract still holds
+    _with_radius(monkeypatch, lambda r: max(Fraction(0), r.lower - 3), lambda r: r.upper + 5)
+    tol = Fraction(1, 1000)
+    interval = _assert_matches_norm_bound_route(a_set, e_set, tol)
+    assert interval.bisections >= 13
+    assert interval.width() == _grid_step(tol)
+
+
+def test_value_bisection_rejects_an_enclosure_that_misses_the_value(monkeypatch):
+    # an enclosure above the value, and one below it: the exact check before
+    # the first halving raises instead of returning a bracket without it
+    _with_radius(monkeypatch, lambda r: r.upper + 1, lambda r: r.upper + 2)
+    with pytest.raises(ValueError, match="lower <= rho < upper"):
+        value_bisection(A_SET, E_SET, Fraction(1, 100))
+    _with_radius(monkeypatch, lambda r: Fraction(0), lambda r: Fraction(0))
+    with pytest.raises(ValueError, match="lower <= rho < upper"):
+        value_bisection(A_SET, E_SET, Fraction(1, 100))
 
 
 @settings(max_examples=60, deadline=None)

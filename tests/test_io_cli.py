@@ -385,6 +385,31 @@ def test_cli_check(files, capsys):
     assert doc3["flashes"]
 
 
+def test_cli_parser_built_once_keeps_no_flag_between_calls(files, capsys):
+    from entropygames import cli
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def fresh(argv):
+        cli.build_parser.cache_clear()
+        return run(argv)
+
+    check = ["check-2cmm", "--json", "--variant", "integer", files["m1"]]
+    value = ["value", "--json", files["pair"]]
+    sequences = (
+        (check[:-1] + ["--cheat-turn", "2", files["m1"]], check),
+        (value[:-1] + ["--tol", "1/100", files["pair"]], value),
+    )
+    for first, second in sequences:
+        expected = [fresh(first), fresh(second)]
+        # the flag changes the output, so a leak would show
+        assert expected[0] != expected[1]
+        assert [run(first), run(second)] == expected
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("variant", ["integer", "nonnegative"])
 @pytest.mark.parametrize("cheat", ["0", "-1", "13"])
 def test_cli_check_rejects_cheat_turn_out_of_range(files, capsys, variant, cheat):
