@@ -21,7 +21,13 @@ each row (or column) is put over a common denominator once, the numerators
 are multiplied and summed as ints, and each result entry becomes one
 Fraction at the end.  The results are exact and equal to the entrywise
 Fraction sums; only the per-operation gcd work of Fraction arithmetic is
-saved.
+saved.  When every column of ``b`` is integral, row i of ``a b`` is its
+integer sums over a's row denominator, so ``mat_mul`` hands those rows on
+as the product's integer form and the next product in a chain does not
+rebuild them from the Fractions.  That denominator need not be the least
+one, which the products do not require; it is not handed on for a
+non-integral ``b``, where such denominators would grow along a chain.
+``one_norm`` sums numerators over one common denominator the same way.
 """
 
 from __future__ import annotations
@@ -228,19 +234,26 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product of a p x q and a q x r Matrix; raises ValueError on a
     dimension mismatch.  Row i of the result is the integer combination of
     b's column-form numerator rows weighted by the non-zero numerators of
-    a's row i, each entry over that row's and column's denominators."""
+    a's row i, each entry over that row's and column's denominators.  When
+    b is integral, those sums over a's row denominator are kept as the
+    result's integer rows."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     b_rows, b_dens = b._int_cols
-    return Matrix._of_fractions(
-        tuple(
+    int_rows = tuple((tuple(_combine(nums, b_rows, b.cols)), da) for nums, da in a._int_rows)
+    if any(db != 1 for db in b_dens):
+        return Matrix._of_fractions(
             tuple(
-                _fraction(s, da * db)
-                for s, db in zip(_combine(nums, b_rows, b.cols), b_dens)
+                tuple(_fraction(s, da * db) for s, db in zip(sums, b_dens))
+                for sums, da in int_rows
             )
-            for nums, da in a._int_rows
         )
+    product = Matrix._of_fractions(
+        tuple(tuple(_fraction(s, da) for s in sums) for sums, da in int_rows)
     )
+    # the cached_property reads the instance dict first
+    product.__dict__["_int_rows"] = int_rows
+    return product
 
 
 def mat_vec(m: Matrix, v: Sequence) -> tuple[Fraction, ...]:
@@ -273,10 +286,13 @@ def one_norm(obj) -> Fraction:
     """Entrywise sum of absolute values, for matrices, Vectors or plain
     sequences.  This is the norm used throughout for growth rates."""
     if isinstance(obj, Matrix):
-        return sum((abs(x) for row in obj.data for x in row), Fraction(0))
-    if isinstance(obj, Vector):
-        return sum((abs(x) for x in obj.entries), Fraction(0))
-    return sum((abs(rat(x)) for x in obj), Fraction(0))
+        entries = [x for row in obj.data for x in row]
+    elif isinstance(obj, Vector):
+        entries = obj.entries
+    else:
+        entries = [rat(x) for x in obj]
+    ((nums, d),) = _over_common_denominator([entries])
+    return _fraction(sum(map(abs, nums)), d)
 
 
 @dataclass(frozen=True)

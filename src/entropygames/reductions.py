@@ -220,6 +220,14 @@ def encode_nonneg(m: TwoCounterMachine) -> EncodedMmg:
     )
 
 
+def _identity_moves(g: EncodedMmg) -> frozenset[str]:
+    """The names of Adam's moves whose matrix is the identity.  Playing one
+    leaves the vector and the product as they are (v I = v, Omega I =
+    Omega), so the audits skip its products."""
+    identity = Matrix.identity(g.dimension)
+    return frozenset(name for name, matrix in g.adam_matrices if matrix == identity)
+
+
 def _check_cheat_turn(cheat_turn: int | None, horizon: int) -> None:
     if cheat_turn is not None and not 1 <= cheat_turn <= horizon:
         raise ValueError("cheat turn must be in 1..horizon")
@@ -334,7 +342,13 @@ def run_scripted_play(
     contradicts his own simulation flashes the negative coordinate, adjusts
     it up to -1, punishes and reinitialises; that zeroes the running product
     exactly.  Deviations that leave no negative coordinate are reported as
-    undetectable.  ``cheat_turn``, when given, must be in 1..max_turns."""
+    undetectable.  ``cheat_turn``, when given, must be in 1..max_turns.
+
+    Products that cannot change the play are not formed.  A move whose
+    matrix is the identity leaves v and the running product Omega as they
+    are.  Once Omega is zero (``annihilation_turn``) it stays zero, and so
+    does v, which is always the start vector times Omega; the report then
+    carries that zero matrix as ``final_product``."""
     if g.variant != INTEGER:
         raise ValueError("scripted plays are defined for the integer variant")
     if g.degenerate:
@@ -368,6 +382,7 @@ def run_scripted_play(
     annihilation_turn = None
     cheat_played = None if cheat_turn is None else False
     adam_by_name = dict(g.adam_matrices)
+    identity_moves = _identity_moves(g)
 
     for turn in range(1, max_turns + 1):
         # Adam's move
@@ -377,9 +392,10 @@ def run_scripted_play(
             adam_name = queue.pop(0)
         else:
             adam_name = "Id"
-        adam_matrix = adam_by_name[adam_name]
-        v = list(vec_mat(v, adam_matrix))
-        omega = mat_mul(omega, adam_matrix)
+        if annihilation_turn is None and adam_name not in identity_moves:
+            adam_matrix = adam_by_name[adam_name]
+            v = list(vec_mat(v, adam_matrix))
+            omega = mat_mul(omega, adam_matrix)
         adam_moves.append(adam_name)
         if adam_name == "P" and v[index["E"]] != 0:
             # the punish step is built to cancel E exactly; anything else
@@ -404,8 +420,9 @@ def run_scripted_play(
                 halted_turn = turn
             choice = 0  # forced: the machine halted but the play goes on
         eve_name, eve_matrix = g.eve_matrices[choice]
-        v = list(vec_mat(v, eve_matrix))
-        omega = mat_mul(omega, eve_matrix)
+        if annihilation_turn is None:
+            v = list(vec_mat(v, eve_matrix))
+            omega = mat_mul(omega, eve_matrix)
         eve_moves.append(eve_name)
         eve_sim.apply(choice)
 
@@ -526,7 +543,13 @@ def check_nonneg_punishment(
     contradiction with the matching reset: P[q] for a state lie, P[x]/P[y]
     for a counter lie.  The report collects the exact per-segment growth
     ratios and the structural magnitude checks of faithful play.
-    ``cheat_turn``, when given, must be in 1..horizon."""
+    ``cheat_turn``, when given, must be in 1..horizon.
+
+    A move whose matrix is the identity leaves v as it is (v I = v), so its
+    product is not formed.  The magnitude checks compare integers:
+    numerators and denominators cross-multiplied, and powers of two as
+    shifts, which decides the same equalities and bounds as the Fractions
+    would."""
     if g.variant != NONNEG:
         raise ValueError("punishment audits are defined for the non-negative variant")
     if g.degenerate:
@@ -557,6 +580,7 @@ def check_nonneg_punishment(
     unit = Fraction(1)
     turns_into_segment = 0
     adam_by_name = dict(g.adam_matrices)
+    identity_moves = _identity_moves(g)
     start_norm = one_norm(v)
 
     for turn in range(1, horizon + 1):
@@ -565,8 +589,8 @@ def check_nonneg_punishment(
             pending_reset = None
         else:
             adam_name = "Id"
-        adam_matrix = adam_by_name[adam_name]
-        v = list(vec_mat(v, adam_matrix))
+        if adam_name not in identity_moves:
+            v = list(vec_mat(v, adam_by_name[adam_name]))
         adam_moves.append(adam_name)
         if adam_name != "Id":
             punished = True
@@ -581,7 +605,7 @@ def check_nonneg_punishment(
                     end_turn=turn,
                     turns=f,
                     ratio=ratio,
-                    within_bound=ratio <= Fraction(2) ** (f - 1),
+                    within_bound=ratio.numerator <= ratio.denominator << (f - 1),
                 )
             )
             segment_start = turn + 1
@@ -621,15 +645,20 @@ def check_nonneg_punishment(
                 # dead and carries no structure to audit
                 if unit > 0:
                     token = v[index[adam_sim.state]]
-                    if token != unit * Fraction(2) ** turns_into_segment:
+                    if token != unit * (1 << turns_into_segment):
                         magnitude_ok = False
+                    token_num2 = token.numerator * token.numerator
+                    token_den2 = token.denominator * token.denominator
                     for q in m.states:
                         if q != adam_sim.state and v[index[q]] != 0:
                             magnitude_ok = False
                     for c in ("x", "y"):
                         plus = v[index[c + "+"]]
                         minus = v[index[c + "-"]]
-                        if plus * minus != token * token:
+                        if (
+                            plus.numerator * minus.numerator * token_den2
+                            != token_num2 * plus.denominator * minus.denominator
+                        ):
                             magnitude_ok = False
                         if (adam_sim.counters[c] == 0) != (plus == minus):
                             magnitude_ok = False

@@ -18,7 +18,9 @@ grid_saddle, the member-grid saddle search that strategy iteration
 replaced in decide.find_saddle, and contraction_lp, the strict contraction
 LP that Howard policy iteration replaced in decide.decide_jsr_lt.
 fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
-Fraction loops that the integer-numerator products in linalg replaced.
+Fraction loops that the integer-numerator products in linalg replaced, and
+replay_audit replays an audit's transcript through them, every move
+multiplied, as the reference for the products the audits skip.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -467,3 +470,105 @@ def contraction_lp(s, alpha):
     if result.objective_value > 0:
         return True, result.solution[:-1]
     return False, None
+
+
+_MOVE_PREFIX = {"inc": "I", "zero": "K", "dec": "D"}
+
+
+def _faithful_move(program, state, counters):
+    """The name of the encoded move the literal machine makes next, or None
+    once it has stopped."""
+    ins = program[state]
+    if ins[0] == "stop":
+        return None
+    c = ins[1]
+    if ins[0] == "inc":
+        kind, target = "inc", ins[2]
+    elif counters[c] == 0:
+        kind, target = "zero", ins[2]
+    else:
+        kind, target = "dec", ins[3]
+    return f"{_MOVE_PREFIX[kind]}[{state}->{target},{c}]", kind, c, target
+
+
+def _norm(v):
+    return sum((abs(x) for x in v), Fraction(0))
+
+
+def replay_audit(g, states, program, adam_moves, eve_moves):
+    """Replay an audit's transcript with the Fraction loops alone.
+
+    Every move is multiplied into the vector (fraction_vec_mat), identity
+    moves and the moves after the product is zero too.  Returns ``vectors``,
+    the vector after each turn, and per variant:
+
+    * integer: the running product (fraction_mat_mul) as ``final_product``,
+      and ``annihilation_turn``, the first turn whose prefix product is 0;
+    * non-negative: ``segments``, (start, end, ratio, within bound) for each
+      stretch that an Adam move other than Id closes, with the ratio of the
+      vector's 1-norms across it and the bound 2^(f-1) on f turns; and
+      ``magnitude_ok``, the structure of faithful play checked the long
+      way.  The literal machine (``program``, starting at states[0])
+      restarts at each reset, and the unit is then the start state's
+      coordinate.  On each turn where Eve makes the machine's own move, the
+      token must sit at unit * 2^k after k such turns, every other state
+      coordinate must be 0, and each counter pair must multiply to the
+      token's square and be equal exactly when the counter is 0.  Once Eve
+      makes another move nothing is checked until the next reset, and
+      nothing is checked after a reset that wiped the vector (unit 0).
+    """
+    from entropygames.linalg import Matrix
+
+    adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
+    index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
+    v = tuple(g.start_vector)
+    vectors = []
+    if g.variant != "nonnegative":
+        omega = Matrix.identity(g.dimension)
+        annihilation_turn = None
+        for turn, (a, e) in enumerate(zip(adam_moves, eve_moves), 1):
+            v = fraction_vec_mat(fraction_vec_mat(v, adam[a]), eve[e])
+            vectors.append(v)
+            omega = fraction_mat_mul(fraction_mat_mul(omega, adam[a]), eve[e])
+            if annihilation_turn is None and all(x == 0 for row in omega.data for x in row):
+                annihilation_turn = turn
+        return SimpleNamespace(
+            vectors=tuple(vectors), annihilation_turn=annihilation_turn, final_product=omega
+        )
+
+    segments = []
+    segment_start, base = 1, _norm(v)
+    state, counters, k, unit = states[0], {"x": 0, "y": 0}, 0, Fraction(1)
+    magnitude_ok = True
+    for turn, (a, e) in enumerate(zip(adam_moves, eve_moves), 1):
+        v = fraction_vec_mat(v, adam[a])
+        if a != "Id":
+            after = _norm(v)
+            f = turn - segment_start + 1
+            ratio = after / base if base else Fraction(0)
+            segments.append((segment_start, turn, ratio, ratio <= Fraction(2) ** (f - 1)))
+            segment_start, base = turn + 1, after
+            state, counters, k = states[0], {"x": 0, "y": 0}, 0
+            unit = v[index[states[0]]]
+        v = fraction_vec_mat(v, eve[e])
+        vectors.append(v)
+        if state is None:
+            continue
+        move = _faithful_move(program, state, counters)
+        if move is None or move[0] != e:
+            state = None  # off the machine's run until the next reset
+            continue
+        _, kind, c, state = move
+        counters[c] += {"inc": 1, "zero": 0, "dec": -1}[kind]
+        k += 1
+        if unit > 0:
+            token = v[index[state]]
+            magnitude_ok &= token == unit * Fraction(2) ** k
+            magnitude_ok &= all(v[index[q]] == 0 for q in states if q != state)
+            for name in ("x", "y"):
+                plus, minus = v[index[name + "+"]], v[index[name + "-"]]
+                magnitude_ok &= plus * minus == token * token
+                magnitude_ok &= (counters[name] == 0) == (plus == minus)
+    return SimpleNamespace(
+        vectors=tuple(vectors), segments=tuple(segments), magnitude_ok=magnitude_ok
+    )

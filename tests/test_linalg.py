@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from entropygames.linalg import (
     Matrix,
     ReducibleMatrixError,
     Vector,
+    _over_common_denominator,
     block_radius_bounds,
     certify_radius_lower,
     certify_radius_upper,
@@ -176,6 +178,76 @@ def test_one_norm():
     assert one_norm(Matrix(((-1, 2),))) == 3
     assert one_norm((1, -2, 3)) == 6
     assert one_norm(Vector((Fraction(1, 2), Fraction(1, 2)))) == 1
+    assert one_norm(()) == 0
+
+
+def random_factor(rng, rows, cols, integral, size=9):
+    """A seeded random Matrix with negative entries and zeros, one zero row
+    when it has more than one, and denominators up to 12 unless integral."""
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        num = rng.randint(-size, size)
+        return Fraction(num) if integral else Fraction(num, rng.randint(1, 12))
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        data[rng.randrange(rows)] = [Fraction(0)] * cols
+    return Matrix(tuple(tuple(row) for row in data))
+
+
+def as_rationals(int_rows):
+    return [[Fraction(n, d) for n in nums] for nums, d in int_rows]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mat_mul_hands_on_integer_rows_of_integral_products(seed):
+    rng = random.Random(seed)
+    p, q, r = (rng.randint(1, 5) for _ in range(3))
+    for a_integral in (True, False):
+        for b_integral in (True, False):
+            a = random_factor(rng, p, q, a_integral)
+            b = random_factor(rng, q, r, b_integral)
+            product = mat_mul(a, b)
+            assert product == oracle_helpers.fraction_mat_mul(a, b)
+            integral = all(x.denominator == 1 for row in b.data for x in row)
+            # a product of an integral b arrives with its integer rows
+            assert ("_int_rows" in product.__dict__) == integral
+            assert as_rationals(product._int_rows) == as_rationals(
+                _over_common_denominator(product.data)
+            )
+            if integral:
+                assert [d for _, d in product._int_rows] == [d for _, d in a._int_rows]
+
+
+def test_integral_chain_keeps_the_first_factor_denominators():
+    rng = random.Random(2024)
+    first = random_factor(rng, 4, 4, integral=False)
+    denominators = [d for _, d in first._int_rows]
+    assert max(denominators) > 1
+    product = reference = first
+    for _ in range(200):
+        b = random_factor(rng, 4, 4, integral=True, size=2)
+        product = mat_mul(product, b)
+        reference = oracle_helpers.fraction_mat_mul(reference, b)
+        assert [d for _, d in product._int_rows] == denominators
+    assert product == reference
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_norm_matches_fraction_sum(seed):
+    rng = random.Random(seed)
+    for size in (1, 2, 5, 9):
+        entries = [
+            Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 2**40)) for _ in range(size)
+        ]
+        entries[rng.randrange(size)] = Fraction(0)
+        want = sum((abs(x) for x in entries), Fraction(0))
+        assert one_norm(entries) == want
+        assert one_norm(Vector(tuple(entries))) == want
+        assert one_norm([str(x) for x in entries]) == want
+        m = random_factor(rng, 3, size, integral=False)
+        assert one_norm(m) == sum((abs(x) for row in m.data for x in row), Fraction(0))
 
 
 def test_spectral_radius_running():

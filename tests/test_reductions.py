@@ -343,3 +343,47 @@ def test_audits_replay_with_fraction_products(monkeypatch, machine, cheat):
     assert fast[0].annihilation_turn == slow[0].annihilation_turn
     assert [seg.ratio for seg in fast[1].segments] == [seg.ratio for seg in slow[1].segments]
     assert fast == slow
+
+
+def replay_cases():
+    for name, machine in AUDITED + [("zeroloop", ZEROLOOP)]:
+        trace, halted = run_machine(machine, 1000)
+        cheats = range(1, len(trace) + 1) if halted else range(1, 4)
+        for cheat in (None, *cheats):
+            yield pytest.param(machine, cheat, id=f"{name}-cheat{cheat}")
+
+
+@pytest.mark.parametrize("machine,cheat", list(replay_cases()))
+def test_audits_match_a_replay_of_every_move(machine, cheat):
+    # the audits skip identity moves and, once the product is zero, every
+    # product; the replay multiplies them all, over long tails after the
+    # annihilation and after the last reset
+    program = as_program(machine)
+    g = encode_integer(machine)
+    fast = run_scripted_play(g, machine, 160, cheat)
+    slow = oracle_helpers.replay_audit(g, machine.states, program, fast.adam_moves, fast.eve_moves)
+    assert "Id" in fast.adam_moves
+    assert fast.vectors == slow.vectors
+    assert fast.annihilation_turn == slow.annihilation_turn
+    assert fast.final_product == slow.final_product
+    if machine in HALTERS:
+        assert fast.annihilation_turn is not None and fast.annihilation_turn < 20
+    # every horizon that ends in the middle of the punishment, before the
+    # product is zero
+    for turn, _, _ in fast.flashes:
+        for horizon in range(turn + 1, fast.annihilation_turn):
+            cut = run_scripted_play(g, machine, horizon, cheat)
+            slow = oracle_helpers.replay_audit(
+                g, machine.states, program, cut.adam_moves, cut.eve_moves
+            )
+            assert cut.annihilation_turn is None
+            assert cut.final_product == slow.final_product
+
+    g = encode_nonneg(machine)
+    fast = check_nonneg_punishment(g, machine, 400, cheat)
+    slow = oracle_helpers.replay_audit(g, machine.states, program, fast.adam_moves, fast.eve_moves)
+    assert [
+        (s.start_turn, s.end_turn, s.ratio, s.within_bound) for s in fast.segments
+    ] == list(slow.segments)
+    assert fast.magnitude_ok == slow.magnitude_ok
+    assert fast.final_norm == sum((abs(x) for x in slow.vectors[-1]), Fraction(0))
