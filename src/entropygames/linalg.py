@@ -241,18 +241,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     b_rows, b_dens = b._int_cols
     int_rows = tuple((tuple(_combine(nums, b_rows, b.cols)), da) for nums, da in a._int_rows)
-    if any(db != 1 for db in b_dens):
-        return Matrix._of_fractions(
-            tuple(
-                tuple(_fraction(s, da * db) for s, db in zip(sums, b_dens))
-                for sums, da in int_rows
-            )
-        )
     product = Matrix._of_fractions(
-        tuple(tuple(_fraction(s, da) for s in sums) for sums, da in int_rows)
+        tuple(
+            tuple(_fraction(s, da * db) for s, db in zip(sums, b_dens))
+            for sums, da in int_rows
+        )
     )
-    # the cached_property reads the instance dict first
-    product.__dict__["_int_rows"] = int_rows
+    if all(db == 1 for db in b_dens):
+        # the cached_property reads the instance dict first
+        product.__dict__["_int_rows"] = int_rows
     return product
 
 
