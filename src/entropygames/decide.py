@@ -84,6 +84,7 @@ from .linalg import (
     _float_mul,
     _solve_exact,
     _support,
+    float_rows,
     mat_mul,
     rat,
     spectral_radius,
@@ -571,7 +572,7 @@ def _refute_pair(a_set, e_set, a0, e0, cap, cache):
 
 
 def _float_rows(s: IruSet) -> list[list[list[float]]]:
-    return [[[float(x) for x in row] for row in rs.rows] for rs in s.row_sets]
+    return [float_rows(rs.rows) for rs in s.row_sets]
 
 
 def _choice(s: IruSet, m: Matrix) -> list[int]:

@@ -4,8 +4,16 @@ Everything visible here is exact: matrices and vectors carry
 ``fractions.Fraction`` entries, and every spectral radius comes back as a
 rational interval [lower, upper] together with witness vectors that make both
 bounds independently checkable.  Floats appear only inside the power
-iteration kernel; its output is rationalised and then re-verified with exact
-arithmetic before anything is returned.
+iteration kernel, and its iterate is turned into an exact witness in one of
+two ways.  ``spectral_radius``, ``_block_path`` and ``perron_vector`` hand
+their witnesses to callers as certificates, so those are rationalised to
+denominators of at most WITNESS_DENOMINATOR_CAP and stay small.
+``block_radius_bounds`` returns bounds only, which exact comparisons use to
+skip Sturm counting; its witness is the iterate rounded onto the dyadic
+grid of step 2^-60, an integer vector whose Collatz-Wielandt ratios are
+formed and compared over the integer rows.  Either way the bounds are exact,
+since any positive vector gives valid Collatz-Wielandt bounds.  Entries
+beyond the float range raise ValueError naming it (``float_rows``).
 
 The certificates rest on two one-line facts about a non-negative square m:
 
@@ -47,6 +55,8 @@ POWER_ITERATION_CAP = 10_000
 WITNESS_DENOMINATOR_CAP = 10**12
 
 _FLOAT_KERNEL_SLACK = 4.0
+# block_radius_bounds rounds float iterates onto the grid of step 2^-60
+_DYADIC_SCALE = float(1 << 60)
 
 _ZERO = Fraction(0)
 
@@ -180,10 +190,10 @@ class Matrix:
         return self.data[i][j]
 
     def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.data]
+        return float_rows(self.data)
 
     def flat_floats(self) -> list[float]:
-        return [float(x) for row in self.data for x in row]
+        return [x for row in float_rows(self.data) for x in row]
 
     def __str__(self):
         return "\n".join("[" + "  ".join(str(x) for x in row) + "]" for row in self.data)
@@ -200,6 +210,25 @@ class Matrix:
         numerator_rows[i][j] / denominators[j]."""
         cols = _over_common_denominator(zip(*self.data))
         return tuple(zip(*(nums for nums, _ in cols))), tuple(d for _, d in cols)
+
+
+def float_rows(rows) -> list[list[float]]:
+    """Rows of rationals as rows of floats, or ValueError naming the float
+    range when an entry lies beyond it."""
+    try:
+        return [[float(x) for x in row] for row in rows]
+    except OverflowError:
+        raise _float_range_error(rows) from None
+
+
+def _float_range_error(rows) -> ValueError:
+    bits = max(
+        abs(x).numerator.bit_length() - x.denominator.bit_length() for row in rows for x in row
+    )
+    return ValueError(
+        f"an entry near 2^{bits} is too large for the float iteration, "
+        "whose floats end below 2^1024"
+    )
 
 
 def _over_common_denominator(rows) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -493,7 +522,9 @@ def _block_enclosures(m: Matrix, tol_float: float):
     connected block of the support of m, with exact lower <= rho(block) <=
     upper.  A singleton block is its diagonal entry exactly; a larger block
     is irreducible, so power iteration on it converges, and the exact
-    Collatz-Wielandt ratios of its rationalised iterate bound its radius."""
+    Collatz-Wielandt ratios of its rationalised iterate bound its radius.
+    _block_path hands the best block's witness on as a certificate, so it
+    is rationalised rather than dyadic (see block_radius_bounds)."""
     for comp in support_components(m):
         if len(comp) == 1:
             i = comp[0]
@@ -510,13 +541,47 @@ def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction]:
     """Exact (lower, upper) with lower <= rho(m) <= upper for a non-negative
     square m: rho(m) is the largest block radius, so lower and upper are the
     largest block bounds.  No witnesses, no resolvent: the cheap enclosure
-    that exact radius comparisons try before Sturm counting."""
-    lower = upper = Fraction(0)
+    that exact radius comparisons try before Sturm counting.
+
+    It runs over m's integer rows.  A singleton block is its diagonal entry;
+    a larger block's float Perron iterate is rounded onto the dyadic grid
+    w_i = max(1, round(v_i 2^60)), and the exact Collatz-Wielandt ratios
+    (sum_j n_ij w_j) / (d_i w_i) of that integer vector, compared by
+    cross-multiplying, bound the block's radius.  Any positive w gives valid
+    bounds, and these bounds certify nothing to a caller, so the witness
+    needs no small denominators.  The largest block bounds are kept as
+    integer pairs too: only the two returned bounds become Fractions."""
+    rows = m._int_rows
     tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
-    for _, lo, hi, _, _ in _block_enclosures(m, tol_float):
-        lower = max(lower, lo)
-        upper = max(upper, hi)
-    return lower, upper
+    # the largest block bounds so far, as (numerator, denominator) pairs
+    lower_n, lower_d = upper_n, upper_d = 0, 1
+    for comp in strongly_connected_components(_support(nums for nums, _ in rows)):
+        if len(comp) == 1:
+            nums, d = rows[comp[0]]
+            lo_n, lo_d = hi_n, hi_d = nums[comp[0]], d
+        else:
+            block = [rows[i] for i in comp]
+            try:
+                flat = [nums[j] / d for nums, d in block for j in comp]
+            except OverflowError:
+                raise _float_range_error(m.data) from None
+            vf = power_enclosure(flat, len(comp), tol_float, POWER_ITERATION_CAP)[3]
+            w = [max(1, round(x * _DYADIC_SCALE)) for x in vf]
+            ratios = [
+                (sum(nums[j] * wj for j, wj in zip(comp, w)), d * wi)
+                for (nums, d), wi in zip(block, w)
+            ]
+            lo_n, lo_d = hi_n, hi_d = ratios[0]
+            for r_n, r_d in ratios[1:]:
+                if r_n * lo_d < lo_n * r_d:
+                    lo_n, lo_d = r_n, r_d
+                elif r_n * hi_d > hi_n * r_d:
+                    hi_n, hi_d = r_n, r_d
+        if lo_n * lower_d > lower_n * lo_d:
+            lower_n, lower_d = lo_n, lo_d
+        if hi_n * upper_d > upper_n * hi_d:
+            upper_n, upper_d = hi_n, hi_d
+    return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d)
 
 
 def _block_path(m: Matrix, tol: Fraction, spent_iterations: int) -> RadiusEstimate:
@@ -552,30 +617,25 @@ def _block_path(m: Matrix, tol: Fraction, spent_iterations: int) -> RadiusEstima
     if not certify_radius_lower(m, best_lower, lower_witness):
         # cannot happen: off-block rows get 0 >= lower * 0; keep the guard
         raise RuntimeError("internal certification failure (lower bound)")
-    # global upper bound via exact resolvent solve at escalating trial radii
+    # global upper bound via exact resolvent solve at escalating trial radii;
+    # every trial above rho certifies, so the doubling stops by the first
+    # trial above block_upper, however large the entries
     step = tol / 2 if tol > 0 else Fraction(1, 10**9)
     trial = best_lower + step
-    upper = None
-    upper_witness = None
     identity = Matrix.identity(n)
-    for _ in range(200):
+    while True:
         rows = [
             [trial * identity.data[i][j] - m.data[i][j] for j in range(n)]
             for i in range(n)
         ]
         sol = _solve_exact(rows, [Fraction(1)] * n)
-        if sol is not None and all(x > 0 for x in sol):
-            if certify_radius_upper(m, trial, sol):
-                upper = trial
-                upper_witness = tuple(sol)
-                break
+        if sol is not None and all(x > 0 for x in sol) and certify_radius_upper(m, trial, sol):
+            break
+        if trial > block_upper:
+            raise RuntimeError("resolvent escalation failed to certify an upper bound")
         step *= 2
         trial = best_lower + step
-        if trial > block_upper + step:
-            # overshoot far beyond any possible radius; next round certifies
-            trial = block_upper + step
-    if upper is None:
-        raise RuntimeError("resolvent escalation failed to certify an upper bound")
+    upper, upper_witness = trial, tuple(sol)
     converged = (upper - best_lower) <= tol
     mid = (best_lower + upper) / 2
     return RadiusEstimate(

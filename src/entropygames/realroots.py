@@ -8,14 +8,18 @@ largest root in a rational interval, shrink the intervals until they
 separate, and detect genuine ties by checking whether the gcd of the two
 (square-free) polynomials has a root in the overlap.
 
-Polynomials are coefficient lists, lowest degree first, over Fraction.
+Polynomials are coefficient lists of Fractions, lowest degree first.
+``charpoly`` computes them over Python ints, by Faddeev-LeVerrier on the
+matrix scaled to integer entries, and rescales the coefficients at the end;
+the Sturm arithmetic runs over Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .linalg import Matrix, block_radius_bounds, rat
+from .linalg import Matrix, _combine, _fraction, block_radius_bounds, rat
 
 Poly = list
 
@@ -215,32 +219,37 @@ def compare_largest_roots(p: Poly, q: Poly) -> int:
 
 
 def charpoly(m: Matrix) -> Poly:
-    """Characteristic polynomial det(x I - m) by Faddeev-LeVerrier, returned
-    lowest-degree-first with leading coefficient 1."""
+    """Characteristic polynomial det(x I - m), returned lowest-degree-first
+    with leading coefficient 1, as Fractions.
+
+    Faddeev-LeVerrier runs over the integer matrix N = D m, where D is the
+    lcm of the denominators of m's integer rows: N_1 = N, c_k = -tr(N_k) / k
+    and N_{k+1} = N (N_k + c_k I).  The c_k are the coefficients of
+    det(x I - N), an integer matrix's characteristic polynomial, so every
+    trace is divisible by its k and each N_k stays integral; a remainder
+    raises ArithmeticError rather than be rounded away.  Since det(x I - m)
+    = D^-n det(D x I - N), the coefficient of x^(n-k) is c_k / D^k."""
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
+    rows = m._int_rows
+    scale = math.lcm(*[d for _, d in rows])
+    big_n = [nums if d == scale else tuple(x * (scale // d) for x in nums) for nums, d in rows]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    # M_1 = m, c_k = -tr(M_k)/k, M_{k+1} = m (M_k + c_k I)
-    mk = [list(row) for row in m.data]
+    mk = [list(row) for row in big_n]
+    power = 1
     for k in range(1, n + 1):
-        trace = sum(mk[i][i] for i in range(n))
-        ck = -trace / k
-        coeffs[n - k] = ck
+        ck, remainder = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if remainder:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by its step")
+        power *= scale
+        coeffs[n - k] = _fraction(ck, power)
         if k == n:
             break
-        shifted = [
-            [mk[i][j] + (ck if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        mk = [
-            [
-                sum(m.data[i][t] * shifted[t][j] for t in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        for i in range(n):
+            mk[i][i] += ck
+        mk = [_combine(row, mk, n) for row in big_n]
     return coeffs
 
 
@@ -257,9 +266,10 @@ def compare_radii(p_matrix: Matrix, q_matrix: Matrix) -> int:
 def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> int:
     """Sign of rho(P) - rho(Q) for non-negative square matrices, exact.
 
-    Per-block enclosures (``block_radius_bounds``, kept in ``cache`` by
-    matrix entries) settle the comparison when they separate, or when both
-    are the same single point; otherwise compare_radii decides it."""
+    Per-block enclosures (``block_radius_bounds``, kept in ``cache`` under
+    the matrix's integer rows, which hash faster than its Fractions) settle
+    the comparison when they separate, or when both are the same single
+    point; otherwise compare_radii decides it."""
     if p_matrix.data == q_matrix.data:
         return 0
     p_lo, p_hi = _cached_bounds(cache, p_matrix)
@@ -274,9 +284,11 @@ def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> i
 
 
 def _cached_bounds(cache: dict, m: Matrix) -> tuple[Fraction, Fraction]:
-    bounds = cache.get(m.data)
+    # the integer rows determine the matrix; a product whose rows mat_mul
+    # primed over a larger denominator only misses an equal matrix's entry
+    bounds = cache.get(m._int_rows)
     if bounds is None:
-        bounds = cache[m.data] = block_radius_bounds(m)
+        bounds = cache[m._int_rows] = block_radius_bounds(m)
     return bounds
 
 

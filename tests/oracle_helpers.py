@@ -21,6 +21,8 @@ fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced, and
 replay_audit replays an audit's transcript through them, every move
 multiplied, as the reference for the products the audits skip.
+fraction_charpoly is the Faddeev-LeVerrier loop over Fractions that the
+integer one in realroots.charpoly replaced.
 """
 
 from __future__ import annotations
@@ -329,6 +331,27 @@ def fraction_vec_mat(v, m):
     return tuple(
         sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)
     )
+
+
+def fraction_charpoly(m):
+    """det(x I - m) of a square Matrix by Faddeev-LeVerrier over Fractions,
+    lowest degree first: M_1 = m, c_k = -tr(M_k) / k, M_{k+1} = m (M_k +
+    c_k I)."""
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = [list(row) for row in m.data]
+    for k in range(1, n + 1):
+        ck = -sum(mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        if k == n:
+            break
+        shifted = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        mk = [
+            [sum(m.data[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return coeffs
 
 
 def norm_bound(a_set, e_set):

@@ -9,6 +9,7 @@ import pytest
 
 import _frozen as frozen
 import entropygames
+import oracle_helpers
 from entropygames import io
 from entropygames.cli import main
 from entropygames.decide import Certificate, verify_certificate
@@ -427,6 +428,43 @@ def test_cli_mpg(files, capsys):
     kind, arena = io.loads_document(out)
     assert kind == io.ARENA
     assert ("d", "d>t", "t", 2) in arena.transitions
+
+
+def two_by_two_mpg(heavy: int) -> MpgArena:
+    return MpgArena(
+        ("d0", "d1"),
+        ("t0", "t1"),
+        (
+            ("d0", "t0", 300), ("d0", "t1", heavy), ("d1", "t0", 1), ("d1", "t1", 0),
+            ("t0", "d0", 1), ("t0", "d1", 520), ("t1", "d0", 1), ("t1", "d1", 1),
+        ),
+    )
+
+
+def test_cli_mpg_weight_beyond_the_float_range_exits_2(capsys, tmp_path):
+    # 2^1100 is no float: the float iteration cannot start
+    path = tmp_path / "heavy.json"
+    io.save_document(str(path), two_by_two_mpg(1100))
+    assert main(["mpg", "--solve", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: an entry near 2^1100 is too large for the float iteration, "
+        "whose floats end below 2^1024\n"
+    )
+
+
+def test_cli_mpg_with_weights_near_the_float_range(capsys, tmp_path):
+    # 2^1000 is a float.  The saddle product's radius is near 2^410 and its
+    # float witness leaves a gap of about 2^800 to the block upper bound,
+    # which the resolvent escalation of the certified upper bound climbs
+    # by doubling from tol / 2: far more than 200 doublings
+    m = two_by_two_mpg(1000)
+    path = tmp_path / "heavy.json"
+    io.save_document(str(path), m)
+    code, doc = run_json(capsys, ["mpg", "--solve", "--json", str(path)])
+    assert code == 0
+    value = oracle_helpers.mpg_bruteforce_value(m.despot_states, m.tribune_states, m.transitions)
+    assert value == Fraction(821, 2)
+    assert doc["mean_payoff_lower"] <= value <= doc["mean_payoff_upper"]
 
 
 def test_cli_error_paths(files, capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _frozen as frozen
@@ -273,6 +273,18 @@ def test_spectral_radius_reducible_paths():
     assert triangular.upper - triangular.lower <= Fraction(1, 10**9)
 
 
+def test_spectral_radius_certifies_reducible_matrices_with_huge_entries():
+    # the block bounds of the 2^600 block are far wider than tol times
+    # 2^200, so the resolvent escalation has to keep doubling past that
+    big = 2**600
+    m = Matrix(((big, big, 1), (1, big, 0), (0, 0, 1)))
+    r = spectral_radius(m)
+    assert compare_radius_with_rational(m, r.lower) >= 0
+    assert compare_radius_with_rational(m, r.upper) <= 0
+    assert certify_radius_lower(m, r.lower, r.witness_lower)
+    assert certify_radius_upper(m, r.upper, r.witness_upper)
+
+
 def test_block_radius_bounds_on_reducible_matrices():
     assert block_radius_bounds(Matrix(((0, 1), (0, 0)))) == (0, 0)
     assert block_radius_bounds(Matrix(((2, 5), (0, 3)))) == (3, 3)
@@ -294,12 +306,59 @@ def test_block_radius_bounds_on_reducible_matrices():
         ),
     ]
     for rows in reducible:
-        m = Matrix(rows)
-        assert len(support_components(m)) > 1
-        lower, upper = block_radius_bounds(m)
-        assert compare_radius_with_rational(m, lower) >= 0
-        assert compare_radius_with_rational(m, upper) <= 0
-        assert upper - lower <= Fraction(1, 10**9)
+        # as given, with row i over i + 2, and over 7 throughout
+        variants = (
+            rows,
+            [[Fraction(x, i + 2) for x in row] for i, row in enumerate(rows)],
+            [[Fraction(x, 7) for x in row] for row in rows],
+        )
+        for data in variants:
+            m = Matrix(tuple(tuple(row) for row in data))
+            assert len(support_components(m)) > 1
+            lower, upper = block_radius_bounds(m)
+            assert compare_radius_with_rational(m, lower) >= 0
+            assert compare_radius_with_rational(m, upper) <= 0
+            assert upper - lower <= Fraction(1, 10**9)
+
+
+@st.composite
+def bounded_matrices(draw):
+    """Non-negative square matrices with rows over different denominators:
+    irreducible-looking, reducible, of zero radius, or steep, where a Perron
+    entry falls below the 2^-60 grid of the witness."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("rational", "reducible", "zero", "steep")))
+    if kind == "steep":
+        # rho is about big and the Perron vector about (1, 1 / big)
+        big = draw(st.sampled_from((Fraction(10**40), Fraction(2**100), Fraction(10**30, 7))))
+        data = [[big, big], [1, 0]] if draw(st.booleans()) else [[1, 1], [1 / big, 0]]
+        return Matrix(tuple(tuple(row) for row in data))
+    data = []
+    for _ in range(n):
+        d = draw(st.integers(1, 12))
+        data.append([Fraction(draw(st.integers(0, 9)), d) for _ in range(n)])
+    if kind == "reducible" and n > 1:
+        split = draw(st.integers(1, n - 1))
+        data = [
+            [0 if i >= split > j else x for j, x in enumerate(row)] for i, row in enumerate(data)
+        ]
+    elif kind == "zero":
+        data = [[x if i < j else 0 for j, x in enumerate(row)] for i, row in enumerate(data)]
+    order = draw(st.permutations(range(n)))
+    return Matrix(tuple(tuple(data[i][j] for j in order) for i in order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_matrices())
+@example(Matrix(((1, 1), (Fraction(1, 10**40), 0))))
+@example(Matrix(((0, 3), (Fraction(1, 2), 0))))
+@example(Matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0))))
+def test_block_radius_bounds_bracket_the_radius(m):
+    lower, upper = block_radius_bounds(m)
+    assert type(lower) is Fraction and type(upper) is Fraction
+    assert 0 <= lower <= upper
+    assert compare_radius_with_rational(m, lower) >= 0
+    assert compare_radius_with_rational(m, upper) <= 0
 
 
 def test_spectral_radius_rejects_bad_input():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entropygames.linalg import Matrix
+import oracle_helpers
+from entropygames.linalg import Matrix, block_radius_bounds
 from entropygames.realroots import (
     bisect_radius,
     charpoly,
@@ -142,13 +143,24 @@ def test_compare_radii_enclosed_settles_ties_of_single_points(monkeypatch):
     def refuse(p, q):
         raise AssertionError("separated or equal single-point enclosures need no Sturm")
 
+    computed = []
+
+    def counted(m):
+        computed.append(m.data)
+        return block_radius_bounds(m)
+
     monkeypatch.setattr(realroots, "compare_radii", refuse)
+    monkeypatch.setattr(realroots, "block_radius_bounds", counted)
     cache: dict = {}
     diag = Matrix(((6, 0), (0, 3)))
     assert compare_radii_enclosed(cache, diag, Matrix(((3, 0), (0, 6)))) == 0
     assert compare_radii_enclosed(cache, diag, Matrix(((2, 5), (0, 3)))) == 1
     assert compare_radii_enclosed(cache, Matrix(((0, 1), (0, 0))), RUNNING) == -1
-    assert diag.data in cache
+    # a second comparison, even with an equal matrix built anew, reads the
+    # bounds from the cache instead of computing them again
+    assert compare_radii_enclosed(cache, Matrix(((6, 0), (0, 3))), RUNNING) == 1
+    assert computed.count(diag.data) == 1
+    assert computed.count(RUNNING.data) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,9 +177,123 @@ def test_compare_radii_enclosed_matches_compare_radii(rng):
     assert compare_radii_enclosed(cache, q, p) == compare_radii(q, p)
 
 
-def test_compare_radii_enclosed_falls_back_when_enclosures_overlap():
+def test_compare_radii_enclosed_falls_back_when_enclosures_overlap(monkeypatch):
+    import entropygames.realroots as realroots
+
     # valid but loose enclosures that touch at 3: only Sturm tells 3 from 4
     p, q = Matrix(((3, 0), (0, 0))), Matrix(((3, 1), (1, 3)))
-    cache = {p.data: (Fraction(3), Fraction(3)), q.data: (Fraction(3), Fraction(4))}
+    loose = {p.data: (Fraction(3), Fraction(3)), q.data: (Fraction(3), Fraction(4))}
+    monkeypatch.setattr(realroots, "block_radius_bounds", lambda m: loose[m.data])
+    cache: dict = {}
     assert compare_radii_enclosed(cache, p, q) == -1
     assert compare_radii_enclosed(cache, q, p) == 1
+
+
+# -- the integer charpoly against the Fraction one it replaced ---------------
+
+
+def _rational_rows(draw, n, low):
+    """n rows of n entries, each row over its own denominator."""
+    rows = []
+    for _ in range(n):
+        d = draw(st.integers(1, 12))
+        rows.append([Fraction(draw(st.integers(low, 20)), d) for _ in range(n)])
+    return rows
+
+
+@st.composite
+def charpoly_matrices(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("rational", "signed", "zero", "nilpotent", "repeated", "mpg")))
+    if kind == "rational":
+        rows = _rational_rows(draw, n, 0)
+    elif kind == "signed":
+        rows = _rational_rows(draw, n, -20)
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(n)]
+    elif kind == "nilpotent":
+        # strictly upper triangular, then relabelled
+        upper = _rational_rows(draw, n, -20)
+        order = draw(st.permutations(range(n)))
+        rows = [[upper[i][j] if i < j else 0 for j in order] for i in order]
+    elif kind == "repeated":
+        rows = _rational_rows(draw, n, -20)
+        for i in range(1, n):
+            if draw(st.booleans()):
+                rows[i] = list(rows[0])
+    else:
+        # mean payoff multiplicities 2^w, some of them far beyond a float
+        rows = [
+            [draw(st.sampled_from((0, 1))) * 2 ** draw(st.integers(0, 1100)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    return Matrix(tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(charpoly_matrices())
+@example(Matrix(((Fraction(-3, 7),),)))
+@example(Matrix(((0, 0), (0, 0))))
+@example(Matrix(((0, Fraction(1, 2), 5), (0, 0, Fraction(2, 3)), (0, 0, 0))))
+@example(Matrix(((1, Fraction(1, 2)), (Fraction(1, 3), 1))))
+@example(Matrix(((2**1000, 1), (2**1000, 1))))
+def test_charpoly_matches_fraction_faddeev_leverrier(m):
+    got = charpoly(m)
+    assert got == oracle_helpers.fraction_charpoly(m)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_charpoly_rescales_rows_over_different_denominators():
+    # rows over 2 and 3: D = 6 and N = 6 m = ((3, 3), (2, 2)), whose
+    # coefficients -5 and 0 come back over 6 and 36
+    m = Matrix(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))))
+    assert charpoly(m) == [Fraction(0), Fraction(-5, 6), Fraction(1)]
+
+
+# -- enclosed comparisons on rational, reducible, tied and zero-radius pairs --
+
+
+def _shaped_rows(draw, n, kind):
+    """Relabelled rational rows: block upper triangular when reducible,
+    strictly upper triangular (radius 0) when zero."""
+    rows = _rational_rows(draw, n, 0)
+    if kind == "reducible" and n > 1:
+        split = draw(st.integers(1, n - 1))
+        rows = [
+            [0 if i >= split > j else x for j, x in enumerate(row)] for i, row in enumerate(rows)
+        ]
+    elif kind == "zero":
+        rows = [[x if i < j else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    order = draw(st.permutations(range(n)))
+    return [[rows[i][j] for j in order] for i in order]
+
+
+@st.composite
+def radius_pairs(draw):
+    kind = draw(st.sampled_from(("rational", "reducible", "tied", "zero")))
+    if kind != "tied":
+        p, q = (_shaped_rows(draw, draw(st.integers(1, 4)), kind) for _ in range(2))
+        return Matrix(p), Matrix(q)
+    # the transpose, alone or with a zero block or the matrix itself beside
+    # it: the same radius, often from a different polynomial
+    n = draw(st.integers(1, 4))
+    rows = _shaped_rows(draw, n, draw(st.sampled_from(("rational", "reducible"))))
+    q = [list(col) for col in zip(*rows)]
+    extra = draw(st.sampled_from(("none", "zero", "copy")))
+    if extra != "none":
+        pad = rows if extra == "copy" else [[0] * n for _ in range(n)]
+        q = [r + [0] * n for r in q] + [[0] * n + list(r) for r in pad]
+    return Matrix(rows), Matrix(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius_pairs())
+@example((Matrix(((0, 1), (0, 0))), Matrix(((0, 0), (0, 0)))))
+@example((Matrix(((2, 5), (0, 3))), Matrix(((3, 0), (1, 2)))))
+@example((Matrix(((0, 2), (2, 0))), Matrix(((2, 1), (0, 1)))))
+def test_compare_radii_enclosed_matches_compare_radii_on_hard_pairs(pair):
+    p, q = pair
+    cache: dict = {}
+    expected = compare_radii(p, q)
+    assert compare_radii_enclosed(cache, p, q) == expected
+    assert compare_radii_enclosed(cache, q, p) == -expected
