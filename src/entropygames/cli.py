@@ -41,7 +41,7 @@ from .games import (
     simulate_payoff,
     solve,
 )
-from .iru import EnumerationCapError, IruSet, enumerate_members
+from .iru import EnumerationCapError, IruSet
 from .linalg import ReducibleMatrixError
 from .minsky import TwoCounterMachine
 from .reductions import (
@@ -246,19 +246,29 @@ def _parse_strategy(text: str, arena: Arena, seed: int):
     )
 
 
-def _parse_matrix_chooser(text: str, s: IruSet, cap, seed: int):
-    """Strategy descriptions for matrix games: constant:INDEX fixes the
-    member with that enumeration index, random:SEED draws members."""
+def _parse_matrix_chooser(text: str, s: IruSet, seed: int):
+    """A simulate_payoff source from a matrix game strategy: constant:INDEX
+    fixes the member at INDEX in itertools.product order (negative indices
+    count from the end), random:SEED draws members.  No member list is
+    formed: randrange(size) draws as choice from one would."""
     head, sep, rest = text.partition(":")
-    members = list(enumerate_members(s, cap))
     if head == "constant" and sep:
-        return members[int(rest)], None
+        return _member_at(s, range(s.size)[int(rest)])
     if head == "random":
         rng = random.Random(int(rest) if rest else seed)
-        return s, lambda turn, history: rng.choice(members)
+        return lambda turn, history: _member_at(s, rng.randrange(s.size))
     raise ValueError(
         f"unrecognised matrix strategy {text!r}; use constant:INDEX or random:SEED"
     )
+
+
+def _member_at(s: IruSet, index: int):
+    """The member at 0 <= index < size, the last row set varying fastest."""
+    choice = []
+    for rs in reversed(s.row_sets):
+        index, k = divmod(index, rs.size)
+        choice.append(k)
+    return s.member(choice[::-1])
 
 
 def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
@@ -291,12 +301,10 @@ def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
         return 0
     if kind == io.PAIR:
         a_set, e_set = value
-        a_source, a_chooser = _parse_matrix_chooser(despot_text, a_set, cfg.cap, cfg.seed)
-        e_source, e_chooser = _parse_matrix_chooser(
-            tribune_text, e_set, cfg.cap, cfg.seed + 1
-        )
         report = simulate_payoff(
-            a_source, e_source, adam=a_chooser, eve=e_chooser, steps=cfg.horizon
+            _parse_matrix_chooser(despot_text, a_set, cfg.seed),
+            _parse_matrix_chooser(tribune_text, e_set, cfg.seed + 1),
+            steps=cfg.horizon,
         )
         if cfg.machine_readable:
             _emit_json(
@@ -465,9 +473,9 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--cap",
         type=int,
         default=d(None),
-        help="cap on the members a step may enumerate: the saddle check of a "
-        "reducible centre product, the saddle search's exact fallback, the "
-        "member scans of decide and simulate's strategy parsing",
+        help="cap on the members a step may enumerate: the saddle search's check "
+        "of a reducible centre product and its exact fallback, in value, mpg "
+        "and the mm queries of decide; simulate enumerates nothing",
     )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for random strategies")
     if top_level:

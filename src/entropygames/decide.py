@@ -18,10 +18,10 @@ non-negative columns.  The non-strict variant of the first and the strict
 variant of the second are single LPs too, but are equivalences only for
 strictly positive sets, and the procedures refuse to answer otherwise.
 
-Matrix multiplication game thresholds reduce to these: the minimising player
-can commit to one matrix choice, and for a fixed choice the product set is
-again an IruSet by ``right_product``.  Certificates carry the chosen matrix
-so verification stays a one-pass exact check.
+Matrix multiplication game thresholds reduce to these: the game is
+determined, so for a saddle (a0, e0) the value is below alpha exactly when
+jsr(E a0) < alpha and at least alpha exactly when jssr(A e0) >= alpha, each
+an IruSet by ``right_product``.  Certificates carry the a0 or e0 committed.
 
 The game value itself comes from a saddle point of rho(A E) over the
 members (``find_saddle``): the value is the radius of the saddle product,
@@ -265,56 +265,52 @@ def _check_game_shapes(a_set: IruSet, e_set: IruSet):
         )
 
 
+def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha, cap):
+    """Commit the certifying player (Tribune for MM_GE, else Despot) to their
+    saddle strategy, a one-member side's member with no search and
+    find_saddle's otherwise, and decide the product set this leaves."""
+    _check_game_shapes(a_set, e_set)
+    tribune = kind == MM_GE
+    decide = {MM_LT: decide_jsr_lt, MM_LE: decide_jsr_le, MM_GE: decide_jssr_ge}[kind]
+    own, other = (e_set, a_set) if tribune else (a_set, e_set)
+    if own.size == 1:
+        chosen = own.member((0,) * own.n_rows)
+    else:
+        sp = find_saddle(a_set, e_set, cap)
+        chosen = sp.tribune_matrix if tribune else sp.despot_matrix
+    ok, cert = decide(right_product(other, chosen), alpha)
+    return ok, cert and Certificate(kind, cert.vector, chosen_matrix=chosen)
+
+
 def decide_mm_lt(
     a_set: IruSet, e_set: IruSet, alpha, cap=None
 ) -> tuple[bool, Certificate | None]:
-    """Is the matrix multiplication game value strictly below alpha?
-
-    True exactly when the minimiser can commit to one member whose induced
-    product set has joint spectral radius below alpha.  Members are tried in
-    lexicographic order; the certificate carries the first that works and
-    its contraction vector."""
-    _check_game_shapes(a_set, e_set)
-    alpha = rat(alpha)
-    for a0 in enumerate_members(a_set, cap):
-        ok, cert = decide_jsr_lt(right_product(e_set, a0), alpha)
-        if ok:
-            return True, Certificate(MM_LT, cert.vector, chosen_matrix=a0)
-    return False, None
+    """Is the game value strictly below alpha?  Exactly when Despot's saddle
+    strategy a0 leaves a product set E a0 with joint spectral radius below
+    alpha (``decide_jsr_lt``); the certificate carries a0 and its vector."""
+    return _committed(MM_LT, a_set, e_set, alpha, cap)
 
 
 def decide_mm_ge(
     a_set: IruSet, e_set: IruSet, alpha, cap=None
 ) -> tuple[bool, Certificate | None]:
-    """Is the game value at least alpha?  Dual to decide_mm_lt: the
-    maximiser commits to one member and the induced product set must have
-    joint spectral subradius at least alpha."""
-    _check_game_shapes(a_set, e_set)
-    alpha = rat(alpha)
-    for e0 in enumerate_members(e_set, cap):
-        ok, cert = decide_jssr_ge(right_product(a_set, e0), alpha)
-        if ok:
-            return True, Certificate(MM_GE, cert.vector, chosen_matrix=e0)
-    return False, None
+    """Is the game value at least alpha?  Dual to decide_mm_lt: Tribune's
+    saddle strategy e0 must leave a product set A e0 with joint spectral
+    subradius at least alpha (``decide_jssr_ge``, one LP)."""
+    return _committed(MM_GE, a_set, e_set, alpha, cap)
 
 
 def decide_mm_le(
     a_set: IruSet, e_set: IruSet, alpha, cap=None
 ) -> tuple[bool, Certificate | None]:
-    """Is the game value at most alpha?  Positive sets only (the committed
-    product sets are then positive too, which the non-strict decision
-    needs)."""
-    _check_game_shapes(a_set, e_set)
+    """Is the game value at most alpha?  Despot commits as in decide_mm_lt.
+    Positive sets only (the committed product set is then positive too,
+    which the non-strict decision needs)."""
     if not (a_set.is_positive and e_set.is_positive):
         raise PositivityRequiredError(
             "non-strict game threshold decided for positive sets only"
         )
-    alpha = rat(alpha)
-    for a0 in enumerate_members(a_set, cap):
-        ok, cert = decide_jsr_le(right_product(e_set, a0), alpha)
-        if ok:
-            return True, Certificate(MM_LE, cert.vector, chosen_matrix=a0)
-    return False, None
+    return _committed(MM_LE, a_set, e_set, alpha, cap)
 
 
 def _verify_rows(s: IruSet, vector, alpha: Fraction, kind: str) -> bool:
@@ -360,17 +356,12 @@ def verify_certificate(cert: Certificate, a_set: IruSet, e_set=None, alpha=None)
     _check_game_shapes(a_set, e_set)
     if cert.chosen_matrix is None:
         raise ValueError("game-level certificates carry the committed matrix")
-    chosen = cert.chosen_matrix
-    if cert.kind in (MM_LT, MM_LE):
-        if not a_set.contains_matrix(chosen):
-            return False
-        inner = {MM_LT: JSR_LT, MM_LE: JSR_LE}[cert.kind]
-        return _verify_rows(right_product(e_set, chosen), vector, alpha, inner)
-    if cert.kind == MM_GE:
-        if not e_set.contains_matrix(chosen):
-            return False
-        return _verify_rows(right_product(a_set, chosen), vector, alpha, JSSR_GE)
-    raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    tribune = cert.kind == MM_GE
+    inner = {MM_LT: JSR_LT, MM_LE: JSR_LE, MM_GE: JSSR_GE}[cert.kind]
+    own, other = (e_set, a_set) if tribune else (a_set, e_set)
+    if not own.contains_matrix(cert.chosen_matrix):
+        return False
+    return _verify_rows(right_product(other, cert.chosen_matrix), vector, alpha, inner)
 
 
 @dataclass(frozen=True)

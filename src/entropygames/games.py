@@ -25,7 +25,7 @@ from .decide import (
     value_bisection,
     verify_saddle,
 )
-from .iru import IruSet, RowSet, enumerate_members
+from .iru import IruSet, RowSet
 from .linalg import Matrix, Vector, _float_mul, mat_mul, rat
 
 DESPOT = "despot"
@@ -371,7 +371,7 @@ def _as_matrix_oracle(source, chooser, side: str):
         if chooser is not None:
             return chooser
         if source.size == 1:
-            only = next(iter(enumerate_members(source)))
+            only = source.member((0,) * source.n_rows)
             return lambda turn, history: only
         raise ValueError(
             f"{side} set has several members; supply a chooser oracle"

@@ -249,7 +249,7 @@ class HourglassReport:
     above_member: Matrix | None
 
 
-def hourglass_check(s: IruSet, u, v, witness: Matrix, cap=None) -> HourglassReport:
+def hourglass_check(s: IruSet, u, v, witness: Matrix) -> HourglassReport:
     """Decide, for each direction, whether A u compares uniformly with v over
     all members, or produce a one-row modification of the witness breaking
     equality in that direction.

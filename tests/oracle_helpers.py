@@ -8,8 +8,11 @@ second time from scratch so the package encoders can be compared entry by
 entry. None of these import the package under test.
 
 The exceptions are built from the package's slow exact routes and serve as
-differential references for the fast ones: member_scan_bisection, the
-LP-only route to the game value that value_bisection replaced, and
+differential references for the fast ones: member_scan_mm_lt,
+member_scan_mm_ge and member_scan_mm_le, the member loops that committing
+to the saddle strategy replaced in decide.decide_mm_lt, decide_mm_ge and
+decide_mm_le, and member_scan_bisection, the member-scan route to the game
+value that value_bisection replaced, and
 norm_bound_bracket, its Sturm bisection from [0, floor(norm_bound) + 1)
 before the bracket started from the saddle's enclosure, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
@@ -382,28 +385,69 @@ def norm_bound_bracket(a_set, e_set, tol):
     )
 
 
+def member_scan_mm_lt(a_set, e_set, alpha, cap=None):
+    """decide_mm_lt by trying Despot's members in lexicographic order: the
+    first a0 whose product set E a0 has jsr < alpha (decide_jsr_lt) is
+    committed.  Returns (answer, certificate)."""
+    from entropygames.decide import MM_LT, Certificate, decide_jsr_lt
+    from entropygames.iru import enumerate_members, right_product
+
+    for a0 in enumerate_members(a_set, cap):
+        ok, cert = decide_jsr_lt(right_product(e_set, a0), alpha)
+        if ok:
+            return True, Certificate(MM_LT, cert.vector, chosen_matrix=a0)
+    return False, None
+
+
+def member_scan_mm_ge(a_set, e_set, alpha, cap=None):
+    """decide_mm_ge by trying Tribune's members in lexicographic order: the
+    first e0 whose product set A e0 has jssr >= alpha (one decide_jssr_ge
+    LP each) is committed."""
+    from entropygames.decide import MM_GE, Certificate, decide_jssr_ge
+    from entropygames.iru import enumerate_members, right_product
+
+    for e0 in enumerate_members(e_set, cap):
+        ok, cert = decide_jssr_ge(right_product(a_set, e0), alpha)
+        if ok:
+            return True, Certificate(MM_GE, cert.vector, chosen_matrix=e0)
+    return False, None
+
+
+def member_scan_mm_le(a_set, e_set, alpha, cap=None):
+    """decide_mm_le by trying Despot's members in lexicographic order, one
+    decide_jsr_le LP each.  Positive sets only, as decide_jsr_le refuses
+    others."""
+    from entropygames.decide import MM_LE, Certificate, decide_jsr_le
+    from entropygames.iru import enumerate_members, right_product
+
+    for a0 in enumerate_members(a_set, cap):
+        ok, cert = decide_jsr_le(right_product(e_set, a0), alpha)
+        if ok:
+            return True, Certificate(MM_LE, cert.vector, chosen_matrix=a0)
+    return False, None
+
+
 def member_scan_bisection(a_set, e_set, tol, cap=None):
-    """The game value bracket by LP bisection, needing no saddle point.
+    """The game value bracket by member-scan bisection, needing no saddle
+    point.
 
-    Halves [0, floor(norm_bound) + 1) with one member-scan decide_mm_lt per
-    step (value < mid?), then certifies the final ends with decide_mm_ge and
-    decide_mm_lt over the full sets.  Returns (lower, upper, bisections,
-    lower_certificate, upper_certificate)."""
-    from entropygames.decide import decide_mm_ge, decide_mm_lt
-
+    Halves [0, floor(norm_bound) + 1) with one member_scan_mm_lt per step
+    (value < mid?), then certifies the final ends with member_scan_mm_ge
+    and member_scan_mm_lt over the full sets.  Returns (lower, upper,
+    bisections, lower_certificate, upper_certificate)."""
     lower = Fraction(0)
     upper = Fraction(int(norm_bound(a_set, e_set)) + 1)
     steps = 0
     while upper - lower > tol:
         mid = (lower + upper) / 2
-        below, _ = decide_mm_lt(a_set, e_set, mid, cap)
+        below, _ = member_scan_mm_lt(a_set, e_set, mid, cap)
         if below:
             upper = mid
         else:
             lower = mid
         steps += 1
-    ge_ok, lower_cert = decide_mm_ge(a_set, e_set, lower, cap)
-    lt_ok, upper_cert = decide_mm_lt(a_set, e_set, upper, cap)
+    ge_ok, lower_cert = member_scan_mm_ge(a_set, e_set, lower, cap)
+    lt_ok, upper_cert = member_scan_mm_lt(a_set, e_set, upper, cap)
     assert ge_ok and lt_ok, "bisection invariant violated at the final bracket"
     return lower, upper, steps, lower_cert, upper_cert
 

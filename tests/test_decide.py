@@ -626,3 +626,121 @@ def test_jssr_ge_is_one_lp_when_expansions_vanish_on_coordinate_0(monkeypatch):
     assert verify_certificate(cert, s, alpha=2)
     ok_above, _ = decide_jssr_ge(s, Fraction(5, 2))
     assert not ok_above and len(calls) == 2
+
+
+def _integer_values(centre, sp):
+    """The integers in the saddle's enclosure that are the radius of the
+    saddle product: an integer matrix has a rational radius only when it is
+    an integer."""
+    lo, hi = math.floor(sp.radius.lower), math.ceil(sp.radius.upper)
+    return {
+        Fraction(k) for k in range(lo, hi + 1)
+        if compare_radius_with_rational(centre, k) == 0
+    }
+
+
+def _assert_mm_matches_member_scan(a_set, e_set, alpha, queries):
+    """Each decider against its member-scan oracle at alpha: the same
+    answer, no certificate on no, a verifying one on yes, and agreement
+    with comparing the saddle product's radius with alpha exactly."""
+    sp = find_saddle(a_set, e_set)
+    side = compare_radius_with_rational(mat_mul(sp.despot_matrix, sp.tribune_matrix), alpha)
+    expected = {decide_mm_lt: side < 0, decide_mm_ge: side >= 0, decide_mm_le: side <= 0}
+    for decide, scan in queries:
+        ok, cert = decide(a_set, e_set, alpha)
+        assert ok == scan(a_set, e_set, alpha)[0] == expected[decide]
+        if ok:
+            assert verify_certificate(cert, a_set, e_set, alpha=alpha)
+        else:
+            assert cert is None
+
+
+_STRICT = (
+    (decide_mm_lt, oracle_helpers.member_scan_mm_lt),
+    (decide_mm_ge, oracle_helpers.member_scan_mm_ge),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mm_deciders_match_member_scan(rng):
+    kind, a_set, e_set = _generated_pair(
+        rng, ("random", "sparse", "zero", "diagonal", "shared", "duplicate", "rectangular")
+    )
+    sp = find_saddle(a_set, e_set)
+    centre = mat_mul(sp.despot_matrix, sp.tribune_matrix)
+    alphas = {sp.radius.lower, sp.radius.upper, Fraction(rng.randint(0, 40), rng.randint(1, 4))}
+    alphas |= _integer_values(centre, sp)
+    if kind in ("zero", "diagonal"):
+        assert _integer_values(centre, sp)
+    for alpha in sorted(alphas):
+        _assert_mm_matches_member_scan(a_set, e_set, alpha, _STRICT)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mm_le_matches_member_scan_on_positive_sets(rng):
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+
+    def positive(rows, cols):
+        return iru_set(
+            [
+                [tuple(rng.randint(1, 3) for _ in range(cols)) for _ in range(rng.randint(1, 2))]
+                for _ in range(rows)
+            ]
+        )
+
+    a_set, e_set = positive(n, m), positive(m, n)
+    sp = find_saddle(a_set, e_set)
+    centre = mat_mul(sp.despot_matrix, sp.tribune_matrix)
+    alphas = {sp.radius.lower, sp.radius.upper, Fraction(rng.randint(1, 40), rng.randint(1, 4))}
+    alphas |= _integer_values(centre, sp)
+    queries = _STRICT + ((decide_mm_le, oracle_helpers.member_scan_mm_le),)
+    for alpha in sorted(alphas):
+        _assert_mm_matches_member_scan(a_set, e_set, alpha, queries)
+
+
+@pytest.mark.parametrize(
+    "a_rows, e_rows, alphas",
+    [
+        # Despot's identity against Tribune's rows (1, 0) | (0, 5) and
+        # (0, 1) | (5, 0): a reducible centre, value 5
+        ([[(1, 0)], [(0, 1)]], [[(1, 0), (0, 5)], [(0, 1), (5, 0)]], (1, 5, Fraction(51, 10))),
+        # zero rows on both sides and a nilpotent product: value 0
+        ([[(0, 1), (0, 2)], [(0, 0)]], [[(1, 0), (1, 1)], [(0, 0), (0, 1)]], (0, Fraction(1, 2))),
+        # reducible diagonal products, Tribune's members tied at 4: value 3
+        ([[(1, 0), (2, 0)], [(0, 1)]], [[(2, 0)], [(0, 2), (0, 3)]], (2, 3, 4)),
+        # a 1 x 3 against 3 x 1 pair whose Despot rows tie: value 6
+        ([[(1, 2, 0), (2, 1, 0), (0, 0, 3)]], [[(1,), (2,)], [(2,)], [(1,), (2,)]], (5, 6, 7)),
+    ],
+)
+def test_mm_deciders_match_member_scan_on_hard_cases(a_rows, e_rows, alphas):
+    a_set, e_set = iru_set(a_rows), iru_set(e_rows)
+    for alpha in alphas:
+        _assert_mm_matches_member_scan(a_set, e_set, Fraction(alpha), _STRICT)
+
+
+def test_mm_deciders_search_once_and_not_on_a_one_member_side(monkeypatch):
+    from entropygames import decide
+
+    calls = []
+    real = decide.find_saddle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decide, "find_saddle", counted)
+    sp = real(A_SET, E_SET)
+    for query, alpha in ((decide_mm_lt, Fraction(357, 100)), (decide_mm_ge, Fraction(356, 100))):
+        calls.clear()
+        ok, cert = query(A_SET, E_SET, alpha)
+        assert ok and len(calls) == 1
+        # the committed matrix is the certifying player's saddle strategy
+        assert cert.chosen_matrix == (
+            sp.despot_matrix if query is decide_mm_lt else sp.tribune_matrix
+        )
+    calls.clear()
+    decide_mm_lt(decide._only(sp.despot_matrix), E_SET, 4)
+    decide_mm_ge(A_SET, decide._only(sp.tribune_matrix), 3)
+    assert calls == []

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -515,3 +516,62 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path):
     assert code == 0
     assert doc["tribune_strategy"] == {"t0": "b", "t1": "b"}
     assert Fraction(doc["value"]["lower"]) <= 3 < Fraction(doc["value"]["upper"])
+
+
+_CHOOSER_SETS = [
+    A_SET,
+    E_SET,
+    # row sets of 2, 3, 1 and 2 rows: every radix of the index decode
+    iru_set(
+        [
+            [(1, 0, 0, 0), (0, 1, 0, 0)],
+            [(0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)],
+            [(2, 0, 0, 0)],
+            [(0, 2, 0, 0), (0, 0, 2, 0)],
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("s", _CHOOSER_SETS)
+def test_matrix_chooser_decodes_the_enumeration_order(s):
+    from entropygames.cli import _parse_matrix_chooser
+    from entropygames.iru import enumerate_members
+
+    members = list(enumerate_members(s))
+    assert len(members) == s.size
+    for i in range(-s.size, s.size):
+        assert _parse_matrix_chooser(f"constant:{i}", s, 0) == members[i]
+    # random:SEED draws the members that rng.choice over the list would
+    for text, seed in (("random:7", 7), ("random:", 3)):
+        chooser = _parse_matrix_chooser(text, s, 3)
+        rng = random.Random(seed)
+        assert [chooser(turn, []) for turn in range(200)] == [
+            rng.choice(members) for _ in range(200)
+        ]
+
+
+def test_matrix_chooser_index_out_of_range_exits_2(files, capsys):
+    # Fig. 1's Despot set has 2 members: indices -2..1
+    for index in ("2", "-3"):
+        code = main(
+            ["simulate", "--despot", f"constant:{index}", "--tribune", "constant:0",
+             files["pair"]]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: range object index out of range\n"
+
+
+def test_cli_mm_query_beyond_the_float_range_exits_2(capsys, tmp_path):
+    # Despot has two members, so mm< searches for the saddle with floats,
+    # and 2^1100 is no float.  Tribune has one member: mm>= commits to it
+    # and needs no search
+    path = tmp_path / "heavy_pair.json"
+    io.save_document(str(path), (iru_set([[(2**1100,), (1,)]]), iru_set([[(1,)]])))
+    assert main(["decide", "--query", "mm<", "--alpha", "2", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: an entry near 2^1100 is too large for the float iteration, "
+        "whose floats end below 2^1024\n"
+    )
+    assert main(["decide", "--query", "mm>=", "--alpha", "1", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("mm>= 1: true\n")
