@@ -36,6 +36,10 @@ rebuild them from the Fractions.  That denominator need not be the least
 one, which the products do not require; it is not handed on for a
 non-integral ``b``, where such denominators would grow along a chain.
 ``one_norm`` sums numerators over one common denominator the same way.
+The non-negative 2CMM audit (``reductions.check_nonneg_punishment``)
+drives the integer kernel ``_combine`` directly: its vector and matrices
+are integral, so it keeps the vector as Python ints and multiplies it by
+each matrix's cached integer columns, with no Fraction between moves.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, mat_mul, one_norm, vec_mat
+from .linalg import Matrix, _combine, mat_mul, one_norm, vec_mat
 from .minsky import INC, JZDEC, STOP, TwoCounterMachine, step
 
 INTEGER = "integer"
@@ -451,8 +451,8 @@ def run_scripted_play(
                 adam_sim.apply(choice)
 
         vectors.append(tuple(v))
-        if annihilation_turn is None and all(
-            x == 0 for row in omega.data for x in row
+        if annihilation_turn is None and not any(
+            any(nums) for nums, _ in omega._int_rows
         ):
             annihilation_turn = turn
 
@@ -530,6 +530,16 @@ class NonnegPunishmentReport:
     final_norm: Fraction
 
 
+def _integer_columns(name: str, matrix: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The matrix's integer column numerators laid out by rows, the form
+    ``_combine`` takes; ValueError naming the matrix if an entry is not an
+    integer."""
+    rows, dens = matrix._int_cols
+    if any(d != 1 for d in dens):
+        raise ValueError(f"matrix {name} has a non-integral entry")
+    return rows
+
+
 def check_nonneg_punishment(
     g: EncodedMmg,
     m: TwoCounterMachine,
@@ -545,11 +555,14 @@ def check_nonneg_punishment(
     ratios and the structural magnitude checks of faithful play.
     ``cheat_turn``, when given, must be in 1..horizon.
 
-    A move whose matrix is the identity leaves v as it is (v I = v), so its
-    product is not formed.  The magnitude checks compare integers:
-    numerators and denominators cross-multiplied, and powers of two as
-    shifts, which decides the same equalities and bounds as the Fractions
-    would."""
+    Every matrix and the start vector of this encoding are integral, so v
+    stays a list of Python ints and each move is ``linalg._combine`` over
+    the matrix's integer columns; a non-integral entry raises ValueError
+    naming its matrix (or the start vector) before any move is played.  A
+    move whose matrix is the identity leaves v as it is (v I = v), so its
+    product is not formed.  The magnitude checks compare those ints, with
+    powers of two as shifts; only the norms at the start, at each reset and
+    at the end become Fractions."""
     if g.variant != NONNEG:
         raise ValueError("punishment audits are defined for the non-negative variant")
     if g.degenerate:
@@ -567,7 +580,12 @@ def check_nonneg_punishment(
     eve_sim = _EveSimulationNonneg(m, moves, move_index)
     adam_sim = _EveSimulationNonneg(m, moves, move_index)
 
-    v = list(g.start_vector)
+    dim = g.dimension
+    adam_cols = {name: _integer_columns(name, matrix) for name, matrix in g.adam_matrices}
+    eve_cols = [_integer_columns(name, matrix) for name, matrix in g.eve_matrices]
+    if any(x.denominator != 1 for x in g.start_vector):
+        raise ValueError("the start vector has a non-integral entry")
+    v = [x.numerator for x in g.start_vector]
     adam_moves: list[str] = []
     eve_moves: list[str] = []
     pending_reset: str | None = None
@@ -576,12 +594,10 @@ def check_nonneg_punishment(
     magnitude_ok = True
     segments: list[PunishmentSegment] = []
     segment_start = 1
-    segment_base_norm = one_norm(v)
-    unit = Fraction(1)
+    start_norm = segment_base_norm = one_norm(v)
+    unit = 1
     turns_into_segment = 0
-    adam_by_name = dict(g.adam_matrices)
     identity_moves = _identity_moves(g)
-    start_norm = one_norm(v)
 
     for turn in range(1, horizon + 1):
         if pending_reset is not None:
@@ -590,7 +606,7 @@ def check_nonneg_punishment(
         else:
             adam_name = "Id"
         if adam_name not in identity_moves:
-            v = list(vec_mat(v, adam_by_name[adam_name]))
+            v = _combine(v, adam_cols[adam_name], dim)
         adam_moves.append(adam_name)
         if adam_name != "Id":
             punished = True
@@ -625,47 +641,41 @@ def check_nonneg_punishment(
             if halted_turn is None:
                 halted_turn = turn
             choice = 0
-        eve_name, eve_matrix = g.eve_matrices[choice]
-        v = list(vec_mat(v, eve_matrix))
+        eve_name = g.eve_matrices[choice][0]
+        v = _combine(v, eve_cols[choice], dim)
         eve_moves.append(eve_name)
         kind, state, counter, target = moves[choice]
 
-        if pending_reset is None:
-            if expected is None or choice != expected:
-                if expected is None or state != adam_sim.state:
-                    pending_reset = "P[q]"
-                else:
-                    pending_reset = f"P[{counter}]"
+        # a reset played this turn has been consumed, so Adam audits every
+        # Eve move; after a contradiction both private runs restart on the
+        # reset he answers with
+        if expected is None or choice != expected:
+            if expected is None or state != adam_sim.state:
+                pending_reset = "P[q]"
             else:
-                adam_sim.apply(choice)
-                eve_sim.apply(choice)
-                turns_into_segment += 1
-                # structural checks of faithful play at scale unit * 2^k;
-                # once a reset has wiped the vector (unit 0) the play is
-                # dead and carries no structure to audit
-                if unit > 0:
-                    token = v[index[adam_sim.state]]
-                    if token != unit * (1 << turns_into_segment):
-                        magnitude_ok = False
-                    token_num2 = token.numerator * token.numerator
-                    token_den2 = token.denominator * token.denominator
-                    for q in m.states:
-                        if q != adam_sim.state and v[index[q]] != 0:
-                            magnitude_ok = False
-                    for c in ("x", "y"):
-                        plus = v[index[c + "+"]]
-                        minus = v[index[c + "-"]]
-                        if (
-                            plus.numerator * minus.numerator * token_den2
-                            != token_num2 * plus.denominator * minus.denominator
-                        ):
-                            magnitude_ok = False
-                        if (adam_sim.counters[c] == 0) != (plus == minus):
-                            magnitude_ok = False
+                pending_reset = f"P[{counter}]"
         else:
-            # keep the private runs out of sync no further: both restart on
-            # the reset Adam is about to play
-            pass
+            adam_sim.apply(choice)
+            eve_sim.apply(choice)
+            turns_into_segment += 1
+            # structural checks of faithful play at scale unit * 2^k; once
+            # a reset has wiped the vector (unit 0) the play is dead and
+            # carries no structure to audit
+            if unit > 0:
+                token = v[index[adam_sim.state]]
+                if token != unit << turns_into_segment:
+                    magnitude_ok = False
+                token_squared = token * token
+                for q in m.states:
+                    if q != adam_sim.state and v[index[q]] != 0:
+                        magnitude_ok = False
+                for c in ("x", "y"):
+                    plus = v[index[c + "+"]]
+                    minus = v[index[c + "-"]]
+                    if plus * minus != token_squared:
+                        magnitude_ok = False
+                    if (adam_sim.counters[c] == 0) != (plus == minus):
+                        magnitude_ok = False
 
         if halted_turn is None and eve_sim.halted():
             halted_turn = turn

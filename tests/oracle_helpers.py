@@ -22,8 +22,10 @@ replaced in decide.find_saddle, and contraction_lp, the strict contraction
 LP that Howard policy iteration replaced in decide.decide_jsr_lt.
 fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced, and
-replay_audit replays an audit's transcript through them, every move
-multiplied, as the reference for the products the audits skip.
+replay_audit replays an integer audit's transcript through them, every move
+multiplied, as the reference for the products the audits skip;
+replay_nonneg_audit plays the whole non-negative audit with them and the
+literal machine, the reference for its integer loop.
 fraction_charpoly is the Faddeev-LeVerrier loop over Fractions that the
 integer one in realroots.charpoly replaced.
 """
@@ -563,79 +565,139 @@ def _norm(v):
 
 
 def replay_audit(g, states, program, adam_moves, eve_moves):
-    """Replay an audit's transcript with the Fraction loops alone.
+    """Replay an integer audit's transcript with the Fraction loops alone.
 
-    Every move is multiplied into the vector (fraction_vec_mat), identity
-    moves and the moves after the product is zero too.  Returns ``vectors``,
-    the vector after each turn, and per variant:
-
-    * integer: the running product (fraction_mat_mul) as ``final_product``,
-      and ``annihilation_turn``, the first turn whose prefix product is 0;
-    * non-negative: ``segments``, (start, end, ratio, within bound) for each
-      stretch that an Adam move other than Id closes, with the ratio of the
-      vector's 1-norms across it and the bound 2^(f-1) on f turns; and
-      ``magnitude_ok``, the structure of faithful play checked the long
-      way.  The literal machine (``program``, starting at states[0])
-      restarts at each reset, and the unit is then the start state's
-      coordinate.  On each turn where Eve makes the machine's own move, the
-      token must sit at unit * 2^k after k such turns, every other state
-      coordinate must be 0, and each counter pair must multiply to the
-      token's square and be equal exactly when the counter is 0.  Once Eve
-      makes another move nothing is checked until the next reset, and
-      nothing is checked after a reset that wiped the vector (unit 0).
-    """
+    Every move is multiplied into the vector (fraction_vec_mat) and into the
+    running product (fraction_mat_mul), identity moves and the moves after
+    the product is zero too.  Returns ``vectors``, the vector after each
+    turn, ``final_product`` and ``annihilation_turn``, the first turn whose
+    prefix product is 0."""
     from entropygames.linalg import Matrix
 
     adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
-    index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
     v = tuple(g.start_vector)
     vectors = []
-    if g.variant != "nonnegative":
-        omega = Matrix.identity(g.dimension)
-        annihilation_turn = None
-        for turn, (a, e) in enumerate(zip(adam_moves, eve_moves), 1):
-            v = fraction_vec_mat(fraction_vec_mat(v, adam[a]), eve[e])
-            vectors.append(v)
-            omega = fraction_mat_mul(fraction_mat_mul(omega, adam[a]), eve[e])
-            if annihilation_turn is None and all(x == 0 for row in omega.data for x in row):
-                annihilation_turn = turn
-        return SimpleNamespace(
-            vectors=tuple(vectors), annihilation_turn=annihilation_turn, final_product=omega
-        )
+    omega = Matrix.identity(g.dimension)
+    annihilation_turn = None
+    for turn, (a, e) in enumerate(zip(adam_moves, eve_moves), 1):
+        v = fraction_vec_mat(fraction_vec_mat(v, adam[a]), eve[e])
+        vectors.append(v)
+        omega = fraction_mat_mul(fraction_mat_mul(omega, adam[a]), eve[e])
+        if annihilation_turn is None and all(x == 0 for row in omega.data for x in row):
+            annihilation_turn = turn
+    return SimpleNamespace(
+        vectors=tuple(vectors), annihilation_turn=annihilation_turn, final_product=omega
+    )
 
-    segments = []
-    segment_start, base = 1, _norm(v)
+
+def _lie(program, state, counters, eve_names, faithful):
+    """The move a cheating Eve plays instead: the other branch of a zero
+    test, otherwise the first move in encoder order that is not the
+    machine's own (the first move once the machine has stopped), or the
+    machine's own move when no other exists."""
+    ins = program[state]
+    if ins[0] == "jzdec":
+        c = ins[1]
+        if counters[c] == 0:
+            return f"D[{state}->{ins[3]},{c}]"
+        return f"K[{state}->{ins[2]},{c}]"
+    return next((name for name in eve_names if name != faithful), faithful)
+
+
+def _source_and_counter(name):
+    """(source state, counter) of an encoded move name such as I[q0->q1,x]."""
+    body = name[2:-1]
+    arrow = body.index("->")
+    return body[:arrow], body[body.rindex(",") + 1 :]
+
+
+def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
+    """Play the non-negative audit with the Fraction loops and the literal
+    machine alone, and return the fields of its NonnegPunishmentReport.
+
+    The literal machine (``program``, starting at states[0]) gives Eve's
+    move each turn; on ``cheat_turn`` she lies once (``_lie``) and once it
+    has stopped she plays the first encoded move.  Adam answers a move
+    that is not the machine's own on the next turn, with P[q] when the
+    machine has stopped or the move leaves another state and P[c] on the
+    move's counter c otherwise; every other turn he plays Id.  A reset
+    restarts the machine, and the unit is then the start state's
+    coordinate.  Every move is multiplied into the vector
+    (fraction_vec_mat), identity moves too.
+
+    ``segments`` lists (start, end, f, ratio, within bound) for each
+    stretch that a reset closes, with the ratio of the vector's 1-norms
+    across it and the bound 2^(f-1).  ``magnitude_ok`` checks faithful
+    play the long way: on each turn where Eve makes the machine's own move,
+    the token must sit at unit * 2^k after k such turns, every other state
+    coordinate must be 0, and each counter pair must multiply to the
+    token's square and be equal exactly when the counter is 0.  Nothing is
+    checked after a reset that wiped the vector (unit 0).  ``halted_turn``
+    is the first turn that ends with the machine stopped.
+    """
+    adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
+    eve_names = [name for name, _ in g.eve_matrices]
+    index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
+    v = tuple(g.start_vector)
+    start_norm = base = _norm(v)
+    adam_moves, eve_moves, segments = [], [], []
+    segment_start = 1
     state, counters, k, unit = states[0], {"x": 0, "y": 0}, 0, Fraction(1)
     magnitude_ok = True
-    for turn, (a, e) in enumerate(zip(adam_moves, eve_moves), 1):
+    halted_turn = None
+    a = "Id"
+    for turn in range(1, horizon + 1):
         v = fraction_vec_mat(v, adam[a])
+        adam_moves.append(a)
         if a != "Id":
             after = _norm(v)
             f = turn - segment_start + 1
             ratio = after / base if base else Fraction(0)
-            segments.append((segment_start, turn, ratio, ratio <= Fraction(2) ** (f - 1)))
+            segments.append((segment_start, turn, f, ratio, ratio <= Fraction(2) ** (f - 1)))
             segment_start, base = turn + 1, after
             state, counters, k = states[0], {"x": 0, "y": 0}, 0
             unit = v[index[states[0]]]
-        v = fraction_vec_mat(v, eve[e])
-        vectors.append(v)
-        if state is None:
-            continue
         move = _faithful_move(program, state, counters)
-        if move is None or move[0] != e:
-            state = None  # off the machine's run until the next reset
-            continue
-        _, kind, c, state = move
-        counters[c] += {"inc": 1, "zero": 0, "dec": -1}[kind]
-        k += 1
-        if unit > 0:
-            token = v[index[state]]
-            magnitude_ok &= token == unit * Fraction(2) ** k
-            magnitude_ok &= all(v[index[q]] == 0 for q in states if q != state)
-            for name in ("x", "y"):
-                plus, minus = v[index[name + "+"]], v[index[name + "-"]]
-                magnitude_ok &= plus * minus == token * token
-                magnitude_ok &= (counters[name] == 0) == (plus == minus)
-    return SimpleNamespace(
-        vectors=tuple(vectors), segments=tuple(segments), magnitude_ok=magnitude_ok
+        faithful = move[0] if move else None
+        e = faithful or eve_names[0]
+        if turn == cheat_turn:
+            e = _lie(program, state, counters, eve_names, faithful)
+        v = fraction_vec_mat(v, eve[e])
+        eve_moves.append(e)
+        a = "Id"
+        if e != faithful:
+            source, c = _source_and_counter(e)
+            a = "P[q]" if faithful is None or source != state else f"P[{c}]"
+        else:
+            _, kind, c, state = move
+            counters[c] += {"inc": 1, "zero": 0, "dec": -1}[kind]
+            k += 1
+            if unit > 0:
+                token = v[index[state]]
+                magnitude_ok &= token == unit * Fraction(2) ** k
+                magnitude_ok &= all(v[index[q]] == 0 for q in states if q != state)
+                for name in ("x", "y"):
+                    plus, minus = v[index[name + "+"]], v[index[name + "-"]]
+                    magnitude_ok &= plus * minus == token * token
+                    magnitude_ok &= (counters[name] == 0) == (plus == minus)
+        if halted_turn is None and program[state][0] == "stop":
+            halted_turn = turn
+    final_norm = _norm(v)
+    growth = 0.0
+    if final_norm:
+        log_final = math.log(final_norm.numerator) - math.log(final_norm.denominator)
+        log_start = math.log(start_norm.numerator) - math.log(start_norm.denominator)
+        growth = math.exp((log_final - log_start) / horizon)
+    return dict(
+        turns=horizon,
+        adam_moves=tuple(adam_moves),
+        eve_moves=tuple(eve_moves),
+        halted_turn=halted_turn,
+        punished=any(name != "Id" for name in adam_moves),
+        magnitude_ok=magnitude_ok,
+        segments=tuple(segments),
+        segment_bounds_ok=all(s[-1] for s in segments),
+        aggregate_growth=growth,
+        aggregate_below_two=final_norm < start_norm * 2**horizon,
+        final_norm=final_norm,
     )

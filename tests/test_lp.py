@@ -243,8 +243,8 @@ def test_lean_tableau_matches_float_solver(rng):
             flip = 1.0 if sense == LESS_EQUAL else -1.0
             a_ub.append([flip * float(c) for c in coeffs])
             b_ub.append(flip * float(rhs))
-    ref = scipy_opt.linprog(
-        [-float(c) for c in obj],
+    problem = dict(
+        c=[-float(c) for c in obj],
         A_ub=a_ub or None,
         b_ub=b_ub or None,
         A_eq=a_eq or None,
@@ -252,6 +252,12 @@ def test_lean_tableau_matches_float_solver(rng):
         bounds=[(None, None)] * n,
         method="highs",
     )
+    ref = scipy_opt.linprog(**problem)
+    if ref.status == 2:
+        # HiGHS presolve can call an unbounded system infeasible (see
+        # test_unbounded_system_that_highs_presolve_calls_infeasible); its
+        # solver without presolve tells the two apart
+        ref = scipy_opt.linprog(**problem, options={"presolve": False})
     if ref.status == 0:
         assert res.status == OPTIMAL
         assert abs(float(res.objective_value) + ref.fun) < 1e-7
@@ -263,3 +269,24 @@ def test_lean_tableau_matches_float_solver(rng):
     else:
         # HiGHS cannot always tell an infeasible system from an unbounded one
         assert ref.status == 4 and res.status in (INFEASIBLE, UNBOUNDED)
+
+
+def test_unbounded_system_that_highs_presolve_calls_infeasible():
+    # x = (0, -t, 0, -t) is feasible for every t >= 0 with objective t;
+    # scipy 1.17's HiGHS reports this system infeasible with presolve on
+    cons = (
+        ((1, 0, 0, 0), GREATER_EQUAL, 0),
+        ((0, 0, 1, 0), GREATER_EQUAL, 0),
+        ((0, -1, 0, 0), GREATER_EQUAL, 0),
+        ((1, -1, 0, 1), GREATER_EQUAL, 0),
+        ((0, 0, 0, 0), GREATER_EQUAL, 0),
+        ((-1, 1, 0, -1), GREATER_EQUAL, -1),
+        ((1, 0, 0, 0), LESS_EQUAL, 1),
+        ((0, 1, 0, 0), LESS_EQUAL, 0),
+        ((0, 0, 1, 0), LESS_EQUAL, 0),
+        ((0, 0, 0, 1), LESS_EQUAL, 0),
+    )
+    for t in (0, 1, 10**6):
+        assert _satisfies((0, -t, 0, -t), cons)
+    res = lp_max(FeasibilitySystem(variables=4, constraints=cons, objective=(0, -1, 0, 0)))
+    assert res.status == UNBOUNDED

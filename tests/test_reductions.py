@@ -1,15 +1,18 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 import _frozen as frozen
 import oracle_helpers
-from entropygames import reductions
+from entropygames import io, reductions
 from entropygames.linalg import Matrix, one_norm, vec_mat
 from entropygames.minsky import parse_machine, run_machine
 from entropygames.reductions import (
     INTEGER,
     NONNEG,
+    NonnegPunishmentReport,
+    PunishmentSegment,
     check_nonneg_punishment,
     encode_integer,
     encode_nonneg,
@@ -327,21 +330,16 @@ def audit_cases():
 
 @pytest.mark.parametrize("machine,cheat", list(audit_cases()))
 def test_audits_replay_with_fraction_products(monkeypatch, machine, cheat):
-    g_int, g_nn = encode_integer(machine), encode_nonneg(machine)
-    fast = (
-        run_scripted_play(g_int, machine, 40, cheat),
-        check_nonneg_punishment(g_nn, machine, 40, cheat),
-    )
+    # the non-negative audit multiplies integers without vec_mat; its
+    # reference is test_nonneg_audit_matches_a_fraction_replay
+    g = encode_integer(machine)
+    fast = run_scripted_play(g, machine, 40, cheat)
     monkeypatch.setattr(reductions, "mat_mul", oracle_helpers.fraction_mat_mul)
     monkeypatch.setattr(reductions, "vec_mat", oracle_helpers.fraction_vec_mat)
-    slow = (
-        run_scripted_play(g_int, machine, 40, cheat),
-        check_nonneg_punishment(g_nn, machine, 40, cheat),
-    )
-    assert fast[0].vectors == slow[0].vectors
-    assert fast[0].final_product == slow[0].final_product
-    assert fast[0].annihilation_turn == slow[0].annihilation_turn
-    assert [seg.ratio for seg in fast[1].segments] == [seg.ratio for seg in slow[1].segments]
+    slow = run_scripted_play(g, machine, 40, cheat)
+    assert fast.vectors == slow.vectors
+    assert fast.final_product == slow.final_product
+    assert fast.annihilation_turn == slow.annihilation_turn
     assert fast == slow
 
 
@@ -379,11 +377,52 @@ def test_audits_match_a_replay_of_every_move(machine, cheat):
             assert cut.annihilation_turn is None
             assert cut.final_product == slow.final_product
 
+
+def nonneg_replay_report(g, machine, horizon, cheat):
+    fields = oracle_helpers.replay_nonneg_audit(
+        g, machine.states, as_program(machine), horizon, cheat
+    )
+    fields["segments"] = tuple(PunishmentSegment(*s) for s in fields["segments"])
+    return NonnegPunishmentReport(**fields)
+
+
+@pytest.mark.parametrize("machine,cheat", list(replay_cases()))
+def test_nonneg_audit_matches_a_fraction_replay(machine, cheat):
+    # the audit keeps v as ints and skips identity moves; the reference
+    # plays the machine itself and multiplies every move over Fractions
     g = encode_nonneg(machine)
-    fast = check_nonneg_punishment(g, machine, 400, cheat)
-    slow = oracle_helpers.replay_audit(g, machine.states, program, fast.adam_moves, fast.eve_moves)
-    assert [
-        (s.start_turn, s.end_turn, s.ratio, s.within_bound) for s in fast.segments
-    ] == list(slow.segments)
-    assert fast.magnitude_ok == slow.magnitude_ok
-    assert fast.final_norm == sum((abs(x) for x in slow.vectors[-1]), Fraction(0))
+    for horizon in (1, 2, 7, 401):
+        if cheat is not None and cheat > horizon:
+            continue
+        fast = check_nonneg_punishment(g, machine, horizon, cheat)
+        assert fast == nonneg_replay_report(g, machine, horizon, cheat)
+
+
+@pytest.mark.parametrize("machine", [M2, M3, ZEROLOOP], ids=["m2", "m3", "zeroloop"])
+def test_nonneg_audit_matches_a_fraction_replay_on_tampered_encodings(machine):
+    # a weight 3 for the first weight 2 of every Eve matrix breaks the
+    # structure of faithful play, so magnitude_ok must come out False in both
+    doc = io.encoded_to_dict(encode_nonneg(machine))
+    for matrix in doc["eve"]["matrices"]:
+        row = next(row for row in matrix["entries"] if "2" in row)
+        row[row.index("2")] = "3"
+    g = io.encoded_from_dict(doc)
+    for cheat in (None, 2):
+        fast = check_nonneg_punishment(g, machine, 40, cheat)
+        assert not fast.magnitude_ok
+        assert fast == nonneg_replay_report(g, machine, 40, cheat)
+
+
+def test_nonneg_audit_refuses_non_integral_entries():
+    doc = io.encoded_to_dict(encode_nonneg(M1))
+    name = doc["eve"]["matrices"][0]["name"]
+    doc["eve"]["matrices"][0]["entries"][0][0] = "1/2"
+    with pytest.raises(ValueError, match=re.escape(f"matrix {name} has a non-integral entry")):
+        check_nonneg_punishment(io.encoded_from_dict(doc), M1, 10)
+    doc = io.encoded_to_dict(encode_nonneg(M1))
+    doc["start_vector"][-1] = "1/2"
+    with pytest.raises(ValueError, match="start vector has a non-integral entry"):
+        check_nonneg_punishment(io.encoded_from_dict(doc), M1, 10)
+    assert check_nonneg_punishment(
+        io.encoded_from_dict(io.encoded_to_dict(encode_nonneg(M1))), M1, 10
+    ).turns == 10
