@@ -21,6 +21,7 @@ from .linalg import (
     RadiusEstimate,
     rat,
     spectral_radius,
+    vec_mat,
 )
 
 DEFAULT_ENUM_CAP = 10**6
@@ -162,15 +163,7 @@ def right_product(s: IruSet, b: Matrix) -> IruSet:
     Duplicate product rows collapse, so the result can be strictly smaller."""
     if s.n_cols != b.rows:
         raise ValueError("dimension mismatch in right product")
-    bt = list(zip(*b.data))
-    produced = []
-    for rs in s.row_sets:
-        rows = tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in rs.rows
-        )
-        produced.append(RowSet(rows))
-    return IruSet(tuple(produced))
+    return IruSet(tuple(RowSet(tuple(vec_mat(row, b) for row in rs.rows)) for rs in s.row_sets))
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,17 @@ Everything visible here is exact: matrices and vectors carry
 ``fractions.Fraction`` entries, and every spectral radius comes back as a
 rational interval [lower, upper] together with witness vectors that make both
 bounds independently checkable.  Floats appear only inside the power
-iteration kernel, and its iterate is turned into an exact witness in one of
-two ways.  ``spectral_radius``, ``_block_path`` and ``perron_vector`` hand
-their witnesses to callers as certificates, so those are rationalised to
-denominators of at most WITNESS_DENOMINATOR_CAP and stay small.
-``block_radius_bounds`` returns bounds only, which exact comparisons use to
-skip Sturm counting; its witness is the iterate rounded onto the dyadic
-grid of step 2^-60, an integer vector whose Collatz-Wielandt ratios are
-formed and compared over the integer rows.  Either way the bounds are exact,
-since any positive vector gives valid Collatz-Wielandt bounds.  Entries
-beyond the float range raise ValueError naming it (``float_rows``).
+iteration kernel, and one route, ``_dyadic_witness``, turns its iterate into
+an exact witness: for a principal submatrix (a strongly connected block, or
+the whole matrix) it rounds the float Perron iterate onto the dyadic grid of
+step 2^-60, a positive integer vector whose Collatz-Wielandt ratios are
+formed and compared over the integer rows.  ``block_radius_bounds``,
+``spectral_radius`` and ``perron_vector`` all take their witnesses from it.
+The bounds are exact, since any positive vector gives valid
+Collatz-Wielandt bounds; the grid only decides how tight they are.  The
+iterate sums to 1, and an entry below 2^-61 is floored at one grid step,
+which loosens the bounds of a steep matrix.  Entries beyond the float range
+raise ValueError naming it (``float_rows``).
 
 The certificates rest on two one-line facts about a non-negative square m:
 
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .kernels import power_enclosure
 
@@ -56,10 +57,9 @@ Rational = Fraction
 
 DEFAULT_RADIUS_TOL = Fraction(1, 10**10)
 POWER_ITERATION_CAP = 10_000
-WITNESS_DENOMINATOR_CAP = 10**12
 
 _FLOAT_KERNEL_SLACK = 4.0
-# block_radius_bounds rounds float iterates onto the grid of step 2^-60
+# _dyadic_witness rounds float iterates onto the grid of step 2^-60
 _DYADIC_SCALE = float(1 << 60)
 
 _ZERO = Fraction(0)
@@ -195,9 +195,6 @@ class Matrix:
 
     def to_floats(self) -> list[list[float]]:
         return float_rows(self.data)
-
-    def flat_floats(self) -> list[float]:
-        return [x for row in float_rows(self.data) for x in row]
 
     def __str__(self):
         return "\n".join("[" + "  ".join(str(x) for x in row) + "]" for row in self.data)
@@ -434,22 +431,6 @@ def _support(rows) -> list[list[int]]:
     return [[j for j, x in enumerate(row) if x > 0] for row in rows]
 
 
-def _rationalize_positive(values: Iterable[float]) -> tuple[Fraction, ...]:
-    floor = Fraction(1, WITNESS_DENOMINATOR_CAP)
-    out = []
-    for x in values:
-        f = Fraction(x).limit_denominator(WITNESS_DENOMINATOR_CAP)
-        out.append(f if f > 0 else floor)
-    return tuple(out)
-
-
-def _cw_ratios(m: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """Exact Collatz-Wielandt ratios min/max of (m v)_i / v_i for v > 0."""
-    image = mat_vec(m, v)
-    ratios = [lhs / x for lhs, x in zip(image, v)]
-    return min(ratios), max(ratios)
-
-
 def _float_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     """Float product of a p x q and a q x r matrix given as row lists."""
     if len(a[0]) != len(b):
@@ -512,75 +493,52 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     return [aug[i][n] for i in range(n)]
 
 
-def _submatrix(m: Matrix, indices: list[int]) -> Matrix:
-    return Matrix(tuple(tuple(m.data[i][j] for j in indices) for i in indices))
+def _dyadic_witness(m: Matrix, comp: Sequence[int], tol_float: float):
+    """The Collatz-Wielandt witness of the principal submatrix of m on the
+    indices ``comp``, as (w, lower, upper, iterations).
 
-
-def _kernel_enclosure(m: Matrix, tol_float: float):
-    flat = m.flat_floats()
-    return power_enclosure(flat, m.rows, tol_float, POWER_ITERATION_CAP)
-
-
-def _block_enclosures(m: Matrix, tol_float: float):
-    """Yield (block, lower, upper, witness, iterations) for each strongly
-    connected block of the support of m, with exact lower <= rho(block) <=
-    upper.  A singleton block is its diagonal entry exactly; a larger block
-    is irreducible, so power iteration on it converges, and the exact
-    Collatz-Wielandt ratios of its rationalised iterate bound its radius.
-    _block_path hands the best block's witness on as a certificate, so it
-    is rationalised rather than dyadic (see block_radius_bounds)."""
-    for comp in support_components(m):
-        if len(comp) == 1:
-            i = comp[0]
-            yield comp, m.data[i][i], m.data[i][i], (Fraction(1),), 0
-        else:
-            sub = _submatrix(m, comp)
-            _, _, iterations, vf = _kernel_enclosure(sub, tol_float)
-            witness = _rationalize_positive(vf)
-            lo, hi = _cw_ratios(sub, witness)
-            yield comp, lo, hi, witness, iterations
+    A singleton is its diagonal entry, with w = (1,) and no iteration.
+    Otherwise the float Perron iterate v of the submatrix is rounded onto
+    the dyadic grid, w_i = max(1, round(v_i 2^60)), and the ratios
+    (sum_j n_ij w_j) / (d_i w_i) over m's integer rows, compared by
+    cross-multiplying, give lower <= rho(submatrix) <= upper as integer
+    (numerator, denominator) pairs.  Any positive w gives valid bounds."""
+    rows = m._int_rows
+    if len(comp) == 1:
+        nums, d = rows[comp[0]]
+        return [1], (nums[comp[0]], d), (nums[comp[0]], d), 0
+    block = [rows[i] for i in comp]
+    try:
+        flat = [nums[j] / d for nums, d in block for j in comp]
+    except OverflowError:
+        raise _float_range_error(m.data) from None
+    _, _, iterations, vf = power_enclosure(flat, len(comp), tol_float, POWER_ITERATION_CAP)
+    w = [max(1, round(x * _DYADIC_SCALE)) for x in vf]
+    ratios = [
+        (sum(nums[j] * wj for j, wj in zip(comp, w)), d * wi)
+        for (nums, d), wi in zip(block, w)
+    ]
+    lo_n, lo_d = hi_n, hi_d = ratios[0]
+    for r_n, r_d in ratios[1:]:
+        if r_n * lo_d < lo_n * r_d:
+            lo_n, lo_d = r_n, r_d
+        elif r_n * hi_d > hi_n * r_d:
+            hi_n, hi_d = r_n, r_d
+    return w, (lo_n, lo_d), (hi_n, hi_d), iterations
 
 
 def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction]:
     """Exact (lower, upper) with lower <= rho(m) <= upper for a non-negative
     square m: rho(m) is the largest block radius, so lower and upper are the
-    largest block bounds.  No witnesses, no resolvent: the cheap enclosure
-    that exact radius comparisons try before Sturm counting.
-
-    It runs over m's integer rows.  A singleton block is its diagonal entry;
-    a larger block's float Perron iterate is rounded onto the dyadic grid
-    w_i = max(1, round(v_i 2^60)), and the exact Collatz-Wielandt ratios
-    (sum_j n_ij w_j) / (d_i w_i) of that integer vector, compared by
-    cross-multiplying, bound the block's radius.  Any positive w gives valid
-    bounds, and these bounds certify nothing to a caller, so the witness
-    needs no small denominators.  The largest block bounds are kept as
-    integer pairs too: only the two returned bounds become Fractions."""
-    rows = m._int_rows
+    largest bounds ``_dyadic_witness`` gives the strongly connected blocks.
+    No witnesses, no resolvent: the cheap enclosure that exact radius
+    comparisons try before Sturm counting.  The bounds stay integer pairs:
+    only the two returned ones become Fractions."""
     tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
     # the largest block bounds so far, as (numerator, denominator) pairs
     lower_n, lower_d = upper_n, upper_d = 0, 1
-    for comp in strongly_connected_components(_support(nums for nums, _ in rows)):
-        if len(comp) == 1:
-            nums, d = rows[comp[0]]
-            lo_n, lo_d = hi_n, hi_d = nums[comp[0]], d
-        else:
-            block = [rows[i] for i in comp]
-            try:
-                flat = [nums[j] / d for nums, d in block for j in comp]
-            except OverflowError:
-                raise _float_range_error(m.data) from None
-            vf = power_enclosure(flat, len(comp), tol_float, POWER_ITERATION_CAP)[3]
-            w = [max(1, round(x * _DYADIC_SCALE)) for x in vf]
-            ratios = [
-                (sum(nums[j] * wj for j, wj in zip(comp, w)), d * wi)
-                for (nums, d), wi in zip(block, w)
-            ]
-            lo_n, lo_d = hi_n, hi_d = ratios[0]
-            for r_n, r_d in ratios[1:]:
-                if r_n * lo_d < lo_n * r_d:
-                    lo_n, lo_d = r_n, r_d
-                elif r_n * hi_d > hi_n * r_d:
-                    hi_n, hi_d = r_n, r_d
+    for comp in strongly_connected_components(_support(nums for nums, _ in m._int_rows)):
+        _, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, tol_float)
         if lo_n * lower_d > lower_n * lo_d:
             lower_n, lower_d = lo_n, lo_d
         if hi_n * upper_d > upper_n * hi_d:
@@ -588,81 +546,20 @@ def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction]:
     return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d)
 
 
-def _block_path(m: Matrix, tol: Fraction, spent_iterations: int) -> RadiusEstimate:
-    """Certified enclosure for matrices where the single-witness iteration
-    stalls (reducible support, or clustered moduli).  Works per strongly
-    connected block, then stitches exact global bounds back together:
-
-    * lower: the best block lower bound, witnessed by the block vector
-      extended with zeros;
-    * upper: an exact resolvent solve (r I - m) u = 1 at a trial r just above
-      the lower bound, escalating r until u > 0 and m u <= r u hold exactly.
-    """
-    n = m.rows
-    total_iters = spent_iterations
-    best_lower = Fraction(0)
-    best_block: list[int] | None = None
-    best_witness: tuple[Fraction, ...] | None = None
-    block_upper = Fraction(0)
-    tol_float = float(tol) / _FLOAT_KERNEL_SLACK
-    for comp, lo, hi, wit, iters in _block_enclosures(m, tol_float):
-        total_iters += iters
-        if lo > best_lower or best_block is None:
-            best_lower = lo
-            best_block = comp
-            best_witness = wit
-        if hi > block_upper:
-            block_upper = hi
-    # global lower bound witness: block vector extended by zeros
-    lower_vec = [Fraction(0)] * n
-    for idx, value in zip(best_block, best_witness):
-        lower_vec[idx] = value
-    lower_witness = tuple(lower_vec)
-    if not certify_radius_lower(m, best_lower, lower_witness):
-        # cannot happen: off-block rows get 0 >= lower * 0; keep the guard
-        raise RuntimeError("internal certification failure (lower bound)")
-    # global upper bound via exact resolvent solve at escalating trial radii;
-    # every trial above rho certifies, so the doubling stops by the first
-    # trial above block_upper, however large the entries
-    step = tol / 2 if tol > 0 else Fraction(1, 10**9)
-    trial = best_lower + step
-    identity = Matrix.identity(n)
-    while True:
-        rows = [
-            [trial * identity.data[i][j] - m.data[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        sol = _solve_exact(rows, [Fraction(1)] * n)
-        if sol is not None and all(x > 0 for x in sol) and certify_radius_upper(m, trial, sol):
-            break
-        if trial > block_upper:
-            raise RuntimeError("resolvent escalation failed to certify an upper bound")
-        step *= 2
-        trial = best_lower + step
-    upper, upper_witness = trial, tuple(sol)
-    converged = (upper - best_lower) <= tol
-    mid = (best_lower + upper) / 2
-    return RadiusEstimate(
-        value=float(mid),
-        lower=best_lower,
-        upper=upper,
-        iterations=total_iters,
-        converged=converged,
-        witness_lower=Vector(lower_witness),
-        witness_upper=Vector(upper_witness),
-    )
-
-
 def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     """Certified rational enclosure of the spectral radius of a non-negative
     square matrix.
 
-    Fast path: float power iteration on m + I from the all-ones vector, the
-    iterate rationalised and re-checked exactly via Collatz-Wielandt ratios,
-    so one positive witness certifies both bounds.  When the gap refuses to
-    close (reducible support is the usual culprit) the computation reruns per
-    strongly connected block and the upper bound comes from an exact
-    resolvent solve; see _block_path.
+    First ``_dyadic_witness`` runs on the whole matrix; when its bounds close
+    to within tol, that one positive vector certifies both ends.  When the
+    gap refuses to close (reducible support is the usual culprit, or
+    clustered moduli) the computation reruns per strongly connected block
+    and stitches exact global bounds back together:
+
+    * lower: the best block lower bound, witnessed by the block's vector
+      extended with zeros;
+    * upper: an exact resolvent solve (r I - m) u = 1 at a trial r just above
+      the lower bound, escalating r until u > 0 and m u <= r u hold exactly.
     """
     if not m.is_square:
         raise ValueError("spectral radius needs a square matrix")
@@ -671,32 +568,68 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    kernel_tol = float(tol) / _FLOAT_KERNEL_SLACK
-    klo, khi, iterations, vf = _kernel_enclosure(m, kernel_tol)
-    witness = _rationalize_positive(vf)
-    lower, upper = _cw_ratios(m, witness)
+    n = m.rows
+    tol_float = float(tol) / _FLOAT_KERNEL_SLACK
+    w, lo, hi, iterations = _dyadic_witness(m, range(n), tol_float)
+    lower, upper = Fraction(*lo), Fraction(*hi)
     if upper - lower <= tol:
         bounds = gelfand_bounds(m, 4)
         if bounds and lower > 0 and bounds[-1] < float(lower) * (1 - 1e-6):
             # Gelfand norms bound rho from above, so falling below the
             # certified lower bound means an arithmetic bug somewhere
             raise RuntimeError("power iteration and Gelfand bound disagree")
-        mid = (lower + upper) / 2
         return RadiusEstimate(
-            value=float(mid),
+            value=float((lower + upper) / 2),
             lower=lower,
             upper=upper,
             iterations=iterations,
             converged=True,
-            witness_lower=Vector(witness),
-            witness_upper=Vector(witness),
+            witness_lower=Vector(w),
+            witness_upper=Vector(w),
         )
-    return _block_path(m, tol, iterations)
+    blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in support_components(m)]
+    iterations += sum(iters for *_, iters in blocks)
+    block_upper = max(Fraction(*hi) for _, _, _, hi, _ in blocks)
+    # the first block with the largest lower bound; its vector extended by zeros
+    comp, w, lo, _, _ = max(blocks, key=lambda block: Fraction(*block[2]))
+    lower = Fraction(*lo)
+    lower_witness = [0] * n
+    for i, x in zip(comp, w):
+        lower_witness[i] = x
+    if not certify_radius_lower(m, lower, lower_witness):
+        # cannot happen: off-block rows get 0 >= lower * 0; keep the guard
+        raise RuntimeError("internal certification failure (lower bound)")
+    # exact resolvent solve at escalating trial radii; every trial above rho
+    # certifies, so the doubling stops by the first trial above block_upper,
+    # however large the entries
+    step = tol / 2
+    while True:
+        upper = lower + step
+        rows = [
+            [(upper if i == j else _ZERO) - x for j, x in enumerate(row)]
+            for i, row in enumerate(m.data)
+        ]
+        sol = _solve_exact(rows, [Fraction(1)] * n)
+        if sol is not None and all(x > 0 for x in sol) and certify_radius_upper(m, upper, sol):
+            break
+        if upper > block_upper:
+            raise RuntimeError("resolvent escalation failed to certify an upper bound")
+        step *= 2
+    return RadiusEstimate(
+        value=float((lower + upper) / 2),
+        lower=lower,
+        upper=upper,
+        iterations=iterations,
+        converged=upper - lower <= tol,
+        witness_lower=Vector(lower_witness),
+        witness_upper=Vector(sol),
+    )
 
 
 def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
     """Positive right eigenvector of an irreducible non-negative matrix,
-    normalised to entrywise sum 1, with residual below tol.
+    normalised to entrywise sum 1, with residual below tol: the witness of
+    ``_dyadic_witness`` over its sum.
 
     Raises ReducibleMatrixError (carrying the detected block structure) when
     the support digraph is not strongly connected.
@@ -713,19 +646,14 @@ def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
         raise ReducibleMatrixError(
             f"matrix is reducible: {len(comps)} strongly connected blocks", comps
         )
-    estimate = spectral_radius(m, tol)
-    rho = rat(estimate.value)
+    rho = rat(spectral_radius(m, tol).value)
     kernel_tol = float(tol)
     for attempt in range(6):
-        klo, khi, iters, vf = _kernel_enclosure(m, kernel_tol)
-        v = _rationalize_positive(vf)
-        total = sum(v)
-        v = tuple(x / total for x in v)
-        residual = one_norm(
-            [lhs - rho * x for lhs, x in zip(mat_vec(m, v), v)]
-        )
+        w = _dyadic_witness(m, range(m.rows), kernel_tol)[0]
+        total = sum(w)
+        v = tuple(Fraction(x, total) for x in w)
+        residual = one_norm([lhs - rho * x for lhs, x in zip(mat_vec(m, v), v)])
         if residual <= tol:
             return Vector(v)
         kernel_tol /= 16.0
     raise RuntimeError("perron iteration failed to reach the requested residual")
-

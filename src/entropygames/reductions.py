@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, _combine, mat_mul, one_norm, vec_mat
+from .linalg import Matrix, _combine, mat_mul, vec_mat
 from .minsky import INC, JZDEC, STOP, TwoCounterMachine, step
 
 INTEGER = "integer"
@@ -594,7 +594,7 @@ def check_nonneg_punishment(
     magnitude_ok = True
     segments: list[PunishmentSegment] = []
     segment_start = 1
-    start_norm = segment_base_norm = one_norm(v)
+    start_norm = segment_base_norm = Fraction(sum(v))
     unit = 1
     turns_into_segment = 0
     identity_moves = _identity_moves(g)
@@ -610,7 +610,7 @@ def check_nonneg_punishment(
         adam_moves.append(adam_name)
         if adam_name != "Id":
             punished = True
-            after_norm = one_norm(v)
+            after_norm = Fraction(sum(v))
             f = turn - segment_start + 1
             ratio = (
                 after_norm / segment_base_norm if segment_base_norm else Fraction(0)
@@ -680,7 +680,7 @@ def check_nonneg_punishment(
         if halted_turn is None and eve_sim.halted():
             halted_turn = turn
 
-    final_norm = one_norm(v)
+    final_norm = Fraction(sum(v))
     # growth per turn (final / start)^(1/horizon), reported in log space so
     # long horizons cannot overflow; the < 2 verdict is decided exactly
     total_growth = (

@@ -432,3 +432,67 @@ def test_enclosure_contains_numpy_radius(n, rng):
     reference = max(abs(np.linalg.eigvals(np.array(m.to_floats()))))
     assert float(est.lower) <= reference + 1e-6
     assert float(est.upper) >= reference - 1e-6
+
+
+@st.composite
+def enclosure_cases(draw):
+    """A non-negative square matrix of order at most 5, of one of the kinds
+    the witness route must certify, with its rows and columns permuted, and
+    a tolerance."""
+    kind = draw(st.sampled_from(
+        ("block-triangular", "nilpotent", "zero", "tied diagonal", "permutation",
+         "rational perron", "huge")
+    ))
+    small = st.builds(Fraction, st.integers(0, 9), st.integers(1, 12))
+    if kind == "rational perron":
+        # rho = 12 with Perron vector (1, 2) / 3, which no dyadic grid holds
+        data = [[8, 2], [16, 4]]
+    elif kind == "permutation":
+        n = draw(st.integers(1, 5))
+        scale = draw(small.filter(bool))
+        data = [[scale if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    elif kind == "zero":
+        n = draw(st.integers(1, 5))
+        data = [[0] * n for _ in range(n)]
+    elif kind == "huge":
+        # integer entries near 2^600, inside the float range; order 3 at most
+        # keeps the Sturm checks of the assertions quick
+        n = draw(st.integers(1, 3))
+        data = [[draw(st.integers(0, 9)) << (600 * draw(st.integers(0, 1))) for _ in range(n)]
+                for _ in range(n)]
+    else:
+        n = draw(st.integers(2 if kind == "block-triangular" else 1, 5))
+        data = [[draw(small) for _ in range(n)] for _ in range(n)]
+        if kind == "block-triangular":
+            split = draw(st.integers(1, n - 1))
+            data = [[0 if i >= split > j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(data)]
+        elif kind == "nilpotent":
+            data = [[x if i < j else 0 for j, x in enumerate(row)] for i, row in enumerate(data)]
+        elif kind == "tied diagonal":
+            # one equal diagonal entry per singleton block, coupled upstream
+            top = draw(small)
+            data = [[x if i < j else top if i == j else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(data)]
+    order = draw(st.permutations(range(len(data))))
+    m = Matrix(tuple(tuple(data[i][j] for j in order) for i in order))
+    tol = draw(st.sampled_from((Fraction(1, 10**10), Fraction(1, 1000), Fraction(1, 7))))
+    return m, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(enclosure_cases())
+@example((Matrix(((8, 2), (16, 4))), Fraction(1, 10**10)))
+@example((Matrix(((2**600, 2**600, 1), (1, 2**600, 0), (0, 0, 1))), Fraction(1, 10**10)))
+@example((Matrix(((3, 0), (0, 2))), Fraction(1, 10**10)))
+def test_spectral_radius_witnesses_certify_exact_enclosures(case):
+    m, tol = case
+    r = spectral_radius(m, tol)
+    assert certify_radius_lower(m, r.lower, r.witness_lower)
+    assert certify_radius_upper(m, r.upper, r.witness_upper)
+    assert compare_radius_with_rational(m, r.lower) >= 0
+    assert compare_radius_with_rational(m, r.upper) <= 0
+    # the lower witness is a dyadic-witness vector, extended by zeros
+    assert all(x.denominator == 1 for x in r.witness_lower)
+    if r.converged:
+        assert r.width() <= tol
