@@ -26,15 +26,16 @@ an IruSet by ``right_product``.  Certificates carry the a0 or e0 committed.
 The game value itself comes from a saddle point of rho(A E) over the
 members (``find_saddle``): the value is the radius of the saddle product,
 bracketed on a dyadic grid from the saddle's certified enclosure of that
-radius, checked and narrowed by Sturm counting, and certified at each end
-with one player committed to their saddle strategy, by policy iteration
-above and one LP below.  The pair is guessed by float strategy
-iteration: Tribune answers a despot member by row switching on the
-product set E a (Protasov's spectral simplex method), and Despot improves
-against that answer in a Hoffman-Karp loop.  Floats decide nothing: one
-exact check, shared with ``verify_saddle``, confirms the pair, comparing
-radii with per-block Collatz-Wielandt enclosures first and Sturm counting
-when they overlap (``realroots.compare_radii_enclosed``).
+radius, narrowed by Sturm signs only when the rounded bracket is wider
+than the tolerance, and certified at each end with one player committed
+to their saddle strategy, by policy iteration above and one LP below.
+The pair is guessed by float strategy iteration: Tribune answers a despot
+member by row switching on the product set E a (Protasov's spectral
+simplex method), and Despot improves against that answer in a
+Hoffman-Karp loop.  Floats decide nothing: one exact check, shared with
+``verify_saddle``, confirms the pair, comparing radii with per-block
+Collatz-Wielandt enclosures first and Sturm counting when they overlap
+(``realroots.compare_radii_enclosed``).
 
 The check rests on the single-row lemma.  Let C be a non-negative
 irreducible n x n matrix with Perron vector v > 0 and radius rho, and let
@@ -657,17 +658,20 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterva
     rounded outward onto the dyadic grid of step 2^-k, for the least
     integer k with 2^-k <= tol: lower rounds down (to at least 0), and
     upper is lower plus the least power-of-two multiple of the step that
-    lies strictly above the enclosure.  Sturm counting on the
-    characteristic polynomial of a0 e0 then halves it to the step itself,
-    usually in no halving at all, and rechecks lower <= value < upper
-    exactly first, so a wrong enclosure raises rather than yield a wrong
-    bracket.  The endpoints stay on the grid, and a value on the grid comes
-    back exactly as lower.  Committing Despot to a0 certifies value <
-    upper by Howard policy iteration over Tribune's rows
-    (``decide_jsr_lt``, no LP), and committing Tribune to e0 certifies
-    value >= lower with one expansion LP (``decide_jssr_ge``): with
-    independent rows, the joint spectral radius (subradius) of a set is its
-    largest (smallest) member radius, which the saddle pins to the value."""
+    lies strictly above the enclosure.  Usually that bracket is one step
+    wide and needs no halving; when it is wider than tol,
+    ``realroots.bisect_radius`` halves it to the step on the
+    characteristic polynomial of a0 e0.  The endpoints stay on the grid,
+    and a value on the grid comes back exactly as lower.  Committing
+    Despot to a0 certifies value < upper by Howard policy iteration over
+    Tribune's rows (``decide_jsr_lt``, no LP), and committing Tribune to
+    e0 certifies value >= lower with one expansion LP
+    (``decide_jssr_ge``): with independent rows, the joint spectral radius
+    (subradius) of a set is its largest (smallest) member radius, which the
+    saddle pins to the value.  These certificates are exact, so a wrong
+    enclosure raises ValueError, from bisect_radius's check before its
+    first halving or from a certificate that fails, rather than yield a
+    wrong bracket."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -679,13 +683,15 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterva
     width = step
     while lower + width <= sp.radius.upper:
         width *= 2
-    lower, upper, steps = realroots.bisect_radius(
-        mat_mul(sp.despot_matrix, sp.tribune_matrix), lower, lower + width, tol
-    )
+    upper, steps = lower + width, 0
+    if width > tol:
+        lower, upper, steps = realroots.bisect_radius(
+            mat_mul(sp.despot_matrix, sp.tribune_matrix), lower, upper, tol
+        )
     ge_ok, lower_cert = decide_mm_ge(a_set, _only(sp.tribune_matrix), lower)
     lt_ok, upper_cert = decide_mm_lt(_only(sp.despot_matrix), e_set, upper)
     if not (ge_ok and lt_ok):
-        raise RuntimeError("bisection invariant violated at the final bracket")
+        raise ValueError("the bracket must satisfy lower <= rho < upper")
     return ValueInterval(
         lower=lower,
         upper=upper,

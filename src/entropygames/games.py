@@ -242,9 +242,9 @@ def solve(a: Arena, tol=Fraction(1, 10**6), cap=None) -> GameSolution:
     tol/2: that finds and exactly confirms a saddle pair, whose members are
     the optimal positional strategies returned here, rounds the saddle
     product's certified radius enclosure out onto a dyadic value bracket,
-    checked and narrowed by Sturm counting, and certifies both
-    ends with one player committed to their saddle strategy: the upper end
-    by Howard policy iteration, the lower end by one expansion LP."""
+    halved by Sturm signs only when it is wider than tol/2, and certifies
+    both ends with one player committed to their saddle strategy: the upper
+    end by Howard policy iteration, the lower end by one expansion LP."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")

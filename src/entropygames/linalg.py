@@ -53,8 +53,6 @@ from typing import Sequence
 
 from .kernels import power_enclosure
 
-Rational = Fraction
-
 DEFAULT_RADIUS_TOL = Fraction(1, 10**10)
 POWER_ITERATION_CAP = 10_000
 

@@ -1,12 +1,14 @@
 """Exact comparison of spectral radii via characteristic polynomials.
 
 For non-negative square matrices the spectral radius is itself an eigenvalue
-and is the largest real root of the characteristic polynomial.  That turns
-"is rho(P) < rho(Q)?" into a question about largest real roots of two
-rational polynomials, decidable exactly with Sturm chains: isolate each
-largest root in a rational interval, shrink the intervals until they
-separate, and detect genuine ties by checking whether the gcd of the two
-(square-free) polynomials has a root in the overlap.
+and is the largest real root of the characteristic polynomial.  Every exact
+radius question here goes through one Sturm query, built once per
+polynomial from its square-free part: how many distinct roots lie above x,
+and so the sign of rho - x, with no root isolation.
+``compare_radius_with_rational`` is one sign; ``bisect_radius`` halves a
+bracket on signs; ``compare_radii`` halves one bracket around both radii
+until a midpoint separates them, and detects a tie it can never split
+through the gcd of the two polynomials.
 
 Polynomials are coefficient lists of Fractions, lowest degree first.
 ``charpoly`` computes them over Python ints, by Faddeev-LeVerrier on the
@@ -127,15 +129,8 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    if a >= b:
-        return 0
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
 def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B]."""
+    """Cauchy bound B: all real roots lie in (-B, B)."""
     p = poly_trim(list(p))
     lead = abs(p[-1])
     if len(p) == 1:
@@ -143,79 +138,32 @@ def root_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) for c in p[:-1]) / lead
 
 
-def isolate_largest_root(p: Poly):
-    """Isolating interval (lo, hi] for the largest real root of a square-free
-    p, or None when p has no real root.  No root lies above hi."""
-    p = poly_trim(list(p))
-    chain = sturm_chain(p)
-    bound = root_bound(p)
-    lo, hi = -bound, bound
-    if count_roots(chain, lo, hi) == 0:
-        return None
-    # shrink from the left while keeping >= 1 root above lo and none above hi
-    while count_roots(chain, lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if count_roots(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return chain, lo, hi
+class _Roots:
+    """The distinct real roots of a polynomial, counted by the Sturm chain of
+    its square-free part: with V(x) the chain's sign variations at x,
+    V(a) - V(b) of them lie in (a, b], and all of them in (-B, B) for the
+    Cauchy bound B, so V(x) - V(B) lie above x."""
 
+    def __init__(self, p: Poly):
+        self.poly = square_free(p)
+        self.chain = sturm_chain(self.poly)
+        self.bound = root_bound(self.poly)
+        self._top = _sign_variations(self.chain, self.bound)
+        self.count = _sign_variations(self.chain, -self.bound) - self._top
 
-def _refine(chain, lo, hi):
-    mid = (lo + hi) / 2
-    if count_roots(chain, mid, hi) == 1:
-        return mid, hi
-    return lo, mid
+    def above(self, x: Fraction) -> int:
+        """The number of distinct real roots above x."""
+        return _sign_variations(self.chain, x) - self._top
 
-
-def compare_largest_root_with_rational(p: Poly, r) -> int:
-    """Sign of (largest real root of p) - r.  Raises when p has no real
-    root."""
-    r = rat(r)
-    ps = square_free(p)
-    iso = isolate_largest_root(ps)
-    if iso is None:
-        raise ValueError("polynomial has no real root")
-    chain, lo, hi = iso
-    if poly_eval(ps, r) == 0:
-        # r is a root; it is the largest one exactly when nothing lies above
-        return 1 if count_roots(chain, r, hi if hi > r else r + 1) > 0 else 0
-    while lo < r <= hi:
-        lo, hi = _refine(chain, lo, hi)
-    return 1 if r <= lo else -1
-
-
-def compare_largest_roots(p: Poly, q: Poly) -> int:
-    """Sign of (largest real root of p) - (largest real root of q), exact.
-
-    Ties are detected through gcd(p, q): if the two isolating intervals keep
-    overlapping, the shared root must be a root of the gcd inside the
-    overlap, and conversely."""
-    ps = square_free(p)
-    qs = square_free(q)
-    iso_p = isolate_largest_root(ps)
-    iso_q = isolate_largest_root(qs)
-    if iso_p is None or iso_q is None:
-        raise ValueError("polynomial has no real root")
-    chain_p, plo, phi = iso_p
-    chain_q, qlo, qhi = iso_q
-    g = poly_gcd(ps, qs)
-    g_chain = sturm_chain(g) if poly_degree(g) >= 1 else None
-    while True:
-        if phi <= qlo:
-            return -1
-        if qhi <= plo:
+    def sign(self, x: Fraction) -> int:
+        """Sign of rho - x, for rho the largest real root: one chain
+        evaluation and at most one of the polynomial, no isolation.  Raises
+        when there is no real root."""
+        if self.above(x) > 0:
             return 1
-        if g_chain is not None:
-            olo = max(plo, qlo)
-            ohi = min(phi, qhi)
-            if olo < ohi and count_roots(g_chain, olo, ohi) > 0:
-                # a common root inside both isolating intervals equals both
-                # largest roots
-                return 0
-        plo, phi = _refine(chain_p, plo, phi)
-        qlo, qhi = _refine(chain_q, qlo, qhi)
+        if not self.count:
+            raise ValueError("polynomial has no real root")
+        return 0 if poly_eval(self.poly, x) == 0 else -1
 
 
 def charpoly(m: Matrix) -> Poly:
@@ -255,12 +203,40 @@ def charpoly(m: Matrix) -> Poly:
 
 def compare_radii(p_matrix: Matrix, q_matrix: Matrix) -> int:
     """Sign of rho(P) - rho(Q) for non-negative square matrices, exact.
+
     Equal characteristic polynomials mean equal spectra, a tie settled
-    without root isolation."""
+    without Sturm counting.  Otherwise one bracket (lo, hi) around both
+    radii is halved until the signs of rho(P) - mid and rho(Q) - mid
+    differ, or are both 0.  A tie that no midpoint hits never splits: once
+    each polynomial has exactly one root above lo, its radius, a root of
+    their gcd above lo is both radii."""
     if p_matrix.data == q_matrix.data:
         return 0
     p, q = charpoly(p_matrix), charpoly(q_matrix)
-    return 0 if p == q else compare_largest_roots(p, q)
+    if p == q:
+        return 0
+    p_roots, q_roots = _Roots(p), _Roots(q)
+    g = poly_gcd(p_roots.poly, q_roots.poly)
+    g_roots = _Roots(g) if poly_degree(g) >= 1 else None
+    hi = max(p_roots.bound, q_roots.bound)
+    lo = -hi
+    while True:
+        mid = (lo + hi) / 2
+        p_sign, q_sign = p_roots.sign(mid), q_roots.sign(mid)
+        if p_sign != q_sign:
+            return 1 if p_sign > q_sign else -1
+        if p_sign == 0:
+            return 0
+        if p_sign < 0:
+            hi = mid
+            continue
+        lo = mid
+        if (
+            g_roots is not None
+            and g_roots.above(lo)
+            and p_roots.above(lo) == q_roots.above(lo) == 1
+        ):
+            return 0
 
 
 def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> int:
@@ -294,7 +270,7 @@ def _cached_bounds(cache: dict, m: Matrix) -> tuple[Fraction, Fraction]:
 
 def compare_radius_with_rational(m: Matrix, r) -> int:
     """Sign of rho(m) - r for a non-negative square matrix, exact."""
-    return compare_largest_root_with_rational(charpoly(m), r)
+    return _Roots(charpoly(m)).sign(rat(r))
 
 
 def bisect_radius(m: Matrix, lower, upper, tol) -> tuple[Fraction, Fraction, int]:
@@ -306,26 +282,18 @@ def bisect_radius(m: Matrix, lower, upper, tol) -> tuple[Fraction, Fraction, int
     lower.  A bracket with ends on the grid of a step s and a width of s
     times a power of two keeps its ends on that grid while it is halved
     down to s; value_bisection passes such a bracket, rounded out from a
-    certified enclosure of rho, and often needs no halving.  The
-    square-free Sturm chain of the characteristic polynomial is built once;
-    since rho is its largest real root, rho >= x exactly when x is a root or
-    some root lies above x.  Returns (lower, upper, halvings)."""
+    certified enclosure of rho, when it is wider than tol.  Returns
+    (lower, upper, halvings)."""
     lower, upper, tol = rat(lower), rat(upper), rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    p = square_free(charpoly(m))
-    chain = sturm_chain(p)
-    above_all = _sign_variations(chain, root_bound(p))
-
-    def at_most_rho(x: Fraction) -> bool:
-        return poly_eval(p, x) == 0 or _sign_variations(chain, x) > above_all
-
-    if not at_most_rho(lower) or at_most_rho(upper):
+    roots = _Roots(charpoly(m))
+    if roots.sign(lower) < 0 or roots.sign(upper) >= 0:
         raise ValueError("the bracket must satisfy lower <= rho < upper")
     steps = 0
     while upper - lower > tol:
         mid = (lower + upper) / 2
-        if at_most_rho(mid):
+        if roots.sign(mid) >= 0:
             lower = mid
         else:
             upper = mid

@@ -27,7 +27,13 @@ multiplied, as the reference for the products the audits skip;
 replay_nonneg_audit plays the whole non-negative audit with them and the
 literal machine, the reference for its integer loop.
 fraction_charpoly is the Faddeev-LeVerrier loop over Fractions that the
-integer one in realroots.charpoly replaced.
+integer one in realroots.charpoly replaced.  isolate_largest_root,
+count_roots and the isolating comparisons built on them are the Sturm
+routes that realroots' single sign query replaced: isolate the largest root
+from the Cauchy bound down, refine the isolating interval, and test a tie by
+the gcd's roots in the overlap; isolating_compare_radii,
+isolating_compare_radius_with_rational and isolating_bisect_radius ask the
+public questions through them.
 """
 
 from __future__ import annotations
@@ -357,6 +363,129 @@ def fraction_charpoly(m):
             for i in range(n)
         ]
     return coeffs
+
+
+def count_roots(chain, a, b):
+    """Number of distinct real roots of a square-free polynomial in the
+    half-open interval (a, b], from its Sturm chain."""
+    from entropygames.realroots import _sign_variations
+
+    if a >= b:
+        return 0
+    return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def isolate_largest_root(p):
+    """(chain, lo, hi) with the largest real root of a square-free p the only
+    root in (lo, hi] and none above hi, or None when p has no real root:
+    halve from the Cauchy interval (-B, B] on root counts."""
+    from entropygames.realroots import poly_trim, root_bound, sturm_chain
+
+    p = poly_trim(list(p))
+    chain = sturm_chain(p)
+    bound = root_bound(p)
+    lo, hi = -bound, bound
+    if count_roots(chain, lo, hi) == 0:
+        return None
+    while count_roots(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if count_roots(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return chain, lo, hi
+
+
+def _refine(chain, lo, hi):
+    mid = (lo + hi) / 2
+    if count_roots(chain, mid, hi) == 1:
+        return mid, hi
+    return lo, mid
+
+
+def compare_largest_root_with_rational(p, r):
+    """Sign of (largest real root of p) - r, by refining its isolating
+    interval until r leaves it."""
+    from entropygames.realroots import poly_eval, square_free
+
+    r = Fraction(r)
+    ps = square_free(p)
+    iso = isolate_largest_root(ps)
+    if iso is None:
+        raise ValueError("polynomial has no real root")
+    chain, lo, hi = iso
+    if poly_eval(ps, r) == 0:
+        return 1 if count_roots(chain, r, hi if hi > r else r + 1) > 0 else 0
+    while lo < r <= hi:
+        lo, hi = _refine(chain, lo, hi)
+    return 1 if r <= lo else -1
+
+
+def compare_largest_roots(p, q):
+    """Sign of (largest real root of p) - (largest real root of q): refine
+    both isolating intervals until they separate, or until the gcd has a
+    root in their overlap, which is then both largest roots."""
+    from entropygames.realroots import poly_degree, poly_gcd, square_free, sturm_chain
+
+    ps = square_free(p)
+    qs = square_free(q)
+    iso_p = isolate_largest_root(ps)
+    iso_q = isolate_largest_root(qs)
+    if iso_p is None or iso_q is None:
+        raise ValueError("polynomial has no real root")
+    chain_p, plo, phi = iso_p
+    chain_q, qlo, qhi = iso_q
+    g = poly_gcd(ps, qs)
+    g_chain = sturm_chain(g) if poly_degree(g) >= 1 else None
+    while True:
+        if phi <= qlo:
+            return -1
+        if qhi <= plo:
+            return 1
+        if g_chain is not None:
+            olo = max(plo, qlo)
+            ohi = min(phi, qhi)
+            if olo < ohi and count_roots(g_chain, olo, ohi) > 0:
+                return 0
+        plo, phi = _refine(chain_p, plo, phi)
+        qlo, qhi = _refine(chain_q, qlo, qhi)
+
+
+def isolating_compare_radii(p, q):
+    """realroots.compare_radii through isolating intervals."""
+    from entropygames.realroots import charpoly
+
+    if p.data == q.data:
+        return 0
+    cp, cq = charpoly(p), charpoly(q)
+    return 0 if cp == cq else compare_largest_roots(cp, cq)
+
+
+def isolating_compare_radius_with_rational(m, r):
+    """realroots.compare_radius_with_rational through an isolating
+    interval."""
+    from entropygames.realroots import charpoly
+
+    return compare_largest_root_with_rational(charpoly(m), r)
+
+
+def isolating_bisect_radius(m, lower, upper, tol):
+    """realroots.bisect_radius with each midpoint placed by
+    isolating_compare_radius_with_rational."""
+    lower, upper, tol = Fraction(lower), Fraction(upper), Fraction(tol)
+    if isolating_compare_radius_with_rational(
+        m, lower
+    ) < 0 or isolating_compare_radius_with_rational(m, upper) >= 0:
+        raise ValueError("the bracket must satisfy lower <= rho < upper")
+    steps = 0
+    while upper - lower > tol:
+        mid = (lower + upper) / 2
+        if isolating_compare_radius_with_rational(m, mid) >= 0:
+            lower = mid
+        else:
+            upper = mid
+        steps += 1
+    return lower, upper, steps
 
 
 def norm_bound(a_set, e_set):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +10,12 @@ from hypothesis import strategies as st
 import oracle_helpers
 from entropygames.linalg import Matrix, block_radius_bounds
 from entropygames.realroots import (
+    _Roots,
     bisect_radius,
     charpoly,
-    compare_largest_root_with_rational,
-    compare_largest_roots,
     compare_radii,
     compare_radii_enclosed,
     compare_radius_with_rational,
-    count_roots,
-    isolate_largest_root,
     square_free,
     sturm_chain,
 )
@@ -44,45 +42,71 @@ def test_square_free_strips_multiplicity():
 
 
 def test_count_roots_half_open():
-    # roots of x^2 - 1 are -1 and 1; the interval convention is (a, b]
+    # roots of x^2 - 1 are -1 and 1; the oracle's interval convention is
+    # (a, b], and the sign query counts the roots strictly above x
     p = [Fraction(-1), Fraction(0), Fraction(1)]
     chain = sturm_chain(square_free(p))
-    assert count_roots(chain, Fraction(-2), Fraction(2)) == 2
-    assert count_roots(chain, Fraction(0), Fraction(1)) == 1
-    assert count_roots(chain, Fraction(1), Fraction(2)) == 0
-    assert count_roots(chain, Fraction(-1), Fraction(1)) == 1
+    assert oracle_helpers.count_roots(chain, Fraction(-2), Fraction(2)) == 2
+    assert oracle_helpers.count_roots(chain, Fraction(0), Fraction(1)) == 1
+    assert oracle_helpers.count_roots(chain, Fraction(1), Fraction(2)) == 0
+    assert oracle_helpers.count_roots(chain, Fraction(-1), Fraction(1)) == 1
+    roots = _Roots(p)
+    assert roots.count == 2
+    assert [roots.above(Fraction(x)) for x in (-2, -1, 0, 1, 2)] == [2, 1, 1, 0, 0]
+    assert [roots.sign(Fraction(x)) for x in (0, 1, 2)] == [1, 0, -1]
 
 
 def test_isolate_largest_root():
     p = charpoly(RUNNING)
-    chain, lo, hi = isolate_largest_root(p)
+    chain, lo, hi = oracle_helpers.isolate_largest_root(p)
     root = (3 + math.sqrt(17)) / 2
     assert float(lo) < root < float(hi) or float(hi) == pytest.approx(root)
-    assert count_roots(chain, lo, hi) == 1
+    assert oracle_helpers.count_roots(chain, lo, hi) == 1
+    # the sign query puts the same root inside (lo, hi] without isolating it
+    roots = _Roots(p)
+    assert roots.sign(lo) == 1 and roots.sign(hi) <= 0
+    assert roots.above(lo) == 1
 
 
 def test_isolate_largest_root_none_for_rootless():
-    # x^2 + 1 has no real roots
-    assert isolate_largest_root([Fraction(1), Fraction(0), Fraction(1)]) is None
+    # x^2 + 1 has no real roots: the oracle finds none, and the sign query
+    # refuses to name a largest one
+    p = [Fraction(1), Fraction(0), Fraction(1)]
+    assert oracle_helpers.isolate_largest_root(p) is None
+    roots = _Roots(p)
+    assert roots.count == 0 and roots.above(Fraction(-5)) == 0
+    with pytest.raises(ValueError, match="no real root"):
+        roots.sign(Fraction(0))
+    with pytest.raises(ValueError, match="no real root"):
+        compare_radii(Matrix(((0, -1), (1, 0))), RUNNING)
 
 
 def test_compare_largest_roots_strict_and_tie():
     p = [Fraction(-2), Fraction(0), Fraction(1)]  # roots +-sqrt(2)
     q = [Fraction(-3), Fraction(0), Fraction(1)]  # roots +-sqrt(3)
-    assert compare_largest_roots(p, q) == -1
-    assert compare_largest_roots(q, p) == 1
-    assert compare_largest_roots(p, list(p)) == 0
+    assert oracle_helpers.compare_largest_roots(p, q) == -1
+    assert oracle_helpers.compare_largest_roots(q, p) == 1
+    assert oracle_helpers.compare_largest_roots(p, list(p)) == 0
     # same largest root sqrt(2) through different polynomials
     r = [Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]  # x(x^2-2)
-    assert compare_largest_roots(p, r) == 0
+    assert oracle_helpers.compare_largest_roots(p, r) == 0
+    # the same questions through the matrices whose polynomials these are:
+    # x^2 - 2, x^2 - 3 and (x^2 - 2)(x - 1)
+    a, b = Matrix(((0, 1), (2, 0))), Matrix(((0, 1), (3, 0)))
+    c = Matrix(((0, 1, 0), (2, 0, 0), (0, 0, 1)))
+    assert (compare_radii(a, b), compare_radii(b, a), compare_radii(a, c)) == (-1, 1, 0)
 
 
 def test_compare_largest_root_with_rational():
     p = [Fraction(-2), Fraction(0), Fraction(1)]
-    assert compare_largest_root_with_rational(p, Fraction(1)) == 1
-    assert compare_largest_root_with_rational(p, Fraction(2)) == -1
     q = [Fraction(-4), Fraction(0), Fraction(1)]
-    assert compare_largest_root_with_rational(q, Fraction(2)) == 0
+    for compare in (
+        oracle_helpers.compare_largest_root_with_rational,
+        lambda poly, r: _Roots(poly).sign(r),
+    ):
+        assert compare(p, Fraction(1)) == 1
+        assert compare(p, Fraction(2)) == -1
+        assert compare(q, Fraction(2)) == 0
 
 
 def test_compare_radii_exact_tie():
@@ -268,9 +292,23 @@ def _shaped_rows(draw, n, kind):
     return [[rows[i][j] for j in order] for i in order]
 
 
+def _beside(a, b):
+    """The block diagonal matrix of rows a and rows b."""
+    return [list(r) + [0] * len(b) for r in a] + [[0] * len(a) + list(r) for r in b]
+
+
 @st.composite
-def radius_pairs(draw):
-    kind = draw(st.sampled_from(("rational", "reducible", "tied", "zero")))
+def radius_pairs(draw, max_order=8):
+    kind = draw(st.sampled_from(("rational", "reducible", "tied", "zero", "shared")))
+    if kind == "shared":
+        # one block beside a different block each: a shared root, often not
+        # the largest one of either
+        common = _shaped_rows(draw, draw(st.integers(1, 2)), "rational")
+        p, q = (
+            _beside(_shaped_rows(draw, draw(st.integers(1, 2)), "rational"), common)
+            for _ in range(2)
+        )
+        return Matrix(p), Matrix(q)
     if kind != "tied":
         p, q = (_shaped_rows(draw, draw(st.integers(1, 4)), kind) for _ in range(2))
         return Matrix(p), Matrix(q)
@@ -279,10 +317,9 @@ def radius_pairs(draw):
     n = draw(st.integers(1, 4))
     rows = _shaped_rows(draw, n, draw(st.sampled_from(("rational", "reducible"))))
     q = [list(col) for col in zip(*rows)]
-    extra = draw(st.sampled_from(("none", "zero", "copy")))
+    extra = draw(st.sampled_from(("none", "zero", "copy"))) if 2 * n <= max_order else "none"
     if extra != "none":
-        pad = rows if extra == "copy" else [[0] * n for _ in range(n)]
-        q = [r + [0] * n for r in q] + [[0] * n + list(r) for r in pad]
+        q = _beside(q, rows if extra == "copy" else [[0] * n for _ in range(n)])
     return Matrix(rows), Matrix(q)
 
 
@@ -297,3 +334,60 @@ def test_compare_radii_enclosed_matches_compare_radii_on_hard_pairs(pair):
     expected = compare_radii(p, q)
     assert compare_radii_enclosed(cache, p, q) == expected
     assert compare_radii_enclosed(cache, q, p) == -expected
+
+
+# -- the sign query against the isolating routes it replaced -----------------
+
+
+def _probes(m, other):
+    """Rationals to compare rho(m) with: its block bounds, the other
+    matrix's, just outside them, and 0."""
+    points = {Fraction(0)}
+    for lo, hi in (block_radius_bounds(m), block_radius_bounds(other)):
+        points |= {lo, hi, lo - Fraction(1, 7), hi + Fraction(1, 3), (lo + hi) / 2}
+    return sorted(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(radius_pairs(max_order=4))
+@example((Matrix(((0, 1), (2, 0))), Matrix(((0, 1, 0), (2, 0, 0), (0, 0, 1)))))
+@example((Matrix(((0, 2), (2, 0))), Matrix(((2, 1), (0, 1)))))
+@example((Matrix(((0, 1), (0, 0))), Matrix(((0, 0), (0, 0)))))
+@example((Matrix(((Fraction(1, 3),),)), Matrix(((0, 1), (Fraction(1, 9), 0)))))
+@example((Matrix(((3, 0), (0, 1))), Matrix(((2, 0), (0, 1)))))
+@example((Matrix(((3, 0), (0, 1))), Matrix(((Fraction(25, 8), 0), (0, 1)))))
+def test_sign_query_matches_isolating_oracle(pair):
+    # irrational ties through different polynomials (sqrt 2 above), rational
+    # ties off the dyadic grid (1/3), zero radii, reducible pairs, and a
+    # shared root 1 below two different radii, which is no tie
+    p, q = pair
+    expected = oracle_helpers.isolating_compare_radii(p, q)
+    assert compare_radii(p, q) == expected
+    assert compare_radii(q, p) == -expected
+    for m, other in ((p, q), (q, p)):
+        for r in _probes(m, other):
+            assert compare_radius_with_rational(
+                m, r
+            ) == oracle_helpers.isolating_compare_radius_with_rational(m, r)
+        lo, hi = block_radius_bounds(m)
+        lower, upper = Fraction(math.floor(lo)), Fraction(math.floor(hi) + 1)
+        tol = Fraction(1, 64)
+        assert bisect_radius(m, lower, upper, tol) == oracle_helpers.isolating_bisect_radius(
+            m, lower, upper, tol
+        )
+
+
+def test_sign_query_on_a_steep_matrix():
+    # entries near 2^600 over denominators up to 12: the Cauchy bound is
+    # about 2^3000, so isolating the largest root from it took some 15 s a
+    # call, where the sign query evaluates the chain once
+    rng = random.Random(5)
+    def entry():
+        x = Fraction(rng.randint(0, 9), rng.randint(1, 12))
+        return x * 2**600 if rng.random() < 0.5 else x
+
+    m = Matrix(tuple(tuple(entry() for _ in range(5)) for _ in range(5)))
+    lo, hi = block_radius_bounds(m)
+    assert lo < hi
+    signs = [compare_radius_with_rational(m, r) for r in (lo - 1, lo, hi, hi + 1)]
+    assert signs == [1, 1, -1, -1]
