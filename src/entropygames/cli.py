@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from . import io
 from .decide import (
-    PositivityRequiredError,
     decide_jsr_le,
     decide_jsr_lt,
     decide_jssr_ge,
@@ -41,8 +40,7 @@ from .games import (
     simulate_payoff,
     solve,
 )
-from .iru import EnumerationCapError, IruSet
-from .linalg import ReducibleMatrixError
+from .iru import IruSet
 from .minsky import TwoCounterMachine
 from .reductions import (
     INTEGER,
@@ -65,14 +63,12 @@ QUERIES = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation: subcommand, inputs, and the knobs shared by all
+    """Resolved invocation: the input path and the knobs shared by all
     commands."""
 
-    subcommand: str
-    inputs: tuple[str, ...]
+    input: str
     output: str | None
     tol: Fraction
-    cap: int | None
     horizon: int
     seed: int
     machine_readable: bool
@@ -80,8 +76,6 @@ class RunConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("enumeration cap must be at least 1")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
@@ -122,8 +116,8 @@ def _certificate_doc(cert) -> dict | None:
     return doc
 
 
-def _load(cfg: RunConfig, index: int = 0):
-    return io.load_document(cfg.inputs[index])
+def _load(cfg: RunConfig):
+    return io.load_document(cfg.input)
 
 
 def cmd_translate(cfg: RunConfig) -> int:
@@ -138,7 +132,7 @@ def cmd_translate(cfg: RunConfig) -> int:
 def cmd_value(cfg: RunConfig) -> int:
     kind, value = _load(cfg)
     if kind == io.ARENA:
-        sol = solve(value, cfg.tol, cfg.cap)
+        sol = solve(value, cfg.tol)
         vi = sol.value
         if cfg.machine_readable:
             _emit_json(
@@ -165,7 +159,7 @@ def cmd_value(cfg: RunConfig) -> int:
         return 0
     if kind == io.PAIR:
         a_set, e_set = value
-        vi = value_bisection(a_set, e_set, cfg.tol, cfg.cap)
+        vi = value_bisection(a_set, e_set, cfg.tol)
         if cfg.machine_readable:
             _emit_json(
                 cfg,
@@ -197,8 +191,7 @@ def cmd_decide(cfg: RunConfig, query: str, alpha_text: str) -> int:
     else:
         if kind != io.PAIR:
             raise ValueError(f"query {query} expects a pair document, got {kind}")
-        a_set, e_set = value
-        answer, cert = decide(a_set, e_set, alpha, cfg.cap)
+        answer, cert = decide(*value, alpha)
     if cfg.machine_readable:
         _emit_json(
             cfg,
@@ -436,7 +429,7 @@ def cmd_mpg(cfg: RunConfig, do_solve: bool) -> int:
     if not do_solve:
         _emit_text(cfg, io.dumps_document(mpg_to_weighted_eg(value)))
         return 0
-    (lo, hi), sol = mpg_value(value, cfg.tol, cfg.cap)
+    (lo, hi), sol = mpg_value(value, cfg.tol)
     if cfg.machine_readable:
         _emit_json(
             cfg,
@@ -468,14 +461,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     d = (lambda v: v) if top_level else (lambda v: argparse.SUPPRESS)
     parser.add_argument(
         "--tol", default=d("1/1000000"), help="tolerance as p/q (default 1/1000000)"
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=d(None),
-        help="cap on the members a step may enumerate: the saddle search's check "
-        "of a reducible centre product and its exact fallback, in value, mpg "
-        "and the mm queries of decide; simulate enumerates nothing",
     )
     parser.add_argument("--seed", type=int, default=d(0), help="seed for random strategies")
     if top_level:
@@ -550,11 +535,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(
-            subcommand=args.subcommand,
-            inputs=(args.input,),
+            input=args.input,
             output=args.output,
             tol=io.parse_rational(args.tol),
-            cap=args.cap,
             horizon=getattr(args, "turns", 50),
             seed=args.seed,
             machine_readable=args.json,
@@ -574,16 +557,7 @@ def main(argv=None) -> int:
         if args.subcommand == "mpg":
             return cmd_mpg(cfg, args.solve)
         raise ValueError(f"unknown subcommand {args.subcommand!r}")
-    except (
-        ValueError,
-        KeyError,
-        IndexError,
-        OSError,
-        EnumerationCapError,
-        PositivityRequiredError,
-        ReducibleMatrixError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,7 +61,10 @@ single-row deviations, each compared exactly with the centre, settle all
 Pi |S_i| members.  On a reducible centre they do not: with Despot's
 identity against Tribune's rows (1, 0) | (0, 5) and (0, 1) | (5, 0),
 every single swap of E = I keeps rho at 1 but swapping both gives 5.  Such
-a side is compared with every member, under the enumeration cap.
+a side is compared with every member.  That check, and the exact grid
+fallback of ``find_saddle``, enumerate members through
+``iru.enumerate_members``, which refuses a side of more than
+``iru.ENUM_CAP`` members with an EnumerationCapError naming the step.
 """
 
 from __future__ import annotations
@@ -70,14 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import realroots
-from .iru import (
-    EnumerationCapError,
-    IruSet,
-    RowSet,
-    enumerate_members,
-    resolve_enum_cap,
-    right_product,
-)
+from .iru import IruSet, RowSet, enumerate_members, right_product
 from .kernels import power_enclosure
 from .linalg import (
     Matrix,
@@ -266,7 +262,7 @@ def _check_game_shapes(a_set: IruSet, e_set: IruSet):
         )
 
 
-def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha, cap):
+def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha):
     """Commit the certifying player (Tribune for MM_GE, else Despot) to their
     saddle strategy, a one-member side's member with no search and
     find_saddle's otherwise, and decide the product set this leaves."""
@@ -277,33 +273,27 @@ def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha, cap):
     if own.size == 1:
         chosen = own.member((0,) * own.n_rows)
     else:
-        sp = find_saddle(a_set, e_set, cap)
+        sp = find_saddle(a_set, e_set)
         chosen = sp.tribune_matrix if tribune else sp.despot_matrix
     ok, cert = decide(right_product(other, chosen), alpha)
     return ok, cert and Certificate(kind, cert.vector, chosen_matrix=chosen)
 
 
-def decide_mm_lt(
-    a_set: IruSet, e_set: IruSet, alpha, cap=None
-) -> tuple[bool, Certificate | None]:
+def decide_mm_lt(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the game value strictly below alpha?  Exactly when Despot's saddle
     strategy a0 leaves a product set E a0 with joint spectral radius below
     alpha (``decide_jsr_lt``); the certificate carries a0 and its vector."""
-    return _committed(MM_LT, a_set, e_set, alpha, cap)
+    return _committed(MM_LT, a_set, e_set, alpha)
 
 
-def decide_mm_ge(
-    a_set: IruSet, e_set: IruSet, alpha, cap=None
-) -> tuple[bool, Certificate | None]:
+def decide_mm_ge(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the game value at least alpha?  Dual to decide_mm_lt: Tribune's
     saddle strategy e0 must leave a product set A e0 with joint spectral
     subradius at least alpha (``decide_jssr_ge``, one LP)."""
-    return _committed(MM_GE, a_set, e_set, alpha, cap)
+    return _committed(MM_GE, a_set, e_set, alpha)
 
 
-def decide_mm_le(
-    a_set: IruSet, e_set: IruSet, alpha, cap=None
-) -> tuple[bool, Certificate | None]:
+def decide_mm_le(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the game value at most alpha?  Despot commits as in decide_mm_lt.
     Positive sets only (the committed product set is then positive too,
     which the non-strict decision needs)."""
@@ -311,7 +301,7 @@ def decide_mm_le(
         raise PositivityRequiredError(
             "non-strict game threshold decided for positive sets only"
         )
-    return _committed(MM_LE, a_set, e_set, alpha, cap)
+    return _committed(MM_LE, a_set, e_set, alpha)
 
 
 def _verify_rows(s: IruSet, vector, alpha: Fraction, kind: str) -> bool:
@@ -510,17 +500,7 @@ def _iterate(a_rows, e_rows, a, e):
     return a, e
 
 
-def _members(s: IruSet, cap, stage: str):
-    """enumerate_members, with a cap error that names the enumerating stage."""
-    limit = resolve_enum_cap(cap)
-    if s.size > limit:
-        raise EnumerationCapError(
-            f"{stage}: {s.size} members exceed the enumeration cap of {limit}"
-        )
-    return enumerate_members(s, limit)
-
-
-def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cap, cache, side: str):
+def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     """A member of s that beats ``own`` against ``other``, or None.
 
     The centre is C = own . other; a member M beats own when sign *
@@ -529,10 +509,11 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cap, cache, side: 
     single-row deviations are compared (see the module docstring for why
     they suffice): one vec_mat and one exact comparison each, the first
     that beats own is returned.  A reducible C has no such lemma, and every
-    member is compared, under the cap."""
+    member is compared; more than iru.ENUM_CAP members raise
+    EnumerationCapError naming the reducible centre and ``side``."""
     centre = mat_mul(own, other)
     if len(support_components(centre)) > 1:
-        for m in _members(s, cap, f"reducible centre on {side}"):
+        for m in enumerate_members(s, f"reducible centre on {side}"):
             if sign * realroots.compare_radii_enclosed(cache, mat_mul(m, other), centre) > 0:
                 return m
         return None
@@ -550,14 +531,14 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cap, cache, side: 
     return None
 
 
-def _refute_pair(a_set, e_set, a0, e0, cap, cache):
+def _refute_pair(a_set, e_set, a0, e0, cache):
     """None when (a0, e0) is a saddle, else the pair with one side replaced
     by a member that beats it: Tribune's deviations on e0 a0 are checked
     first, then Despot's on a0 e0."""
-    better = _refute(e_set, e0, a0, 1, cap, cache, "Tribune's side")
+    better = _refute(e_set, e0, a0, 1, cache, "Tribune's side")
     if better is not None:
         return a0, better
-    better = _refute(a_set, a0, e0, -1, cap, cache, "Despot's side")
+    better = _refute(a_set, a0, e0, -1, cache, "Despot's side")
     if better is not None:
         return better, e0
     return None
@@ -571,7 +552,7 @@ def _choice(s: IruSet, m: Matrix) -> list[int]:
     return [rs.rows.index(row) for rs, row in zip(s.row_sets, m.data)]
 
 
-def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
+def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     """A saddle point of rho(A E): a pair where no unilateral member swap
     raises Despot's guarantee or lowers Tribune's.
 
@@ -579,10 +560,11 @@ def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
     shared exact check (``_refute_pair``) confirms it.  A refuting member is
     an exactly confirmed improvement for its side; iteration resumes from
     it.  After a fixed number of refuted rounds the grid cells are checked
-    exactly in lexicographic order, under the cap; a saddle always exists,
-    so one of them confirms.  No member grid is formed otherwise, and on a
-    side with an irreducible centre the check makes at most
-    sum(|S_i| - 1) exact comparisons."""
+    exactly in lexicographic order; a saddle always exists, so one of them
+    confirms.  That fallback, like the check of a reducible centre, raises
+    EnumerationCapError on a side of more than iru.ENUM_CAP members.  No
+    member grid is formed otherwise, and on a side with an irreducible
+    centre the check makes at most sum(|S_i| - 1) exact comparisons."""
     _check_game_shapes(a_set, e_set)
     a_rows, e_rows = _float_rows(a_set), _float_rows(e_set)
     a, e = [0] * a_set.n_rows, [0] * e_set.n_rows
@@ -590,14 +572,14 @@ def find_saddle(a_set: IruSet, e_set: IruSet, cap=None) -> SaddlePoint:
     for _ in range(_EXACT_ROUNDS):
         a, e = _iterate(a_rows, e_rows, a, e)
         a0, e0 = a_set.member(a), e_set.member(e)
-        better = _refute_pair(a_set, e_set, a0, e0, cap, cache)
+        better = _refute_pair(a_set, e_set, a0, e0, cache)
         if better is None:
             return _saddle_point(a0, e0)
         a, e = _choice(a_set, better[0]), _choice(e_set, better[1])
     stage = "exact fallback of the saddle search"
-    for a0 in _members(a_set, cap, stage):
-        for e0 in _members(e_set, cap, stage):
-            if _refute_pair(a_set, e_set, a0, e0, cap, cache) is None:
+    for a0 in enumerate_members(a_set, stage):
+        for e0 in enumerate_members(e_set, stage):
+            if _refute_pair(a_set, e_set, a0, e0, cache) is None:
                 return _saddle_point(a0, e0)
     raise RuntimeError("no saddle point found; the input violates the minimax structure")
 
@@ -608,7 +590,7 @@ def _saddle_point(a0: Matrix, e0: Matrix) -> SaddlePoint:
     )
 
 
-def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix, cap=None) -> bool:
+def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix) -> bool:
     """Exact check that (a0, e0) is a saddle of rho(A E) over the members:
     rho(a0 E) <= rho(a0 e0) <= rho(A e0) for every member E and A.
 
@@ -616,11 +598,11 @@ def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix, cap=None
     for Tribune and a0 e0 for Despot (rho(a0 E) = rho(E a0), as the two
     products share their non-zero eigenvalues).  An irreducible centre
     needs only its single-row deviations, by the lemma in the module
-    docstring; a reducible one is compared with every member, under the
-    cap."""
+    docstring; a reducible one is compared with every member, and raises
+    EnumerationCapError when its side has more than iru.ENUM_CAP."""
     if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
         return False
-    return _refute_pair(a_set, e_set, a0, e0, cap, {}) is None
+    return _refute_pair(a_set, e_set, a0, e0, {}) is None
 
 
 @dataclass(frozen=True)
@@ -649,7 +631,7 @@ def _only(m: Matrix) -> IruSet:
     return IruSet(tuple(RowSet((row,)) for row in m.data))
 
 
-def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterval:
+def value_bisection(a_set: IruSet, e_set: IruSet, tol) -> ValueInterval:
     """Bracket the game value to within tol, with one certificate per end.
 
     The game is determined, so once find_saddle has exactly confirmed a
@@ -675,7 +657,7 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol, cap=None) -> ValueInterva
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    sp = find_saddle(a_set, e_set, cap)
+    sp = find_saddle(a_set, e_set)
     # 2^e or 2^(e - 1) is the largest power of two at most tol
     e = tol.numerator.bit_length() - tol.denominator.bit_length()
     step = Fraction(2) ** e if Fraction(2) ** e <= tol else Fraction(2) ** (e - 1)

@@ -235,7 +235,7 @@ class GameSolution:
         return math.log2(mid) / 4
 
 
-def solve(a: Arena, tol=Fraction(1, 10**6), cap=None) -> GameSolution:
+def solve(a: Arena, tol=Fraction(1, 10**6)) -> GameSolution:
     """Solve an entropy game end to end.
 
     Translates the arena and brackets the value with value_bisection at
@@ -249,7 +249,7 @@ def solve(a: Arena, tol=Fraction(1, 10**6), cap=None) -> GameSolution:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tr = arena_to_iru(a)
-    vi = value_bisection(tr.a_set, tr.e_set, tol / 2, cap)
+    vi = value_bisection(tr.a_set, tr.e_set, tol / 2)
     sp = vi.saddle
     return GameSolution(
         value=vi,
@@ -540,10 +540,10 @@ def mpg_to_weighted_eg(m: MpgArena) -> Arena:
     )
 
 
-def mpg_value(m: MpgArena, tol=Fraction(1, 10**6), cap=None):
+def mpg_value(m: MpgArena, tol=Fraction(1, 10**6)):
     """Mean payoff value bracket [log2 lower, log2 upper] via the entropy
     game encoding, together with the full entropy game solution."""
-    solution = solve(mpg_to_weighted_eg(m), tol, cap)
+    solution = solve(mpg_to_weighted_eg(m), tol)
     lo = float(solution.value.lower)
     hi = float(solution.value.upper)
     if lo <= 0:

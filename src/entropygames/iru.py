@@ -10,7 +10,6 @@ s_1 * ... * s_n members but is described by only s_1 + ... + s_n rows.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,21 +23,12 @@ from .linalg import (
     vec_mat,
 )
 
-DEFAULT_ENUM_CAP = 10**6
-ENUM_CAP_ENV = "ENTROPYGAMES_ENUM_CAP"
+# the most members one enumeration may visit, read at each enumeration
+ENUM_CAP = 10**6
 
 
 class EnumerationCapError(ValueError):
-    """Raised when a member enumeration would exceed the configured cap."""
-
-
-def resolve_enum_cap(cap=None) -> int:
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(ENUM_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+    """Raised when a member enumeration would exceed ENUM_CAP."""
 
 
 @dataclass(frozen=True)
@@ -142,16 +132,16 @@ def iru_set(row_sets) -> IruSet:
     return IruSet(tuple(RowSet(tuple(rs)) for rs in row_sets))
 
 
-def enumerate_members(s: IruSet, cap=None):
+def enumerate_members(s: IruSet, stage: str | None = None):
     """Yield every member matrix in lexicographic order of row choices.
 
-    Raises EnumerationCapError up front when the member count exceeds the
-    cap (argument, else the ENTROPYGAMES_ENUM_CAP environment variable, else
-    one million)."""
-    limit = resolve_enum_cap(cap)
-    if s.size > limit:
+    Raises EnumerationCapError before the first member when the member
+    count exceeds ENUM_CAP; the message starts with ``stage``, the step
+    that enumerates, when one is given."""
+    if s.size > ENUM_CAP:
+        prefix = f"{stage}: " if stage else ""
         raise EnumerationCapError(
-            f"{s.size} members exceed the enumeration cap of {limit}"
+            f"{prefix}{s.size} members exceed the enumeration cap of {ENUM_CAP}"
         )
     for rows in itertools.product(*(rs.rows for rs in s.row_sets)):
         yield Matrix._of_fractions(rows)
@@ -177,19 +167,20 @@ class RadiusPair:
     argmin: Matrix
 
 
-def jsr_jssr(s: IruSet, tol=DEFAULT_RADIUS_TOL, cap=None) -> RadiusPair:
+def jsr_jssr(s: IruSet, tol=DEFAULT_RADIUS_TOL) -> RadiusPair:
     """Joint spectral radius (max member radius) and joint spectral subradius
     (min member radius) of a finite IruSet, by certified enumeration.
 
     Under independent row uncertainty both extremes are attained by single
     members, so enumeration plus exact comparison settles them; only the two
     winners get a certified enclosure.  Ties keep the lexicographically
-    first member."""
+    first member.  Every member is visited, so a set of more than ENUM_CAP
+    members raises EnumerationCapError."""
     if not s.is_square:
         raise ValueError("spectral radii need square matrices")
     cache: dict = {}
     argmax = argmin = None
-    for m in enumerate_members(s, cap):
+    for m in enumerate_members(s):
         if argmax is None or realroots.compare_radii_enclosed(cache, argmax, m) < 0:
             argmax = m
         if argmin is None or realroots.compare_radii_enclosed(cache, m, argmin) < 0:

@@ -161,10 +161,6 @@ class Matrix:
             )
         )
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -187,9 +183,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
 
     def to_floats(self) -> list[list[float]]:
         return float_rows(self.data)

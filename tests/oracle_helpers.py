@@ -516,49 +516,49 @@ def norm_bound_bracket(a_set, e_set, tol):
     )
 
 
-def member_scan_mm_lt(a_set, e_set, alpha, cap=None):
+def member_scan_mm_lt(a_set, e_set, alpha):
     """decide_mm_lt by trying Despot's members in lexicographic order: the
     first a0 whose product set E a0 has jsr < alpha (decide_jsr_lt) is
     committed.  Returns (answer, certificate)."""
     from entropygames.decide import MM_LT, Certificate, decide_jsr_lt
     from entropygames.iru import enumerate_members, right_product
 
-    for a0 in enumerate_members(a_set, cap):
+    for a0 in enumerate_members(a_set):
         ok, cert = decide_jsr_lt(right_product(e_set, a0), alpha)
         if ok:
             return True, Certificate(MM_LT, cert.vector, chosen_matrix=a0)
     return False, None
 
 
-def member_scan_mm_ge(a_set, e_set, alpha, cap=None):
+def member_scan_mm_ge(a_set, e_set, alpha):
     """decide_mm_ge by trying Tribune's members in lexicographic order: the
     first e0 whose product set A e0 has jssr >= alpha (one decide_jssr_ge
     LP each) is committed."""
     from entropygames.decide import MM_GE, Certificate, decide_jssr_ge
     from entropygames.iru import enumerate_members, right_product
 
-    for e0 in enumerate_members(e_set, cap):
+    for e0 in enumerate_members(e_set):
         ok, cert = decide_jssr_ge(right_product(a_set, e0), alpha)
         if ok:
             return True, Certificate(MM_GE, cert.vector, chosen_matrix=e0)
     return False, None
 
 
-def member_scan_mm_le(a_set, e_set, alpha, cap=None):
+def member_scan_mm_le(a_set, e_set, alpha):
     """decide_mm_le by trying Despot's members in lexicographic order, one
     decide_jsr_le LP each.  Positive sets only, as decide_jsr_le refuses
     others."""
     from entropygames.decide import MM_LE, Certificate, decide_jsr_le
     from entropygames.iru import enumerate_members, right_product
 
-    for a0 in enumerate_members(a_set, cap):
+    for a0 in enumerate_members(a_set):
         ok, cert = decide_jsr_le(right_product(e_set, a0), alpha)
         if ok:
             return True, Certificate(MM_LE, cert.vector, chosen_matrix=a0)
     return False, None
 
 
-def member_scan_bisection(a_set, e_set, tol, cap=None):
+def member_scan_bisection(a_set, e_set, tol):
     """The game value bracket by member-scan bisection, needing no saddle
     point.
 
@@ -571,14 +571,14 @@ def member_scan_bisection(a_set, e_set, tol, cap=None):
     steps = 0
     while upper - lower > tol:
         mid = (lower + upper) / 2
-        below, _ = member_scan_mm_lt(a_set, e_set, mid, cap)
+        below, _ = member_scan_mm_lt(a_set, e_set, mid)
         if below:
             upper = mid
         else:
             lower = mid
         steps += 1
-    ge_ok, lower_cert = member_scan_mm_ge(a_set, e_set, lower, cap)
-    lt_ok, upper_cert = member_scan_mm_lt(a_set, e_set, upper, cap)
+    ge_ok, lower_cert = member_scan_mm_ge(a_set, e_set, lower)
+    lt_ok, upper_cert = member_scan_mm_lt(a_set, e_set, upper)
     assert ge_ok and lt_ok, "bisection invariant violated at the final bracket"
     return lower, upper, steps, lower_cert, upper_cert
 

@@ -395,8 +395,8 @@ def _with_radius(monkeypatch, lower, upper):
 
     real = decide.find_saddle
 
-    def patched(a_set, e_set, cap=None):
-        sp = real(a_set, e_set, cap)
+    def patched(a_set, e_set):
+        sp = real(a_set, e_set)
         radius = dataclasses.replace(
             sp.radius, lower=lower(sp.radius), upper=upper(sp.radius), converged=False
         )
@@ -510,18 +510,23 @@ def test_switch_gains_read_each_block():
 
 
 def test_cap_errors_name_the_enumerating_stage(monkeypatch):
-    from entropygames import decide
+    from entropygames import decide, iru
 
     # a0 e0 = I is reducible on Despot's side, which has four members
     a_set = iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]])
     e_set = iru_set([[(1, 0)], [(0, 1)]])
     identity = Matrix(((1, 0), (0, 1)))
-    with pytest.raises(EnumerationCapError, match="reducible centre on Despot's side"):
-        verify_saddle(a_set, e_set, identity, identity, cap=1)
-    assert verify_saddle(a_set, e_set, identity, identity, cap=4)
+    monkeypatch.setattr(iru, "ENUM_CAP", 1)
+    with pytest.raises(
+        EnumerationCapError,
+        match="^reducible centre on Despot's side: 4 members exceed the enumeration cap of 1$",
+    ):
+        verify_saddle(a_set, e_set, identity, identity)
     monkeypatch.setattr(decide, "_EXACT_ROUNDS", 0)
     with pytest.raises(EnumerationCapError, match="exact fallback of the saddle search"):
-        find_saddle(iru_set([[(5,), (2,)]]), iru_set([[(1,), (3,)]]), cap=1)
+        find_saddle(iru_set([[(5,), (2,)]]), iru_set([[(1,), (3,)]]))
+    monkeypatch.setattr(iru, "ENUM_CAP", 4)
+    assert verify_saddle(a_set, e_set, identity, identity)
 
 
 @settings(max_examples=50, deadline=None)

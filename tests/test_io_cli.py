@@ -484,10 +484,13 @@ def test_cli_error_paths(files, capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path):
+def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, monkeypatch):
+    from entropygames import iru
+
+    monkeypatch.setattr(iru, "ENUM_CAP", 1)
     # Fig. 1's saddle products are irreducible, so its saddle is checked by
     # single-row deviations and a cap of one member is enough
-    code, doc = run_json(capsys, ["value", "--json", "--cap", "1", files["arena"]])
+    code, doc = run_json(capsys, ["value", "--json", files["arena"]])
     assert code == 0
     assert doc["despot_strategy"] == {"d1": "a", "d2": "a", "d3": "a"}
     # Tribune's saddle answer to Despot's only member is diag(2, 3): its
@@ -508,14 +511,25 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path):
     )
     path = tmp_path / "reducible.json"
     io.save_document(str(path), arena)
-    assert main(["value", "--cap", "1", str(path)]) == 2
+    assert main(["value", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "reducible centre on Tribune's side" in err
-    assert "4 members exceed the enumeration cap of 1" in err
-    code, doc = run_json(capsys, ["value", "--json", "--cap", "4", str(path)])
+    assert err == (
+        "error: reducible centre on Tribune's side: "
+        "4 members exceed the enumeration cap of 1\n"
+    )
+    monkeypatch.setattr(iru, "ENUM_CAP", 4)
+    code, doc = run_json(capsys, ["value", "--json", str(path)])
     assert code == 0
     assert doc["tribune_strategy"] == {"t0": "b", "t1": "b"}
     assert Fraction(doc["value"]["lower"]) <= 3 < Fraction(doc["value"]["upper"])
+
+
+def test_cli_has_no_cap_flag(files, capsys):
+    # the cap is the constant iru.ENUM_CAP; --cap is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["value", "--cap", "1", files["arena"]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 _CHOOSER_SETS = [

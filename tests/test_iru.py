@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -6,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _frozen as frozen
+from entropygames import iru
 from entropygames.iru import (
-    DEFAULT_ENUM_CAP,
-    ENUM_CAP_ENV,
     EnumerationCapError,
     IruSet,
     RowSet,
@@ -17,7 +15,6 @@ from entropygames.iru import (
     iru_set,
     jsr_jssr,
     right_product,
-    resolve_enum_cap,
     sample_conv,
 )
 from entropygames.linalg import Matrix, mat_mul, mat_vec, spectral_radius
@@ -59,19 +56,19 @@ def test_enumerate_members_lex_and_count():
     assert choices == [(Fraction(0), Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(1))]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     big = iru_set([[(1, 0), (0, 1)] for _ in range(2)])
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_members(big, cap=3))
-    assert len(list(enumerate_members(big, cap=4))) == 4
-
-
-def test_enum_cap_env(monkeypatch):
-    monkeypatch.setenv(ENUM_CAP_ENV, "2")
-    assert resolve_enum_cap(None) == 2
-    monkeypatch.delenv(ENUM_CAP_ENV)
-    assert resolve_enum_cap(None) == DEFAULT_ENUM_CAP
-    assert resolve_enum_cap(7) == 7
+    monkeypatch.setattr(iru, "ENUM_CAP", 3)
+    with pytest.raises(EnumerationCapError, match="^4 members exceed the enumeration cap of 3$"):
+        list(enumerate_members(big))
+    with pytest.raises(EnumerationCapError, match="^a step: 4 members exceed"):
+        list(enumerate_members(big, "a step"))
+    # jsr_jssr visits every member, so it refuses the same set
+    with pytest.raises(EnumerationCapError, match="4 members exceed the enumeration cap of 3"):
+        jsr_jssr(big)
+    monkeypatch.setattr(iru, "ENUM_CAP", 4)
+    assert len(list(enumerate_members(big))) == 4
+    assert jsr_jssr(big).jsr.lower == 1
 
 
 def test_right_product_frozen():
