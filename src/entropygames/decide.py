@@ -80,13 +80,11 @@ from .linalg import (
     RadiusEstimate,
     _float_mul,
     _solve_exact,
-    _support,
     float_rows,
     mat_mul,
     rat,
     spectral_radius,
-    strongly_connected_components,
-    support_components,
+    support_blocks,
     vec_mat,
 )
 from .lp import (
@@ -393,9 +391,9 @@ def _valuation(rows: list[list[float]]) -> tuple[list[float], list[float]]:
     vector."""
     gain = [0.0] * len(rows)
     weight = [1.0] * len(rows)
-    support = _support(rows)
-    # Tarjan emits blocks sinks first, so the later nodes are done
-    for comp in strongly_connected_components(support):
+    support = [[j for j, x in enumerate(row) if x > 0.0] for row in rows]
+    # support_blocks puts blocks sinks first, so the later nodes are done
+    for comp in support_blocks(rows):
         if len(comp) == 1:
             rho, v = rows[comp[0]][comp[0]], [1.0]
         else:
@@ -512,7 +510,7 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     member is compared; more than iru.ENUM_CAP members raise
     EnumerationCapError naming the reducible centre and ``side``."""
     centre = mat_mul(own, other)
-    if len(support_components(centre)) > 1:
+    if len(support_blocks(centre.data)) > 1:
         for m in enumerate_members(s, f"reducible centre on {side}"):
             if sign * realroots.compare_radii_enclosed(cache, mat_mul(m, other), centre) > 0:
                 return m

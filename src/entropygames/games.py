@@ -119,8 +119,7 @@ class PositionalStrategy:
 @dataclass(frozen=True)
 class Translation:
     """Result of arena_to_iru: the two IruSets plus the bookkeeping that maps
-    canonical rows back to actions, for strategy extraction.  Iterating
-    unpacks as (a_set, e_set)."""
+    canonical rows back to actions, for strategy extraction."""
 
     a_set: IruSet
     e_set: IruSet
@@ -128,10 +127,6 @@ class Translation:
     tribune_states: tuple[str, ...]
     despot_row_actions: tuple[dict, ...]
     tribune_row_actions: tuple[dict, ...]
-
-    def __iter__(self):
-        yield self.a_set
-        yield self.e_set
 
     def _strategy(self, owner, states, tables, member: Matrix) -> PositionalStrategy:
         choice = {}
@@ -320,7 +315,7 @@ def forest_counts(
         by_source.setdefault(frm, {}).setdefault(action, []).append((to, weight))
     levels: list[Vector] = []
     current = {s: Fraction(1) for s in a.despot_states}
-    levels.append(Vector(tuple(current[s] for s in a.despot_states), orientation="row"))
+    levels.append(Vector(tuple(current[s] for s in a.despot_states)))
     sides = (
         (a.despot_states, a.tribune_states, despot_oracle),
         (a.tribune_states, a.despot_states, tribune_oracle),
@@ -341,7 +336,7 @@ def forest_counts(
                 for to, weight in options:
                     nxt[to] += count * weight
         current = nxt
-        vec = Vector(tuple(current[s] for s in targets), orientation="row")
+        vec = Vector(tuple(current[s] for s in targets))
         levels.append(vec)
         history.append(vec)
     return levels

@@ -13,8 +13,14 @@ formed and compared over the integer rows.  ``block_radius_bounds``,
 The bounds are exact, since any positive vector gives valid
 Collatz-Wielandt bounds; the grid only decides how tight they are.  The
 iterate sums to 1, and an entry below 2^-61 is floored at one grid step,
-which loosens the bounds of a steep matrix.  Entries beyond the float range
-raise ValueError naming it (``float_rows``).
+which loosens the bounds of a steep matrix.  Entries beyond the float range,
+or so near it that the iterate overflows, raise ValueError naming it
+(``float_rows``).
+
+The blocks come from ``support_blocks``, which reads them off the reach
+sets of the support digraph, sinks first: a block comes after every block
+it reaches.  The radius of a non-negative matrix is the largest radius of
+its blocks, since it is block-triangular in that order.
 
 The certificates rest on two one-line facts about a non-negative square m:
 
@@ -71,8 +77,6 @@ def rat(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -88,16 +92,13 @@ class ReducibleMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class Vector:
-    """Immutable rational vector.  Orientation is advisory metadata; the
-    arithmetic helpers below take plain sequences anyway."""
+    """Immutable rational vector; the arithmetic helpers below take plain
+    sequences too."""
 
     entries: tuple[Fraction, ...]
-    orientation: str = "column"
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(rat(x) for x in self.entries))
-        if self.orientation not in ("column", "row"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
     def __len__(self):
         return len(self.entries)
@@ -360,66 +361,36 @@ def certify_radius_lower(m: Matrix, rho, v) -> bool:
     return all(lhs >= rho * x for lhs, x in zip(mat_vec(m, vv), vv))
 
 
-def strongly_connected_components(adjacency: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Returns components as sorted index
-    lists, in reverse topological order of the condensation."""
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            neighbours = adjacency[node]
-            while child_pos < len(neighbours):
-                child = neighbours[child_pos]
-                child_pos += 1
-                if index[child] == -1:
-                    work[-1] = (node, child_pos)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if on_stack[child]:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comp.sort()
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components
+def support_blocks(rows) -> list[list[int]]:
+    """The strongly connected blocks of the support digraph of a square
+    matrix given by its rows (edge i -> j iff rows[i][j] > 0; ints,
+    Fractions or floats), as ascending index lists, sinks first.
 
+    Node i's reach set R(i), the nodes it reaches in zero or more steps, is
+    a bitmask, closed by Warshall's pass: after pass k, R(i) holds every
+    node reached through intermediates below k + 1.  Two facts make the
+    blocks and their order:
 
-def support_components(m: Matrix) -> list[list[int]]:
-    """Strongly connected components of the support digraph (edge i -> j
-    iff m[i][j] > 0)."""
-    return strongly_connected_components(_support(m.data))
+    * i and j share a block iff R(i) = R(j): each lies in its own reach
+      set, so equal sets reach each other, and mutual reach gives equal
+      sets;
+    * a block B that reaches another block B' has R(B) strictly larger
+      than R(B'), which holds B' but not B.
 
-
-def _support(rows) -> list[list[int]]:
-    return [[j for j, x in enumerate(row) if x > 0] for row in rows]
+    So sorting the blocks by reach-set size puts every block after each
+    block it reaches.  Two blocks of equal size do not reach each other,
+    and keep the order of their smallest indices."""
+    reach = [
+        sum(1 << j for j, x in enumerate(row) if x > 0) | 1 << i for i, row in enumerate(rows)
+    ]
+    for k, through in enumerate(reach):
+        for i, r in enumerate(reach):
+            if r >> k & 1:
+                reach[i] = r | through
+    blocks: dict[int, list[int]] = {}
+    for i, r in enumerate(reach):
+        blocks.setdefault(r, []).append(i)
+    return sorted(blocks.values(), key=lambda block: reach[block[0]].bit_count())
 
 
 def _float_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
@@ -433,34 +404,6 @@ def _float_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
             if x != 0.0:
                 for j in range(cols):
                     target[j] += x * other[j]
-    return out
-
-
-def gelfand_bounds(m: Matrix, doublings: int = 5) -> list[float]:
-    """Float norms ||m^(2^k)||^(1/2^k) for k = 1..doublings.  Each is an
-    upper bound on rho(m) up to rounding and the sequence tightens as k
-    grows; used as an independent sanity check on the power iteration, never
-    as a certificate.  Powers are renormalised between doublings so nothing
-    overflows; the accumulated scale is carried in log space."""
-    import math
-
-    cur = m.to_floats()
-    out: list[float] = []
-    log_scale = 0.0
-    power = 1
-    for _ in range(doublings):
-        nxt = _float_mul(cur, cur)
-        power *= 2
-        log_scale *= 2
-        total = sum(x for row in nxt for x in row)
-        if total == 0.0:
-            out.append(0.0)
-            break
-        log_norm = log_scale + math.log(total)
-        out.append(math.exp(log_norm / power))
-        inv = 1.0 / total
-        cur = [[x * inv for x in row] for row in nxt]
-        log_scale = log_norm
     return out
 
 
@@ -493,7 +436,9 @@ def _dyadic_witness(m: Matrix, comp: Sequence[int], tol_float: float):
     the dyadic grid, w_i = max(1, round(v_i 2^60)), and the ratios
     (sum_j n_ij w_j) / (d_i w_i) over m's integer rows, compared by
     cross-multiplying, give lower <= rho(submatrix) <= upper as integer
-    (numerator, denominator) pairs.  Any positive w gives valid bounds."""
+    (numerator, denominator) pairs.  Any positive w gives valid bounds.
+    Entries beyond the float range, or near enough to it that the iterate
+    overflows, raise the float-range ValueError."""
     rows = m._int_rows
     if len(comp) == 1:
         nums, d = rows[comp[0]]
@@ -504,6 +449,8 @@ def _dyadic_witness(m: Matrix, comp: Sequence[int], tol_float: float):
     except OverflowError:
         raise _float_range_error(m.data) from None
     _, _, iterations, vf = power_enclosure(flat, len(comp), tol_float, POWER_ITERATION_CAP)
+    if not all(map(math.isfinite, vf)):
+        raise _float_range_error(m.data)
     w = [max(1, round(x * _DYADIC_SCALE)) for x in vf]
     ratios = [
         (sum(nums[j] * wj for j, wj in zip(comp, w)), d * wi)
@@ -528,7 +475,7 @@ def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction]:
     tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
     # the largest block bounds so far, as (numerator, denominator) pairs
     lower_n, lower_d = upper_n, upper_d = 0, 1
-    for comp in strongly_connected_components(_support(nums for nums, _ in m._int_rows)):
+    for comp in support_blocks([nums for nums, _ in m._int_rows]):
         _, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, tol_float)
         if lo_n * lower_d > lower_n * lo_d:
             lower_n, lower_d = lo_n, lo_d
@@ -548,7 +495,8 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     and stitches exact global bounds back together:
 
     * lower: the best block lower bound, witnessed by the block's vector
-      extended with zeros;
+      extended with zeros.  On a tie the first such block in
+      ``support_blocks`` order gives the witness;
     * upper: an exact resolvent solve (r I - m) u = 1 at a trial r just above
       the lower bound, escalating r until u > 0 and m u <= r u hold exactly.
     """
@@ -564,11 +512,6 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     w, lo, hi, iterations = _dyadic_witness(m, range(n), tol_float)
     lower, upper = Fraction(*lo), Fraction(*hi)
     if upper - lower <= tol:
-        bounds = gelfand_bounds(m, 4)
-        if bounds and lower > 0 and bounds[-1] < float(lower) * (1 - 1e-6):
-            # Gelfand norms bound rho from above, so falling below the
-            # certified lower bound means an arithmetic bug somewhere
-            raise RuntimeError("power iteration and Gelfand bound disagree")
         return RadiusEstimate(
             value=float((lower + upper) / 2),
             lower=lower,
@@ -578,7 +521,7 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
             witness_lower=Vector(w),
             witness_upper=Vector(w),
         )
-    blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in support_components(m)]
+    blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in support_blocks(m.data)]
     iterations += sum(iters for *_, iters in blocks)
     block_upper = max(Fraction(*hi) for _, _, _, hi, _ in blocks)
     # the first block with the largest lower bound; its vector extended by zeros
@@ -632,7 +575,7 @@ def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    comps = support_components(m)
+    comps = support_blocks(m.data)
     if len(comps) != 1:
         raise ReducibleMatrixError(
             f"matrix is reducible: {len(comps)} strongly connected blocks", comps

@@ -50,12 +50,6 @@ class EncodedMmg:
     start_vector: tuple[Fraction, ...]
     degenerate: bool
 
-    def adam_named(self, name: str) -> Matrix:
-        for n, m in self.adam_matrices:
-            if n == name:
-                return m
-        raise KeyError(name)
-
 
 def machine_transitions(m: TwoCounterMachine):
     """Eve's move list in encoder order: per state, an increment move, or

@@ -1,4 +1,4 @@
-"""Expected values frozen from the independent oracle scripts in tests/oracles/.
+"""Expected values frozen from the independent oracle scripts in tests/derivations/.
 
 Regenerate by running the scripts named next to each block; tests import from
 here instead of recomputing, so drift in the package cannot silently redefine
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 F = Fraction
 
-# --- tests/oracles/derive_running_example.py ---
+# --- tests/derivations/derive_running_example.py ---
 
 # Largest root of x^2 = 3x + 2, to 50 places (decimal square root route).
 RUNNING_VALUE = 3.5615528128088303
@@ -66,7 +66,7 @@ FOREST_TRACE_AB_AA = [
 
 BISECTION_NORM_BOUND = 30  # max ||A|| * max ||E|| = 6 * 5
 
-# --- tests/oracles/derive_small_cases.py ---
+# --- tests/derivations/derive_small_cases.py ---
 
 RUNNING_A_JSR = 2.0   # member ((1,1,0),(1,0,1),(0,1,1))
 RUNNING_A_JSSR = 1.0  # member ((1,1,0),(0,1,0),(0,1,1))

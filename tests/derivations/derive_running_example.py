@@ -2,7 +2,7 @@
 
 Independent routes only: numpy eigenvalues, closed-form root of the quadratic
 x^2 = 3x + 2 via the decimal module, and a direct graph walk for the forest
-trace. Run from the repository root: python tests/oracles/derive_running_example.py
+trace. Run from the repository root: python tests/derivations/derive_running_example.py
 """
 
 import sys

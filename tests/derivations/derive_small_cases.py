@@ -2,7 +2,7 @@
 running despot family, right-product row sets, threshold ground truths, the
 mean-payoff two-cycle, and the scripted-machine traces.
 
-Run from the repository root: python tests/oracles/derive_small_cases.py
+Run from the repository root: python tests/derivations/derive_small_cases.py
 """
 
 import sys

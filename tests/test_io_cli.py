@@ -589,3 +589,16 @@ def test_cli_mm_query_beyond_the_float_range_exits_2(capsys, tmp_path):
     )
     assert main(["decide", "--query", "mm>=", "--alpha", "1", str(path)]) == 0
     assert capsys.readouterr().out.startswith("mm>= 1: true\n")
+
+
+def test_cli_value_with_entries_whose_iteration_overflows_exits_2(capsys, tmp_path):
+    # 2^1023 is a float, but the float iteration's first product is not
+    big = 2**1023
+    path = tmp_path / "near_float_range.json"
+    pair = iru_set([[(big, big)], [(big, big)]]), iru_set([[(1, 0)], [(0, 1)]])
+    io.save_document(str(path), pair)
+    assert main(["value", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: an entry near 2^1023 is too large for the float iteration, "
+        "whose floats end below 2^1024\n"
+    )

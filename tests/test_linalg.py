@@ -17,15 +17,13 @@ from entropygames.linalg import (
     block_radius_bounds,
     certify_radius_lower,
     certify_radius_upper,
-    gelfand_bounds,
     mat_mul,
     mat_vec,
     one_norm,
     perron_vector,
     rat,
     spectral_radius,
-    strongly_connected_components,
-    support_components,
+    support_blocks,
     vec_mat,
 )
 from entropygames.realroots import compare_radius_with_rational
@@ -49,13 +47,6 @@ def test_matrix_flags():
     assert not RUNNING.is_positive
     assert Matrix(((1, 2), (3, 4))).is_positive
     assert not Matrix(((-1,),)).is_nonnegative
-
-
-def test_vector_orientation():
-    v = Vector((1, 2), orientation="row")
-    assert len(v) == 2 and v[1] == 2
-    with pytest.raises(ValueError):
-        Vector((1,), orientation="diagonal")
 
 
 def test_mat_mul_running_product():
@@ -314,7 +305,7 @@ def test_block_radius_bounds_on_reducible_matrices():
         )
         for data in variants:
             m = Matrix(tuple(tuple(row) for row in data))
-            assert len(support_components(m)) > 1
+            assert len(support_blocks(m.data)) > 1
             lower, upper = block_radius_bounds(m)
             assert compare_radius_with_rational(m, lower) >= 0
             assert compare_radius_with_rational(m, upper) <= 0
@@ -408,19 +399,86 @@ def test_perron_vector_reducible_error():
     assert len(exc.value.components) == 3
 
 
-def test_strongly_connected_components():
-    # 0 -> 1 -> 0 is one block, 2 feeds into it but is its own block
-    adjacency = [[1], [0], [0]]
-    comps = strongly_connected_components(adjacency)
-    assert sorted(sorted(c) for c in comps) == [[0, 1], [2]]
+def _mutual_reach_classes(rows):
+    """Blocks by brute force: a breadth-first search from every node, and
+    i, j in one class iff each reaches the other."""
+    n = len(rows)
+    reach = []
+    for i in range(n):
+        seen, frontier = {i}, [i]
+        while frontier:
+            frontier = [j for k in frontier for j in range(n) if rows[k][j] > 0 and j not in seen]
+            seen.update(frontier)
+        reach.append(seen)
+    return {frozenset(j for j in reach[i] if i in reach[j]) for i in range(n)}
 
 
-def test_gelfand_bounds_decrease_toward_radius():
-    bounds = gelfand_bounds(RUNNING, doublings=6)
-    assert all(b >= RUNNING_RHO - 1e-9 for b in bounds)
-    assert bounds[-1] < bounds[0]
-    # norm^(1/64) of the 64th power still carries a constant^(1/64) factor
-    assert bounds[-1] <= RUNNING_RHO * 1.05
+@st.composite
+def support_cases(draw):
+    """Square rows of ints, Fractions or floats, n <= 12, whose support is
+    random or built from zero rows, self-loops, cycles, chains and the
+    diagonal."""
+    n = draw(st.integers(1, 12))
+    edges = set()
+    shapes = st.sampled_from(("random", "zero", "loop", "cycle", "chain", "diagonal"))
+    for shape in draw(st.lists(shapes, min_size=1, max_size=4)):
+        nodes = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        if shape == "random":
+            edges |= {(i, j) for i in nodes for j in nodes if draw(st.booleans())}
+        elif shape == "zero":
+            edges = {(i, j) for i, j in edges if i not in nodes}
+        elif shape == "loop":
+            edges |= {(i, i) for i in nodes}
+        elif shape == "cycle":
+            edges |= set(zip(nodes, nodes[1:] + nodes[:1]))
+        elif shape == "chain":
+            edges |= set(zip(nodes, nodes[1:]))
+        else:
+            edges |= {(i, i) for i in range(n)}
+    kind = draw(st.sampled_from((int, Fraction, float)))
+    one = {int: 3, Fraction: Fraction(2, 7), float: 0.5}[kind]
+    return [[one if (i, j) in edges else kind(0) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_cases())
+@example([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+@example([[0.0]])
+def test_support_blocks_match_mutual_reachability(rows):
+    blocks = support_blocks(rows)
+    classes = _mutual_reach_classes(rows)
+    # a partition into the mutual-reach classes, each ascending
+    assert sorted(i for block in blocks for i in block) == list(range(len(rows)))
+    assert {frozenset(block) for block in blocks} == classes
+    assert all(block == sorted(block) for block in blocks)
+    # every edge stays in its block or goes to an earlier one: sinks first
+    position = {i: k for k, block in enumerate(blocks) for i in block}
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x > 0:
+                assert position[j] <= position[i]
+
+
+def test_spectral_radius_tie_takes_the_first_block_in_support_blocks_order():
+    # blocks {0}, {1} and {2} all have radius 0; {1} and {2} reach nothing
+    # but themselves and come first, the smaller index ahead
+    m = Matrix(((0, 0, 1), (0, 0, 0), (0, 0, 0)))
+    assert support_blocks(m.data) == [[1], [2], [0]]
+    est = spectral_radius(m)
+    assert est.lower == 0
+    assert est.witness_lower.entries == (0, 1, 0)
+    assert certify_radius_lower(m, est.lower, est.witness_lower)
+
+
+def test_spectral_radius_names_the_float_range_when_the_iterate_overflows():
+    # 2^1023 is a float, but the first product of the iteration is not
+    big = 2**1023
+    with pytest.raises(ValueError) as exc:
+        spectral_radius(Matrix(((big, big), (big, big))))
+    assert str(exc.value) == (
+        "an entry near 2^1023 is too large for the float iteration, "
+        "whose floats end below 2^1024"
+    )
 
 
 @settings(max_examples=80, deadline=None)
