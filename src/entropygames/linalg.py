@@ -47,6 +47,7 @@ The non-negative 2CMM audit (``reductions.check_nonneg_punishment``)
 drives the integer kernel ``_combine`` directly: its vector and matrices
 are integral, so it keeps the vector as Python ints and multiplies it by
 each matrix's cached integer columns, with no Fraction between moves.
+``reductions._program_matrix`` builds both encoders' matrices with it too.
 """
 
 from __future__ import annotations
@@ -489,10 +490,14 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     square matrix.
 
     First ``_dyadic_witness`` runs on the whole matrix; when its bounds close
-    to within tol, that one positive vector certifies both ends.  When the
-    gap refuses to close (reducible support is the usual culprit, or
-    clustered moduli) the computation reruns per strongly connected block
-    and stitches exact global bounds back together:
+    to within tol, that one positive vector certifies both ends.  A row
+    whose only non-zero entry is its diagonal d has ratio d for every
+    positive vector, while the largest ratio is at least rho, which is at
+    least the largest diagonal entry; so when such a d lies more than tol
+    below that entry the whole-matrix kernel cannot close and is skipped.
+    When the gap refuses to close (reducible support is the usual culprit,
+    or clustered moduli) the computation reruns per strongly connected
+    block and stitches exact global bounds back together:
 
     * lower: the best block lower bound, witnessed by the block's vector
       extended with zeros.  On a tie the first such block in
@@ -509,18 +514,22 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
         raise ValueError("tolerance must be positive")
     n = m.rows
     tol_float = float(tol) / _FLOAT_KERNEL_SLACK
-    w, lo, hi, iterations = _dyadic_witness(m, range(n), tol_float)
-    lower, upper = Fraction(*lo), Fraction(*hi)
-    if upper - lower <= tol:
-        return RadiusEstimate(
-            value=float((lower + upper) / 2),
-            lower=lower,
-            upper=upper,
-            iterations=iterations,
-            converged=True,
-            witness_lower=Vector(w),
-            witness_upper=Vector(w),
-        )
+    # the diagonal entries of the rows that are zero off their diagonal
+    lone = [row[i] for i, row in enumerate(m.data) if not (any(row[:i]) or any(row[i + 1 :]))]
+    iterations = 0
+    if not lone or min(lone) >= max(row[i] for i, row in enumerate(m.data)) - tol:
+        w, lo, hi, iterations = _dyadic_witness(m, range(n), tol_float)
+        lower, upper = Fraction(*lo), Fraction(*hi)
+        if upper - lower <= tol:
+            return RadiusEstimate(
+                value=float((lower + upper) / 2),
+                lower=lower,
+                upper=upper,
+                iterations=iterations,
+                converged=True,
+                witness_lower=Vector(w),
+                witness_upper=Vector(w),
+            )
     blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in support_blocks(m.data)]
     iterations += sum(iters for *_, iters in blocks)
     block_upper = max(Fraction(*hi) for _, _, _, hi, _ in blocks)
@@ -562,8 +571,10 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
 
 def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
     """Positive right eigenvector of an irreducible non-negative matrix,
-    normalised to entrywise sum 1, with residual below tol: the witness of
-    ``_dyadic_witness`` over its sum.
+    normalised to entrywise sum 1: the witness of ``_dyadic_witness`` over
+    its sum, returned when its Collatz-Wielandt ratios span at most 2 tol.
+    Every ratio then lies within tol of their midpoint c, so the residual
+    ||m v - c v||_1 is at most tol; RuntimeError otherwise.
 
     Raises ReducibleMatrixError (carrying the detected block structure) when
     the support digraph is not strongly connected.
@@ -580,14 +591,8 @@ def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
         raise ReducibleMatrixError(
             f"matrix is reducible: {len(comps)} strongly connected blocks", comps
         )
-    rho = rat(spectral_radius(m, tol).value)
-    kernel_tol = float(tol)
-    for attempt in range(6):
-        w = _dyadic_witness(m, range(m.rows), kernel_tol)[0]
-        total = sum(w)
-        v = tuple(Fraction(x, total) for x in w)
-        residual = one_norm([lhs - rho * x for lhs, x in zip(mat_vec(m, v), v)])
-        if residual <= tol:
-            return Vector(v)
-        kernel_tol /= 16.0
-    raise RuntimeError("perron iteration failed to reach the requested residual")
+    w, lo, hi, _ = _dyadic_witness(m, range(m.rows), float(tol))
+    if Fraction(*hi) - Fraction(*lo) > 2 * tol:
+        raise RuntimeError("perron iteration failed to reach the requested residual")
+    total = sum(w)
+    return Vector(tuple(Fraction(x, total) for x in w))

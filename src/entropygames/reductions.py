@@ -17,6 +17,10 @@ counter value c carried as the ratio pair (2^(n+c), 2^(n-c)) at time scale
 2^n.  A lie leaves some coordinate lagging at least a factor 2 behind the
 scale; Adam's reset matrices restart the clock from the lagging coordinate,
 capping long-run growth strictly below 2 on punished plays.
+
+One builder, ``_program_matrix``, makes every matrix of both encoders, and
+the two audits share one pre-play check (``_start_play``) and one machine
+simulation (``_EveSimulation``).
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import Matrix, _combine, mat_mul, vec_mat
-from .minsky import INC, JZDEC, STOP, TwoCounterMachine, step
+from .minsky import INC, JZDEC, STOP, TwoCounterMachine
 
 INTEGER = "integer"
 NONNEG = "nonnegative"
@@ -73,28 +76,38 @@ def _move_name(kind: str, state: str, counter: str, target: str) -> str:
     return f"{_MOVE_PREFIX[kind]}[{state}->{target},{counter}]"
 
 
+def _program_matrix(index: dict[str, int], *steps) -> Matrix:
+    """The matrix of a straight-line program on the labelled coordinates of
+    a row vector: row i is the image of basis row i.  Each step is a
+    simultaneous assignment {target: {source: coeff}}, and the steps run in
+    order; an empty combination assigns 0, and a label the step leaves out
+    keeps its value.  The program runs on all basis rows at once, over the
+    integer columns: cols[t][i] is coordinate t of row i's image."""
+    dim = len(index)
+    cols = [[int(i == t) for i in range(dim)] for t in range(dim)]
+    for step in steps:
+        new = [
+            (index[t], _combine(combo.values(), [cols[index[s]] for s in combo], dim))
+            for t, combo in step.items()
+        ]
+        for t, col in new:
+            cols[t] = col
+    zero = Fraction(0)
+    return Matrix._of_fractions(
+        tuple(tuple(Fraction(x) if x else zero for x in row) for row in zip(*cols))
+    )
+
+
 def encode_integer(m: TwoCounterMachine) -> EncodedMmg:
     """Integer-matrix encoding; see the module docstring for the audit
-    mechanism.  Eve's matrices are sequential coordinate assignments: leave
-    the source state, enter the target state, and update the counter (add
-    One, negate, or subtract One for inc, zero-test and decrement)."""
+    mechanism.  Eve's matrices are three assignments run in turn: leave the
+    source state, enter the target state, and update the counter (add One,
+    negate, or subtract One for inc, zero-test and decrement).  Run in turn,
+    a self-loop such as ``q0: inc x -> q0`` leaves its state token as it
+    is."""
     labels = list(m.states) + ["x", "y", "One", "E", "Neg"]
     index = {lab: i for i, lab in enumerate(labels)}
     dim = len(labels)
-
-    def assignment_product(*steps):
-        # run the assignment program on each basis row vector; the images
-        # are the matrix rows
-        rows = []
-        for i in range(dim):
-            vec = [Fraction(0)] * dim
-            vec[i] = Fraction(1)
-            for target, combo in steps:
-                vec[index[target]] = sum(
-                    coeff * vec[index[src]] for src, coeff in combo.items()
-                )
-            rows.append(tuple(vec))
-        return Matrix(tuple(rows))
 
     counter_updates = {
         "inc": lambda c: {c: 1, "One": 1},
@@ -103,23 +116,21 @@ def encode_integer(m: TwoCounterMachine) -> EncodedMmg:
     }
     eve = []
     for kind, state, counter, target in machine_transitions(m):
-        matrix = assignment_product(
-            (state, {state: 1, "One": -1}),
-            (target, {target: 1, "One": 1}),
-            (counter, counter_updates[kind](counter)),
+        matrix = _program_matrix(
+            index,
+            {state: {state: 1, "One": -1}},
+            {target: {target: 1, "One": 1}},
+            {counter: counter_updates[kind](counter)},
         )
         eve.append((_move_name(kind, state, counter, target), matrix))
 
     start = m.initial_state
-    init_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for lab in (start, "One", "E"):
-        init_rows[index["E"]][index[lab]] = Fraction(1)
-    adam = [("Init", Matrix(tuple(tuple(r) for r in init_rows)))]
-    adam.append(("Id", Matrix.identity(dim)))
+    restart = {lab: {"E": 1} if lab in (start, "One", "E") else {} for lab in labels}
+    adam = [("Init", _program_matrix(index, restart)), ("Id", _program_matrix(index))]
     for lab in list(m.states) + ["x", "y"]:
-        adam.append((f"F[{lab}]", assignment_product(("Neg", {lab: 1}))))
-    adam.append(("A", assignment_product(("Neg", {"Neg": 1, "One": 1}))))
-    adam.append(("P", assignment_product(("E", {"E": 1, "Neg": 1}))))
+        adam.append((f"F[{lab}]", _program_matrix(index, {"Neg": {lab: 1}})))
+    adam.append(("A", _program_matrix(index, {"Neg": {"Neg": 1, "One": 1}})))
+    adam.append(("P", _program_matrix(index, {"E": {"E": 1, "Neg": 1}})))
 
     v0 = [Fraction(0)] * dim
     for lab in (start, "One", "E"):
@@ -137,67 +148,48 @@ def encode_integer(m: TwoCounterMachine) -> EncodedMmg:
 
 def encode_nonneg(m: TwoCounterMachine) -> EncodedMmg:
     """Non-negative encoding; counter c at time scale 2^n rides as the pair
-    (2^(n+c), 2^(n-c)).  Eve's matrices are simultaneous column assignments:
-    the state token doubles and moves, the touched counter coordinate
-    quadruples (inc: plus, dec: minus), the zero branch swaps the tested
-    pair at weight 2, and everything else doubles except the stalled mate of
-    a touched counter."""
+    (2^(n+c), 2^(n-c)).  Each of Eve's matrices is one simultaneous
+    assignment: the state token doubles and moves, the touched counter
+    coordinate quadruples (inc: plus, dec: minus), the zero branch swaps the
+    tested pair at weight 2, and everything else doubles except the stalled
+    mate of a touched counter."""
     labels = list(m.states) + ["x+", "x-", "y+", "y-"]
     index = {lab: i for i, lab in enumerate(labels)}
     dim = len(labels)
     counter_labels = ["x+", "x-", "y+", "y-"]
 
-    def column_matrix(columns):
-        # columns: label -> {source label: coefficient}; omitted columns
-        # default to the identity column
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        for lab in labels:
-            combo = columns.get(lab, {lab: 1})
-            for src, coeff in combo.items():
-                rows[index[src]][index[lab]] = Fraction(coeff)
-        return Matrix(tuple(tuple(r) for r in rows))
-
-    def transition_columns(state, target, counter, kind):
-        cols = {target: {state: 2}}
+    def transition_step(state, target, counter, kind):
+        step = {target: {state: 2}}
         if target != state:
-            cols[state] = {}
+            step[state] = {}
         other = "y" if counter == "x" else "x"
-        cols[other + "+"] = {other + "+": 2}
-        cols[other + "-"] = {other + "-": 2}
+        step[other + "+"] = {other + "+": 2}
+        step[other + "-"] = {other + "-": 2}
         plus, minus = counter + "+", counter + "-"
         if kind == "inc":
-            cols[plus] = {plus: 4}
-            # minus stalls at the identity column
+            step[plus] = {plus: 4}
+            # minus stalls: the step leaves it out
         elif kind == "zero":
-            cols[plus] = {minus: 2}
-            cols[minus] = {plus: 2}
+            step[plus] = {minus: 2}
+            step[minus] = {plus: 2}
         else:
-            cols[minus] = {minus: 4}
+            step[minus] = {minus: 4}
             # plus stalls
-        return cols
+        return step
 
     eve = []
     for kind, state, counter, target in machine_transitions(m):
-        matrix = column_matrix(transition_columns(state, target, counter, kind))
+        matrix = _program_matrix(index, transition_step(state, target, counter, kind))
         eve.append((_move_name(kind, state, counter, target), matrix))
 
     start = m.initial_state
-    adam = [("Id", column_matrix({}))]
-    for counter in ("x", "y"):
-        source = counter + "+"
-        cols = {lab: {source: 1} for lab in counter_labels}
-        cols[start] = {source: 1}
-        for q in m.states:
-            if q != start:
-                cols[q] = {}
-        adam.append((f"P[{counter}]", column_matrix(cols)))
-    spread = {q: 1 for q in m.states}
-    cols = {lab: dict(spread) for lab in counter_labels}
-    cols[start] = dict(spread)
-    for q in m.states:
-        if q != start:
-            cols[q] = {}
-    adam.append(("P[q]", column_matrix(cols)))
+    # a reset restarts the clock from its source: the start state and every
+    # counter coordinate take the source's value, and the other states 0
+    adam = [("Id", _program_matrix(index))]
+    for name, source in (("x", {"x+": 1}), ("y", {"y+": 1}), ("q", dict.fromkeys(m.states, 1))):
+        reset = {q: {} for q in m.states}
+        reset.update((lab, source) for lab in [start] + counter_labels)
+        adam.append((f"P[{name}]", _program_matrix(index, reset)))
 
     v0 = [Fraction(0)] * dim
     v0[index[start]] = Fraction(1)
@@ -222,11 +214,6 @@ def _identity_moves(g: EncodedMmg) -> frozenset[str]:
     return frozenset(name for name, matrix in g.adam_matrices if matrix == identity)
 
 
-def _check_cheat_turn(cheat_turn: int | None, horizon: int) -> None:
-    if cheat_turn is not None and not 1 <= cheat_turn <= horizon:
-        raise ValueError("cheat turn must be in 1..horizon")
-
-
 def _log(q: Fraction) -> float:
     """Natural log of a positive Fraction of any size, without overflow."""
     return math.log(q.numerator) - math.log(q.denominator)
@@ -236,12 +223,18 @@ class _EveSimulation:
     """Eve's private machine run: faithful moves, forced moves once halted,
     and optional deliberate deviations.  After any deviation the simulation
     follows the formal semantics of the move actually played, so it stays in
-    step with the public vector."""
+    step with the public vector: the integer zero move negates its counter.
 
-    def __init__(self, machine: TwoCounterMachine, moves, move_index):
+    Both audits use this one class.  ``check_nonneg_punishment``, whose
+    zero move swaps the counter pair and so keeps the counter, applies a
+    move only when it equals Adam's expected faithful move, with both
+    simulations in step.  A faithful zero move meets a zero counter, where
+    negating the counter and leaving it agree."""
+
+    def __init__(self, machine: TwoCounterMachine, moves):
         self.machine = machine
         self.moves = moves
-        self.move_index = move_index
+        self.move_index = {(kind, state): k for k, (kind, state, _, _) in enumerate(moves)}
         self.reset()
 
     def reset(self):
@@ -285,15 +278,31 @@ class _EveSimulation:
             self.counters[counter] = -self.counters[counter]
 
 
-class _EveSimulationNonneg(_EveSimulation):
-    def apply(self, move_id: int):
-        kind, state, counter, target = self.moves[move_id]
-        self.state = target
-        if kind == "inc":
-            self.counters[counter] += 1
-        elif kind == "dec":
-            self.counters[counter] -= 1
-        # the zero branch leaves the counter untouched
+_AUDIT_VARIANTS = {
+    INTEGER: "scripted plays are defined for the integer variant",
+    NONNEG: "punishment audits are defined for the non-negative variant",
+}
+
+
+def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int, cheat_turn):
+    """Check the preconditions both audits share, raising ValueError at the
+    first one broken: the variant, a move for Eve, a positive horizon, a
+    cheat turn (when given) in 1..horizon, and one Eve matrix per machine
+    move.  Returns the move list, the coordinate index and two fresh
+    simulations, Eve's and Adam's."""
+    if g.variant != variant:
+        raise ValueError(_AUDIT_VARIANTS[variant])
+    if g.degenerate:
+        raise ValueError("degenerate encoding: Eve has no moves")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if cheat_turn is not None and not 1 <= cheat_turn <= horizon:
+        raise ValueError("cheat turn must be in 1..horizon")
+    moves = machine_transitions(m)
+    if len(moves) != len(g.eve_matrices):
+        raise ValueError("encoding does not match the machine")
+    index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
+    return moves, index, _EveSimulation(m, moves), _EveSimulation(m, moves)
 
 
 @dataclass(frozen=True)
@@ -343,26 +352,10 @@ def run_scripted_play(
     are.  Once Omega is zero (``annihilation_turn``) it stays zero, and so
     does v, which is always the start vector times Omega; the report then
     carries that zero matrix as ``final_product``."""
-    if g.variant != INTEGER:
-        raise ValueError("scripted plays are defined for the integer variant")
-    if g.degenerate:
-        raise ValueError("degenerate encoding: Eve has no moves")
-    if max_turns <= 0:
-        raise ValueError("max_turns must be positive")
-    _check_cheat_turn(cheat_turn, max_turns)
-    moves = machine_transitions(m)
-    if len(moves) != len(g.eve_matrices):
-        raise ValueError("encoding does not match the machine")
-    move_index = {(kind, state): k for k, (kind, state, _, _) in enumerate(moves)}
+    _, index, eve_sim, adam_sim = _start_play(g, m, INTEGER, max_turns, cheat_turn)
     labels = g.coordinate_labels
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    eve_sim = _EveSimulation(m, moves, move_index)
-    adam_sim = _EveSimulation(m, moves, move_index)
-
     v = list(g.start_vector)
     omega = Matrix.identity(g.dimension)
-    dim = g.dimension
     adam_moves: list[str] = []
     eve_moves: list[str] = []
     vectors: list[tuple[Fraction, ...]] = []
@@ -557,23 +550,7 @@ def check_nonneg_punishment(
     product is not formed.  The magnitude checks compare those ints, with
     powers of two as shifts; only the norms at the start, at each reset and
     at the end become Fractions."""
-    if g.variant != NONNEG:
-        raise ValueError("punishment audits are defined for the non-negative variant")
-    if g.degenerate:
-        raise ValueError("degenerate encoding: Eve has no moves")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    _check_cheat_turn(cheat_turn, horizon)
-    moves = machine_transitions(m)
-    if len(moves) != len(g.eve_matrices):
-        raise ValueError("encoding does not match the machine")
-    move_index = {(kind, state): k for k, (kind, state, _, _) in enumerate(moves)}
-    labels = g.coordinate_labels
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    eve_sim = _EveSimulationNonneg(m, moves, move_index)
-    adam_sim = _EveSimulationNonneg(m, moves, move_index)
-
+    moves, index, eve_sim, adam_sim = _start_play(g, m, NONNEG, horizon, cheat_turn)
     dim = g.dimension
     adam_cols = {name: _integer_columns(name, matrix) for name, matrix in g.adam_matrices}
     eve_cols = [_integer_columns(name, matrix) for name, matrix in g.eve_matrices]

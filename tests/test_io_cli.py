@@ -221,10 +221,12 @@ def test_cli_decide_exit_codes(files, capsys):
     capsys.readouterr()
     assert main(["decide", "--query", "jssr>=", "--alpha", "1", files["aset"]]) == 0
     capsys.readouterr()
-    # non-strict upper bounds need positive entries: structured failure
-    code = main(["decide", "--query", "jsr<=", "--alpha", "3", files["aset"]])
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error:")
+    # the non-strict upper and the strict lower threshold need positive
+    # entries: structured failure
+    for query in ("jsr<=", "jssr>"):
+        code = main(["decide", "--query", query, "--alpha", "3", files["aset"]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "positive sets only" in err
 
 
 def test_cli_decide_game_queries(files, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from entropygames.linalg import (
     Matrix,
     ReducibleMatrixError,
     Vector,
+    _dyadic_witness,
     _over_common_denominator,
     block_radius_bounds,
     certify_radius_lower,
@@ -388,6 +390,12 @@ def test_perron_vector_running():
     assert abs(v.entries[0] - v.entries[2]) < Fraction(1, 10**8)
 
 
+def test_perron_vector_refuses_a_witness_whose_ratios_span_more_than_twice_tol():
+    # float iterates cannot bring the ratios within 2 * 10^-16 of each other
+    with pytest.raises(RuntimeError, match="requested residual"):
+        perron_vector(RUNNING, Fraction(1, 10**16))
+
+
 def test_perron_vector_flat():
     v = perron_vector(Matrix(((1, 1), (1, 1))))
     assert [float(x) for x in v.entries] == pytest.approx([0.5, 0.5], abs=1e-10)
@@ -479,6 +487,68 @@ def test_spectral_radius_names_the_float_range_when_the_iterate_overflows():
         "an entry near 2^1023 is too large for the float iteration, "
         "whose floats end below 2^1024"
     )
+
+
+def test_spectral_radius_skips_the_whole_matrix_kernel_below_a_lagging_diagonal_row():
+    # row 1's only entry, 1, is more than tol below the diagonal entry 2
+    est = spectral_radius(Matrix(((2, 0), (0, 1))))
+    assert est.iterations == 0
+    assert (est.lower, est.upper) == (2, Fraction(40000000001, 20000000000))
+    assert est.witness_upper.entries == (20000000000, Fraction(20000000000, 20000000001))
+    assert est.converged
+    # 19/10 lies within tol = 1/7 of 2, so the whole-matrix witness runs,
+    # and it closes
+    est = spectral_radius(Matrix(((2, 0), (0, Fraction(19, 10)))), Fraction(1, 7))
+    assert est.iterations > 0 and est.converged
+    assert (est.lower, est.upper) == (Fraction(19, 10), 2)
+    assert est.witness_lower.entries == est.witness_upper.entries == (2**60, 1)
+
+
+def _lagging_row(m: Matrix, tol: Fraction) -> bool:
+    """True when some row of m is zero off its diagonal, and that diagonal
+    entry lies more than tol below the largest diagonal entry."""
+    top = max(m.data[i][i] for i in range(m.rows))
+    return any(
+        row[i] < top - tol and all(x == 0 for j, x in enumerate(row) if j != i)
+        for i, row in enumerate(m.data)
+    )
+
+
+@st.composite
+def lagging_row_cases(draw):
+    """A reducible matrix of order 2 to 5: random rows, some of them cut
+    down to their diagonal entry, with rows and columns permuted, and a
+    tolerance."""
+    n = draw(st.integers(2, 5))
+    entry = st.builds(Fraction, st.integers(0, 9), st.sampled_from((1, 1, 2, 5)))
+    data = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1)):
+        data[i] = [x if j == i else 0 for j, x in enumerate(data[i])]
+    order = draw(st.permutations(range(n)))
+    m = Matrix(tuple(tuple(data[i][j] for j in order) for i in order))
+    tol = draw(st.sampled_from((Fraction(1, 10**10), Fraction(1, 1000), Fraction(1, 7))))
+    return m, tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(lagging_row_cases())
+@example((Matrix(((2, 0), (0, 1))), Fraction(1, 10**10)))
+@example((Matrix(((2, 0), (0, Fraction(19, 10)))), Fraction(1, 7)))
+@example((Matrix(((2, 1, 0), (1, 0, 0), (0, 0, 1))), Fraction(1, 1000)))
+def test_spectral_radius_skips_only_whole_matrix_kernels_that_cannot_close(case):
+    m, tol = case
+    # the whole-matrix witness is the one call over range(n); the per-block
+    # pass calls it over lists
+    with mock.patch("entropygames.linalg._dyadic_witness", wraps=_dyadic_witness) as spy:
+        r = spectral_radius(m, tol)
+    whole_ran = any(isinstance(call.args[1], range) for call in spy.call_args_list)
+    assert whole_ran != _lagging_row(m, tol)
+    assert certify_radius_lower(m, r.lower, r.witness_lower)
+    assert certify_radius_upper(m, r.upper, r.witness_upper)
+    if not whole_ran:
+        # the skip is sound: the whole-matrix witness would not have closed
+        _, lo, hi, _ = _dyadic_witness(m, range(m.rows), float(tol) / 4)
+        assert Fraction(*hi) - Fraction(*lo) > tol
 
 
 @settings(max_examples=80, deadline=None)

@@ -209,6 +209,18 @@ def test_cheat_wrong_branch_flashes_counter_value():
     assert report.annihilation_turn is not None
 
 
+def test_eve_follows_the_negated_counter_after_a_wrong_zero_branch():
+    # at turn 2 Eve holds x = 1 and lies with the zero branch, which negates
+    # x to -1; her simulation follows the move played, so until Adam's Init
+    # she keeps decrementing the counter the vector shows
+    machine = parse_machine("q0: inc x -> q1\nq1: ifz x -> q1 else dec -> q1\n")
+    g = encode_integer(machine)
+    report = run_scripted_play(g, machine, 4, cheat_turn=2)
+    assert report.eve_moves == ("I[q0->q1,x]", "K[q1->q1,x]", "D[q1->q1,x]", "D[q1->q1,x]")
+    x = g.coordinate_labels.index("x")
+    assert [v[x] for v in report.vectors] == [1, -1, -2, -3]
+
+
 def test_cheat_impossible_reports_false():
     g = encode_integer(LOOPER)
     report = run_scripted_play(g, LOOPER, 10, cheat_turn=3)
@@ -217,22 +229,29 @@ def test_cheat_impossible_reports_false():
     assert report.annihilation_turn is None
 
 
-def test_scripted_play_errors():
-    g_nn = encode_nonneg(M1)
-    with pytest.raises(ValueError, match="integer variant"):
-        run_scripted_play(g_nn, M1, 10)
-    g = encode_integer(M1)
-    with pytest.raises(ValueError, match="positive"):
-        run_scripted_play(g, M1, 0)
-    with pytest.raises(ValueError, match="does not match"):
-        run_scripted_play(g, M2, 10)
+@pytest.mark.parametrize(
+    "audit,encode,other,variant",
+    [
+        (run_scripted_play, encode_integer, encode_nonneg, "integer variant"),
+        (check_nonneg_punishment, encode_nonneg, encode_integer, "non-negative variant"),
+    ],
+    ids=["integer", "nonnegative"],
+)
+def test_audit_preconditions(audit, encode, other, variant):
+    with pytest.raises(ValueError, match=variant):
+        audit(other(M1), M1, 10)
+    g = encode(M1)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        audit(g, M1, 0)
+    with pytest.raises(ValueError, match="encoding does not match the machine"):
+        audit(g, M2, 10)
     stopper = parse_machine("q0: stop\n")
-    with pytest.raises(ValueError, match="degenerate"):
-        run_scripted_play(encode_integer(stopper), stopper, 10)
+    with pytest.raises(ValueError, match="degenerate encoding: Eve has no moves"):
+        audit(encode(stopper), stopper, 10)
     for cheat in (0, -1, 11):
         with pytest.raises(ValueError, match=r"cheat turn must be in 1\.\.horizon"):
-            run_scripted_play(g, M1, 10, cheat_turn=cheat)
-    assert run_scripted_play(g, M1, 10, cheat_turn=10).turns == 10
+            audit(g, M1, 10, cheat_turn=cheat)
+    assert audit(g, M1, 10, cheat_turn=10).turns == 10
 
 
 def test_nonneg_faithful_looper_not_punished():
@@ -283,24 +302,6 @@ def test_nonneg_segment_ratios_exact():
     first = report.segments[0]
     assert first.ratio <= Fraction(2) ** (first.turns - 1)
     assert first.within_bound
-
-
-def test_nonneg_errors():
-    g_int = encode_integer(M1)
-    with pytest.raises(ValueError, match="non-negative variant"):
-        check_nonneg_punishment(g_int, M1, 10)
-    g = encode_nonneg(M1)
-    with pytest.raises(ValueError, match="positive"):
-        check_nonneg_punishment(g, M1, 0)
-    with pytest.raises(ValueError, match="does not match"):
-        check_nonneg_punishment(g, M2, 10)
-    stopper = parse_machine("q0: stop\n")
-    with pytest.raises(ValueError, match="degenerate"):
-        check_nonneg_punishment(encode_nonneg(stopper), stopper, 10)
-    for cheat in (0, -1, 11):
-        with pytest.raises(ValueError, match=r"cheat turn must be in 1\.\.horizon"):
-            check_nonneg_punishment(g, M1, 10, cheat_turn=cheat)
-    assert check_nonneg_punishment(g, M1, 10, cheat_turn=10).turns == 10
 
 
 @pytest.mark.parametrize("horizon", [600, 1200])
