@@ -58,13 +58,44 @@ C' be C with row i replaced by a non-negative row r.
 
 So on a side whose centre product is irreducible, the Sigma (|S_i| - 1)
 single-row deviations, each compared exactly with the centre, settle all
-Pi |S_i| members.  On a reducible centre they do not: with Despot's
+Pi |S_i| members.  On a reducible centre they need not: with Despot's
 identity against Tribune's rows (1, 0) | (0, 5) and (0, 1) | (5, 0),
-every single swap of E = I keeps rho at 1 but swapping both gives 5.  Such
-a side is compared with every member.  That check, and the exact grid
-fallback of ``find_saddle``, enumerate members through
-``iru.enumerate_members``, which refuses a side of more than
-``iru.ENUM_CAP`` members with an EnumerationCapError naming the step.
+every single swap of E = I keeps rho at 1 but swapping both gives 5.
+
+A reducible centre is split instead (Rothblum, "Multiplicative Markov
+decision chains", 1984).  Write U for the union support of the side's
+product rows: U_ij > 0 when some r . other with r in S_i has a non-zero
+entry j.
+
+* Every member's product M . other has its support inside U.  Along the
+  strongly connected blocks of U, in ``support_blocks`` order, every
+  product is block-triangular, so rho(M . other) is the largest of the
+  block radii rho((M . other)_BB).
+* (M . other)_BB depends only on M's rows in B, and the blocks choose
+  their rows independently.  Write C for the centre.
+* So Tribune (the maximiser) is refuted exactly when some block has a row
+  choice with rho above rho(C): with the other rows of the member whose
+  product is C kept, the product's radius is at least that block's.
+* A block is critical when rho(C_BB) = rho(C).  A non-critical block
+  already lies below rho(C), so Despot (the minimiser) is refuted exactly
+  when every critical block has a row choice with rho below rho(C); the
+  refuting member combines those choices, and its product's largest
+  block radius is below rho(C).
+* A block is aligned when C_BB is irreducible, a single node included.
+  There the single-row lemma on C_BB, with every candidate row restricted
+  to B's columns, settles the block's own members by its deviations:
+  none above rho(C_BB) means no member above it, none below means none
+  below.  On a critical block, rho(C_BB) is rho(C).  On Tribune's side a
+  deviation can beat C_BB and stay at most rho(C) only on a non-critical
+  block, and that block alone then falls back to its own members.
+* A non-aligned block is enumerated over its own rows: the IruSet of its
+  restricted rows, where rows that coincide count once, through
+  ``iru.enumerate_members``, which refuses a block of more than
+  ``iru.ENUM_CAP`` members with an EnumerationCapError naming the side.
+
+An irreducible centre is the one case where U is a single aligned block.
+The exact grid fallback of ``find_saddle`` enumerates whole sides and is
+capped the same way.
 """
 
 from __future__ import annotations
@@ -503,29 +534,105 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
 
     The centre is C = own . other; a member M beats own when sign *
     (rho(M other) - rho(C)) > 0, so sign is +1 for the maximiser (Tribune)
-    and -1 for the minimiser (Despot).  On an irreducible C only the
-    single-row deviations are compared (see the module docstring for why
-    they suffice): one vec_mat and one exact comparison each, the first
-    that beats own is returned.  A reducible C has no such lemma, and every
-    member is compared; more than iru.ENUM_CAP members raise
-    EnumerationCapError naming the reducible centre and ``side``."""
+    and -1 for the minimiser (Despot).  This is the block split of the
+    module docstring.  An irreducible centre is a single aligned block, and
+    its first single-row deviation that beats own, in row order, is
+    returned.  A reducible centre is split along the blocks of the union
+    support, and the critical blocks are found by exact comparisons of the
+    blocks' C_BB with each other.  Aligned blocks compare their single-row
+    deviations.  Non-aligned blocks compare their own members, and so does
+    a non-critical aligned block on Tribune's side whose deviation beats
+    C_BB but not C.  A refuting block row maps back to the first candidate
+    row with that restriction.  A block of more than iru.ENUM_CAP members
+    raises EnumerationCapError naming the reducible centre and ``side``."""
     centre = mat_mul(own, other)
-    if len(support_blocks(centre.data)) > 1:
-        for m in enumerate_members(s, f"reducible centre on {side}"):
-            if sign * realroots.compare_radii_enclosed(cache, mat_mul(m, other), centre) > 0:
-                return m
-        return None
-    rows = list(centre.data)
-    for i, rs in enumerate(s.row_sets):
-        for r in rs.rows:
-            row = vec_mat(r, other)
-            if row == centre.data[i]:
+    products = [[vec_mat(r, other) for r in rs.rows] for rs in s.row_sets]
+    if len(support_blocks(centre.data)) == 1:
+        blocks, centres, aligned = [list(range(centre.rows))], [centre], [True]
+    else:
+        blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
+        centres = [_restrict(centre, block) for block in blocks]
+        aligned = [len(support_blocks(local.data)) == 1 for local in centres]
+    critical = {0}
+    top = centres[0]
+    for k in range(1, len(blocks)):
+        c = realroots.compare_radii_enclosed(cache, centres[k], top)
+        if c > 0:
+            critical, top = {k}, centres[k]
+        elif c == 0:
+            critical.add(k)
+    rows = list(own.data)
+    for k, block in enumerate(blocks):
+        if sign < 0 and k not in critical:
+            continue
+        options = _block_options(s, products, block)
+        if not aligned[k]:
+            choice = _block_member(options, top, sign, cache, side)
+        else:
+            choice, deviation = _deviation(options, centres[k], sign, cache)
+            # beating C_BB beats C on a critical block; a non-critical one,
+            # on Tribune's side only, is settled by a deviation above C
+            if (
+                choice is not None
+                and k not in critical
+                and realroots.compare_radii_enclosed(cache, deviation, top) <= 0
+            ):
+                choice = _block_member(options, top, sign, cache, side)
+        if choice is None:
+            if sign < 0:
+                return None
+            continue
+        for pos, q in choice:
+            rows[block[pos]] = options[pos][q]
+        if sign > 0:
+            return Matrix._of_fractions(tuple(rows))
+    return Matrix._of_fractions(tuple(rows)) if sign < 0 else None
+
+
+def _restrict(m: Matrix, block: list[int]) -> Matrix:
+    """The principal submatrix of m on the indices of block."""
+    return Matrix._of_fractions(tuple(tuple(m.data[i][j] for j in block) for i in block))
+
+
+def _block_options(s: IruSet, products, block: list[int]) -> list[dict]:
+    """For each row i of block, row set i's product rows restricted to the
+    columns of block, each distinct restriction mapped to the first
+    candidate row that gives it."""
+    whole = len(block) == len(products)
+    options = []
+    for i in block:
+        seen: dict = {}
+        for r, p in zip(s.row_sets[i].rows, products[i]):
+            seen.setdefault(p if whole else tuple(p[j] for j in block), r)
+        options.append(seen)
+    return options
+
+
+def _deviation(options, local: Matrix, sign: int, cache):
+    """The first single-row deviation of the irreducible block centre local
+    that beats it, as ([(position, restricted row)], the deviation), or
+    (None, None) when none does."""
+    rows = list(local.data)
+    for pos, choices in enumerate(options):
+        for q in choices:
+            if q == local.data[pos]:
                 continue
-            rows[i] = row
+            rows[pos] = q
             deviation = Matrix._of_fractions(tuple(rows))
-            rows[i] = centre.data[i]
-            if sign * realroots.compare_radii_enclosed(cache, deviation, centre) > 0:
-                return Matrix._of_fractions(own.data[:i] + (r,) + own.data[i + 1:])
+            rows[pos] = local.data[pos]
+            if sign * realroots.compare_radii_enclosed(cache, deviation, local) > 0:
+                return [(pos, q)], deviation
+    return None, None
+
+
+def _block_member(options, top: Matrix, sign: int, cache, side: str):
+    """The first of a block's own members, over its distinct restricted
+    rows, whose radius beats rho(top), as (position, restricted row)
+    pairs, or None."""
+    block_set = IruSet(tuple(RowSet(tuple(choices)) for choices in options))
+    for m in enumerate_members(block_set, f"reducible centre on {side}"):
+        if sign * realroots.compare_radii_enclosed(cache, m, top) > 0:
+            return list(enumerate(m.data))
     return None
 
 
@@ -559,10 +666,11 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     an exactly confirmed improvement for its side; iteration resumes from
     it.  After a fixed number of refuted rounds the grid cells are checked
     exactly in lexicographic order; a saddle always exists, so one of them
-    confirms.  That fallback, like the check of a reducible centre, raises
-    EnumerationCapError on a side of more than iru.ENUM_CAP members.  No
-    member grid is formed otherwise, and on a side with an irreducible
-    centre the check makes at most sum(|S_i| - 1) exact comparisons."""
+    confirms.  That fallback raises EnumerationCapError on a side of more
+    than iru.ENUM_CAP members, as the check does on a non-aligned block of
+    more.  No member grid is formed otherwise: the check compares single-row
+    deviations on aligned blocks, at most sum(|S_i| - 1) of them on a side
+    with an irreducible centre, and block members only on the others."""
     _check_game_shapes(a_set, e_set)
     a_rows, e_rows = _float_rows(a_set), _float_rows(e_set)
     a, e = [0] * a_set.n_rows, [0] * e_set.n_rows
@@ -596,8 +704,10 @@ def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix) -> bool:
     for Tribune and a0 e0 for Despot (rho(a0 E) = rho(E a0), as the two
     products share their non-zero eigenvalues).  An irreducible centre
     needs only its single-row deviations, by the lemma in the module
-    docstring; a reducible one is compared with every member, and raises
-    EnumerationCapError when its side has more than iru.ENUM_CAP."""
+    docstring.  A reducible one is split along the blocks of the union
+    support of its side's product rows: aligned blocks need only their
+    deviations, and the others compare their own members, raising
+    EnumerationCapError on a block of more than iru.ENUM_CAP."""
     if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
         return False
     return _refute_pair(a_set, e_set, a0, e0, {}) is None

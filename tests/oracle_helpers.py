@@ -18,7 +18,9 @@ before the bracket started from the saddle's enclosure, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
 realroots.compare_radii alone, with no enclosure and no float, and
 grid_saddle, the member-grid saddle search that strategy iteration
-replaced in decide.find_saddle, and contraction_lp, the strict contraction
+replaced in decide.find_saddle, and member_scan_refute, the scan over
+every member of a side that the block split replaced in decide._refute,
+and contraction_lp, the strict contraction
 LP that Howard policy iteration replaced in decide.decide_jsr_lt.
 fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced, and
@@ -614,6 +616,22 @@ def sturm_extremes(s):
         if argmin is None or compare_radii(m, argmin) < 0:
             argmin = m
     return argmax, argmin
+
+
+def member_scan_refute(s, own, other, sign):
+    """The first member M of s, in lexicographic order, with sign *
+    (rho(M other) - rho(own other)) > 0, or None: decide._refute by
+    comparing every member's product with the centre, by Sturm
+    comparisons alone."""
+    from entropygames.iru import enumerate_members
+    from entropygames.linalg import mat_mul
+    from entropygames.realroots import compare_radii
+
+    centre = mat_mul(own, other)
+    for m in enumerate_members(s):
+        if sign * compare_radii(mat_mul(m, other), centre) > 0:
+            return m
+    return None
 
 
 def grid_saddle(a_set, e_set):

@@ -12,6 +12,7 @@ from entropygames.decide import (
     Certificate,
     PositivityRequiredError,
     ValueInterval,
+    _refute,
     _valuation,
     decide_jsr_le,
     decide_jsr_lt,
@@ -33,7 +34,7 @@ from entropygames.iru import (
     jsr_jssr,
     right_product,
 )
-from entropygames.linalg import Matrix, mat_mul, spectral_radius
+from entropygames.linalg import Matrix, block_radius_bounds, mat_mul, spectral_radius
 from entropygames.lp import lp_max
 from entropygames.realroots import compare_radii, compare_radius_with_rational
 
@@ -489,6 +490,195 @@ def test_find_saddle_matches_grid_oracle(rng):
         )
 
 
+_SIDE_KINDS = (
+    "aligned", "nonaligned", "critical", "zero", "rational", "tied", "identical", "mpg",
+    "rectangular",
+)
+
+
+def _side(rng):
+    """A random side of the saddle check with n <= 5 rows: (kind, s, own,
+    other).
+
+    Rows are laid out in consecutive blocks and then relabelled by a random
+    permutation.  A row's entries inside its block follow the kind, its
+    entries into earlier blocks are random and later blocks get none, so
+    against the identity the union support keeps those blocks or merges
+    them.  Kinds: positive blocks (aligned); a diagonal own row against
+    rows with one off-diagonal entry (non-aligned); a second block that
+    copies the first (two critical blocks); a zero own block (zero radius);
+    diagonal and lower triangular blocks (rational radii); 0/1 entries
+    (tied members); one pool of rows for every row set (identical rows);
+    one entry 2^w per row (MPG-shaped); random rows of another length.
+    ``other`` is the identity half of the time, else random."""
+    kind = rng.choice(_SIDE_KINDS)
+    n = rng.randint(2 if kind == "critical" else 1, 5)
+    most = 3 if n <= 3 else 2
+    counts = [rng.randint(2 if kind == "nonaligned" else 1, most) for _ in range(n)]
+    picks = [rng.randrange(c) for c in counts]
+    if kind == "rectangular":
+        m = rng.randint(1, 5)
+        cands = [[[rng.choice((0, 0, 1, 3)) for _ in range(m)] for _ in range(c)] for c in counts]
+        other = Matrix(tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(m)))
+    elif kind == "identical":
+        pool = [[rng.randint(0, 2) for _ in range(n)] for _ in range(2)]
+        counts, picks = [2] * n, [rng.randrange(2) for _ in range(n)]
+        cands = [pool] * n
+        other = Matrix.identity(n)
+    else:
+        sizes = [rng.randint(1, n // 2)] * 2 if kind == "critical" else []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, min(3, n - sum(sizes))))
+        starts = [sum(sizes[:b]) for b in range(len(sizes))]
+        block = [(start, start + size) for start, size in zip(starts, sizes) for _ in range(size)]
+
+        def inside(i, j, own):
+            if kind == "aligned":
+                return rng.randint(1, 3)
+            if kind == "nonaligned":
+                return rng.randint(1, 2) if i == j else 0
+            if kind == "zero":
+                return 0 if own else rng.randint(0, 1)
+            if kind == "rational":
+                return rng.randint(0, 4) if i == j else rng.randint(0, 2) if j < i else 0
+            return rng.randint(0, 1) if kind == "tied" else rng.randint(0, 3)
+
+        def row(i, own):
+            lo, hi = block[i]
+            out = [rng.choice((0, 0, 1, 2)) for _ in range(lo)] + [0] * (n - lo)
+            if kind == "mpg":
+                out = [0] * n
+                out[rng.randrange(hi)] = 2 ** rng.randint(0, 3)
+            elif kind == "nonaligned" and not own:
+                out[rng.randrange(lo, hi)] = rng.randint(1, 5)
+            else:
+                out[lo:hi] = [inside(i, j, own) for j in range(lo, hi)]
+            return out
+
+        cands = [[row(i, c == picks[i]) for c in range(counts[i])] for i in range(n)]
+        if kind == "critical":
+            # the second block repeats the first's rows inside its columns
+            size = sizes[0]
+            for i in range(size):
+                counts[size + i], picks[size + i] = counts[i], picks[i]
+                cands[size + i] = [
+                    row(size + i, False)[:size] + r[:size] + [0] * (n - 2 * size)
+                    for r in cands[i]
+                ]
+        perm = rng.sample(range(n), n)
+        cands = [
+            [[r[perm.index(j)] for j in range(n)] for r in cands[perm.index(i)]]
+            for i in range(n)
+        ]
+        picks = [picks[perm.index(i)] for i in range(n)]
+        other = Matrix.identity(n) if rng.random() < 0.5 else Matrix(
+            tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(n))
+        )
+    s = iru_set(cands)
+    own = Matrix(tuple(tuple(c[k]) for c, k in zip(cands, picks)))
+    return kind, s, own, other
+
+
+def _assert_refute_matches_member_scan(s, own, other, sign):
+    found = _refute(s, own, other, sign, {}, "this side")
+    expected = oracle_helpers.member_scan_refute(s, own, other, sign)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert s.contains_matrix(found)
+        assert sign * compare_radii(mat_mul(found, other), mat_mul(own, other)) > 0
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_block_split_matches_member_scan(rng):
+    kind, s, own, other = _side(rng)
+    for sign in (1, -1):
+        _assert_refute_matches_member_scan(s, own, other, sign)
+
+
+_ROOT_2 = Matrix(((0, 1), (2, 0)))
+# a rational just below sqrt(2), inside the enclosure of _ROOT_2's radius
+_NEAR_ROOT_2 = block_radius_bounds(_ROOT_2)[0]
+
+
+@pytest.mark.parametrize(
+    "rows, own, sign, refuted",
+    [
+        # one non-aligned block: no single swap of I raises rho, both do
+        ([[(1, 0), (0, 5)], [(0, 1), (5, 0)]], [(1, 0), (0, 1)], 1, True),
+        # two critical blocks, each lowered: only both together lower rho
+        ([[(1, 0), (Fraction(1, 2), 0)], [(0, 1), (0, Fraction(1, 2))]], [(1, 0), (0, 1)], -1,
+         True),
+        # two critical blocks, one of them fixed
+        ([[(1, 0), (Fraction(1, 2), 0)], [(0, 1)]], [(1, 0), (0, 1)], -1, False),
+        # the non-critical block of radius 1 rises to 3, above 2
+        ([[(1, 0), (3, 0)], [(0, 2)]], [(1, 0), (0, 2)], 1, True),
+        # each swap of the non-critical block raises it from 2 to 1 + sqrt(6),
+        # short of 5; both swaps together give 7
+        (
+            [[(1, 1, 0), (1, 6, 0)], [(1, 1, 0), (6, 1, 0)], [(0, 0, 5)]],
+            [(1, 1, 0), (1, 1, 0), (0, 0, 5)],
+            1,
+            True,
+        ),
+        # the block of radius _NEAR_ROOT_2 is not critical, though its
+        # enclosure lies inside that of the critical block's sqrt(2)
+        (
+            [[(_NEAR_ROOT_2, 0, 0)], [(0, 0, 1), (0, 0, Fraction(1, 2))], [(0, 2, 0)]],
+            [(_NEAR_ROOT_2, 0, 0), (0, 0, 1), (0, 2, 0)],
+            -1,
+            True,
+        ),
+        # two critical blocks tied at sqrt(2), each lowered
+        (
+            [[(0, 1, 0, 0), (0, Fraction(1, 2), 0, 0)], [(2, 0, 0, 0)],
+             [(0, 0, 0, 1), (0, 0, 0, Fraction(1, 2))], [(0, 0, 2, 0)]],
+            [(0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 0, 1), (0, 0, 2, 0)],
+            -1,
+            True,
+        ),
+    ],
+)
+def test_block_split_hard_cases(rows, own, sign, refuted):
+    lo, hi = block_radius_bounds(_ROOT_2)
+    assert lo == _NEAR_ROOT_2 < hi
+    s, own = iru_set(rows), Matrix(tuple(own))
+    other = Matrix.identity(own.rows)
+    found = _assert_refute_matches_member_scan(s, own, other, sign)
+    assert (found is not None) == refuted
+
+
+def test_aligned_blocks_enumerate_no_member(monkeypatch):
+    from entropygames import decide
+
+    calls = []
+
+    def counted(s, stage=None):
+        calls.append(stage)
+        return enumerate_members(s, stage)
+
+    monkeypatch.setattr(decide, "enumerate_members", counted)
+    # single-node blocks on Despot's side, with critical and non-critical
+    # blocks and a non-critical block that rises above the centre
+    one = iru_set([[(1, 0)], [(0, 1)]])
+    identity = Matrix(((1, 0), (0, 1)))
+    assert verify_saddle(iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]]), one, identity, identity)
+    diag = Matrix(((1, 0), (0, 2)))
+    raised = _refute(iru_set([[(1, 0), (3, 0)], [(0, 2)]]), diag, identity, 1, {}, "side")
+    assert raised == Matrix(((3, 0), (0, 2)))
+    # two irreducible 2 x 2 blocks tied at sqrt(2), one feeding the other
+    rows = [[(0, 1, 0, 0), (0, 3, 0, 0)], [(2, 0, 0, 0)], [(1, 0, 0, 1)], [(0, 1, 2, 0)]]
+    own = Matrix(tuple(rs[0] for rs in rows))
+    for sign in (1, -1):
+        _assert_refute_matches_member_scan(iru_set(rows), own, Matrix.identity(4), sign)
+    assert calls == []
+    # the non-aligned block enumerates its own four members
+    flip = iru_set([[(1, 0), (0, 5)], [(0, 1), (5, 0)]])
+    _refute(flip, identity, identity, 1, {}, "Tribune's side")
+    assert calls == ["reducible centre on Tribune's side"]
+
+
 def test_switch_gains_read_each_block():
     # power iteration on the whole of diag(6, 3) from the all-ones vector
     # stalls with ratios 3 and 6; block by block each node's gain is exact
@@ -512,21 +702,27 @@ def test_switch_gains_read_each_block():
 def test_cap_errors_name_the_enumerating_stage(monkeypatch):
     from entropygames import decide, iru
 
-    # a0 e0 = I is reducible on Despot's side, which has four members
-    a_set = iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]])
-    e_set = iru_set([[(1, 0)], [(0, 1)]])
     identity = Matrix(((1, 0), (0, 1)))
+    one = iru_set([[(1, 0)], [(0, 1)]])
+    # e0 a0 = I against Tribune's rows (1, 0) | (0, 5) and (0, 1) | (5, 0):
+    # the union support is one block on which I is not irreducible, so the
+    # check compares that block's four members
+    e_set = iru_set([[(1, 0), (0, 5)], [(0, 1), (5, 0)]])
     monkeypatch.setattr(iru, "ENUM_CAP", 1)
     with pytest.raises(
         EnumerationCapError,
-        match="^reducible centre on Despot's side: 4 members exceed the enumeration cap of 1$",
+        match="^reducible centre on Tribune's side: 4 members exceed the enumeration cap of 1$",
     ):
-        verify_saddle(a_set, e_set, identity, identity)
+        verify_saddle(one, e_set, identity, identity)
+    # a0 e0 = I is reducible on Despot's side too, but there its union
+    # support is diagonal: two single-node blocks, settled without members
+    a_set = iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]])
+    assert verify_saddle(a_set, one, identity, identity)
     monkeypatch.setattr(decide, "_EXACT_ROUNDS", 0)
     with pytest.raises(EnumerationCapError, match="exact fallback of the saddle search"):
         find_saddle(iru_set([[(5,), (2,)]]), iru_set([[(1,), (3,)]]))
     monkeypatch.setattr(iru, "ENUM_CAP", 4)
-    assert verify_saddle(a_set, e_set, identity, identity)
+    assert not verify_saddle(one, e_set, identity, identity)
 
 
 @settings(max_examples=50, deadline=None)

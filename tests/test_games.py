@@ -158,8 +158,9 @@ def test_find_saddle_survives_a_corrupted_float_step(monkeypatch, corrupted, a_r
 def test_single_row_checks_do_not_settle_a_reducible_centre():
     # Tribune's rows (1, 0) | (0, 5) and (0, 1) | (5, 0) against Despot's
     # identity: every single-row swap of E = I keeps rho at 1, while swapping
-    # both rows gives [[0, 5], [5, 0]] with rho 5.  e0 a0 = I is reducible,
-    # so the check must compare all four members.
+    # both rows gives [[0, 5], [5, 0]] with rho 5.  e0 a0 = I is reducible
+    # on the one block of the union support of Tribune's rows, so the check
+    # must compare that block's four members.
     identity = Matrix(((1, 0), (0, 1)))
     a_set = iru_set([[(1, 0)], [(0, 1)]])
     e_set = iru_set([[(1, 0), (0, 5)], [(0, 1), (5, 0)]])
@@ -222,6 +223,32 @@ def test_solve_runs_one_saddle_search_and_few_lps(monkeypatch):
         # normalised expansion LP certifies the lower end
         assert calls["find_saddle"] == 1
         assert calls["lp_max"] == 1
+
+
+def separable_arena(copies: int) -> Arena:
+    """Disjoint copies of a one-plus-one game: copy i has d_i -> t_i with
+    weights 1 | 2 and t_i -> d_i with weights 1 | 3 + i mod 3.  Each side
+    has 2^copies members, and the value is 5 once copy 2 is there."""
+    transitions = []
+    for i in range(copies):
+        d, t = f"d{i}", f"t{i}"
+        transitions += [
+            (d, "a", t, 1), (d, "b", t, 2), (t, "a", d, 1), (t, "b", d, 3 + i % 3),
+        ]
+    return Arena(
+        tuple(f"d{i}" for i in range(copies)),
+        tuple(f"t{i}" for i in range(copies)),
+        ("a", "b"),
+        tuple(transitions),
+    )
+
+
+def test_solve_splits_a_side_far_beyond_the_enumeration_cap():
+    # 2^20 members a side, but every block of each union support is a
+    # single node: the saddle check compares single-row deviations only
+    sol = solve(separable_arena(20))
+    assert sol.value.lower <= 5 < sol.value.upper
+    assert set(sol.despot_strategy.choice.values()) == {"a"}
 
 
 def test_solve_rejects_bad_tolerance():

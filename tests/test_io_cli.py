@@ -496,8 +496,8 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, m
     assert code == 0
     assert doc["despot_strategy"] == {"d1": "a", "d2": "a", "d3": "a"}
     # Tribune's saddle answer to Despot's only member is diag(2, 3): its
-    # centre product is reducible, so the check compares all four of
-    # Tribune's members, which a cap of one refuses
+    # centre product is reducible, but the union support of each side is
+    # diagonal, so each single-node block is settled by its deviations
     arena = Arena(
         ("d0", "d1"),
         ("t0", "t1"),
@@ -513,17 +513,41 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, m
     )
     path = tmp_path / "reducible.json"
     io.save_document(str(path), arena)
+    code, doc = run_json(capsys, ["value", "--json", str(path)])
+    assert code == 0
+    assert doc["tribune_strategy"] == {"t0": "b", "t1": "b"}
+    assert Fraction(doc["value"]["lower"]) == 3 < Fraction(doc["value"]["upper"])
+    # this game's float iteration uses up its exact rounds, and the exact
+    # grid fallback that follows enumerates both four-member sides
+    arena = Arena(
+        ("d0", "d1"),
+        ("t0", "t1"),
+        ("a0", "a1"),
+        (
+            ("d0", "a0", "t0", 2),
+            ("d0", "a0", "t1", 3),
+            ("d0", "a1", "t0", 2),
+            ("d1", "a0", "t0", 1),
+            ("d1", "a1", "t1", 2),
+            ("t0", "a0", "d0", 3),
+            ("t0", "a1", "d0", 3),
+            ("t0", "a1", "d1", 2),
+            ("t1", "a0", "d0", 1),
+            ("t1", "a1", "d1", 3),
+        ),
+    )
+    path = tmp_path / "fallback.json"
+    io.save_document(str(path), arena)
     assert main(["value", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == (
-        "error: reducible centre on Tribune's side: "
+        "error: exact fallback of the saddle search: "
         "4 members exceed the enumeration cap of 1\n"
     )
     monkeypatch.setattr(iru, "ENUM_CAP", 4)
     code, doc = run_json(capsys, ["value", "--json", str(path)])
     assert code == 0
-    assert doc["tribune_strategy"] == {"t0": "b", "t1": "b"}
-    assert Fraction(doc["value"]["lower"]) <= 3 < Fraction(doc["value"]["upper"])
+    assert doc["tribune_strategy"] == {"t0": "a1", "t1": "a0"}
 
 
 def test_cli_has_no_cap_flag(files, capsys):
