@@ -35,7 +35,12 @@ simplex method), and Despot improves against that answer in a
 Hoffman-Karp loop.  Floats decide nothing: one exact check, shared with
 ``verify_saddle``, confirms the pair, comparing radii with per-block
 Collatz-Wielandt enclosures first and Sturm counting when they overlap
-(``realroots.compare_radii_enclosed``).
+(``realroots.compare_radii_enclosed``).  The check returns a member that
+beats the checked one, so repeating it is an exact one-player climb: each
+step moves the radius strictly, no member repeats, and the climb stops at
+a member none beats.  That is Tribune's best response in ``find_saddle``
+and, against the identity, each extreme of ``jsr_jssr``.  Despot's loop
+around Tribune's climbs can cycle, so ``find_saddle`` keeps a grid.
 
 The check rests on the single-row lemma.  Let C be a non-negative
 irreducible n x n matrix with Perron vector v > 0 and radius rho, and let
@@ -93,9 +98,9 @@ entry j.
   ``iru.enumerate_members``, which refuses a block of more than
   ``iru.ENUM_CAP`` members with an EnumerationCapError naming the side.
 
-An irreducible centre is the one case where U is a single aligned block.
-The exact grid fallback of ``find_saddle`` enumerates whole sides and is
-capped the same way.
+U contains the centre's support, so an irreducible centre makes U one
+aligned block.  The exact grid fallback of ``find_saddle`` enumerates
+whole sides and is capped the same way.
 """
 
 from __future__ import annotations
@@ -107,6 +112,7 @@ from . import realroots
 from .iru import IruSet, RowSet, enumerate_members, right_product
 from .kernels import power_enclosure
 from .linalg import (
+    DEFAULT_RADIUS_TOL,
     Matrix,
     RadiusEstimate,
     _float_mul,
@@ -400,8 +406,6 @@ _SWITCH_MARGIN = 1e-9
 _KERNEL_TOL = 1e-10
 _KERNEL_CAP = 2000
 _SWITCH_ROUNDS = 64
-# Exact checks of iterated pairs before the exact pass over the grid cells.
-_EXACT_ROUNDS = 8
 
 
 def _close(x: float, y: float) -> bool:
@@ -535,24 +539,20 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     The centre is C = own . other; a member M beats own when sign *
     (rho(M other) - rho(C)) > 0, so sign is +1 for the maximiser (Tribune)
     and -1 for the minimiser (Despot).  This is the block split of the
-    module docstring.  An irreducible centre is a single aligned block, and
-    its first single-row deviation that beats own, in row order, is
-    returned.  A reducible centre is split along the blocks of the union
+    module docstring: the centre is split along the blocks of the union
     support, and the critical blocks are found by exact comparisons of the
-    blocks' C_BB with each other.  Aligned blocks compare their single-row
-    deviations.  Non-aligned blocks compare their own members, and so does
+    blocks' C_BB with each other.  Aligned blocks, an irreducible centre's
+    only block among them, compare their single-row deviations in row
+    order.  Non-aligned blocks compare their own members, and so does
     a non-critical aligned block on Tribune's side whose deviation beats
     C_BB but not C.  A refuting block row maps back to the first candidate
     row with that restriction.  A block of more than iru.ENUM_CAP members
     raises EnumerationCapError naming the reducible centre and ``side``."""
     centre = mat_mul(own, other)
     products = [[vec_mat(r, other) for r in rs.rows] for rs in s.row_sets]
-    if len(support_blocks(centre.data)) == 1:
-        blocks, centres, aligned = [list(range(centre.rows))], [centre], [True]
-    else:
-        blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
-        centres = [_restrict(centre, block) for block in blocks]
-        aligned = [len(support_blocks(local.data)) == 1 for local in centres]
+    blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
+    centres = [_restrict(centre, block) for block in blocks]
+    aligned = [len(support_blocks(local.data)) == 1 for local in centres]
     critical = {0}
     top = centres[0]
     for k in range(1, len(blocks)):
@@ -598,12 +598,11 @@ def _block_options(s: IruSet, products, block: list[int]) -> list[dict]:
     """For each row i of block, row set i's product rows restricted to the
     columns of block, each distinct restriction mapped to the first
     candidate row that gives it."""
-    whole = len(block) == len(products)
     options = []
     for i in block:
         seen: dict = {}
         for r, p in zip(s.row_sets[i].rows, products[i]):
-            seen.setdefault(p if whole else tuple(p[j] for j in block), r)
+            seen.setdefault(tuple(p[j] for j in block), r)
         options.append(seen)
     return options
 
@@ -636,56 +635,63 @@ def _block_member(options, top: Matrix, sign: int, cache, side: str):
     return None
 
 
-def _refute_pair(a_set, e_set, a0, e0, cache):
-    """None when (a0, e0) is a saddle, else the pair with one side replaced
-    by a member that beats it: Tribune's deviations on e0 a0 are checked
-    first, then Despot's on a0 e0."""
-    better = _refute(e_set, e0, a0, 1, cache, "Tribune's side")
-    if better is not None:
-        return a0, better
-    better = _refute(a_set, a0, e0, -1, cache, "Despot's side")
-    if better is not None:
-        return better, e0
-    return None
+def _climb(s: IruSet, start: Matrix, other: Matrix, sign: int, cache, side: str) -> Matrix:
+    """The member of s reached from start by replacing it with _refute's
+    better member until none is left: one with no member beating it
+    against other.  Each step moves rho(M other) strictly up (sign +1) or
+    down (sign -1), so no member repeats and the climb ends."""
+    while True:
+        better = _refute(s, start, other, sign, cache, side)
+        if better is None:
+            return start
+        start = better
 
 
-def _float_rows(s: IruSet) -> list[list[list[float]]]:
-    return [float_rows(rs.rows) for rs in s.row_sets]
-
-
-def _choice(s: IruSet, m: Matrix) -> list[int]:
-    return [rs.rows.index(row) for rs, row in zip(s.row_sets, m.data)]
+def _is_saddle(a_set, e_set, a0, e0, cache) -> bool:
+    """Whether no member beats (a0, e0) on either side: Tribune's side is
+    checked on e0 a0 first, then Despot's on a0 e0."""
+    return (
+        _refute(e_set, e0, a0, 1, cache, "Tribune's side") is None
+        and _refute(a_set, a0, e0, -1, cache, "Despot's side") is None
+    )
 
 
 def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     """A saddle point of rho(A E): a pair where no unilateral member swap
     raises Despot's guarantee or lowers Tribune's.
 
-    Float strategy iteration (``_iterate``) suggests the pair and the
-    shared exact check (``_refute_pair``) confirms it.  A refuting member is
-    an exactly confirmed improvement for its side; iteration resumes from
-    it.  After a fixed number of refuted rounds the grid cells are checked
-    exactly in lexicographic order; a saddle always exists, so one of them
-    confirms.  That fallback raises EnumerationCapError on a side of more
-    than iru.ENUM_CAP members, as the check does on a non-aligned block of
-    more.  No member grid is formed otherwise: the check compares single-row
-    deviations on aligned blocks, at most sum(|S_i| - 1) of them on a side
-    with an irreducible centre, and block members only on the others."""
+    Float strategy iteration (``_iterate``) suggests the pair once, and
+    the rest is exact.  Tribune climbs against Despot's member a0
+    (``_climb``) to a member e0 that none beats; Despot's check
+    (``_refute``) then confirms (a0, e0) or gives Despot's next member.  A
+    guess that is a saddle costs the two checks of ``verify_saddle``.
+
+    Despot's loop need not end: a member that beats a0 against e0 can lose
+    to Tribune's next answer, so Despot's members can cycle.  Each is tried
+    once; when one repeats, the grid cells are checked exactly in
+    lexicographic order, and as a saddle always exists, one confirms.  That
+    fallback raises EnumerationCapError on a side of more than
+    iru.ENUM_CAP members, as the check does on a non-aligned block of more.
+    The check itself forms no member grid: it compares single-row
+    deviations on aligned blocks and block members only on the others."""
     _check_game_shapes(a_set, e_set)
-    a_rows, e_rows = _float_rows(a_set), _float_rows(e_set)
-    a, e = [0] * a_set.n_rows, [0] * e_set.n_rows
+    a_rows = [float_rows(rs.rows) for rs in a_set.row_sets]
+    e_rows = [float_rows(rs.rows) for rs in e_set.row_sets]
+    a, e = _iterate(a_rows, e_rows, [0] * a_set.n_rows, [0] * e_set.n_rows)
+    a0, e0 = a_set.member(a), e_set.member(e)
     cache: dict = {}
-    for _ in range(_EXACT_ROUNDS):
-        a, e = _iterate(a_rows, e_rows, a, e)
-        a0, e0 = a_set.member(a), e_set.member(e)
-        better = _refute_pair(a_set, e_set, a0, e0, cache)
+    tried = set()
+    while a0.data not in tried:
+        tried.add(a0.data)
+        e0 = _climb(e_set, e0, a0, 1, cache, "Tribune's side")
+        better = _refute(a_set, a0, e0, -1, cache, "Despot's side")
         if better is None:
             return _saddle_point(a0, e0)
-        a, e = _choice(a_set, better[0]), _choice(e_set, better[1])
+        a0 = better
     stage = "exact fallback of the saddle search"
     for a0 in enumerate_members(a_set, stage):
         for e0 in enumerate_members(e_set, stage):
-            if _refute_pair(a_set, e_set, a0, e0, cache) is None:
+            if _is_saddle(a_set, e_set, a0, e0, cache):
                 return _saddle_point(a0, e0)
     raise RuntimeError("no saddle point found; the input violates the minimax structure")
 
@@ -710,7 +716,39 @@ def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix) -> bool:
     EnumerationCapError on a block of more than iru.ENUM_CAP."""
     if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
         return False
-    return _refute_pair(a_set, e_set, a0, e0, {}) is None
+    return _is_saddle(a_set, e_set, a0, e0, {})
+
+
+@dataclass(frozen=True)
+class RadiusPair:
+    """Extremal spectral radii over the members of a square IruSet, with
+    certified enclosures and a member attaining each extreme."""
+
+    jsr: RadiusEstimate
+    jssr: RadiusEstimate
+    argmax: Matrix
+    argmin: Matrix
+
+
+def jsr_jssr(s: IruSet, tol=DEFAULT_RADIUS_TOL) -> RadiusPair:
+    """Joint spectral radius (max member radius) and joint spectral subradius
+    (min member radius) of a finite IruSet, each attained by a member.
+
+    Each extreme is a climb against the identity (``_climb``) from the
+    lexicographically first member; no member beats the member where a
+    climb stops, so its radius is the extreme.  Of tied members, that is
+    the one returned.  Only the two winners get a certified enclosure.  A
+    climb enumerates only the members of a non-aligned block, raising
+    EnumerationCapError on a block of more than iru.ENUM_CAP."""
+    if not s.is_square:
+        raise ValueError("spectral radii need square matrices")
+    first, identity = s.member((0,) * s.n_rows), Matrix.identity(s.n_rows)
+    cache: dict = {}
+    argmax = _climb(s, first, identity, 1, cache, "the jsr climb")
+    argmin = _climb(s, first, identity, -1, cache, "the jssr climb")
+    jsr = spectral_radius(argmax, tol)
+    jssr = jsr if argmin.data == argmax.data else spectral_radius(argmin, tol)
+    return RadiusPair(jsr=jsr, jssr=jssr, argmax=argmax, argmin=argmin)
 
 
 @dataclass(frozen=True)

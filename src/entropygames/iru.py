@@ -13,15 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import realroots
-from .linalg import (
-    DEFAULT_RADIUS_TOL,
-    Matrix,
-    RadiusEstimate,
-    rat,
-    spectral_radius,
-    vec_mat,
-)
+from .linalg import Matrix, rat, vec_mat
 
 # the most members one enumeration may visit, read at each enumeration
 ENUM_CAP = 10**6
@@ -154,40 +146,6 @@ def right_product(s: IruSet, b: Matrix) -> IruSet:
     if s.n_cols != b.rows:
         raise ValueError("dimension mismatch in right product")
     return IruSet(tuple(RowSet(tuple(vec_mat(row, b) for row in rs.rows)) for rs in s.row_sets))
-
-
-@dataclass(frozen=True)
-class RadiusPair:
-    """Extremal spectral radii over the members of a square IruSet, with
-    certified enclosures and the first member attaining each extreme."""
-
-    jsr: RadiusEstimate
-    jssr: RadiusEstimate
-    argmax: Matrix
-    argmin: Matrix
-
-
-def jsr_jssr(s: IruSet, tol=DEFAULT_RADIUS_TOL) -> RadiusPair:
-    """Joint spectral radius (max member radius) and joint spectral subradius
-    (min member radius) of a finite IruSet, by certified enumeration.
-
-    Under independent row uncertainty both extremes are attained by single
-    members, so enumeration plus exact comparison settles them; only the two
-    winners get a certified enclosure.  Ties keep the lexicographically
-    first member.  Every member is visited, so a set of more than ENUM_CAP
-    members raises EnumerationCapError."""
-    if not s.is_square:
-        raise ValueError("spectral radii need square matrices")
-    cache: dict = {}
-    argmax = argmin = None
-    for m in enumerate_members(s):
-        if argmax is None or realroots.compare_radii_enclosed(cache, argmax, m) < 0:
-            argmax = m
-        if argmin is None or realroots.compare_radii_enclosed(cache, m, argmin) < 0:
-            argmin = m
-    jsr = spectral_radius(argmax, tol)
-    jssr = jsr if argmin.data == argmax.data else spectral_radius(argmin, tol)
-    return RadiusPair(jsr=jsr, jssr=jssr, argmax=argmax, argmin=argmin)
 
 
 def sample_conv(s: IruSet, seed: int) -> Matrix:

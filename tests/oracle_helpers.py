@@ -16,7 +16,8 @@ value that value_bisection replaced, and
 norm_bound_bracket, its Sturm bisection from [0, floor(norm_bound) + 1)
 before the bracket started from the saddle's enclosure, and
 sturm_saddle_check and sturm_extremes, which compare member radii with
-realroots.compare_radii alone, with no enclosure and no float, and
+realroots.compare_radii alone, with no enclosure and no float (the scan of
+sturm_extremes is the one that the climbs replaced in decide.jsr_jssr), and
 grid_saddle, the member-grid saddle search that strategy iteration
 replaced in decide.find_saddle, and member_scan_refute, the scan over
 every member of a side that the block split replaced in decide._refute,

@@ -184,8 +184,6 @@ def test_criterion_05_minimax_property_suite():
 
 
 def test_criterion_06_lp_vs_enumeration():
-    from entropygames.iru import jsr_jssr
-
     rng = random.Random(20260502)
     equality_hits = 0
     ok = True
@@ -198,12 +196,12 @@ def test_criterion_06_lp_vs_enumeration():
     instances.append(iru_set([[(1, 1), (2, 0)], [(1, 1)]]))
     instances.append(iru_set(frozen.FIG1_A_ROW_SETS))
     for s in instances:
-        pair = jsr_jssr(s)
+        argmax, argmin = oracle_helpers.sturm_extremes(s)
         thresholds = [
             Fraction(rng.randint(0, 16), rng.randint(1, 4)) for _ in range(3)
         ] + [Fraction(rng.randint(0, 4)), Fraction(rng.randint(1, 3))]
         for alpha in thresholds:
-            sign_max = compare_radius_with_rational(pair.argmax, alpha)
+            sign_max = compare_radius_with_rational(argmax, alpha)
             below, cert_b = decide_jsr_lt(s, alpha)
             if sign_max == 0:
                 equality_hits += 1
@@ -213,7 +211,7 @@ def test_criterion_06_lp_vs_enumeration():
                 ok = False
             if below and not verify_certificate(cert_b, s, alpha=alpha):
                 ok = False
-            sign_min = compare_radius_with_rational(pair.argmin, alpha)
+            sign_min = compare_radius_with_rational(argmin, alpha)
             at_least, cert_a = decide_jssr_ge(s, alpha)
             if sign_min == 0:
                 equality_hits += 1

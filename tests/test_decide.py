@@ -12,6 +12,7 @@ from entropygames.decide import (
     Certificate,
     PositivityRequiredError,
     ValueInterval,
+    _climb,
     _refute,
     _valuation,
     decide_jsr_le,
@@ -22,6 +23,7 @@ from entropygames.decide import (
     decide_mm_le,
     decide_mm_lt,
     find_saddle,
+    jsr_jssr,
     value_bisection,
     verify_certificate,
     verify_saddle,
@@ -31,7 +33,6 @@ from entropygames.iru import (
     EnumerationCapError,
     enumerate_members,
     iru_set,
-    jsr_jssr,
     right_product,
 )
 from entropygames.linalg import Matrix, block_radius_bounds, mat_mul, spectral_radius
@@ -461,10 +462,7 @@ def test_saddle_search_matches_sturm_only_oracle(rng):
     if a_set.is_square:
         squares.append(a_set)
     for s in squares:
-        pair = jsr_jssr(s)
-        assert (pair.argmax, pair.argmin) == oracle_helpers.sturm_extremes(s)
-        assert pair.jsr == spectral_radius(pair.argmax)
-        assert pair.jssr == spectral_radius(pair.argmin)
+        _assert_extremes_match_sturm(s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -679,6 +677,127 @@ def test_aligned_blocks_enumerate_no_member(monkeypatch):
     assert calls == ["reducible centre on Tribune's side"]
 
 
+def _assert_extremes_match_sturm(s):
+    """jsr_jssr against the member scan by Sturm comparisons: members of s
+    with the scan's extreme radii, each certified by its own enclosure."""
+    pair = jsr_jssr(s)
+    argmax, argmin = oracle_helpers.sturm_extremes(s)
+    assert s.contains_matrix(pair.argmax) and s.contains_matrix(pair.argmin)
+    assert compare_radii(pair.argmax, argmax) == 0
+    assert compare_radii(pair.argmin, argmin) == 0
+    assert pair.jsr == spectral_radius(pair.argmax)
+    assert pair.jssr == spectral_radius(pair.argmin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_climbs_match_sturm_extremes(rng):
+    # every square kind of side: non-aligned blocks, critical blocks, zero
+    # rows, triangular (often Jordan-type) members, ties and identical rows
+    kind, s, own, other = _side(rng)
+    if kind != "rectangular":
+        _assert_extremes_match_sturm(s)
+    # a climb from any member against any other stops where no member beats it
+    for sign in (1, -1):
+        top = _climb(s, own, other, sign, {}, "this side")
+        assert s.contains_matrix(top)
+        assert oracle_helpers.member_scan_refute(s, top, other, sign) is None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the quick start's set: its first member is the Jordan block
+        # ((1, 1), (0, 1)), whose float iteration never closes
+        [[(1, 1), (2, 0)], [(0, 1)]],
+        # a Jordan chain against the identity, and its nilpotent part
+        [[(1, 1, 0), (1, 0, 0)], [(0, 1, 1)], [(0, 0, 1), (0, 0, 0)]],
+        [[(0, 1, 0)], [(0, 0, 1), (0, 0, 0)], [(0, 0, 0)]],
+        # identical row sets with tied members, and a row set of zero rows
+        [[(1, 0), (0, 1), (1, 1)]] * 2,
+        [[(0, 0, 0)], [(1, 2, 0), (0, 0, 3)], [(2, 0, 1), (0, 0, 2)]],
+        # one non-aligned block: every single swap keeps rho at 1, both give 5
+        [[(1, 0), (0, 5)], [(0, 1), (5, 0)]],
+    ],
+)
+def test_climbs_match_sturm_extremes_on_hard_cases(rows):
+    _assert_extremes_match_sturm(iru_set(rows))
+
+
+def test_climbs_reach_sets_far_beyond_the_enumeration_cap(monkeypatch):
+    from entropygames import decide
+
+    sizes = []
+
+    def counted(s, stage=None):
+        sizes.append(s.size)
+        return enumerate_members(s, stage)
+
+    monkeypatch.setattr(decide, "enumerate_members", counted)
+    # 20 diagonal row sets {2 e_i, 3 e_i}: 2^20 members, more than
+    # iru.ENUM_CAP, but every block of the union support is a single node
+    s = iru_set([[tuple(c * (j == i) for j in range(20)) for c in (2, 3)] for i in range(20)])
+    assert s.size == 2**20
+    pair = jsr_jssr(s)
+    # the climb up from 2 I stops at the first row raised to 3, a tie with
+    # every member that raises more; no row lowers 2 I
+    assert pair.argmax == s.member((1,) + (0,) * 19)
+    assert pair.argmin == s.member((0,) * 20)
+    assert pair.jsr.lower <= 3 <= pair.jsr.upper and pair.jssr.lower <= 2 <= pair.jssr.upper
+    assert compare_radius_with_rational(pair.argmax, 3) == 0
+    assert compare_radius_with_rational(pair.argmin, 2) == 0
+    # at that member each node at 2 is a non-critical block whose swap to 3
+    # does not beat the centre, so it scans its own two members
+    assert sizes == [2] * 19
+
+
+# from the all-zero start, Despot's exact loop on this pair goes from
+# (0, 2) | (0, 2) to (0, 2) | (1, 1) and back
+_REPEATING = (
+    iru_set([[(0, 2), (3, 0)], [(0, 2), (1, 1)]]),
+    iru_set([[(0, 1), (0, 3)], [(0, 2), (1, 0)]]),
+)
+
+
+def test_exact_loop_settles_a_refuted_guess_without_the_grid(monkeypatch):
+    from entropygames import decide
+
+    # the float guess (2, 0) | (1, 0) against (3, 2) | (0, 3) is refuted
+    # by Despot's 2 I, and Tribune's exact climb against 2 I ends at the
+    # saddle; re-running the float iteration from 2 I leads back to the guess
+    a_set = iru_set([[(2, 0), (2, 3)], [(0, 2), (1, 0)]])
+    e_set = iru_set([[(3, 0), (3, 2)], [(0, 3), (1, 0)]])
+    refutes, stages = [], []
+    real_refute, real_enumerate = decide._refute, decide.enumerate_members
+
+    def counted_refute(*args):
+        refutes.append(args[-1])
+        return real_refute(*args)
+
+    def counted_enumerate(s, stage=None):
+        stages.append(stage)
+        return real_enumerate(s, stage)
+
+    monkeypatch.setattr(decide, "_refute", counted_refute)
+    monkeypatch.setattr(decide, "enumerate_members", counted_enumerate)
+    sp = find_saddle(a_set, e_set)
+    assert sp.despot_matrix == Matrix(((2, 0), (0, 2)))
+    assert sp.tribune_matrix == Matrix(((3, 2), (1, 0)))
+    assert oracle_helpers.sturm_saddle_check(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+    # Tribune's climb against 2 I meets one non-aligned block of 4 members
+    assert refutes == ["Tribune's side", "Despot's side"] + ["Tribune's side"] * 2 + [
+        "Despot's side"
+    ]
+    assert stages == ["reducible centre on Tribune's side"]
+    # Despot's second exact round repeats the first member: the grid follows
+    stages.clear()
+    monkeypatch.setattr(decide, "_iterate", lambda a_rows, e_rows, a, e: (a, e))
+    sp = find_saddle(*_REPEATING)
+    assert stages == ["exact fallback of the saddle search"] * 2
+    assert compare_radius_with_rational(mat_mul(sp.despot_matrix, sp.tribune_matrix), 4) == 0
+    assert oracle_helpers.sturm_saddle_check(*_REPEATING, sp.despot_matrix, sp.tribune_matrix)
+
+
 def test_switch_gains_read_each_block():
     # power iteration on the whole of diag(6, 3) from the all-ones vector
     # stalls with ratios 3 and 6; block by block each node's gain is exact
@@ -718,9 +837,14 @@ def test_cap_errors_name_the_enumerating_stage(monkeypatch):
     # support is diagonal: two single-node blocks, settled without members
     a_set = iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]])
     assert verify_saddle(a_set, one, identity, identity)
-    monkeypatch.setattr(decide, "_EXACT_ROUNDS", 0)
-    with pytest.raises(EnumerationCapError, match="exact fallback of the saddle search"):
-        find_saddle(iru_set([[(5,), (2,)]]), iru_set([[(1,), (3,)]]))
+    # from the all-zero start, Despot's loop on this pair comes back to its
+    # first member, and the search falls to the exact grid
+    monkeypatch.setattr(decide, "_iterate", lambda a_rows, e_rows, a, e: (a, e))
+    with pytest.raises(
+        EnumerationCapError,
+        match="^exact fallback of the saddle search: 4 members exceed the enumeration cap of 1$",
+    ):
+        find_saddle(*_REPEATING)
     monkeypatch.setattr(iru, "ENUM_CAP", 4)
     assert not verify_saddle(one, e_set, identity, identity)
 
@@ -736,15 +860,15 @@ def test_strict_queries_match_enumeration(rng):
             [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(k)]
         )
     s = iru_set(row_sets)
-    pair = jsr_jssr(s)
+    argmax, argmin = oracle_helpers.sturm_extremes(s)
     for _ in range(3):
         alpha = Fraction(rng.randint(0, 20), rng.randint(1, 4))
         below, cert_b = decide_jsr_lt(s, alpha)
-        assert below == (compare_radius_with_rational(pair.argmax, alpha) < 0)
+        assert below == (compare_radius_with_rational(argmax, alpha) < 0)
         if below:
             assert verify_certificate(cert_b, s, alpha=alpha)
         at_least, cert_a = decide_jssr_ge(s, alpha)
-        assert at_least == (compare_radius_with_rational(pair.argmin, alpha) >= 0)
+        assert at_least == (compare_radius_with_rational(argmin, alpha) >= 0)
         if at_least:
             assert verify_certificate(cert_a, s, alpha=alpha)
 
@@ -782,7 +906,7 @@ def _generated_set(rng):
 @given(st.randoms(use_true_random=False))
 def test_policy_iteration_matches_contraction_lp(rng):
     kind, s = _generated_set(rng)
-    argmax = jsr_jssr(s).argmax
+    argmax = oracle_helpers.sturm_extremes(s)[0]
     alphas = [Fraction(0), Fraction(-rng.randint(1, 4), rng.randint(1, 3))]
     alphas += [Fraction(rng.randint(1, 20), rng.randint(1, 4)) for _ in range(2)]
     # the rational radius of a random member, when one of its diagonal
@@ -811,7 +935,7 @@ def test_jssr_ge_is_one_lp_when_expansions_vanish_on_coordinate_0(monkeypatch):
     # is infeasible; the other rows ask v_1 <= v_2 <= 2 v_1.  Every member
     # is block triangular with radius 1 + sqrt(2) from its block {1, 2}.
     s = iru_set([[(1, 0, 0), (0, 0, 0)], [(0, 1, 1), (1, 1, 1)], [(0, 2, 1), (1, 2, 1)]])
-    assert compare_radius_with_rational(jsr_jssr(s).argmin, 2) > 0
+    assert compare_radius_with_rational(oracle_helpers.sturm_extremes(s)[1], 2) > 0
     calls = []
 
     def counted(system):

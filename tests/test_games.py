@@ -136,18 +136,22 @@ def _backwards_switch(candidates, choice, maximise):
         ([[(3, 0), (4, 0)], [(0, 1), (0, 4)]], [[(2, 0)], [(0, 1), (0, 3)]]),
         # the reducible counterexample below: no single-row switch moves rho
         ([[(1, 0)], [(0, 1)]], [[(1, 0), (0, 5)], [(0, 1), (5, 0)]]),
+        # from the all-zero start Despot's exact loop repeats its first
+        # member and the grid cells are checked
+        ([[(0, 2), (3, 0)], [(0, 2), (1, 1)]], [[(0, 1), (0, 3)], [(0, 2), (1, 0)]]),
     ],
 )
 def test_find_saddle_survives_a_corrupted_float_step(monkeypatch, corrupted, a_rows, e_rows):
     # the float switching step is only a suggestion: when it never moves, or
-    # moves the wrong way, the exact refutations still lead to a true saddle,
-    # and so does the exact pass over the grid cells when no round is left
+    # moves the wrong way, and when the float guess is skipped altogether,
+    # the exact loop, or the exact pass over the grid cells after it, still
+    # leads to a true saddle
     from entropygames import decide
 
     monkeypatch.setattr(decide, "_switch", corrupted)
     a_set, e_set = iru_set(a_rows), iru_set(e_rows)
-    for rounds in (decide._EXACT_ROUNDS, 0):
-        monkeypatch.setattr(decide, "_EXACT_ROUNDS", rounds)
+    for guess in (decide._iterate, lambda a_rows, e_rows, a, e: (a, e)):
+        monkeypatch.setattr(decide, "_iterate", guess)
         sp = find_saddle(a_set, e_set)
         assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
         assert oracle_helpers.sturm_saddle_check(

@@ -487,7 +487,7 @@ def test_cli_error_paths(files, capsys, tmp_path):
 
 
 def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, monkeypatch):
-    from entropygames import iru
+    from entropygames import decide, iru
 
     monkeypatch.setattr(iru, "ENUM_CAP", 1)
     # Fig. 1's saddle products are irreducible, so its saddle is checked by
@@ -517,8 +517,9 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, m
     assert code == 0
     assert doc["tribune_strategy"] == {"t0": "b", "t1": "b"}
     assert Fraction(doc["value"]["lower"]) == 3 < Fraction(doc["value"]["upper"])
-    # this game's float iteration uses up its exact rounds, and the exact
-    # grid fallback that follows enumerates both four-member sides
+    # the float guess on this game is refuted once; Tribune's exact climb
+    # against Despot's next member, 2 I, scans one non-aligned block of four
+    # members, and the exact grid is not reached
     arena = Arena(
         ("d0", "d1"),
         ("t0", "t1"),
@@ -536,18 +537,49 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, m
             ("t1", "a1", "d1", 3),
         ),
     )
-    path = tmp_path / "fallback.json"
-    io.save_document(str(path), arena)
-    assert main(["value", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == (
+    refuted = tmp_path / "refuted.json"
+    io.save_document(str(refuted), arena)
+    assert main(["value", str(refuted)]) == 2
+    assert capsys.readouterr().err == (
+        "error: reducible centre on Tribune's side: "
+        "4 members exceed the enumeration cap of 1\n"
+    )
+    monkeypatch.setattr(iru, "ENUM_CAP", 4)
+    code, doc = run_json(capsys, ["value", "--json", str(refuted)])
+    assert code == 0
+    assert doc["tribune_strategy"] == {"t0": "a1", "t1": "a0"}
+    # without the float guess, Despot's exact loop on this game comes back
+    # to its first member, and the exact grid fallback that follows
+    # enumerates both four-member sides
+    monkeypatch.setattr(decide, "_iterate", lambda a_rows, e_rows, a, e: (a, e))
+    arena = Arena(
+        ("d0", "d1"),
+        ("t0", "t1"),
+        ("a0", "a1"),
+        (
+            ("d0", "a0", "t0", 3),
+            ("d0", "a1", "t1", 2),
+            ("d1", "a0", "t0", 1),
+            ("d1", "a0", "t1", 1),
+            ("d1", "a1", "t1", 2),
+            ("t0", "a0", "d1", 3),
+            ("t0", "a1", "d1", 1),
+            ("t1", "a0", "d1", 2),
+            ("t1", "a1", "d0", 1),
+        ),
+    )
+    fallback = tmp_path / "fallback.json"
+    io.save_document(str(fallback), arena)
+    monkeypatch.setattr(iru, "ENUM_CAP", 1)
+    assert main(["value", str(fallback)]) == 2
+    assert capsys.readouterr().err == (
         "error: exact fallback of the saddle search: "
         "4 members exceed the enumeration cap of 1\n"
     )
     monkeypatch.setattr(iru, "ENUM_CAP", 4)
-    code, doc = run_json(capsys, ["value", "--json", str(path)])
+    code, doc = run_json(capsys, ["value", "--json", str(fallback)])
     assert code == 0
-    assert doc["tribune_strategy"] == {"t0": "a1", "t1": "a0"}
+    assert Fraction(doc["value"]["lower"]) == 4 < Fraction(doc["value"]["upper"])
 
 
 def test_cli_has_no_cap_flag(files, capsys):

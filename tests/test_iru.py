@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import _frozen as frozen
 from entropygames import iru
+from entropygames.decide import jsr_jssr
 from entropygames.iru import (
     EnumerationCapError,
     IruSet,
@@ -13,7 +14,6 @@ from entropygames.iru import (
     enumerate_members,
     hourglass_check,
     iru_set,
-    jsr_jssr,
     right_product,
     sample_conv,
 )
@@ -63,8 +63,12 @@ def test_enumeration_cap(monkeypatch):
         list(enumerate_members(big))
     with pytest.raises(EnumerationCapError, match="^a step: 4 members exceed"):
         list(enumerate_members(big, "a step"))
-    # jsr_jssr visits every member, so it refuses the same set
-    with pytest.raises(EnumerationCapError, match="4 members exceed the enumeration cap of 3"):
+    # the climbs of jsr_jssr start from ((0, 1), (0, 1)), which is reducible
+    # on the one block of the rows' union support, so they scan its members
+    with pytest.raises(
+        EnumerationCapError,
+        match="^reducible centre on the jsr climb: 4 members exceed the enumeration cap of 3$",
+    ):
         jsr_jssr(big)
     monkeypatch.setattr(iru, "ENUM_CAP", 4)
     assert len(list(enumerate_members(big))) == 4
@@ -106,7 +110,7 @@ def test_jsr_jssr_two_by_two():
 
 
 def test_jsr_jssr_certifies_only_the_winners(monkeypatch):
-    from entropygames import iru
+    from entropygames import decide
 
     certified = []
 
@@ -114,7 +118,7 @@ def test_jsr_jssr_certifies_only_the_winners(monkeypatch):
         certified.append(m)
         return spectral_radius(m, tol)
 
-    monkeypatch.setattr(iru, "spectral_radius", counted)
+    monkeypatch.setattr(decide, "spectral_radius", counted)
     s = iru_set([[(2, 0), (0, 1), (1, 1)], [(0, 2), (1, 0), (1, 1)]])
     pair = jsr_jssr(s)
     assert s.size == 9
