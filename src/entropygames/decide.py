@@ -12,10 +12,11 @@ the two primitive questions are
 The independent-row structure settles each one without enumerating
 members.  The first is decided by Howard policy iteration on the resolvent
 (alpha I - M)^-1 of one member M at a time, switching rows until none
-improves: exact linear solves, no LP.  The second is one LP, normalised by
-sum(v) = 1 and declaring v >= 0 as sign rows, which ``lp_max`` turns into
-non-negative columns.  The non-strict variant of the first and the strict
-variant of the second are single LPs too, but are equivalences only for
+improves: exact linear solves, no LP.  The second is one feasibility LP
+over v >= 0 (``lp_max``'s variables are non-negative), normalised by
+sum(v) = 1.  The non-strict variant of the first and the strict variant of
+the second are single feasibility LPs too, over v >= 1 with r . v <= alpha
+v_i, or with r . v - alpha v_i >= 1, but they are equivalences only for
 strictly positive sets, and the procedures refuse to answer otherwise.
 
 Matrix multiplication game thresholds reduce to these: the game is
@@ -232,14 +233,14 @@ def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
 def decide_jssr_ge(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius of S at least alpha?
 
-    Exact, by one LP: a common expansion vector v >= 0 with r . v >= alpha
-    v_i for every candidate row, normalised by sum(v) = 1 to break
-    homogeneity.  The certificate is the solution scaled to maximum 1."""
+    Exact, by one feasibility LP: a common expansion vector v >= 0 (the
+    LP's variables are non-negative) with r . v >= alpha v_i for every
+    candidate row, normalised by sum(v) = 1 to break homogeneity.  The
+    certificate is the solution scaled to maximum 1."""
     _require_square(s)
     alpha = rat(alpha)
     n = s.n_rows
     cons = [(coeffs, GREATER_EQUAL, Fraction(0)) for coeffs in _shifted(s, alpha)]
-    cons += [(_unit(n, j), GREATER_EQUAL, Fraction(0)) for j in range(n)]
     cons.append(((Fraction(1),) * n, EQUAL, Fraction(1)))
     result = lp_max(FeasibilitySystem(n, tuple(cons)))
     if result.status != OPTIMAL:
@@ -249,7 +250,9 @@ def decide_jssr_ge(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
 
 
 def decide_jsr_le(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
-    """Is the joint spectral radius at most alpha?  Positive sets only."""
+    """Is the joint spectral radius at most alpha?  Positive sets only.
+    One feasibility LP: v >= 1 with r . v <= alpha v_i for every candidate
+    row; the certificate is the solution."""
     _require_square(s)
     if not s.is_positive:
         raise PositivityRequiredError(
@@ -267,8 +270,10 @@ def decide_jsr_le(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
 
 def decide_jssr_gt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius strictly above alpha?  Positive sets
-    only.  One LP: maximise eps <= 1 subject to r . v - eps >= alpha v_i
-    and v >= 1; the answer is yes when the maximum is positive."""
+    only.  One feasibility LP: v >= 1 with r . v - alpha v_i >= 1 for every
+    candidate row.  Some v >= 1 makes every r . v > alpha v_i exactly when
+    such a v exists: scaling v up until each gap is at least 1 keeps v >= 1.
+    The certificate is the solution."""
     _require_square(s)
     if not s.is_positive:
         raise PositivityRequiredError(
@@ -276,17 +281,11 @@ def decide_jssr_gt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
         )
     alpha = rat(alpha)
     n = s.n_rows
-    cons = [
-        (coeffs + (Fraction(-1),), GREATER_EQUAL, Fraction(0)) for coeffs in _shifted(s, alpha)
-    ]
-    cons += [(_unit(n + 1, i), GREATER_EQUAL, Fraction(1)) for i in range(n)]
-    cons.append((_unit(n + 1, n), LESS_EQUAL, Fraction(1)))
-    objective = _unit(n + 1, n)
-    result = lp_max(FeasibilitySystem(n + 1, tuple(cons), objective))
-    if result.status != OPTIMAL:
-        raise RuntimeError("expansion LP must be bounded and feasible")
-    if result.objective_value > 0:
-        return True, Certificate(JSSR_GT, result.solution[:-1])
+    cons = [(coeffs, GREATER_EQUAL, Fraction(1)) for coeffs in _shifted(s, alpha)]
+    cons += [(_unit(n, i), GREATER_EQUAL, Fraction(1)) for i in range(n)]
+    result = lp_max(FeasibilitySystem(n, tuple(cons)))
+    if result.status == OPTIMAL:
+        return True, Certificate(JSSR_GT, result.solution)
     return False, None
 
 
@@ -667,11 +666,13 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     guess that is a saddle costs the two checks of ``verify_saddle``.
 
     Despot's loop need not end: a member that beats a0 against e0 can lose
-    to Tribune's next answer, so Despot's members can cycle.  Each is tried
-    once; when one repeats, the grid cells are checked exactly in
-    lexicographic order, and as a saddle always exists, one confirms.  That
-    fallback raises EnumerationCapError on a side of more than
-    iru.ENUM_CAP members, as the check does on a non-aligned block of more.
+    to Tribune's next answer, so Despot's members can cycle.  Each round is
+    a function of Despot's member and Tribune's starting member, so when
+    that pair repeats the loop has cycled; then the grid cells are checked
+    exactly in lexicographic order, and as a saddle always exists, one
+    confirms.  That fallback raises EnumerationCapError on a side of more
+    than iru.ENUM_CAP members, as the check does on a non-aligned block of
+    more.
     The check itself forms no member grid: it compares single-row
     deviations on aligned blocks and block members only on the others."""
     _check_game_shapes(a_set, e_set)
@@ -681,8 +682,8 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     a0, e0 = a_set.member(a), e_set.member(e)
     cache: dict = {}
     tried = set()
-    while a0.data not in tried:
-        tried.add(a0.data)
+    while (a0.data, e0.data) not in tried:
+        tried.add((a0.data, e0.data))
         e0 = _climb(e_set, e0, a0, 1, cache, "Tribune's side")
         better = _refute(a_set, a0, e0, -1, cache, "Despot's side")
         if better is None:

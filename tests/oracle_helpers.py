@@ -36,7 +36,8 @@ routes that realroots' single sign query replaced: isolate the largest root
 from the Cauchy bound down, refine the isolating interval, and test a tie by
 the gcd's roots in the overlap; isolating_compare_radii,
 isolating_compare_radius_with_rational and isolating_bisect_radius ask the
-public questions through them.
+public questions through them.  cycling_arena is no oracle but a shared
+input: the arena on which find_saddle's exact loop cycles.
 """
 
 from __future__ import annotations
@@ -664,28 +665,24 @@ def grid_saddle(a_set, e_set):
 
 def contraction_lp(s, alpha):
     """jsr(s) < alpha by the strict contraction LP that decide_jsr_lt
-    replaced: max eps subject to r . v + eps <= alpha v_i for every
-    candidate row r of every row set i, v >= 1 and eps <= 1.  The answer is
-    yes exactly when the maximum is positive.  Returns (answer, v), with v
-    None on a no."""
+    replaced: v >= 1 with r . v - alpha v_i <= -1 for every candidate row r
+    of every row set i.  Some v >= 1 makes every r . v < alpha v_i exactly
+    when such a v exists, as scaling v up until each gap is at least 1
+    keeps v >= 1.  Returns (answer, v), with v None on a no."""
     from entropygames.lp import GREATER_EQUAL, LESS_EQUAL, OPTIMAL, FeasibilitySystem, lp_max
 
     n = s.n_rows
-
-    def unit(j):
-        return tuple(Fraction(1 if k == j else 0) for k in range(n + 1))
-
     cons = []
     for i, rs in enumerate(s.row_sets):
         for row in rs.rows:
             coeffs = tuple(x - alpha if j == i else x for j, x in enumerate(row))
-            cons.append((coeffs + (Fraction(1),), LESS_EQUAL, Fraction(0)))
-    cons += [(unit(i), GREATER_EQUAL, Fraction(1)) for i in range(n)]
-    cons.append((unit(n), LESS_EQUAL, Fraction(1)))
-    result = lp_max(FeasibilitySystem(n + 1, tuple(cons), unit(n)))
-    assert result.status == OPTIMAL, "the contraction LP is bounded and feasible"
-    if result.objective_value > 0:
-        return True, result.solution[:-1]
+            cons.append((coeffs, LESS_EQUAL, Fraction(-1)))
+    for i in range(n):
+        unit = tuple(Fraction(1 if k == i else 0) for k in range(n))
+        cons.append((unit, GREATER_EQUAL, Fraction(1)))
+    result = lp_max(FeasibilitySystem(n, tuple(cons)))
+    if result.status == OPTIMAL:
+        return True, result.solution
     return False, None
 
 
@@ -848,4 +845,43 @@ def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
         aggregate_growth=growth,
         aggregate_below_two=final_norm < start_norm * 2**horizon,
         final_norm=final_norm,
+    )
+
+
+# perfbench.workloads.random_arena(random.Random(4118), 4, 2): the float
+# guess skipped, find_saddle's exact loop comes back to a pair of Despot's
+# member and Tribune's starting member, a true cycle, and the exact grid
+# follows.  Its value is about 8.74.
+_CYCLING_TRANSITIONS = (
+    ("d0", "a0", "t0", 2), ("d0", "a0", "t1", 2), ("d0", "a0", "t2", 1),
+    ("d0", "a1", "t2", 1), ("d1", "a0", "t0", 3), ("d1", "a0", "t1", 3),
+    ("d1", "a1", "t1", 3), ("d1", "a1", "t2", 3), ("d1", "a1", "t3", 3),
+    ("d2", "a0", "t0", 1), ("d2", "a0", "t1", 3), ("d2", "a0", "t3", 1),
+    ("d2", "a1", "t0", 1), ("d3", "a0", "t2", 3), ("d3", "a0", "t3", 3),
+    ("d3", "a1", "t3", 1), ("t0", "a0", "d3", 3), ("t0", "a1", "d1", 2),
+    ("t0", "a1", "d3", 1), ("t1", "a0", "d0", 1), ("t1", "a1", "d3", 3),
+    ("t2", "a0", "d0", 2), ("t2", "a1", "d1", 1), ("t2", "a1", "d3", 2),
+    ("t3", "a0", "d1", 2), ("t3", "a1", "d2", 3),
+)
+# a disjoint pair d4 <-> t4 with weights 1 | 2 each way, whose radius of at
+# most 4 is never critical: each side doubles to 32 members for the grid,
+# while every block the loop scans keeps at most 16
+_CYCLING_PADDING = (
+    ("d4", "a0", "t4", 1), ("d4", "a1", "t4", 2), ("t4", "a0", "d4", 1), ("t4", "a1", "d4", 2),
+)
+
+
+def cycling_arena(padded: bool = False):
+    """The 4 x 2 arena on which find_saddle's exact loop, started from the
+    all-zero choice, cycles and falls to the grid; padded, the same game
+    with the disjoint pair d4 <-> t4, so that a cap of 16 members refuses
+    the grid and no block scan."""
+    from entropygames.games import Arena
+
+    n = 5 if padded else 4
+    return Arena(
+        tuple(f"d{i}" for i in range(n)),
+        tuple(f"t{i}" for i in range(n)),
+        ("a0", "a1"),
+        _CYCLING_TRANSITIONS + (_CYCLING_PADDING if padded else ()),
     )

@@ -751,9 +751,10 @@ def test_climbs_reach_sets_far_beyond_the_enumeration_cap(monkeypatch):
     assert sizes == [2] * 19
 
 
-# from the all-zero start, Despot's exact loop on this pair goes from
-# (0, 2) | (0, 2) to (0, 2) | (1, 1) and back
-_REPEATING = (
+# random_arena 2 x 2, seed 162: from the all-zero start, Despot's exact
+# loop on this pair goes from (0, 2) | (0, 2) to (0, 2) | (1, 1) and back,
+# but Tribune's start has moved from (0, 1) | (0, 2) to (0, 3) | (0, 2)
+_DESPOT_REPEATS = (
     iru_set([[(0, 2), (3, 0)], [(0, 2), (1, 1)]]),
     iru_set([[(0, 1), (0, 3)], [(0, 2), (1, 0)]]),
 )
@@ -789,13 +790,28 @@ def test_exact_loop_settles_a_refuted_guess_without_the_grid(monkeypatch):
         "Despot's side"
     ]
     assert stages == ["reducible centre on Tribune's side"]
-    # Despot's second exact round repeats the first member: the grid follows
+    # Despot's third exact round repeats its first member against a new
+    # Tribune start, so the loop goes on, and that pair is the saddle
     stages.clear()
+    refutes.clear()
     monkeypatch.setattr(decide, "_iterate", lambda a_rows, e_rows, a, e: (a, e))
-    sp = find_saddle(*_REPEATING)
-    assert stages == ["exact fallback of the saddle search"] * 2
+    sp = find_saddle(*_DESPOT_REPEATS)
+    assert stages == [] and len(refutes) == 7
+    assert sp.despot_matrix == Matrix(((0, 2), (0, 2)))
+    assert sp.tribune_matrix == Matrix(((0, 3), (0, 2)))
     assert compare_radius_with_rational(mat_mul(sp.despot_matrix, sp.tribune_matrix), 4) == 0
-    assert oracle_helpers.sturm_saddle_check(*_REPEATING, sp.despot_matrix, sp.tribune_matrix)
+    assert verify_saddle(*_DESPOT_REPEATS, sp.despot_matrix, sp.tribune_matrix)
+    assert oracle_helpers.sturm_saddle_check(
+        *_DESPOT_REPEATS, sp.despot_matrix, sp.tribune_matrix
+    )
+    # on the cycling arena the pair of Despot's member and Tribune's start
+    # repeats: the grid follows
+    stages.clear()
+    t = arena_to_iru(oracle_helpers.cycling_arena())
+    sp = find_saddle(t.a_set, t.e_set)
+    grid = stages.index("exact fallback of the saddle search")
+    assert all(stage.startswith("reducible centre on") for stage in stages[:grid])
+    assert verify_saddle(t.a_set, t.e_set, sp.despot_matrix, sp.tribune_matrix)
 
 
 def test_switch_gains_read_each_block():
@@ -837,14 +853,17 @@ def test_cap_errors_name_the_enumerating_stage(monkeypatch):
     # support is diagonal: two single-node blocks, settled without members
     a_set = iru_set([[(1, 0), (2, 0)], [(0, 1), (0, 3)]])
     assert verify_saddle(a_set, one, identity, identity)
-    # from the all-zero start, Despot's loop on this pair comes back to its
-    # first member, and the search falls to the exact grid
+    # from the all-zero start, the exact loop on the padded cycling arena
+    # comes back to a pair, and the search falls to the exact grid of 32
+    # members a side; every block it scans before has at most 16
     monkeypatch.setattr(decide, "_iterate", lambda a_rows, e_rows, a, e: (a, e))
+    monkeypatch.setattr(iru, "ENUM_CAP", 16)
+    t = arena_to_iru(oracle_helpers.cycling_arena(padded=True))
     with pytest.raises(
         EnumerationCapError,
-        match="^exact fallback of the saddle search: 4 members exceed the enumeration cap of 1$",
+        match="^exact fallback of the saddle search: 32 members exceed the enumeration cap of 16$",
     ):
-        find_saddle(*_REPEATING)
+        find_saddle(t.a_set, t.e_set)
     monkeypatch.setattr(iru, "ENUM_CAP", 4)
     assert not verify_saddle(one, e_set, identity, identity)
 
@@ -871,6 +890,54 @@ def test_strict_queries_match_enumeration(rng):
         assert at_least == (compare_radius_with_rational(argmin, alpha) >= 0)
         if at_least:
             assert verify_certificate(cert_a, s, alpha=alpha)
+
+
+def _positive_set(rng):
+    """A random positive square IruSet (n <= 3, up to 3 rows per row set):
+    entries 1-4, or rows that all sum to one c, so that every member has
+    radius c and both extremes tie.  Returns (tied, set)."""
+    n = rng.randint(1, 3)
+    tied = rng.random() < 0.3
+    c = rng.randint(n, 4 * n)
+
+    def row():
+        if not tied:
+            return tuple(rng.randint(1, 4) for _ in range(n))
+        cuts = sorted(rng.sample(range(1, c), n - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [c]))
+
+    return tied, iru_set([[row() for _ in range(rng.randint(1, 3))] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_positive_set_queries_match_sturm_extremes(rng):
+    # jsr <= alpha and jssr > alpha at the extreme radii when they are
+    # rational, just around them, and at the ends of their enclosures
+    tied, s = _positive_set(rng)
+    argmax, argmin = oracle_helpers.sturm_extremes(s)
+    for decider, extreme, holds in (
+        (decide_jsr_le, argmax, lambda sign: sign <= 0),
+        (decide_jssr_gt, argmin, lambda sign: sign > 0),
+    ):
+        est = spectral_radius(extreme)
+        ties = [
+            x
+            for x in range(math.floor(est.lower), math.ceil(est.upper) + 1)
+            if compare_radius_with_rational(extreme, x) == 0
+        ]
+        assert ties or not tied
+        alphas = {est.lower, est.upper}
+        alphas |= {est.lower * Fraction(99, 100), est.upper * Fraction(101, 100)}
+        for x in ties:
+            alphas |= {Fraction(x), x - Fraction(1, 1000), x + Fraction(1, 1000)}
+        for alpha in sorted(alphas):
+            ok, cert = decider(s, alpha)
+            assert ok == holds(compare_radius_with_rational(extreme, alpha))
+            if ok:
+                assert verify_certificate(cert, s, alpha=alpha)
+            else:
+                assert cert is None
 
 
 def _generated_set(rng):

@@ -127,6 +127,9 @@ def _backwards_switch(candidates, choice, maximise):
     return _switch(candidates, choice, not maximise)
 
 
+_CYCLING = arena_to_iru(oracle_helpers.cycling_arena())
+
+
 @pytest.mark.parametrize("corrupted", [_stalled_switch, _backwards_switch])
 @pytest.mark.parametrize(
     "a_rows, e_rows",
@@ -137,8 +140,14 @@ def _backwards_switch(candidates, choice, maximise):
         # the reducible counterexample below: no single-row switch moves rho
         ([[(1, 0)], [(0, 1)]], [[(1, 0), (0, 5)], [(0, 1), (5, 0)]]),
         # from the all-zero start Despot's exact loop repeats its first
-        # member and the grid cells are checked
+        # member against a new Tribune start, and finds the saddle
         ([[(0, 2), (3, 0)], [(0, 2), (1, 1)]], [[(0, 1), (0, 3)], [(0, 2), (1, 0)]]),
+        # from the all-zero start the exact loop cycles and the grid cells
+        # are checked
+        (
+            [rs.rows for rs in _CYCLING.a_set.row_sets],
+            [rs.rows for rs in _CYCLING.e_set.row_sets],
+        ),
     ],
 )
 def test_find_saddle_survives_a_corrupted_float_step(monkeypatch, corrupted, a_rows, e_rows):

@@ -548,10 +548,11 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, m
     code, doc = run_json(capsys, ["value", "--json", str(refuted)])
     assert code == 0
     assert doc["tribune_strategy"] == {"t0": "a1", "t1": "a0"}
-    # without the float guess, Despot's exact loop on this game comes back
-    # to its first member, and the exact grid fallback that follows
-    # enumerates both four-member sides
+    # without the float guess, Despot's exact loop on this game (random_arena
+    # 2 x 2, seed 162) comes back to its first member against a new Tribune
+    # start; that pair is the saddle, so nothing is enumerated
     monkeypatch.setattr(decide, "_iterate", lambda a_rows, e_rows, a, e: (a, e))
+    monkeypatch.setattr(iru, "ENUM_CAP", 1)
     arena = Arena(
         ("d0", "d1"),
         ("t0", "t1"),
@@ -568,18 +569,27 @@ def test_cli_cap_limits_only_the_steps_that_enumerate(files, capsys, tmp_path, m
             ("t1", "a1", "d0", 1),
         ),
     )
+    repeats = tmp_path / "repeats.json"
+    io.save_document(str(repeats), arena)
+    code, doc = run_json(capsys, ["value", "--json", str(repeats)])
+    assert code == 0
+    assert Fraction(doc["value"]["lower"]) == 4 < Fraction(doc["value"]["upper"])
+    # on the padded cycling arena the loop's pair repeats, and the exact grid
+    # fallback that follows enumerates both 32-member sides; the blocks
+    # scanned before it have at most 16 members
     fallback = tmp_path / "fallback.json"
-    io.save_document(str(fallback), arena)
-    monkeypatch.setattr(iru, "ENUM_CAP", 1)
+    io.save_document(str(fallback), oracle_helpers.cycling_arena(padded=True))
+    monkeypatch.setattr(iru, "ENUM_CAP", 16)
     assert main(["value", str(fallback)]) == 2
     assert capsys.readouterr().err == (
         "error: exact fallback of the saddle search: "
-        "4 members exceed the enumeration cap of 1\n"
+        "32 members exceed the enumeration cap of 16\n"
     )
-    monkeypatch.setattr(iru, "ENUM_CAP", 4)
+    monkeypatch.setattr(iru, "ENUM_CAP", 32)
     code, doc = run_json(capsys, ["value", "--json", str(fallback)])
     assert code == 0
-    assert Fraction(doc["value"]["lower"]) == 4 < Fraction(doc["value"]["upper"])
+    assert doc["despot_strategy"] == {"d0": "a1", "d1": "a0", "d2": "a1", "d3": "a1", "d4": "a0"}
+    assert doc["tribune_strategy"] == {"t0": "a1", "t1": "a1", "t2": "a1", "t3": "a0", "t4": "a0"}
 
 
 def test_cli_has_no_cap_flag(files, capsys):
