@@ -35,7 +35,8 @@ member by row switching on the product set E a (Protasov's spectral
 simplex method), and Despot improves against that answer in a
 Hoffman-Karp loop.  Floats decide nothing: one exact check, shared with
 ``verify_saddle``, confirms the pair, comparing radii with per-block
-Collatz-Wielandt enclosures first and Sturm counting when they overlap
+Collatz-Wielandt enclosures first, and Sturm counting when they overlap,
+on the critical blocks the enclosures name where they name one
 (``realroots.compare_radii_enclosed``).  The check returns a member that
 beats the checked one, so repeating it is an exact one-player climb: each
 step moves the radius strictly, no member repeats, and the climb stops at
@@ -120,6 +121,7 @@ from .linalg import (
     _solve_exact,
     float_rows,
     mat_mul,
+    principal_submatrix,
     rat,
     spectral_radius,
     support_blocks,
@@ -550,7 +552,7 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     centre = mat_mul(own, other)
     products = [[vec_mat(r, other) for r in rs.rows] for rs in s.row_sets]
     blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
-    centres = [_restrict(centre, block) for block in blocks]
+    centres = [principal_submatrix(centre, block) for block in blocks]
     aligned = [len(support_blocks(local.data)) == 1 for local in centres]
     critical = {0}
     top = centres[0]
@@ -586,11 +588,6 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
         if sign > 0:
             return Matrix._of_fractions(tuple(rows))
     return Matrix._of_fractions(tuple(rows)) if sign < 0 else None
-
-
-def _restrict(m: Matrix, block: list[int]) -> Matrix:
-    """The principal submatrix of m on the indices of block."""
-    return Matrix._of_fractions(tuple(tuple(m.data[i][j] for j in block) for i in block))
 
 
 def _block_options(s: IruSet, products, block: list[int]) -> list[dict]:

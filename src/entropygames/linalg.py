@@ -466,23 +466,40 @@ def _dyadic_witness(m: Matrix, comp: Sequence[int], tol_float: float):
     return w, (lo_n, lo_d), (hi_n, hi_d), iterations
 
 
-def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction]:
-    """Exact (lower, upper) with lower <= rho(m) <= upper for a non-negative
-    square m: rho(m) is the largest block radius, so lower and upper are the
-    largest bounds ``_dyadic_witness`` gives the strongly connected blocks.
-    No witnesses, no resolvent: the cheap enclosure that exact radius
-    comparisons try before Sturm counting.  The bounds stay integer pairs:
-    only the two returned ones become Fractions."""
+def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction, list[int] | None]:
+    """Exact (lower, upper, critical) with lower <= rho(m) <= upper for a
+    non-negative square m: rho(m) is the largest block radius, so lower and
+    upper are the largest bounds ``_dyadic_witness`` gives the strongly
+    connected blocks.  No witnesses, no resolvent: the cheap enclosure that
+    exact radius comparisons try before Sturm counting.  The bounds stay
+    integer pairs: only the two returned ones become Fractions.
+
+    ``critical`` is the first block B with the largest lower bound when
+    every other block's upper bound is at most B's lower bound, and None
+    otherwise.  Then every other block's radius is at most rho(m_BB), so
+    rho(m) = rho(m_BB) exactly, and a comparison of rho(m) can run on the
+    principal submatrix m_BB (``principal_submatrix``) instead.  An
+    irreducible m is its own critical block."""
     tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
     # the largest block bounds so far, as (numerator, denominator) pairs
     lower_n, lower_d = upper_n, upper_d = 0, 1
+    critical = None
+    uppers = []
     for comp in support_blocks([nums for nums, _ in m._int_rows]):
         _, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, tol_float)
-        if lo_n * lower_d > lower_n * lo_d:
-            lower_n, lower_d = lo_n, lo_d
+        uppers.append((hi_n, hi_d, comp))
+        if critical is None or lo_n * lower_d > lower_n * lo_d:
+            lower_n, lower_d, critical = lo_n, lo_d, comp
         if hi_n * upper_d > upper_n * hi_d:
             upper_n, upper_d = hi_n, hi_d
-    return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d)
+    if any(hi_n * lower_d > lower_n * hi_d for hi_n, hi_d, comp in uppers if comp is not critical):
+        critical = None
+    return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d), critical
+
+
+def principal_submatrix(m: Matrix, block: Sequence[int]) -> Matrix:
+    """The principal submatrix of m on the indices of block."""
+    return Matrix._of_fractions(tuple(tuple(m.data[i][j] for j in block) for i in block))
 
 
 def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:

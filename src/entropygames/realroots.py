@@ -8,7 +8,12 @@ and so the sign of rho - x, with no root isolation.
 ``compare_radius_with_rational`` is one sign; ``bisect_radius`` halves a
 bracket on signs; ``compare_radii`` halves one bracket around both radii
 until a midpoint separates them, and detects a tie it can never split
-through the gcd of the two polynomials.
+through the gcd of the two polynomials.  ``compare_radii_enclosed`` asks
+the per-block enclosures of ``linalg.block_radius_bounds`` first, and
+hands compare_radii only the critical blocks they name, whose radii are
+the matrices' (Rothblum, "Multiplicative Markov decision chains", 1984):
+a reducible pair that shares its critical block ties there on equal data,
+with no polynomial at all.
 
 Polynomials are coefficient lists of Fractions, lowest degree first.
 ``charpoly`` computes them over Python ints, by Faddeev-LeVerrier on the
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .linalg import Matrix, _combine, _fraction, block_radius_bounds, rat
+from .linalg import Matrix, _combine, _fraction, block_radius_bounds, principal_submatrix, rat
 
 Poly = list
 
@@ -245,21 +250,32 @@ def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> i
     Per-block enclosures (``block_radius_bounds``, kept in ``cache`` under
     the matrix's integer rows, which hash faster than its Fractions) settle
     the comparison when they separate, or when both are the same single
-    point; otherwise compare_radii decides it."""
+    point.  Otherwise compare_radii decides it on each matrix's critical
+    block, whose radius is the matrix's, where the enclosures name one: a
+    reducible pair that differs only outside a shared critical block ties
+    on equal data, and any other pair runs Sturm on smaller matrices."""
     if p_matrix.data == q_matrix.data:
         return 0
-    p_lo, p_hi = _cached_bounds(cache, p_matrix)
-    q_lo, q_hi = _cached_bounds(cache, q_matrix)
+    p_lo, p_hi, p_block = _cached_bounds(cache, p_matrix)
+    q_lo, q_hi, q_block = _cached_bounds(cache, q_matrix)
     if p_hi < q_lo:
         return -1
     if p_lo > q_hi:
         return 1
     if p_lo == p_hi == q_lo == q_hi:
         return 0
-    return compare_radii(p_matrix, q_matrix)
+    return compare_radii(_critical(p_matrix, p_block), _critical(q_matrix, q_block))
 
 
-def _cached_bounds(cache: dict, m: Matrix) -> tuple[Fraction, Fraction]:
+def _critical(m: Matrix, block) -> Matrix:
+    """m's principal submatrix on its critical block, or m itself when it
+    has none or is irreducible."""
+    if block is None or len(block) == m.rows:
+        return m
+    return principal_submatrix(m, block)
+
+
+def _cached_bounds(cache: dict, m: Matrix) -> tuple[Fraction, Fraction, list[int] | None]:
     # the integer rows determine the matrix; a product whose rows mat_mul
     # primed over a larger denominator only misses an equal matrix's entry
     bounds = cache.get(m._int_rows)

@@ -112,3 +112,48 @@ M1_NN_I_MATRIX = (
 # (2^n, 4^n, 1, 2^n, 2^n); the zero-test self loop keeps every coordinate 2^n.
 def nn_looper_vector(n: int):
     return (2 ** n, 4 ** n, 1, 2 ** n, 2 ** n)
+
+# --- perfbench's random_arena(random.Random("saddle-grid:4x2:2"), 4, 2) ---
+
+# Its saddle product is reducible, with the rank-one critical block
+# ((3, 3, 3), (2, 2, 2), (7, 7, 7)) of radius 3 + 2 + 7 = 12, whose Perron
+# vector (3, 2, 7) / 12 is off the dyadic grid.  The saddle check ties pairs
+# of products that differ only outside that block.
+VALUE_12_DESPOT = ("d0", "d1", "d2", "d3")
+VALUE_12_TRIBUNE = ("t0", "t1", "t2", "t3")
+VALUE_12_ALPHABET = ("a0", "a1")
+VALUE_12_TRANSITIONS = (
+    ("d0", "a0", "t0", 3),
+    ("d0", "a1", "t1", 3),
+    ("d0", "a1", "t2", 1),
+    ("d0", "a1", "t3", 2),
+    ("d1", "a0", "t1", 1),
+    ("d1", "a1", "t0", 1),
+    ("d1", "a1", "t2", 1),
+    ("d2", "a0", "t0", 2),
+    ("d2", "a0", "t2", 2),
+    ("d2", "a1", "t0", 2),
+    ("d3", "a0", "t0", 2),
+    ("d3", "a0", "t2", 3),
+    ("d3", "a1", "t0", 3),
+    ("d3", "a1", "t1", 2),
+    ("t0", "a0", "d2", 3),
+    ("t0", "a1", "d0", 1),
+    ("t0", "a1", "d2", 1),
+    ("t0", "a1", "d3", 1),
+    ("t1", "a0", "d0", 2),
+    ("t1", "a0", "d2", 2),
+    ("t1", "a0", "d3", 2),
+    ("t1", "a1", "d1", 3),
+    ("t2", "a0", "d0", 3),
+    ("t2", "a0", "d3", 2),
+    ("t2", "a1", "d0", 1),
+    ("t3", "a0", "d1", 1),
+    ("t3", "a0", "d3", 1),
+    ("t3", "a1", "d2", 3),
+)
+# solve at its default tolerance 10^-6: the saddle radius 12 is not a
+# grid point of the rounded bracket, so one Sturm halving narrows it
+VALUE_12_LOWER = F(12)
+VALUE_12_UPPER = F(25165825, 2097152)  # 12 + 2^-21
+VALUE_12_BISECTIONS = 1

@@ -639,7 +639,7 @@ _NEAR_ROOT_2 = block_radius_bounds(_ROOT_2)[0]
     ],
 )
 def test_block_split_hard_cases(rows, own, sign, refuted):
-    lo, hi = block_radius_bounds(_ROOT_2)
+    lo, hi, _ = block_radius_bounds(_ROOT_2)
     assert lo == _NEAR_ROOT_2 < hi
     s, own = iru_set(rows), Matrix(tuple(own))
     other = Matrix.identity(own.rows)

@@ -528,3 +528,37 @@ def test_mpg_matches_bruteforce_small_random():
         (lo, hi), _ = mpg_value(m, tol=Fraction(1, 10**4))
         brute = oracle_helpers.mpg_bruteforce_value(despot, tribune, transitions)
         assert lo - 1e-4 <= float(brute) <= hi + 1e-4
+
+
+def test_value_12_arena_ties_on_its_critical_block(monkeypatch):
+    import entropygames.realroots as realroots
+
+    arena = Arena(
+        frozen.VALUE_12_DESPOT,
+        frozen.VALUE_12_TRIBUNE,
+        frozen.VALUE_12_ALPHABET,
+        frozen.VALUE_12_TRANSITIONS,
+    )
+    assert len(arena.transitions) == 28
+    solution = solve(arena)
+    assert (solution.value.lower, solution.value.upper, solution.value.bisections) == (
+        frozen.VALUE_12_LOWER,
+        frozen.VALUE_12_UPPER,
+        frozen.VALUE_12_BISECTIONS,
+    )
+    calls = []
+    charpoly = realroots.charpoly
+
+    def counted(m):
+        calls.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(realroots, "charpoly", counted)
+    t = arena_to_iru(arena)
+    sp = find_saddle(t.a_set, t.e_set)
+    assert verify_saddle(t.a_set, t.e_set, sp.despot_matrix, sp.tribune_matrix)
+    assert (sp.despot_matrix, sp.tribune_matrix) == (
+        solution.saddle.despot_matrix,
+        solution.saddle.tribune_matrix,
+    )
+    assert calls == []

@@ -23,12 +23,13 @@ from entropygames.linalg import (
     mat_vec,
     one_norm,
     perron_vector,
+    principal_submatrix,
     rat,
     spectral_radius,
     support_blocks,
     vec_mat,
 )
-from entropygames.realroots import compare_radius_with_rational
+from entropygames.realroots import compare_radii, compare_radius_with_rational
 
 RUNNING = Matrix(((2, 1, 1), (1, 0, 1), (1, 1, 2)))
 RUNNING_RHO = (3 + math.sqrt(17)) / 2
@@ -279,26 +280,32 @@ def test_spectral_radius_certifies_reducible_matrices_with_huge_entries():
 
 
 def test_block_radius_bounds_on_reducible_matrices():
-    assert block_radius_bounds(Matrix(((0, 1), (0, 0)))) == (0, 0)
-    assert block_radius_bounds(Matrix(((2, 5), (0, 3)))) == (3, 3)
-    assert block_radius_bounds(Matrix(((6, 0), (0, 3)))) == (6, 6)
+    # sinks first: ((0, 1), (0, 0)) lists block [1] before [0], and ties
+    # between blocks name the first
+    assert block_radius_bounds(Matrix(((0, 1), (0, 0)))) == (0, 0, [1])
+    assert block_radius_bounds(Matrix(((2, 5), (0, 3)))) == (3, 3, [1])
+    assert block_radius_bounds(Matrix(((6, 0), (0, 3)))) == (6, 6, [0])
+    assert block_radius_bounds(Matrix(((3, 0), (0, 3)))) == (3, 3, [0])
     reducible = [
         # two coupled irreducible 2x2 blocks, radii 1 + sqrt 6 and 3
-        ((1, 2, 1, 0), (3, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 2)),
+        (((1, 2, 1, 0), (3, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 2)), [0, 1]),
         # the same blocks with the larger one downstream
-        ((2, 1, 1, 0), (1, 2, 0, 1), (0, 0, 1, 2), (0, 0, 3, 1)),
+        (((2, 1, 1, 0), (1, 2, 0, 1), (0, 0, 1, 2), (0, 0, 3, 1)), [2, 3]),
         # a singleton block without a loop feeding a block of radius 1 + sqrt 2
-        ((0, 1, 2), (0, 1, 2), (0, 1, 1)),
+        (((0, 1, 2), (0, 1, 2), (0, 1, 1)), [1, 2]),
         # all three kinds of block in one matrix
         (
-            (1, 2, 1, 0, 0),
-            (3, 1, 0, 1, 1),
-            (0, 0, 2, 1, 0),
-            (0, 0, 1, 2, 0),
-            (1, 0, 1, 0, 0),
+            (
+                (1, 2, 1, 0, 0),
+                (3, 1, 0, 1, 1),
+                (0, 0, 2, 1, 0),
+                (0, 0, 1, 2, 0),
+                (1, 0, 1, 0, 0),
+            ),
+            [0, 1, 4],
         ),
     ]
-    for rows in reducible:
+    for rows, critical in reducible:
         # as given, with row i over i + 2, and over 7 throughout
         variants = (
             rows,
@@ -308,10 +315,33 @@ def test_block_radius_bounds_on_reducible_matrices():
         for data in variants:
             m = Matrix(tuple(tuple(row) for row in data))
             assert len(support_blocks(m.data)) > 1
-            lower, upper = block_radius_bounds(m)
+            lower, upper, block = block_radius_bounds(m)
             assert compare_radius_with_rational(m, lower) >= 0
             assert compare_radius_with_rational(m, upper) <= 0
             assert upper - lower <= Fraction(1, 10**9)
+            # the row scalings move the radii, and the critical block with them
+            assert block == critical or data is not rows
+            assert compare_radii(principal_submatrix(m, block), m) == 0
+
+
+# block [1, 2] is ((11, 1), (1, 11 -+ 2^-70)): its float form is ((11, 1),
+# (1, 11)), whose iterate stays at the all-ones vector, so its witness ratios
+# are the row sums 12 and 12 -+ 2^-70 and its radius lies strictly between
+_TINY = Fraction(1, 2**70)
+
+
+def test_block_radius_bounds_names_the_critical_block_only_when_it_dominates():
+    # the point block [0] of radius 12 has the largest lower bound, and the
+    # upper bound of the downstream block [1, 2], listed first, touches it
+    # from below: the radius is 12, the singleton's
+    below = Matrix(((12, 1, 0), (0, 11, 1), (0, 1, 11 - _TINY)))
+    assert block_radius_bounds(below) == (12, 12, [0])
+    # now block [1, 2] has lower bound 12 too and a radius above 12: the
+    # singleton, listed first, ties for the largest lower bound, but an
+    # upper bound above it leaves no critical block
+    above = Matrix(((12, 0, 0), (1, 11, 1), (0, 1, 11 + _TINY)))
+    assert block_radius_bounds(above) == (12, 12 + _TINY, None)
+    assert compare_radius_with_rational(above, 12) == 1
 
 
 @st.composite
@@ -347,11 +377,17 @@ def bounded_matrices(draw):
 @example(Matrix(((0, 3), (Fraction(1, 2), 0))))
 @example(Matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0))))
 def test_block_radius_bounds_bracket_the_radius(m):
-    lower, upper = block_radius_bounds(m)
+    lower, upper, critical = block_radius_bounds(m)
     assert type(lower) is Fraction and type(upper) is Fraction
     assert 0 <= lower <= upper
     assert compare_radius_with_rational(m, lower) >= 0
     assert compare_radius_with_rational(m, upper) <= 0
+    blocks = support_blocks(m.data)
+    if len(blocks) == 1:
+        assert critical == blocks[0]
+    if critical is not None:
+        assert critical in blocks
+        assert compare_radii(principal_submatrix(m, critical), m) == 0
 
 
 def test_spectral_radius_rejects_bad_input():

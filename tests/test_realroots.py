@@ -204,13 +204,102 @@ def test_compare_radii_enclosed_matches_compare_radii(rng):
 def test_compare_radii_enclosed_falls_back_when_enclosures_overlap(monkeypatch):
     import entropygames.realroots as realroots
 
-    # valid but loose enclosures that touch at 3: only Sturm tells 3 from 4
+    # equal, valid but loose enclosures, each naming its critical block:
+    # only Sturm on those blocks tells 3 from 4
     p, q = Matrix(((3, 0), (0, 0))), Matrix(((3, 1), (1, 3)))
-    loose = {p.data: (Fraction(3), Fraction(3)), q.data: (Fraction(3), Fraction(4))}
+    loose = {p.data: (Fraction(3), Fraction(4), [0]), q.data: (Fraction(3), Fraction(4), [0, 1])}
+    compared = []
+
+    def recorded(a, b):
+        compared.append((a.data, b.data))
+        return compare_radii(a, b)
+
     monkeypatch.setattr(realroots, "block_radius_bounds", lambda m: loose[m.data])
+    monkeypatch.setattr(realroots, "compare_radii", recorded)
     cache: dict = {}
     assert compare_radii_enclosed(cache, p, q) == -1
     assert compare_radii_enclosed(cache, q, p) == 1
+    assert compared == [(((3,),), q.data), (q.data, ((3,),))]
+
+
+# the pairs of reducible saddle check matrices that tie in saddle-grid: each
+# pair differs only in a row outside the critical block they share, which
+# is ((13, 7), (7, 5)), ((8, 8), (8, 10)), the rank-one block of radius 12
+# with the Perron vector (3, 2, 7) / 12 off the dyadic grid, and the block
+# on {0, 1, 3} of the last pair
+SADDLE_GRID_TIES = [
+    (
+        Matrix(((2, 2, 2), (0, 13, 7), (0, 7, 5))),
+        Matrix(((3, 7, 5), (0, 13, 7), (0, 7, 5))),
+    ),
+    (
+        Matrix(((8, 8, 0), (8, 10, 0), (8, 6, 6))),
+        Matrix(((8, 8, 0), (8, 10, 0), (2, 1, 3))),
+    ),
+    (
+        Matrix(((3, 0, 3, 3), (4, 0, 1, 3), (2, 0, 2, 2), (7, 0, 7, 7))),
+        Matrix(((3, 0, 3, 3), (2, 0, 2, 2), (2, 0, 2, 2), (7, 0, 7, 7))),
+    ),
+    (
+        Matrix(((4, 4, 0, 6), (6, 2, 0, 0), (18, 12, 2, 9), (3, 1, 0, 0))),
+        Matrix(((4, 4, 0, 6), (6, 2, 0, 0), (1, 0, 3, 1), (3, 1, 0, 0))),
+    ),
+]
+
+
+@pytest.mark.parametrize("pair", SADDLE_GRID_TIES)
+def test_compare_radii_enclosed_ties_shared_critical_blocks_without_charpoly(monkeypatch, pair):
+    import entropygames.realroots as realroots
+
+    def refuse(m):
+        raise AssertionError("a shared critical block ties on equal data")
+
+    p, q = pair
+    p_lo, p_hi, p_block = block_radius_bounds(p)
+    q_lo, q_hi, q_block = block_radius_bounds(q)
+    # the enclosures overlap without being one point, and name the block
+    assert p_lo < p_hi and q_lo < q_hi and max(p_lo, q_lo) <= min(p_hi, q_hi)
+    assert p_block == q_block and len(p_block) < p.rows
+    monkeypatch.setattr(realroots, "charpoly", refuse)
+    cache: dict = {}
+    assert compare_radii_enclosed(cache, p, q) == 0
+    assert compare_radii_enclosed(cache, q, p) == 0
+
+
+@pytest.mark.parametrize("pair", SADDLE_GRID_TIES)
+@pytest.mark.parametrize("change", (Fraction(1, 2**80), -Fraction(1, 2**80)))
+def test_compare_radii_enclosed_on_a_near_miss_of_a_shared_critical_block(pair, change):
+    # the same block indices with one entry of q's critical block moved by
+    # 2^-80, below the float grid: the enclosures still overlap, the blocks
+    # differ, and the sign is that of the whole-matrix comparison
+    p, q = pair
+    *_, block = block_radius_bounds(q)
+    rows = [list(row) for row in q.data]
+    rows[block[0]][block[0]] += change
+    near = Matrix(tuple(tuple(row) for row in rows))
+    assert block_radius_bounds(near)[2] == block
+    expected = compare_radii(near, p)
+    assert expected == (1 if change > 0 else -1)
+    cache: dict = {}
+    assert compare_radii_enclosed(cache, near, p) == expected
+    assert compare_radii_enclosed(cache, p, near) == -expected
+
+
+def test_compare_radii_enclosed_where_block_bounds_touch():
+    # rank_one has radius 12 and an enclosure on either side of it; each
+    # of the others holds a point block 12 and a block [1, 2] whose bounds
+    # touch 12: from below, with a radius below 12, or from above, with a
+    # radius above it (see test_linalg)
+    tiny = Fraction(1, 2**70)
+    rank_one = Matrix(((3, 3, 3), (2, 2, 2), (7, 7, 7)))
+    below = Matrix(((12, 1, 0), (0, 11, 1), (0, 1, 11 - tiny)))
+    above = Matrix(((12, 0, 0), (1, 11, 1), (0, 1, 11 + tiny)))
+    twelve = Matrix(((12,),))
+    cache: dict = {}
+    for p, q, expected in ((below, rank_one, 0), (above, twelve, 1), (above, rank_one, 1)):
+        assert compare_radii(p, q) == expected
+        assert compare_radii_enclosed(cache, p, q) == expected
+        assert compare_radii_enclosed(cache, q, p) == -expected
 
 
 # -- the integer charpoly against the Fraction one it replaced ---------------
@@ -297,9 +386,36 @@ def _beside(a, b):
     return [list(r) + [0] * len(b) for r in a] + [[0] * len(a) + list(r) for r in b]
 
 
+def _critical_pair(draw, max_order):
+    """One positive, so irreducible, block shared by both sides, and a
+    block of each side's own whose row sums are at most half the shared
+    block's smallest row sum, so its radius is below the shared one.  The blocks are coupled
+    block upper triangularly, the shared one upstream or downstream, and
+    each side is relabelled on its own: a tie through the critical block."""
+    k = draw(st.integers(1, min(3, max_order - 1)))
+    shared = [[Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 12))) for _ in range(k)]
+              for _ in range(k)]
+    floor = min(sum(row) for row in shared) / 2
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(1, min(2, max_order - k)))
+        own = _rational_rows(draw, n, 0)
+        scale = floor / max(1, max(sum(row) for row in own))
+        own = [[x * scale for x in row] for row in own]
+        first, second = (shared, own) if draw(st.booleans()) else (own, shared)
+        coupling = _rational_rows(draw, max(len(first), len(second)), 0)
+        rows = [list(row) + coupling[i][: len(second)] for i, row in enumerate(first)]
+        rows += [[0] * len(first) + list(row) for row in second]
+        order = draw(st.permutations(range(len(rows))))
+        sides.append(Matrix(tuple(tuple(rows[i][j] for j in order) for i in order)))
+    return tuple(sides)
+
+
 @st.composite
 def radius_pairs(draw, max_order=8):
-    kind = draw(st.sampled_from(("rational", "reducible", "tied", "zero", "shared")))
+    kind = draw(st.sampled_from(("rational", "reducible", "tied", "zero", "shared", "critical")))
+    if kind == "critical":
+        return _critical_pair(draw, max_order)
     if kind == "shared":
         # one block beside a different block each: a shared root, often not
         # the largest one of either
@@ -328,6 +444,10 @@ def radius_pairs(draw, max_order=8):
 @example((Matrix(((0, 1), (0, 0))), Matrix(((0, 0), (0, 0)))))
 @example((Matrix(((2, 5), (0, 3))), Matrix(((3, 0), (1, 2)))))
 @example((Matrix(((0, 2), (2, 0))), Matrix(((2, 1), (0, 1)))))
+@example(SADDLE_GRID_TIES[0])
+@example(SADDLE_GRID_TIES[1])
+@example(SADDLE_GRID_TIES[2])
+@example(SADDLE_GRID_TIES[3])
 def test_compare_radii_enclosed_matches_compare_radii_on_hard_pairs(pair):
     p, q = pair
     cache: dict = {}
@@ -343,7 +463,7 @@ def _probes(m, other):
     """Rationals to compare rho(m) with: its block bounds, the other
     matrix's, just outside them, and 0."""
     points = {Fraction(0)}
-    for lo, hi in (block_radius_bounds(m), block_radius_bounds(other)):
+    for lo, hi, _ in (block_radius_bounds(m), block_radius_bounds(other)):
         points |= {lo, hi, lo - Fraction(1, 7), hi + Fraction(1, 3), (lo + hi) / 2}
     return sorted(points)
 
@@ -369,7 +489,7 @@ def test_sign_query_matches_isolating_oracle(pair):
             assert compare_radius_with_rational(
                 m, r
             ) == oracle_helpers.isolating_compare_radius_with_rational(m, r)
-        lo, hi = block_radius_bounds(m)
+        lo, hi, _ = block_radius_bounds(m)
         lower, upper = Fraction(math.floor(lo)), Fraction(math.floor(hi) + 1)
         tol = Fraction(1, 64)
         assert bisect_radius(m, lower, upper, tol) == oracle_helpers.isolating_bisect_radius(
@@ -387,7 +507,7 @@ def test_sign_query_on_a_steep_matrix():
         return x * 2**600 if rng.random() < 0.5 else x
 
     m = Matrix(tuple(tuple(entry() for _ in range(5)) for _ in range(5)))
-    lo, hi = block_radius_bounds(m)
+    lo, hi, _ = block_radius_bounds(m)
     assert lo < hi
     signs = [compare_radius_with_rational(m, r) for r in (lo - 1, lo, hi, hi + 1)]
     assert signs == [1, 1, -1, -1]
