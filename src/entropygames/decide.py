@@ -63,6 +63,27 @@ C' be C with row i replaced by a non-negative row r.
   for every member M (v > 0); if no switch lowers rho, M v >= rho v and
   rho(M) >= rho for every member M.
 
+Each deviation C' is compared with its centre C exactly, and without a
+float kernel of its own (``_row_switch``).  C's dyadic witness w > 0 comes
+with exact bounds lo <= rho(C) <= hi (``linalg.radius_witness``), and
+for the row r at position i, t = r.w / w_i is compared with [lo, hi] over
+the integers.  If t > hi, let D be the lcm of the row denominators of C',
+N' = D C' and u = (D I + N')^(n-1) w, an integer vector with u > 0.
+
+* If (N'u)_j > hi D u_j for every j, then rho(C') >= min_j (C'u)_j / u_j
+  > hi >= rho(C), by Collatz-Wielandt, which holds for any u > 0 and any
+  non-negative C', reducible or not.  If t < lo, every (N'u)_j < lo D u_j
+  gives rho(C') <= max_j (C'u)_j / u_j < lo <= rho(C) the same way.
+* Soundness needs nothing more.  The lemma explains why the check usually
+  answers: C'w - rho w is near zero except at i, where its sign is that of
+  t - rho, and every j reaches i within n - 1 steps, so the pushes carry
+  that surplus or deficit to every coordinate.
+* A tie r.v = rho v_i is never answered: then rho(C') = rho(C), which lies
+  in [lo, hi] and between the smallest and largest ratio of every u > 0.
+  A tie, or any deviation the check leaves open, is compared by
+  ``realroots.compare_radii_enclosed``, which finds C's bounds in the
+  comparison cache beside its witness, so C's kernel runs once.
+
 So on a side whose centre product is irreducible, the Sigma (|S_i| - 1)
 single-row deviations, each compared exactly with the centre, settle all
 Pi |S_i| members.  On a reducible centre they need not: with Despot's
@@ -107,6 +128,7 @@ whole sides and is capped the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,10 +140,12 @@ from .linalg import (
     Matrix,
     RadiusEstimate,
     _float_mul,
+    _over_common_denominator,
     _solve_exact,
     float_rows,
     mat_mul,
     principal_submatrix,
+    radius_witness,
     rat,
     spectral_radius,
     support_blocks,
@@ -544,8 +568,9 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     support, and the critical blocks are found by exact comparisons of the
     blocks' C_BB with each other.  Aligned blocks, an irreducible centre's
     only block among them, compare their single-row deviations in row
-    order.  Non-aligned blocks compare their own members, and so does
-    a non-critical aligned block on Tribune's side whose deviation beats
+    order, each against the block centre's witness first (``_deviation``).
+    Non-aligned blocks compare their own members, and so does a
+    non-critical aligned block on Tribune's side whose deviation beats
     C_BB but not C.  A refuting block row maps back to the first candidate
     row with that restriction.  A block of more than iru.ENUM_CAP members
     raises EnumerationCapError naming the reducible centre and ``side``."""
@@ -554,6 +579,11 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
     centres = [principal_submatrix(centre, block) for block in blocks]
     aligned = [len(support_blocks(local.data)) == 1 for local in centres]
+    if len(blocks) > 1:
+        # the comparisons below read the bounds that the witnesses keep
+        for local, ok in zip(centres, aligned):
+            if ok:
+                _centre_witness(cache, local)
     critical = {0}
     top = centres[0]
     for k in range(1, len(blocks)):
@@ -606,18 +636,89 @@ def _block_options(s: IruSet, products, block: list[int]) -> list[dict]:
 def _deviation(options, local: Matrix, sign: int, cache):
     """The first single-row deviation of the irreducible block centre local
     that beats it, as ([(position, restricted row)], the deviation), or
-    (None, None) when none does."""
-    rows = list(local.data)
-    for pos, choices in enumerate(options):
-        for q in choices:
-            if q == local.data[pos]:
-                continue
-            rows[pos] = q
-            deviation = Matrix._of_fractions(tuple(rows))
-            rows[pos] = local.data[pos]
-            if sign * realroots.compare_radii_enclosed(cache, deviation, local) > 0:
-                return [(pos, q)], deviation
+    (None, None) when none does.
+
+    Deviations go in row order.  Each is settled against local's witness by
+    ``_row_switch`` where it can be; only one it leaves open is built and
+    compared by ``realroots.compare_radii_enclosed``, which finds local's
+    bounds in the cache.  Local's kernel runs once, and only when it has a
+    deviation."""
+    deviations = [
+        (pos, q) for pos, choices in enumerate(options) for q in choices if q != local.data[pos]
+    ]
+    if not deviations:
+        return None, None
+    witness = _centre_witness(cache, local)
+    for pos, q in deviations:
+        c = _row_switch(local, witness, pos, q)
+        if c is None:
+            c = realroots.compare_radii_enclosed(cache, _switched(local, pos, q), local)
+        if sign * c > 0:
+            return [(pos, q)], _switched(local, pos, q)
     return None, None
+
+
+def _switched(local: Matrix, pos: int, q) -> Matrix:
+    """local with row pos replaced by q."""
+    return Matrix._of_fractions(local.data[:pos] + (q,) + local.data[pos + 1 :])
+
+
+def _centre_witness(cache: dict, local: Matrix):
+    """(w, lo, hi) for the irreducible block centre local: its dyadic
+    witness w and exact bounds lo <= rho(local) <= hi, or None when its
+    entries leave the float range.
+
+    Kept in the cache under a key of its own, and its bounds under local's
+    integer rows, where ``realroots.compare_radii_enclosed`` looks them up,
+    so no comparison of local reruns its kernel.  On the float-range error
+    nothing is kept: the comparisons that follow raise it, naming the same
+    entry as they would without the witness."""
+    key = ("witness", local._int_rows)
+    if key not in cache:
+        try:
+            w, bounds = radius_witness(local)
+        except ValueError:
+            return None
+        cache.setdefault(local._int_rows, bounds)
+        cache[key] = (w, bounds[0], bounds[1])
+    return cache[key]
+
+
+def _row_switch(local: Matrix, witness, pos: int, q) -> int | None:
+    """The sign of rho(C') - rho(C), for C = local and C' = C with row pos
+    replaced by q, when C's witness separates them, and None otherwise.
+
+    With (w, lo, hi) from ``_centre_witness``, t = q . w / w_pos is
+    compared with [lo, hi] over the integers; inside it, or with no
+    witness, the answer is None.  Otherwise u = (D I + N') ^ (n - 1) w,
+    where N' = D C' and D is the lcm of C''s row denominators, and the
+    answer is +1 when every (N' u)_j > hi D u_j, or -1 when every
+    (N' u)_j < lo D u_j: Collatz-Wielandt for u > 0, as in the module
+    docstring."""
+    if witness is None:
+        return None
+    w, lo, hi = witness
+    ((nums, d),) = _over_common_denominator([q])
+    gain = sum(x * y for x, y in zip(nums, w))
+    if gain * hi.denominator > hi.numerator * d * w[pos]:
+        sign, bound = 1, hi
+    elif gain * lo.denominator < lo.numerator * d * w[pos]:
+        sign, bound = -1, lo
+    else:
+        return None
+    rows = list(local._int_rows)
+    rows[pos] = (nums, d)
+    scale = math.lcm(*[e for _, e in rows])
+    big_n = [r if e == scale else [x * (scale // e) for x in r] for r, e in rows]
+    u = w
+    for _ in range(len(w) - 1):
+        u = [scale * x + sum(a * b for a, b in zip(row, u)) for row, x in zip(big_n, u)]
+    image = [sum(a * b for a, b in zip(row, u)) for row in big_n]
+    # every ratio (N'u)_j / (D u_j) strictly beyond the bound, on sign's side
+    bound_n, bound_d = bound.numerator * scale, bound.denominator
+    if all(sign * (y * bound_d - bound_n * x) > 0 for y, x in zip(image, u)):
+        return sign
+    return None
 
 
 def _block_member(options, top: Matrix, sign: int, cache, side: str):

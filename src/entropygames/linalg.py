@@ -64,6 +64,8 @@ DEFAULT_RADIUS_TOL = Fraction(1, 10**10)
 POWER_ITERATION_CAP = 10_000
 
 _FLOAT_KERNEL_SLACK = 4.0
+# the float tolerance of the enclosures that exact radius comparisons try first
+_BOUNDS_TOL = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
 # _dyadic_witness rounds float iterates onto the grid of step 2^-60
 _DYADIC_SCALE = float(1 << 60)
 
@@ -480,13 +482,12 @@ def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction, list[int] | None
     rho(m) = rho(m_BB) exactly, and a comparison of rho(m) can run on the
     principal submatrix m_BB (``principal_submatrix``) instead.  An
     irreducible m is its own critical block."""
-    tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
     # the largest block bounds so far, as (numerator, denominator) pairs
     lower_n, lower_d = upper_n, upper_d = 0, 1
     critical = None
     uppers = []
     for comp in support_blocks([nums for nums, _ in m._int_rows]):
-        _, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, tol_float)
+        _, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, _BOUNDS_TOL)
         uppers.append((hi_n, hi_d, comp))
         if critical is None or lo_n * lower_d > lower_n * lo_d:
             lower_n, lower_d, critical = lo_n, lo_d, comp
@@ -495,6 +496,15 @@ def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction, list[int] | None
     if any(hi_n * lower_d > lower_n * hi_d for hi_n, hi_d, comp in uppers if comp is not critical):
         critical = None
     return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d), critical
+
+
+def radius_witness(m: Matrix) -> tuple[list[int], tuple[Fraction, Fraction, list[int]]]:
+    """The dyadic witness w of an irreducible non-negative m, with
+    ``block_radius_bounds(m)``, which are w's Collatz-Wielandt bounds, from
+    one kernel run: for a caller that reads w and also compares rho(m)
+    through those bounds."""
+    w, lo, hi, _ = _dyadic_witness(m, range(m.rows), _BOUNDS_TOL)
+    return w, (Fraction(*lo), Fraction(*hi), list(range(m.rows)))
 
 
 def principal_submatrix(m: Matrix, block: Sequence[int]) -> Matrix:

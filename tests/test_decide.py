@@ -12,8 +12,12 @@ from entropygames.decide import (
     Certificate,
     PositivityRequiredError,
     ValueInterval,
+    _centre_witness,
     _climb,
+    _deviation,
     _refute,
+    _row_switch,
+    _switched,
     _valuation,
     decide_jsr_le,
     decide_jsr_lt,
@@ -28,14 +32,20 @@ from entropygames.decide import (
     verify_certificate,
     verify_saddle,
 )
-from entropygames.games import MpgArena, arena_to_iru, mpg_to_weighted_eg
+from entropygames.games import Arena, MpgArena, arena_to_iru, mpg_to_weighted_eg
 from entropygames.iru import (
     EnumerationCapError,
     enumerate_members,
     iru_set,
     right_product,
 )
-from entropygames.linalg import Matrix, block_radius_bounds, mat_mul, spectral_radius
+from entropygames.linalg import (
+    Matrix,
+    block_radius_bounds,
+    mat_mul,
+    spectral_radius,
+    support_blocks,
+)
 from entropygames.lp import lp_max
 from entropygames.realroots import compare_radii, compare_radius_with_rational
 
@@ -675,6 +685,240 @@ def test_aligned_blocks_enumerate_no_member(monkeypatch):
     flip = iru_set([[(1, 0), (0, 5)], [(0, 1), (5, 0)]])
     _refute(flip, identity, identity, 1, {}, "Tribune's side")
     assert calls == ["reducible centre on Tribune's side"]
+
+
+_SWITCH_KINDS = (
+    "integer", "fractional", "single", "rank_one", "row_sum", "lost", "huge", "steep",
+    "unconverged",
+)
+
+
+def _cycle_matrix(rng, n, entry, cycle_entry):
+    """An n x n matrix of entry() values with a Hamiltonian cycle of
+    cycle_entry() values, so irreducible."""
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    order = rng.sample(range(n), n)
+    for k in range(n):
+        rows[order[k]][order[(k + 1) % n]] = cycle_entry()
+    return rows
+
+
+def _composition(rng, total, n):
+    """n non-negative integers summing to total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def _switch_case(rng):
+    """A random irreducible block centre C with single-row deviations:
+    (kind, C, deviations, ties), where deviations are (position, row) pairs
+    whose row differs from C's and ties are those known to keep rho(C).
+
+    Kinds: integer rows; fractional rows over different denominators; 1 x 1
+    centres; rank-one centres x y^T (Perron vector x) and equal-row-sum
+    centres (Perron vector 1), with rows r that tie, r . v = rho v_i; rows
+    that keep only their diagonal entry, so C' is reducible; entries near
+    2^600; a steep cycle whose witness entries are floored at the grid step;
+    and integer centres whose kernel the test cuts after one iteration."""
+    kind = rng.choice(_SWITCH_KINDS)
+    n = 1 if kind == "single" else rng.randint(2, {"huge": 2, "steep": 3}.get(kind, 4))
+    small = lambda: rng.choice((0, 0, 1, 2, 3, 5))  # noqa: E731
+    ties = []
+    if kind == "single":
+        values = (0, 1, 3, Fraction(5, 2), Fraction(17, 7))
+        rows = [[rng.choice(values)]]
+        candidates = [[[x] for x in values]]
+    elif kind == "fractional":
+        frac = lambda lo: Fraction(rng.randint(lo, 9), rng.randint(1, 7))  # noqa: E731
+        rows = _cycle_matrix(rng, n, lambda: frac(0), lambda: frac(1))
+        candidates = [[[frac(0) for _ in range(n)] for _ in range(3)] for _ in range(n)]
+    elif kind == "rank_one":
+        x = [rng.randint(1, 4) for _ in range(n)]
+        y = [rng.randint(1, 4) for _ in range(n)]
+        rho = sum(a * b for a, b in zip(x, y))
+        rows = [[a * b for b in y] for a in x]
+        candidates = []
+        for i in range(n):
+            # single-entry ties rho x_i / x_j e_j, and a mean of two of them
+            tie = [[Fraction(rho * x[i], x[j]) if k == j else 0 for k in range(n)]
+                   for j in range(n)]
+            j, k = rng.randrange(n), rng.randrange(n)
+            tie.append([(a + b) / 2 for a, b in zip(tie[j], tie[k])])
+            ties += [(i, tuple(map(Fraction, r))) for r in tie]
+            bumped = list(rows[i])
+            bumped[rng.randrange(n)] += rng.choice((-1, 1))
+            candidates.append(tie + [[max(0, e) for e in bumped]])
+    elif kind == "row_sum":
+        total = rng.randint(2, 6)
+
+        def row(i, s):
+            while True:
+                r = _composition(rng, s, n)
+                if any(e for j, e in enumerate(r) if j != i):
+                    return r
+
+        rows = [row(i, total) for i in range(n)]
+        if len(support_blocks(rows)) > 1:
+            rows = [[total - 1 if j == i else int(j == (i + 1) % n) for j in range(n)]
+                    for i in range(n)]
+        candidates = []
+        for i in range(n):
+            tie = [_composition(rng, total, n) for _ in range(2)]
+            ties += [(i, tuple(map(Fraction, r))) for r in tie]
+            candidates.append(tie + [_composition(rng, total + rng.choice((-1, 1)), n)])
+    elif kind == "huge":
+        big = 2**600
+        rows = _cycle_matrix(rng, n, lambda: small() * big + rng.randint(0, 3),
+                             lambda: rng.randint(1, 4) * big)
+        candidates = [[[small() * big + rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+                      for _ in range(n)]
+    elif kind == "steep":
+        tiny = Fraction(1, 2**200)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][(i + 1) % n] = tiny if i == n - 1 else rng.randint(1, 3)
+            rows[i][i] = rng.choice((0, 0, tiny))
+        candidates = [[[rng.choice((0, tiny, 2 * tiny, 1)) for _ in range(n)] for _ in range(3)]
+                      for _ in range(n)]
+    else:  # integer, lost and unconverged
+        rows = _cycle_matrix(rng, n, small, lambda: rng.randint(1, 4))
+        candidates = [[[small() for _ in range(n)] for _ in range(3)] for _ in range(n)]
+        if kind == "lost":
+            for i, cands in enumerate(candidates):
+                cands += [[c if j == i else 0 for j in range(n)] for c in (0, 1, 4, 9)]
+    centre = Matrix(tuple(tuple(r) for r in rows))
+    deviations = []
+    for i, cands in enumerate(candidates):
+        for r in cands:
+            q = tuple(map(Fraction, r))
+            if q != centre.data[i] and (i, q) not in deviations:
+                deviations.append((i, q))
+    return kind, centre, deviations, [t for t in ties if t in deviations]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_row_switch_matches_sturm(rng):
+    from entropygames import linalg
+
+    kind, centre, deviations, ties = _switch_case(rng)
+    with pytest.MonkeyPatch.context() as patch:
+        if kind == "unconverged":
+            patch.setattr(linalg, "POWER_ITERATION_CAP", 1)
+        witness = _centre_witness({}, centre)
+    # the check answers a deviation with rho(C')'s exact side of rho(C), or
+    # not at all; a tie is never answered
+    signs = [compare_radii(_switched(centre, pos, q), centre) for pos, q in deviations]
+    for (pos, q), expected in zip(deviations, signs):
+        assert (pos, q) not in ties or expected == 0
+        assert _row_switch(centre, witness, pos, q) in (None, expected)
+    # and the first deviation that beats C is Sturm's first one
+    options = [{row: row} for row in centre.data]
+    for pos, q in deviations:
+        options[pos][q] = q
+    for sign in (1, -1):
+        beating = [d for d, expected in zip(deviations, signs) if sign * expected > 0]
+        choice, deviation = _deviation(options, centre, sign, {})
+        if beating:
+            assert choice == [beating[0]]
+            assert deviation == _switched(centre, *beating[0])
+        else:
+            assert (choice, deviation) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "centre, deviations, kernels",
+    [
+        # rank one with Perron vector (1, 2), off the dyadic grid, and radius
+        # 12; (12, 0) and (0, 12) leave their row its diagonal only
+        (((8, 2), (16, 4)),
+         [(0, (12, 0)), (0, (10, 1)), (0, (4, 4)), (0, (0, 6)), (1, (24, 0)), (1, (8, 8)),
+          (1, (0, 12))], 6),
+        # equal row sums 3: the witness is exact, lo = hi = 3
+        (((1, 2), (2, 1)), [(0, (3, 0)), (0, (0, 3)), (1, (1, 2)), (1, (3, 0))], 4),
+        (((0, 1, 2), (1, 1, 1), (3, 0, 0)), [(0, (1, 1, 1)), (1, (0, 0, 3)), (2, (1, 2, 0))], 4),
+    ],
+)
+def test_row_switch_leaves_ties_to_the_fallback(monkeypatch, centre, deviations, kernels):
+    from entropygames import linalg
+
+    centre = Matrix(centre)
+    deviations = [(pos, tuple(map(Fraction, q))) for pos, q in deviations]
+    calls = []
+    power_enclosure = linalg.power_enclosure
+
+    def counted(*args):
+        calls.append(args[1])
+        return power_enclosure(*args)
+
+    monkeypatch.setattr(linalg, "power_enclosure", counted)
+    cache = {}
+    witness = _centre_witness(cache, centre)
+    for pos, q in deviations:
+        assert compare_radii(_switched(centre, pos, q), centre) == 0
+        assert _row_switch(centre, witness, pos, q) is None
+    options = [{row: row} for row in centre.data]
+    for pos, q in deviations:
+        options[pos][q] = q
+    for sign in (1, -1):
+        assert _deviation(options, centre, sign, cache) == (None, None)
+    # one kernel for the centre, whose bounds the fallback finds in the
+    # cache, and one for each irreducible deviation's own bounds
+    assert len(calls) == kernels
+
+
+def _fig1():
+    return A_SET, E_SET
+
+
+def _value_12():
+    t = arena_to_iru(Arena(frozen.VALUE_12_DESPOT, frozen.VALUE_12_TRIBUNE,
+                           frozen.VALUE_12_ALPHABET, frozen.VALUE_12_TRANSITIONS))
+    return t.a_set, t.e_set
+
+
+@pytest.mark.parametrize(
+    "game, guess, found, verified, answered",
+    [
+        # two irreducible 3 x 3 centres, one kernel each, and the saddle's
+        # enclosure of its radius
+        (_fig1, 5, 3, 2, 3),
+        # Tribune's centre has a 2-node block and two equal 1-node blocks,
+        # which need no kernel; Despot's is a non-aligned 4-node block whose
+        # 16 members are compared by their enclosures (its own included)
+        (_value_12, 5, 1 + 16 + 1, 1 + 16, 2),
+    ],
+)
+def test_saddle_check_runs_one_kernel_per_centre(monkeypatch, game, guess, found, verified,
+                                                 answered):
+    from entropygames import decide, linalg
+
+    kernels, switches = [], []
+
+    def counted(tag, real):
+        def kernel(*args):
+            kernels.append(tag)
+            return real(*args)
+        return kernel
+
+    monkeypatch.setattr(decide, "power_enclosure", counted("guess", decide.power_enclosure))
+    monkeypatch.setattr(linalg, "power_enclosure", counted("exact", linalg.power_enclosure))
+    row_switch = decide._row_switch
+
+    def counted_switch(*args):
+        switches.append(row_switch(*args))
+        return switches[-1]
+
+    monkeypatch.setattr(decide, "_row_switch", counted_switch)
+    a_set, e_set = game()
+    sp = find_saddle(a_set, e_set)
+    assert (kernels.count("guess"), kernels.count("exact")) == (guess, found)
+    kernels.clear()
+    assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+    assert kernels == ["exact"] * verified
+    # every single-row deviation is settled by the witness check, none by
+    # compare_radii_enclosed
+    assert None not in switches and len(switches) == 2 * answered
 
 
 def _assert_extremes_match_sturm(s):
