@@ -64,9 +64,10 @@ C' be C with row i replaced by a non-negative row r.
   rho(M) >= rho for every member M.
 
 Each deviation C' is compared with its centre C exactly, and without a
-float kernel of its own (``_row_switch``).  C's dyadic witness w > 0 comes
-with exact bounds lo <= rho(C) <= hi (``linalg.radius_witness``), and
-for the row r at position i, t = r.w / w_i is compared with [lo, hi] over
+float kernel of its own (``_row_switch``).  C's dyadic witness w > 0 and
+its exact bounds lo <= rho(C) <= hi come from C's record in the
+comparison cache (``realroots.cached_bounds``), and for the row r at
+position i, t = r.w / w_i is compared with [lo, hi] over
 the integers.  If t > hi, let D be the lcm of the row denominators of C',
 N' = D C' and u = (D I + N')^(n-1) w, an integer vector with u > 0.
 
@@ -81,8 +82,8 @@ N' = D C' and u = (D I + N')^(n-1) w, an integer vector with u > 0.
 * A tie r.v = rho v_i is never answered: then rho(C') = rho(C), which lies
   in [lo, hi] and between the smallest and largest ratio of every u > 0.
   A tie, or any deviation the check leaves open, is compared by
-  ``realroots.compare_radii_enclosed``, which finds C's bounds in the
-  comparison cache beside its witness, so C's kernel runs once.
+  ``realroots.compare_radii_enclosed``, which reads C's bounds from that
+  same record, so C's kernel runs once.
 
 So on a side whose centre product is irreducible, the Sigma (|S_i| - 1)
 single-row deviations, each compared exactly with the centre, settle all
@@ -145,7 +146,6 @@ from .linalg import (
     float_rows,
     mat_mul,
     principal_submatrix,
-    radius_witness,
     rat,
     spectral_radius,
     support_blocks,
@@ -579,11 +579,6 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
     centres = [principal_submatrix(centre, block) for block in blocks]
     aligned = [len(support_blocks(local.data)) == 1 for local in centres]
-    if len(blocks) > 1:
-        # the comparisons below read the bounds that the witnesses keep
-        for local, ok in zip(centres, aligned):
-            if ok:
-                _centre_witness(cache, local)
     critical = {0}
     top = centres[0]
     for k in range(1, len(blocks)):
@@ -638,19 +633,26 @@ def _deviation(options, local: Matrix, sign: int, cache):
     that beats it, as ([(position, restricted row)], the deviation), or
     (None, None) when none does.
 
-    Deviations go in row order.  Each is settled against local's witness by
-    ``_row_switch`` where it can be; only one it leaves open is built and
-    compared by ``realroots.compare_radii_enclosed``, which finds local's
-    bounds in the cache.  Local's kernel runs once, and only when it has a
-    deviation."""
+    Deviations go in row order.  Each is settled by ``_row_switch`` where
+    it can be, against local's record in the comparison cache
+    (``realroots.cached_bounds``): local is irreducible, so it is its own
+    critical block and the record carries its witness.  Only a deviation
+    left open is built and compared by ``realroots.compare_radii_enclosed``,
+    which reads the same record.  So local's kernel runs once, and only
+    when it has a deviation.  Beyond the float range local has no record
+    and every deviation is left open; the comparisons then raise the
+    float-range error of whichever matrix they meet first."""
     deviations = [
         (pos, q) for pos, choices in enumerate(options) for q in choices if q != local.data[pos]
     ]
     if not deviations:
         return None, None
-    witness = _centre_witness(cache, local)
+    try:
+        record = realroots.cached_bounds(cache, local)
+    except ValueError:
+        record = None
     for pos, q in deviations:
-        c = _row_switch(local, witness, pos, q)
+        c = None if record is None else _row_switch(local, record, pos, q)
         if c is None:
             c = realroots.compare_radii_enclosed(cache, _switched(local, pos, q), local)
         if sign * c > 0:
@@ -663,41 +665,18 @@ def _switched(local: Matrix, pos: int, q) -> Matrix:
     return Matrix._of_fractions(local.data[:pos] + (q,) + local.data[pos + 1 :])
 
 
-def _centre_witness(cache: dict, local: Matrix):
-    """(w, lo, hi) for the irreducible block centre local: its dyadic
-    witness w and exact bounds lo <= rho(local) <= hi, or None when its
-    entries leave the float range.
-
-    Kept in the cache under a key of its own, and its bounds under local's
-    integer rows, where ``realroots.compare_radii_enclosed`` looks them up,
-    so no comparison of local reruns its kernel.  On the float-range error
-    nothing is kept: the comparisons that follow raise it, naming the same
-    entry as they would without the witness."""
-    key = ("witness", local._int_rows)
-    if key not in cache:
-        try:
-            w, bounds = radius_witness(local)
-        except ValueError:
-            return None
-        cache.setdefault(local._int_rows, bounds)
-        cache[key] = (w, bounds[0], bounds[1])
-    return cache[key]
-
-
-def _row_switch(local: Matrix, witness, pos: int, q) -> int | None:
+def _row_switch(local: Matrix, record, pos: int, q) -> int | None:
     """The sign of rho(C') - rho(C), for C = local and C' = C with row pos
     replaced by q, when C's witness separates them, and None otherwise.
 
-    With (w, lo, hi) from ``_centre_witness``, t = q . w / w_pos is
-    compared with [lo, hi] over the integers; inside it, or with no
-    witness, the answer is None.  Otherwise u = (D I + N') ^ (n - 1) w,
-    where N' = D C' and D is the lcm of C''s row denominators, and the
-    answer is +1 when every (N' u)_j > hi D u_j, or -1 when every
-    (N' u)_j < lo D u_j: Collatz-Wielandt for u > 0, as in the module
-    docstring."""
-    if witness is None:
-        return None
-    w, lo, hi = witness
+    From C's record (lo, hi, critical, w), with w the dyadic witness of the
+    irreducible C, t = q . w / w_pos is compared with [lo, hi] over the
+    integers; inside it, the answer is None.  Otherwise
+    u = (D I + N') ^ (n - 1) w, where N' = D C' and D is the lcm of C''s
+    row denominators, and the answer is +1 when every (N' u)_j > hi D u_j,
+    or -1 when every (N' u)_j < lo D u_j: Collatz-Wielandt for u > 0, as in
+    the module docstring."""
+    lo, hi, _, w = record
     ((nums, d),) = _over_common_denominator([q])
     gain = sum(x * y for x, y in zip(nums, w))
     if gain * hi.denominator > hi.numerator * d * w[pos]:

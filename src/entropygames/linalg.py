@@ -64,8 +64,6 @@ DEFAULT_RADIUS_TOL = Fraction(1, 10**10)
 POWER_ITERATION_CAP = 10_000
 
 _FLOAT_KERNEL_SLACK = 4.0
-# the float tolerance of the enclosures that exact radius comparisons try first
-_BOUNDS_TOL = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
 # _dyadic_witness rounds float iterates onto the grid of step 2^-60
 _DYADIC_SCALE = float(1 << 60)
 
@@ -468,43 +466,39 @@ def _dyadic_witness(m: Matrix, comp: Sequence[int], tol_float: float):
     return w, (lo_n, lo_d), (hi_n, hi_d), iterations
 
 
-def block_radius_bounds(m: Matrix) -> tuple[Fraction, Fraction, list[int] | None]:
-    """Exact (lower, upper, critical) with lower <= rho(m) <= upper for a
-    non-negative square m: rho(m) is the largest block radius, so lower and
-    upper are the largest bounds ``_dyadic_witness`` gives the strongly
-    connected blocks.  No witnesses, no resolvent: the cheap enclosure that
-    exact radius comparisons try before Sturm counting.  The bounds stay
-    integer pairs: only the two returned ones become Fractions.
+def block_radius_bounds(
+    m: Matrix,
+) -> tuple[Fraction, Fraction, list[int] | None, list[int] | None]:
+    """Exact (lower, upper, critical, witness) with lower <= rho(m) <= upper
+    for a non-negative square m: rho(m) is the largest block radius, so
+    lower and upper are the largest bounds ``_dyadic_witness`` gives the
+    strongly connected blocks.  No resolvent: the cheap enclosure that exact
+    radius comparisons try before Sturm counting.  The bounds stay integer
+    pairs: only the two returned ones become Fractions.
 
     ``critical`` is the first block B with the largest lower bound when
     every other block's upper bound is at most B's lower bound, and None
     otherwise.  Then every other block's radius is at most rho(m_BB), so
     rho(m) = rho(m_BB) exactly, and a comparison of rho(m) can run on the
     principal submatrix m_BB (``principal_submatrix``) instead.  An
-    irreducible m is its own critical block."""
+    irreducible m is its own critical block.  ``witness`` is B's dyadic
+    vector, over B's indices in order, whose Collatz-Wielandt ratios on
+    m_BB are lower and upper; it is None when critical is."""
+    tol_float = float(DEFAULT_RADIUS_TOL) / _FLOAT_KERNEL_SLACK
     # the largest block bounds so far, as (numerator, denominator) pairs
     lower_n, lower_d = upper_n, upper_d = 0, 1
-    critical = None
+    critical = witness = None
     uppers = []
     for comp in support_blocks([nums for nums, _ in m._int_rows]):
-        _, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, _BOUNDS_TOL)
+        w, (lo_n, lo_d), (hi_n, hi_d), _ = _dyadic_witness(m, comp, tol_float)
         uppers.append((hi_n, hi_d, comp))
         if critical is None or lo_n * lower_d > lower_n * lo_d:
-            lower_n, lower_d, critical = lo_n, lo_d, comp
+            lower_n, lower_d, critical, witness = lo_n, lo_d, comp, w
         if hi_n * upper_d > upper_n * hi_d:
             upper_n, upper_d = hi_n, hi_d
     if any(hi_n * lower_d > lower_n * hi_d for hi_n, hi_d, comp in uppers if comp is not critical):
-        critical = None
-    return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d), critical
-
-
-def radius_witness(m: Matrix) -> tuple[list[int], tuple[Fraction, Fraction, list[int]]]:
-    """The dyadic witness w of an irreducible non-negative m, with
-    ``block_radius_bounds(m)``, which are w's Collatz-Wielandt bounds, from
-    one kernel run: for a caller that reads w and also compares rho(m)
-    through those bounds."""
-    w, lo, hi, _ = _dyadic_witness(m, range(m.rows), _BOUNDS_TOL)
-    return w, (Fraction(*lo), Fraction(*hi), list(range(m.rows)))
+        critical = witness = None
+    return Fraction(lower_n, lower_d), Fraction(upper_n, upper_d), critical, witness
 
 
 def principal_submatrix(m: Matrix, block: Sequence[int]) -> Matrix:

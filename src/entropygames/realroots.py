@@ -13,7 +13,10 @@ the per-block enclosures of ``linalg.block_radius_bounds`` first, and
 hands compare_radii only the critical blocks they name, whose radii are
 the matrices' (Rothblum, "Multiplicative Markov decision chains", 1984):
 a reducible pair that shares its critical block ties there on equal data,
-with no polynomial at all.
+with no polynomial at all.  The comparison cache is this module's: one
+record per matrix, block_radius_bounds' (lower, upper, critical,
+witness), read through ``cached_bounds``, where ``decide`` also finds a
+block centre's witness.
 
 Polynomials are coefficient lists of Fractions, lowest degree first.
 ``charpoly`` computes them over Python ints, by Faddeev-LeVerrier on the
@@ -247,17 +250,16 @@ def compare_radii(p_matrix: Matrix, q_matrix: Matrix) -> int:
 def compare_radii_enclosed(cache: dict, p_matrix: Matrix, q_matrix: Matrix) -> int:
     """Sign of rho(P) - rho(Q) for non-negative square matrices, exact.
 
-    Per-block enclosures (``block_radius_bounds``, kept in ``cache`` under
-    the matrix's integer rows, which hash faster than its Fractions) settle
-    the comparison when they separate, or when both are the same single
-    point.  Otherwise compare_radii decides it on each matrix's critical
-    block, whose radius is the matrix's, where the enclosures name one: a
-    reducible pair that differs only outside a shared critical block ties
-    on equal data, and any other pair runs Sturm on smaller matrices."""
+    Each matrix's record (``cached_bounds``) settles the comparison when
+    the enclosures separate, or when both are the same single point.
+    Otherwise compare_radii decides it on each matrix's critical block,
+    whose radius is the matrix's, where the records name one: a reducible
+    pair that differs only outside a shared critical block ties on equal
+    data, and any other pair runs Sturm on smaller matrices."""
     if p_matrix.data == q_matrix.data:
         return 0
-    p_lo, p_hi, p_block = _cached_bounds(cache, p_matrix)
-    q_lo, q_hi, q_block = _cached_bounds(cache, q_matrix)
+    p_lo, p_hi, p_block, _ = cached_bounds(cache, p_matrix)
+    q_lo, q_hi, q_block, _ = cached_bounds(cache, q_matrix)
     if p_hi < q_lo:
         return -1
     if p_lo > q_hi:
@@ -275,13 +277,20 @@ def _critical(m: Matrix, block) -> Matrix:
     return principal_submatrix(m, block)
 
 
-def _cached_bounds(cache: dict, m: Matrix) -> tuple[Fraction, Fraction, list[int] | None]:
-    # the integer rows determine the matrix; a product whose rows mat_mul
-    # primed over a larger denominator only misses an equal matrix's entry
-    bounds = cache.get(m._int_rows)
-    if bounds is None:
-        bounds = cache[m._int_rows] = block_radius_bounds(m)
-    return bounds
+def cached_bounds(
+    cache: dict, m: Matrix
+) -> tuple[Fraction, Fraction, list[int] | None, list[int] | None]:
+    """m's radius record, ``block_radius_bounds(m)``: (lower, upper,
+    critical, witness), computed once per cache.  A comparison cache holds
+    these records and nothing else, each under the matrix's integer rows,
+    which determine it and hash faster than its Fractions; a product whose
+    rows mat_mul primed over a larger denominator only misses an equal
+    matrix's record.  A matrix beyond the float range raises ValueError and
+    leaves no record."""
+    record = cache.get(m._int_rows)
+    if record is None:
+        record = cache[m._int_rows] = block_radius_bounds(m)
+    return record
 
 
 def compare_radius_with_rational(m: Matrix, r) -> int:

@@ -12,7 +12,6 @@ from entropygames.decide import (
     Certificate,
     PositivityRequiredError,
     ValueInterval,
-    _centre_witness,
     _climb,
     _deviation,
     _refute,
@@ -47,7 +46,7 @@ from entropygames.linalg import (
     support_blocks,
 )
 from entropygames.lp import lp_max
-from entropygames.realroots import compare_radii, compare_radius_with_rational
+from entropygames.realroots import cached_bounds, compare_radii, compare_radius_with_rational
 
 A_SET = iru_set(frozen.FIG1_A_ROW_SETS)
 E_SET = iru_set(frozen.FIG1_E_ROW_SETS)
@@ -649,7 +648,7 @@ _NEAR_ROOT_2 = block_radius_bounds(_ROOT_2)[0]
     ],
 )
 def test_block_split_hard_cases(rows, own, sign, refuted):
-    lo, hi, _ = block_radius_bounds(_ROOT_2)
+    lo, hi, _, _ = block_radius_bounds(_ROOT_2)
     assert lo == _NEAR_ROOT_2 < hi
     s, own = iru_set(rows), Matrix(tuple(own))
     other = Matrix.identity(own.rows)
@@ -805,13 +804,13 @@ def test_row_switch_matches_sturm(rng):
     with pytest.MonkeyPatch.context() as patch:
         if kind == "unconverged":
             patch.setattr(linalg, "POWER_ITERATION_CAP", 1)
-        witness = _centre_witness({}, centre)
+        record = cached_bounds({}, centre)
     # the check answers a deviation with rho(C')'s exact side of rho(C), or
     # not at all; a tie is never answered
     signs = [compare_radii(_switched(centre, pos, q), centre) for pos, q in deviations]
     for (pos, q), expected in zip(deviations, signs):
         assert (pos, q) not in ties or expected == 0
-        assert _row_switch(centre, witness, pos, q) in (None, expected)
+        assert _row_switch(centre, record, pos, q) in (None, expected)
     # and the first deviation that beats C is Sturm's first one
     options = [{row: row} for row in centre.data]
     for pos, q in deviations:
@@ -853,10 +852,10 @@ def test_row_switch_leaves_ties_to_the_fallback(monkeypatch, centre, deviations,
 
     monkeypatch.setattr(linalg, "power_enclosure", counted)
     cache = {}
-    witness = _centre_witness(cache, centre)
+    record = cached_bounds(cache, centre)
     for pos, q in deviations:
         assert compare_radii(_switched(centre, pos, q), centre) == 0
-        assert _row_switch(centre, witness, pos, q) is None
+        assert _row_switch(centre, record, pos, q) is None
     options = [{row: row} for row in centre.data]
     for pos, q in deviations:
         options[pos][q] = q
@@ -865,6 +864,34 @@ def test_row_switch_leaves_ties_to_the_fallback(monkeypatch, centre, deviations,
     # one kernel for the centre, whose bounds the fallback finds in the
     # cache, and one for each irreducible deviation's own bounds
     assert len(calls) == kernels
+
+
+def _float_range(bits):
+    return (f"an entry near 2^{bits} is too large for the float iteration, "
+            "whose floats end below 2^1024")
+
+
+def test_deviations_beyond_the_float_range_fall_back():
+    # the centre's largest entry sits in the deviating row: the centre has
+    # no record, so the fallback builds the deviation and meets its 2^1100
+    # before the centre's 2^1200
+    centre = Matrix(((2**1200, 1), (1, 2**1100)))
+    q = (Fraction(2**1100), Fraction(1))
+    options = [{centre.data[0]: centre.data[0], q: q}, {centre.data[1]: centre.data[1]}]
+    for sign in (1, -1):
+        cache = {}
+        with pytest.raises(ValueError) as info:
+            _deviation(options, centre, sign, cache)
+        assert str(info.value) == _float_range(1100)
+        assert cache == {}
+    # end to end: Tribune's climb reaches a centre with an entry near 2^1200,
+    # which has no record, and its deviations' fallback names it
+    big = 2**600
+    a_set = iru_set([[(big, 1), (1, big)], [(big, big), (1, 1)]])
+    e_set = iru_set([[(big, 1), (2, big)], [(1, big), (big, 3)]])
+    with pytest.raises(ValueError) as info:
+        find_saddle(a_set, e_set)
+    assert str(info.value) == _float_range(1200)
 
 
 def _fig1():

@@ -302,6 +302,51 @@ def test_cli_simulate_pair_growth(files, capsys):
     assert doc["zeroed_at"] is None
 
 
+@pytest.mark.parametrize(
+    "doc, args, code, out, err",
+    [
+        ("arena", ["value", "--tol", "1/1000"], 0,
+         "value in [3.5615234375, 3.5620117188] (width 4.883e-04)\n"
+         "entropy 0.4581483442 bits per quarter-move\n"
+         "despot strategy: d1=a, d2=a, d3=a\n"
+         "tribune strategy: t1=a, t2=a, t3=a\n", ""),
+        ("arena", ["simulate", "--despot", "positional:d1=a, d2=b, d3=a", "--tribune",
+                   "constant:b", "--turns", "2"], 0,
+         "half-turn   0: d1=1, d2=1, d3=1   total 3\n"
+         "half-turn   1: t1=1, t2=3, t3=1   total 5\n"
+         "half-turn   2: d1=3, d2=5, d3=3   total 11\n"
+         "half-turn   3: t1=3, t2=11, t3=3   total 17\n"
+         "half-turn   4: d1=11, d2=17, d3=11   total 39\n", ""),
+        # an explicit seed for Despot, --seed + 1 (here 1) for Tribune
+        ("arena", ["simulate", "--despot", "random:5", "--tribune", "random", "--turns", "2"], 0,
+         "half-turn   0: d1=1, d2=1, d3=1   total 3\n"
+         "half-turn   1: t1=1, t2=3, t3=1   total 5\n"
+         "half-turn   2: d1=4, d2=4, d3=3   total 11\n"
+         "half-turn   3: t1=8, t2=7, t3=7   total 22\n"
+         "half-turn   4: d1=15, d2=14, d3=7   total 36\n", ""),
+        ("arena", ["simulate", "--despot", "positional:d1", "--tribune", "constant:a"], 2, "",
+         "error: bad positional assignment 'd1'\n"),
+        ("arena", ["simulate", "--despot", "greedy", "--tribune", "constant:a"], 2, "",
+         "error: unrecognised strategy 'greedy'; use positional:s=a,..., constant:a, "
+         "script:letters or random:seed\n"),
+        # script: plays an arena, not a matrix pair
+        ("pair", ["simulate", "--despot", "script:ab", "--tribune", "constant:a"], 2, "",
+         "error: unrecognised matrix strategy 'script:ab'; use constant:INDEX or random:SEED\n"),
+        ("pair", ["simulate", "--despot", "constant:1", "--tribune", "constant:2", "--turns",
+                  "300"], 0,
+         "growth estimate 3.578006 after 300 steps (entropy 0.459789 bits per quarter-move)\n",
+         ""),
+        ("mpg", ["mpg", "--solve", "--tol", "1/100"], 0,
+         "mean payoff value in [3.0000000000, 3.0007042690]\n"
+         "despot strategy: d=d>t\n"
+         "tribune strategy: t=t>d\n", ""),
+    ],
+)
+def test_cli_text_output_and_strategy_errors(files, capsys, doc, args, code, out, err):
+    assert main(args + [files[doc]]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError

@@ -282,10 +282,10 @@ def test_spectral_radius_certifies_reducible_matrices_with_huge_entries():
 def test_block_radius_bounds_on_reducible_matrices():
     # sinks first: ((0, 1), (0, 0)) lists block [1] before [0], and ties
     # between blocks name the first
-    assert block_radius_bounds(Matrix(((0, 1), (0, 0)))) == (0, 0, [1])
-    assert block_radius_bounds(Matrix(((2, 5), (0, 3)))) == (3, 3, [1])
-    assert block_radius_bounds(Matrix(((6, 0), (0, 3)))) == (6, 6, [0])
-    assert block_radius_bounds(Matrix(((3, 0), (0, 3)))) == (3, 3, [0])
+    assert block_radius_bounds(Matrix(((0, 1), (0, 0)))) == (0, 0, [1], [1])
+    assert block_radius_bounds(Matrix(((2, 5), (0, 3)))) == (3, 3, [1], [1])
+    assert block_radius_bounds(Matrix(((6, 0), (0, 3)))) == (6, 6, [0], [1])
+    assert block_radius_bounds(Matrix(((3, 0), (0, 3)))) == (3, 3, [0], [1])
     reducible = [
         # two coupled irreducible 2x2 blocks, radii 1 + sqrt 6 and 3
         (((1, 2, 1, 0), (3, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 2)), [0, 1]),
@@ -315,7 +315,7 @@ def test_block_radius_bounds_on_reducible_matrices():
         for data in variants:
             m = Matrix(tuple(tuple(row) for row in data))
             assert len(support_blocks(m.data)) > 1
-            lower, upper, block = block_radius_bounds(m)
+            lower, upper, block, _ = block_radius_bounds(m)
             assert compare_radius_with_rational(m, lower) >= 0
             assert compare_radius_with_rational(m, upper) <= 0
             assert upper - lower <= Fraction(1, 10**9)
@@ -335,12 +335,12 @@ def test_block_radius_bounds_names_the_critical_block_only_when_it_dominates():
     # upper bound of the downstream block [1, 2], listed first, touches it
     # from below: the radius is 12, the singleton's
     below = Matrix(((12, 1, 0), (0, 11, 1), (0, 1, 11 - _TINY)))
-    assert block_radius_bounds(below) == (12, 12, [0])
+    assert block_radius_bounds(below) == (12, 12, [0], [1])
     # now block [1, 2] has lower bound 12 too and a radius above 12: the
     # singleton, listed first, ties for the largest lower bound, but an
     # upper bound above it leaves no critical block
     above = Matrix(((12, 0, 0), (1, 11, 1), (0, 1, 11 + _TINY)))
-    assert block_radius_bounds(above) == (12, 12 + _TINY, None)
+    assert block_radius_bounds(above) == (12, 12 + _TINY, None, None)
     assert compare_radius_with_rational(above, 12) == 1
 
 
@@ -377,7 +377,7 @@ def bounded_matrices(draw):
 @example(Matrix(((0, 3), (Fraction(1, 2), 0))))
 @example(Matrix(((0, 1, 0), (0, 0, 1), (0, 0, 0))))
 def test_block_radius_bounds_bracket_the_radius(m):
-    lower, upper, critical = block_radius_bounds(m)
+    lower, upper, critical, witness = block_radius_bounds(m)
     assert type(lower) is Fraction and type(upper) is Fraction
     assert 0 <= lower <= upper
     assert compare_radius_with_rational(m, lower) >= 0
@@ -385,9 +385,14 @@ def test_block_radius_bounds_bracket_the_radius(m):
     blocks = support_blocks(m.data)
     if len(blocks) == 1:
         assert critical == blocks[0]
+    assert (witness is None) == (critical is None)
     if critical is not None:
         assert critical in blocks
-        assert compare_radii(principal_submatrix(m, critical), m) == 0
+        block = principal_submatrix(m, critical)
+        assert compare_radii(block, m) == 0
+        # the witness certifies both ends on the critical block itself
+        assert certify_radius_lower(block, lower, witness)
+        assert certify_radius_upper(block, upper, witness)
 
 
 def test_spectral_radius_rejects_bad_input():

@@ -207,7 +207,10 @@ def test_compare_radii_enclosed_falls_back_when_enclosures_overlap(monkeypatch):
     # equal, valid but loose enclosures, each naming its critical block:
     # only Sturm on those blocks tells 3 from 4
     p, q = Matrix(((3, 0), (0, 0))), Matrix(((3, 1), (1, 3)))
-    loose = {p.data: (Fraction(3), Fraction(4), [0]), q.data: (Fraction(3), Fraction(4), [0, 1])}
+    loose = {
+        p.data: (Fraction(3), Fraction(4), [0], [1]),
+        q.data: (Fraction(3), Fraction(4), [0, 1], [1, 1]),
+    }
     compared = []
 
     def recorded(a, b):
@@ -255,8 +258,8 @@ def test_compare_radii_enclosed_ties_shared_critical_blocks_without_charpoly(mon
         raise AssertionError("a shared critical block ties on equal data")
 
     p, q = pair
-    p_lo, p_hi, p_block = block_radius_bounds(p)
-    q_lo, q_hi, q_block = block_radius_bounds(q)
+    p_lo, p_hi, p_block, _ = block_radius_bounds(p)
+    q_lo, q_hi, q_block, _ = block_radius_bounds(q)
     # the enclosures overlap without being one point, and name the block
     assert p_lo < p_hi and q_lo < q_hi and max(p_lo, q_lo) <= min(p_hi, q_hi)
     assert p_block == q_block and len(p_block) < p.rows
@@ -273,7 +276,7 @@ def test_compare_radii_enclosed_on_a_near_miss_of_a_shared_critical_block(pair, 
     # 2^-80, below the float grid: the enclosures still overlap, the blocks
     # differ, and the sign is that of the whole-matrix comparison
     p, q = pair
-    *_, block = block_radius_bounds(q)
+    _, _, block, _ = block_radius_bounds(q)
     rows = [list(row) for row in q.data]
     rows[block[0]][block[0]] += change
     near = Matrix(tuple(tuple(row) for row in rows))
@@ -463,7 +466,7 @@ def _probes(m, other):
     """Rationals to compare rho(m) with: its block bounds, the other
     matrix's, just outside them, and 0."""
     points = {Fraction(0)}
-    for lo, hi, _ in (block_radius_bounds(m), block_radius_bounds(other)):
+    for lo, hi, _, _ in (block_radius_bounds(m), block_radius_bounds(other)):
         points |= {lo, hi, lo - Fraction(1, 7), hi + Fraction(1, 3), (lo + hi) / 2}
     return sorted(points)
 
@@ -489,7 +492,7 @@ def test_sign_query_matches_isolating_oracle(pair):
             assert compare_radius_with_rational(
                 m, r
             ) == oracle_helpers.isolating_compare_radius_with_rational(m, r)
-        lo, hi, _ = block_radius_bounds(m)
+        lo, hi, _, _ = block_radius_bounds(m)
         lower, upper = Fraction(math.floor(lo)), Fraction(math.floor(hi) + 1)
         tol = Fraction(1, 64)
         assert bisect_radius(m, lower, upper, tol) == oracle_helpers.isolating_bisect_radius(
@@ -507,7 +510,7 @@ def test_sign_query_on_a_steep_matrix():
         return x * 2**600 if rng.random() < 0.5 else x
 
     m = Matrix(tuple(tuple(entry() for _ in range(5)) for _ in range(5)))
-    lo, hi, _ = block_radius_bounds(m)
+    lo, hi, _, _ = block_radius_bounds(m)
     assert lo < hi
     signs = [compare_radius_with_rational(m, r) for r in (lo - 1, lo, hi, hi + 1)]
     assert signs == [1, 1, -1, -1]
