@@ -142,7 +142,7 @@ from .linalg import (
     RadiusEstimate,
     _float_mul,
     _over_common_denominator,
-    _solve_exact,
+    _resolvent,
     float_rows,
     mat_mul,
     principal_submatrix,
@@ -220,16 +220,16 @@ def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     vector v >= 1 satisfies r . v < alpha v_i for every candidate row.
 
     Howard policy iteration on the resolvent, with no LP and no float.  For
-    alpha > 0 and the current member M, v solves (alpha I - M) v = alpha 1,
-    and v >= 1 holds exactly when rho(M) < alpha: if v >= 1 then M v =
-    alpha v - alpha 1 < alpha v, so rho(M) < alpha by Collatz-Wielandt;
-    if rho(M) < alpha then v is the Neumann series sum_k (M / alpha)^k 1
-    >= 1.  A singular system or a v not >= 1 thus shows a member with rho
-    >= alpha.  Otherwise each row set switches to a row with strictly
-    larger r . v; when none does, r . v <= alpha v_i - alpha < alpha v_i
-    for every candidate row and v is the certificate.  A switch raises M v
-    in some rows and lowers it in none, so a next v >= 1 is strictly
-    larger than v: no member repeats and the loop ends."""
+    alpha > 0 and the current member M, v = alpha ``_resolvent(M, alpha)``
+    solves (alpha I - M) v = alpha 1, and v >= 1 holds exactly when rho(M) <
+    alpha: if v >= 1 then M v = alpha v - alpha 1 < alpha v, so rho(M) <
+    alpha by Collatz-Wielandt; if rho(M) < alpha then v is the Neumann series
+    sum_k (M / alpha)^k 1 >= 1.  A singular system or a v not >= 1 thus shows
+    a member with rho >= alpha.  Otherwise each row set switches to a row
+    with strictly larger r . v; when none does, r . v <= alpha v_i - alpha <
+    alpha v_i for every candidate row and v is the certificate.  A switch
+    raises M v in some rows and lowers it in none, so a next v >= 1 is
+    strictly larger than v: no member repeats and the loop ends."""
     _require_square(s)
     alpha = rat(alpha)
     if alpha <= 0:
@@ -237,12 +237,8 @@ def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     n = s.n_rows
     choice = [0] * n
     while True:
-        member = [rs.rows[k] for rs, k in zip(s.row_sets, choice)]
-        system = [
-            [alpha - x if j == i else -x for j, x in enumerate(row)]
-            for i, row in enumerate(member)
-        ]
-        v = _solve_exact(system, [alpha] * n)
+        u = _resolvent(s.member(choice), alpha)
+        v = None if u is None else [alpha * x for x in u]
         if v is None or any(x < 1 for x in v):
             return False, None
         switched = False

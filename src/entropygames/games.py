@@ -68,23 +68,18 @@ class Arena:
                 raise ValueError(f"unknown action {action!r}")
             if frm in d_set:
                 if to not in t_set:
-                    raise ValueError(
-                        f"transition {frm}->{to} must cross to the other player"
-                    )
+                    raise ValueError(f"transition {frm}->{to} must cross to the other player")
             elif frm in t_set:
                 if to not in d_set:
-                    raise ValueError(
-                        f"transition {frm}->{to} must cross to the other player"
-                    )
+                    raise ValueError(f"transition {frm}->{to} must cross to the other player")
             else:
                 raise ValueError(f"unknown state {frm!r}")
-            w = int(weight)
-            if w <= 0:
+            if type(weight) is not int:  # never rounded, and a bool is no weight
+                raise ValueError(f"transition {frm}->{to} has weight {weight!r}, not an integer")
+            if weight <= 0:
                 raise ValueError("transition multiplicities must be positive")
-            merged[(frm, action, to)] = merged.get((frm, action, to), 0) + w
-        cleaned = tuple(
-            (frm, action, to, w) for (frm, action, to), w in sorted(merged.items())
-        )
+            merged[(frm, action, to)] = merged.get((frm, action, to), 0) + weight
+        cleaned = tuple((frm, action, to, w) for (frm, action, to), w in sorted(merged.items()))
         outgoing = {s: 0 for s in despot + tribune}
         for frm, _, _, _ in cleaned:
             outgoing[frm] += 1
@@ -496,10 +491,11 @@ class MpgArena:
                     raise ValueError(f"transition {frm}->{to} must alternate sides")
             else:
                 raise ValueError(f"unknown state {frm!r}")
-            w = int(weight)
-            if w < 0:
+            if type(weight) is not int:  # never rounded, and a bool is no weight
+                raise ValueError(f"transition {frm}->{to} has weight {weight!r}, not an integer")
+            if weight < 0:
                 raise ValueError("weights must be non-negative")
-            cleaned.append((frm, to, w))
+            cleaned.append((frm, to, weight))
         cleaned = tuple(sorted(set(cleaned)))
         outgoing = {s: 0 for s in despot + tribune}
         for frm, _, _ in cleaned:

@@ -65,7 +65,7 @@ def arena_to_dict(a: Arena) -> dict:
 
 def arena_from_dict(doc: dict) -> Arena:
     transitions = tuple(
-        (tr["from"], tr["action"], tr["to"], int(tr.get("weight", 1)))
+        (tr["from"], tr["action"], tr["to"], tr.get("weight", 1))
         for tr in doc["transitions"]
     )
     return Arena(
@@ -88,9 +88,7 @@ def mpg_to_dict(m: MpgArena) -> dict:
 
 
 def mpg_from_dict(doc: dict) -> MpgArena:
-    transitions = tuple(
-        (tr["from"], tr["to"], int(tr.get("weight", 0))) for tr in doc["transitions"]
-    )
+    transitions = tuple((tr["from"], tr["to"], tr.get("weight", 0)) for tr in doc["transitions"])
     return MpgArena(
         despot_states=tuple(doc["despot_states"]),
         tribune_states=tuple(doc["tribune_states"]),

@@ -48,6 +48,8 @@ drives the integer kernel ``_combine`` directly: its vector and matrices
 are integral, so it keeps the vector as Python ints and multiplies it by
 each matrix's cached integer columns, with no Fraction between moves.
 ``reductions._program_matrix`` builds both encoders' matrices with it too.
+Every exact linear system is solved over integers by Edmonds' fraction-free
+pivot ``_pivot``: the resolvent solve ``_resolvent`` and ``lp.lp_max``.
 """
 
 from __future__ import annotations
@@ -408,24 +410,37 @@ def _float_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     return out
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over the rationals; returns the solution list or
-    None when the matrix is singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Edmonds' fraction-free pivot on entry (r, c) of integer rows standing
+    for rows / d: every other row becomes (p row - row[c] rows[r]) / d, with
+    p = rows[r][c] returned as the new d.  Entries stay minors of the start
+    rows, so each division is exact; a remainder raises ArithmeticError."""
+    top, p = rows[r], rows[r][c]
+    for i, row in enumerate(rows):
+        if i != r:
+            qr = [divmod(p * x - row[c] * y, d) for x, y in zip(row, top)]
+            if any(rem for _, rem in qr):
+                raise ArithmeticError("fraction-free pivot left a remainder")
+            rows[i] = [q for q, _ in qr]
+    return p
+
+
+def _resolvent(m: Matrix, r: Fraction) -> list[Fraction] | None:
+    """The u with (r I - m) u = 1, or None when r I - m is singular: row i
+    times q d_i, for r = p/q and m's row i = nums / d_i, is pivoted down the
+    diagonal by ``_pivot``, swapping rows at a zero pivot."""
+    p, q, d = r.numerator, r.denominator, 1
+    rows = [
+        [(p * di if i == j else 0) - q * x for j, x in enumerate(nums)] + [q * di]
+        for i, (nums, di) in enumerate(m._int_rows)
+    ]
+    for c in range(len(rows)):
+        k = next((k for k in range(c, len(rows)) if rows[k][c]), None)
+        if k is None:
             return None
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+        rows[c], rows[k] = rows[k], rows[c]
+        d = _pivot(rows, c, c, d)
+    return [Fraction(row[-1], d) for row in rows]
 
 
 def _dyadic_witness(m: Matrix, comp: Sequence[int], tol_float: float):
@@ -523,8 +538,9 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     * lower: the best block lower bound, witnessed by the block's vector
       extended with zeros.  On a tie the first such block in
       ``support_blocks`` order gives the witness;
-    * upper: an exact resolvent solve (r I - m) u = 1 at a trial r just above
-      the lower bound, escalating r until u > 0 and m u <= r u hold exactly.
+    * upper: the resolvent solve (r I - m) u = 1 (``_resolvent``) at a trial
+      r just above the lower bound, escalating r until u > 0 and m u <= r u
+      hold exactly.
     """
     if not m.is_square:
         raise ValueError("spectral radius needs a square matrix")
@@ -569,11 +585,7 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     step = tol / 2
     while True:
         upper = lower + step
-        rows = [
-            [(upper if i == j else _ZERO) - x for j, x in enumerate(row)]
-            for i, row in enumerate(m.data)
-        ]
-        sol = _solve_exact(rows, [Fraction(1)] * n)
+        sol = _resolvent(m, upper)
         if sol is not None and all(x > 0 for x in sol) and certify_radius_upper(m, upper, sol):
             break
         if upper > block_upper:

@@ -2,22 +2,26 @@
 decision procedures.
 
 Every LP they pose asks one question: is there an x >= 0 satisfying a
-finite set of <=, >= and == rows?  Phase 1 of a dense simplex over
-``fractions.Fraction`` answers it, with Bland's anti-cycling rule (Bland,
-"New finite pivoting rules for the simplex method", 1977): it drives the
-sum of the artificial variables down, and the system is feasible exactly
-when that sum reaches 0, at a basic solution.  A row with a negative
-right-hand side is negated, and so is a >= row with right-hand side 0, so
-its slack starts basic and it needs no artificial.  The sizes here are tiny
-(tens of variables), so exactness beats sparsity.
+finite set of <=, >= and == rows?  Phase 1 of a dense simplex answers it,
+with Bland's anti-cycling rule (Bland, "New finite pivoting rules for the
+simplex method", 1977): it drives the sum of the artificial variables down,
+and the system is feasible exactly when that sum reaches 0, at a basic
+solution.  A row with a negative right-hand side is negated, and so is a >=
+row with right-hand side 0, so its slack starts basic and it needs no
+artificial.  The x-coefficients and right-hand sides are scaled by the
+lcm of their denominators, and ``linalg._pivot`` pivots the integer
+tableau; uniform positive column scalings keep every reduced cost's sign
+and the ratio order, so Bland's rule takes the rational tableau's pivots.
+The sizes here are tiny (tens of variables), so exactness beats sparsity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import rat
+from .linalg import _pivot, rat
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
@@ -57,16 +61,6 @@ class LpResult:
     solution: tuple[Fraction, ...] | None
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    pivot_row = tableau[row]
-    for r, current in enumerate(tableau):
-        if r != row and current[col] != 0:
-            f = current[col]
-            tableau[r] = [x - f * y for x, y in zip(current, pivot_row)]
-
-
 _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 
@@ -74,58 +68,62 @@ def lp_max(system: FeasibilitySystem) -> LpResult:
     """A basic solution x >= 0 of the system, with status optimal, or
     status infeasible when there is none."""
     n = system.variables
-    # Negate rows to make every right-hand side non-negative, and >= rows
-    # with right-hand side 0 too: a <= row's slack starts basic, and only
-    # the >= and == rows left need an artificial.
+    scale = math.lcm(*(x.denominator for c, _, b in system.constraints for x in (*c, b)))
+    # Scale the rows to integers and negate them to make every right-hand
+    # side non-negative, and >= rows with right-hand side 0 too: a <= row's
+    # slack starts basic, and only the >= and == rows left need an artificial.
     rows = []
     for coeffs, sense, rhs in system.constraints:
+        coeffs = [x.numerator * (scale // x.denominator) for x in coeffs]
+        rhs = rhs.numerator * (scale // rhs.denominator)
         if rhs < 0 or (rhs == 0 and sense == GREATER_EQUAL):
             coeffs, sense, rhs = [-c for c in coeffs], _FLIPPED[sense], -rhs
         rows.append((coeffs, sense, rhs))
     real = n + sum(1 for _, sense, _ in rows if sense != EQUAL)
     total = real + sum(1 for _, sense, _ in rows if sense != LESS_EQUAL)
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
+    tableau, basis = [], []
     slack, artificial = n, real
     for coeffs, sense, rhs in rows:
-        row = list(coeffs) + [Fraction(0)] * (total - n) + [rhs]
+        row = coeffs + [0] * (total - n) + [rhs]
         if sense == LESS_EQUAL:
-            row[slack] = Fraction(1)
+            row[slack] = 1
             basis.append(slack)
         else:
             if sense == GREATER_EQUAL:
-                row[slack] = Fraction(-1)
-            row[artificial] = Fraction(1)
+                row[slack] = -1
+            row[artificial] = 1
             basis.append(artificial)
             artificial += 1
         slack += sense != EQUAL
         tableau.append(row)
     # Maximise -(sum of artificials), each basic artificial priced out so
-    # its reduced cost starts at 0.  The last row keeps the invariant
-    # objective(x) = sum_j row[j] x_j - row[-1] for every x satisfying the
-    # constraint rows, so the current value is -row[-1], and any positive
-    # reduced cost offers improvement.
-    objective = [Fraction(0)] * real + [Fraction(-1)] * (total - real) + [Fraction(0)]
+    # its reduced cost starts at 0.  The tableau stands for its entries over
+    # d > 0 (pivots are positive), and the last row keeps the invariant
+    # d objective(x) = sum_j row[j] x_j - row[-1] for every x satisfying the
+    # scaled rows: the value is -row[-1] / d, and a positive entry improves.
+    objective = [0] * real + [-1] * (total - real) + [0]
     for row, b in zip(tableau, basis):
         if b >= real:
             objective = [x + y for x, y in zip(objective, row)]
     tableau.append(objective)
+    d = 1
     while True:
-        # Bland: the first column that improves enters, and of the rows
-        # with the least ratio the one with the least basic column leaves;
-        # the objective is at most 0, so some row has a positive entry
+        # Bland: the first improving column enters; the least ratio's row
+        # leaves, rows taken by basic column so that a tie keeps the least.
+        # The objective is at most 0, so some row has a positive entry.
         enter = next((j for j in range(total) if tableau[-1][j] > 0), None)
         if enter is None:
             break
-        leave = min(
-            (i for i in range(len(basis)) if tableau[i][enter] > 0),
-            key=lambda i: (tableau[i][-1] / tableau[i][enter], basis[i]),
-        )
-        _pivot(tableau, leave, enter)
+        leave = None
+        for i in sorted(range(len(basis)), key=basis.__getitem__):
+            a, b = tableau[i][enter], tableau[i][-1]
+            if a > 0 and (leave is None or b * tableau[leave][enter] < tableau[leave][-1] * a):
+                leave = i
+        d = _pivot(tableau, leave, enter, d)
         basis[leave] = enter
     if tableau[-1][-1] != 0:
         return LpResult(status=INFEASIBLE, solution=None)
-    values = [Fraction(0)] * total
+    values = [0] * total
     for row, b in zip(tableau, basis):
         values[b] = row[-1]
-    return LpResult(status=OPTIMAL, solution=tuple(values[:n]))
+    return LpResult(status=OPTIMAL, solution=tuple(Fraction(x, d) for x in values[:n]))

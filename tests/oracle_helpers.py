@@ -30,7 +30,10 @@ multiplied, as the reference for the products the audits skip;
 replay_nonneg_audit plays the whole non-negative audit with them and the
 literal machine, the reference for its integer loop.
 fraction_charpoly is the Faddeev-LeVerrier loop over Fractions that the
-integer one in realroots.charpoly replaced.  isolate_largest_root,
+integer one in realroots.charpoly replaced, and fraction_solve_exact and
+fraction_lp_max (with its tableau step fraction_pivot) are the Gauss-Jordan
+solve and the phase-1 simplex over Fractions that linalg._resolvent and
+lp.lp_max replaced with one fraction-free integer pivot.  isolate_largest_root,
 count_roots and the isolating comparisons built on them are the Sturm
 routes that realroots' single sign query replaced: isolate the largest root
 from the Cauchy bound down, refine the isolating interval, and test a tie by
@@ -684,6 +687,107 @@ def contraction_lp(s, alpha):
     if result.status == OPTIMAL:
         return True, result.solution
     return False, None
+
+
+def fraction_solve_exact(rows, rhs):
+    """Gaussian elimination over the rationals; returns the solution list or
+    None when the matrix is singular."""
+    n = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def fraction_pivot(tableau, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [x / piv for x in tableau[row]]
+    pivot_row = tableau[row]
+    for r, current in enumerate(tableau):
+        if r != row and current[col] != 0:
+            f = current[col]
+            tableau[r] = [x - f * y for x, y in zip(current, pivot_row)]
+
+
+def fraction_lp_max(system):
+    """A basic solution x >= 0 of the system, with status optimal, or
+    status infeasible when there is none."""
+    from entropygames.lp import (
+        EQUAL,
+        GREATER_EQUAL,
+        INFEASIBLE,
+        LESS_EQUAL,
+        OPTIMAL,
+        LpResult,
+        _FLIPPED,
+    )
+
+    n = system.variables
+    # Negate rows to make every right-hand side non-negative, and >= rows
+    # with right-hand side 0 too: a <= row's slack starts basic, and only
+    # the >= and == rows left need an artificial.
+    rows = []
+    for coeffs, sense, rhs in system.constraints:
+        if rhs < 0 or (rhs == 0 and sense == GREATER_EQUAL):
+            coeffs, sense, rhs = [-c for c in coeffs], _FLIPPED[sense], -rhs
+        rows.append((coeffs, sense, rhs))
+    real = n + sum(1 for _, sense, _ in rows if sense != EQUAL)
+    total = real + sum(1 for _, sense, _ in rows if sense != LESS_EQUAL)
+    tableau = []
+    basis = []
+    slack, artificial = n, real
+    for coeffs, sense, rhs in rows:
+        row = list(coeffs) + [Fraction(0)] * (total - n) + [rhs]
+        if sense == LESS_EQUAL:
+            row[slack] = Fraction(1)
+            basis.append(slack)
+        else:
+            if sense == GREATER_EQUAL:
+                row[slack] = Fraction(-1)
+            row[artificial] = Fraction(1)
+            basis.append(artificial)
+            artificial += 1
+        slack += sense != EQUAL
+        tableau.append(row)
+    # Maximise -(sum of artificials), each basic artificial priced out so
+    # its reduced cost starts at 0.  The last row keeps the invariant
+    # objective(x) = sum_j row[j] x_j - row[-1] for every x satisfying the
+    # constraint rows, so the current value is -row[-1], and any positive
+    # reduced cost offers improvement.
+    objective = [Fraction(0)] * real + [Fraction(-1)] * (total - real) + [Fraction(0)]
+    for row, b in zip(tableau, basis):
+        if b >= real:
+            objective = [x + y for x, y in zip(objective, row)]
+    tableau.append(objective)
+    while True:
+        # Bland: the first column that improves enters, and of the rows
+        # with the least ratio the one with the least basic column leaves;
+        # the objective is at most 0, so some row has a positive entry
+        enter = next((j for j in range(total) if tableau[-1][j] > 0), None)
+        if enter is None:
+            break
+        leave = min(
+            (i for i in range(len(basis)) if tableau[i][enter] > 0),
+            key=lambda i: (tableau[i][-1] / tableau[i][enter], basis[i]),
+        )
+        fraction_pivot(tableau, leave, enter)
+        basis[leave] = enter
+    if tableau[-1][-1] != 0:
+        return LpResult(status=INFEASIBLE, solution=None)
+    values = [Fraction(0)] * total
+    for row, b in zip(tableau, basis):
+        values[b] = row[-1]
+    return LpResult(status=OPTIMAL, solution=tuple(values[:n]))
 
 
 _MOVE_PREFIX = {"inc": "I", "zero": "K", "dec": "D"}

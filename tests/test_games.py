@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,16 @@ def test_arena_validation():
     with pytest.raises(ValueError, match="positive"):
         Arena(("u",), ("v",), ("a",), (("u", "a", "v", 0), ("v", "a", "u", 1)))
 
+
+
+@pytest.mark.parametrize("weight", [2.9, 2.0, True, "2", Fraction(2)])
+def test_arenas_take_only_int_weights(weight):
+    # a weight is never rounded: 2.9 once solved as 2, and true as 1
+    message = f"transition u->v has weight {weight!r}, not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Arena(("u",), ("v",), ("a",), (("u", "a", "v", weight), ("v", "a", "u", 1)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MpgArena(("u",), ("v",), (("u", "v", weight), ("v", "u", 1)))
 
 def test_arena_merges_parallel_transitions():
     a = Arena(

@@ -515,6 +515,31 @@ def test_cli_mpg_with_weights_near_the_float_range(capsys, tmp_path):
     assert doc["mean_payoff_lower"] <= value <= doc["mean_payoff_upper"]
 
 
+
+@pytest.mark.parametrize(
+    "args, weight, shown",
+    [
+        (["value"], 2.9, "2.9"),
+        (["value"], True, "True"),
+        (["value"], 2.0, "2.0"),
+        (["mpg", "--solve"], 1.7, "1.7"),
+        (["mpg", "--solve"], "3", "'3'"),
+    ],
+)
+def test_cli_rejects_weights_that_are_not_integers(capsys, tmp_path, args, weight, shown):
+    game = fig1_arena() if args == ["value"] else two_by_two_mpg(3)
+    doc = json.loads(io.dumps_document(game))
+    doc["transitions"][0]["weight"] = weight
+    tr = doc["transitions"][0]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main([*args, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: transition {tr['from']}->{tr['to']} has weight {shown}, not an integer\n"
+    )
+
 def test_cli_error_paths(files, capsys, tmp_path):
     assert main(["value", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")

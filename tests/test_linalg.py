@@ -16,6 +16,8 @@ from entropygames.linalg import (
     Vector,
     _dyadic_witness,
     _over_common_denominator,
+    _pivot,
+    _resolvent,
     block_radius_bounds,
     certify_radius_lower,
     certify_radius_upper,
@@ -400,6 +402,8 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius(Matrix(((1, 2, 3), (4, 5, 6))))
     with pytest.raises(ValueError):
         spectral_radius(Matrix(((-1,),)))
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        spectral_radius(RUNNING, 0)
 
 
 def test_certificates_exact():
@@ -665,3 +669,61 @@ def test_spectral_radius_witnesses_certify_exact_enclosures(case):
     assert all(x.denominator == 1 for x in r.witness_lower)
     if r.converged:
         assert r.width() <= tol
+
+
+RESOLVENT_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(lambda x, d: Fraction(x * 2**600 + 1, d), st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+@st.composite
+def resolvent_cases(draw):
+    """(m, r) with r sometimes a diagonal entry of m: a zero leading pivot,
+    or an eigenvalue once that row is zero off its diagonal."""
+    n = draw(st.integers(1, 4))
+    m = draw(matrices(n, n, RESOLVENT_ENTRIES))
+    i = draw(st.integers(0, n - 1))
+    r = draw(st.one_of(
+        RESOLVENT_ENTRIES.map(Fraction),
+        st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+        st.just(m.data[i][i]),
+    ))
+    if draw(st.booleans()):
+        rows = [list(row) for row in m.data]
+        rows[i] = [x if j == i else 0 for j, x in enumerate(rows[i])]
+        m = Matrix(tuple(map(tuple, rows)))
+    return m, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolvent_cases())
+@example((Matrix(((1, 1), (1, 1))), Fraction(2)))  # r an eigenvalue
+@example((Matrix(((2, 1), (1, 0))), Fraction(2)))  # a zero leading pivot
+@example((Matrix(((2, 1), (1, 2))), Fraction(1)))  # r below rho
+@example((Matrix(((Fraction(7, 3),),)), Fraction(1, 2)))
+def test_resolvent_matches_fraction_gauss_jordan(case):
+    m, r = case
+    rows = [[(r if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+    want = oracle_helpers.fraction_solve_exact(rows, [Fraction(1)] * m.rows)
+    got = _resolvent(m, r)
+    assert got == want
+    assert got is None or all_fractions(got)
+
+
+def test_resolvent_on_named_cases():
+    assert _resolvent(Matrix(((1, 1), (1, 1))), Fraction(2)) is None
+    # 2I - m = ((0, -1), (-1, 2)) needs a row swap
+    assert _resolvent(Matrix(((2, 1), (1, 0))), Fraction(2)) == [Fraction(-3), Fraction(-1)]
+    assert _resolvent(Matrix(((3,),)), Fraction(3)) is None
+    assert _resolvent(Matrix(((3,),)), Fraction(7, 2)) == [Fraction(2)]
+
+
+def test_pivot_checks_its_divisions():
+    rows = [[2, 1, 1], [1, 1, 1]]
+    assert _pivot([row[:] for row in rows], 0, 0, 1) == 2
+    # rows over a wrong d leave a remainder, which is raised, never rounded
+    with pytest.raises(ArithmeticError, match="remainder"):
+        _pivot([row[:] for row in rows], 0, 0, 3)

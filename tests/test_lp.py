@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracle_helpers
+from entropygames import lp
 from entropygames.lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -182,3 +185,43 @@ def test_feasibility_matches_float_solver(rng):
         assert _satisfies(res.solution, cons)
     else:
         assert res.status == INFEASIBLE and res.solution is None
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def systems(draw):
+    """Systems with >= rows of right-hand side 0, == rows and rational
+    coefficients; some are infeasible."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.tuples(*[COEFFS] * n),
+        st.sampled_from([LESS_EQUAL, GREATER_EQUAL, EQUAL]),
+        st.one_of(st.just(0), COEFFS),
+    )
+    cons = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        cons.append(((Fraction(1),) * n, EQUAL, Fraction(1)))
+    return FeasibilitySystem(variables=n, constraints=tuple(cons))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example(FeasibilitySystem(1, (((1,), LESS_EQUAL, -1),)))
+@example(FeasibilitySystem(2, (((1, Fraction(-1, 3)), GREATER_EQUAL, 0), ((1, 1), EQUAL, 1))))
+def test_integer_tableau_takes_the_fraction_simplex_pivots(system):
+    # scaling every x column and the right-hand sides by one positive scale
+    # changes no reduced cost's sign and no ratio order, so Bland's rule
+    # pivots as the Fraction tableau did and reaches its basic solution
+    with mock.patch.object(lp, "_pivot", wraps=lp._pivot) as pivot, mock.patch.object(
+        oracle_helpers, "fraction_pivot", wraps=oracle_helpers.fraction_pivot
+    ) as reference_pivot:
+        got = lp_max(system)
+        want = oracle_helpers.fraction_lp_max(system)
+    assert repr(got) == repr(want)
+    assert pivot.call_count == reference_pivot.call_count
