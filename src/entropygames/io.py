@@ -44,6 +44,15 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def _declared_int(doc: dict, key: str) -> int:
+    """A declared size, which must be a JSON integer: never rounded, and a
+    boolean is no size."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def format_rational(value) -> str:
     f = Fraction(value)
     if f.denominator == 1:
@@ -120,7 +129,7 @@ def iru_from_dict(doc: dict) -> IruSet:
             RowSet(tuple(tuple(parse_rational(x) for x in row) for row in rs))
         )
     s = IruSet(tuple(row_sets))
-    if s.n_rows != int(doc["rows"]) or s.n_cols != int(doc["cols"]):
+    if s.n_rows != _declared_int(doc, "rows") or s.n_cols != _declared_int(doc, "cols"):
         raise ValueError("declared dimensions do not match the row sets")
     return s
 
@@ -176,7 +185,7 @@ def encoded_to_dict(g: EncodedMmg) -> dict:
 def encoded_from_dict(doc: dict) -> EncodedMmg:
     return EncodedMmg(
         variant=doc["variant"],
-        dimension=int(doc["dimension"]),
+        dimension=_declared_int(doc, "dimension"),
         coordinate_labels=tuple(doc["coordinate_labels"]),
         adam_matrices=_named_matrices_from_dict(doc["adam"]),
         eve_matrices=_named_matrices_from_dict(doc["eve"]),
@@ -210,7 +219,9 @@ _FROM_DICT = {
 
 def loads_document(text: str):
     """Parse a document from text; returns (kind, value).  JSON documents
-    are dispatched on structure, anything else is machine text."""
+    are dispatched on structure, anything else is machine text.  A value of
+    the wrong JSON type, such as a list where an object or a string belongs,
+    raises ValueError naming the document kind."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -218,7 +229,10 @@ def loads_document(text: str):
     if not isinstance(doc, dict):
         raise ValueError("top-level JSON value must be an object")
     kind = detect_kind(doc)
-    return kind, _FROM_DICT[kind](doc)
+    try:
+        return kind, _FROM_DICT[kind](doc)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} document: {exc}") from exc
 
 
 def load_document(path: str):

@@ -310,12 +310,14 @@ class ScriptedPlayReport:
     """Transcript of a scripted integer-variant play.
 
     ``faithful_invariant_ok`` covers the turns before the first deviation:
-    the vector must mirror the machine configuration exactly (single state
-    token, true counter values, One = E = 1, Neg = 0).  ``flashes`` records
-    (turn, coordinate, value) for each audit trigger; ``undetectable``
-    lists deviations that left no negative coordinate, which the audit
-    cannot punish.  ``cheat_played`` is None when no cheat was requested and
-    False when the requested turn offered no alternative move."""
+    the vector must equal the encoding of the machine configuration, built
+    by coordinate label: 1 on the current state, the counters' values on x
+    and y, One = E = 1, and 0 on every other coordinate (Neg and the other
+    states).  ``flashes`` records (turn, coordinate, value) for each audit
+    trigger; ``undetectable`` lists deviations that left no negative
+    coordinate, which the audit cannot punish.  ``cheat_played`` is None
+    when no cheat was requested and False when the requested turn offered
+    no alternative move."""
 
     turns: int
     adam_moves: tuple[str, ...]
@@ -443,22 +445,12 @@ def run_scripted_play(
         ):
             annihilation_turn = turn
 
-        # exact invariant check while the play is still faithful
+        # while the play is faithful, v must encode the machine's configuration
         if faithful_so_far and invariant_ok:
-            ok = (
-                v[index["One"]] == 1
-                and v[index["E"]] == 1
-                and v[index["Neg"]] == 0
-                and v[index["x"]] == eve_sim.counters["x"]
-                and v[index["y"]] == eve_sim.counters["y"]
-            )
-            if ok:
-                for q in m.states:
-                    want = 1 if q == eve_sim.state else 0
-                    if v[index[q]] != want:
-                        ok = False
-                        break
-            invariant_ok = ok
+            want = [0] * len(v)
+            for lab, value in {eve_sim.state: 1, **eve_sim.counters, "One": 1, "E": 1}.items():
+                want[index[lab]] = value
+            invariant_ok = v == want
         if halted_turn is None and eve_sim.halted():
             halted_turn = turn
 
@@ -495,11 +487,14 @@ class PunishmentSegment:
 class NonnegPunishmentReport:
     """Outcome of auditing a non-negative-variant play.
 
-    In faithful (never-punished) play the state token must sit at exactly
-    unit * 2^k after k turns of a segment and the counter pairs must
-    multiply to its square; ``magnitude_ok`` records that.  When resets
-    happen, each completed segment's growth must stay within 2^(f-1) and
-    the whole play's per-turn growth strictly below 2.
+    ``magnitude_ok`` records that after each faithful turn the vector
+    equals the encoding of the machine configuration, built by coordinate
+    label: k faithful turns into a segment whose unit is the start state's
+    coordinate at its reset (1 before any), the current state holds
+    unit * 2^k, counter c the pair (unit * 2^(k+c), unit * 2^(k-c)) on
+    c+ and c-, and every other coordinate 0.  When resets happen, each
+    completed segment's growth must stay within 2^(f-1) and the whole
+    play's per-turn growth strictly below 2.
     ``aggregate_below_two`` is decided exactly (final norm < start norm *
     2^turns); ``aggregate_growth`` is the per-turn growth as a float, for
     display."""
@@ -539,7 +534,7 @@ def check_nonneg_punishment(
     optionally cheating once); Adam watches with Id and answers any
     contradiction with the matching reset: P[q] for a state lie, P[x]/P[y]
     for a counter lie.  The report collects the exact per-segment growth
-    ratios and the structural magnitude checks of faithful play.
+    ratios and whether faithful play kept the exact encoding.
     ``cheat_turn``, when given, must be in 1..horizon.
 
     Every matrix and the start vector of this encoding are integral, so v
@@ -547,7 +542,7 @@ def check_nonneg_punishment(
     the matrix's integer columns; a non-integral entry raises ValueError
     naming its matrix (or the start vector) before any move is played.  A
     move whose matrix is the identity leaves v as it is (v I = v), so its
-    product is not formed.  The magnitude checks compare those ints, with
+    product is not formed.  The encoding check compares those ints, with
     powers of two as shifts; only the norms at the start, at each reset and
     at the end become Fractions."""
     moves, index, eve_sim, adam_sim = _start_play(g, m, NONNEG, horizon, cheat_turn)
@@ -567,7 +562,8 @@ def check_nonneg_punishment(
     segment_start = 1
     start_norm = segment_base_norm = Fraction(sum(v))
     unit = 1
-    turns_into_segment = 0
+    k = 0  # faithful turns into the segment
+    pair_at = [(c, index[c + "+"], index[c + "-"]) for c in ("x", "y")]
     identity_moves = _identity_moves(g)
 
     for turn in range(1, horizon + 1):
@@ -600,7 +596,7 @@ def check_nonneg_punishment(
             adam_sim.reset()
             eve_sim.reset()
             unit = v[index[m.initial_state]]
-            turns_into_segment = 0
+            k = 0
 
         expected = adam_sim.faithful_move()
         choice = eve_sim.faithful_move()
@@ -628,25 +624,16 @@ def check_nonneg_punishment(
         else:
             adam_sim.apply(choice)
             eve_sim.apply(choice)
-            turns_into_segment += 1
-            # structural checks of faithful play at scale unit * 2^k; once
-            # a reset has wiped the vector (unit 0) the play is dead and
-            # carries no structure to audit
-            if unit > 0:
-                token = v[index[adam_sim.state]]
-                if token != unit << turns_into_segment:
-                    magnitude_ok = False
-                token_squared = token * token
-                for q in m.states:
-                    if q != adam_sim.state and v[index[q]] != 0:
-                        magnitude_ok = False
-                for c in ("x", "y"):
-                    plus = v[index[c + "+"]]
-                    minus = v[index[c + "-"]]
-                    if plus * minus != token_squared:
-                        magnitude_ok = False
-                    if (adam_sim.counters[c] == 0) != (plus == minus):
-                        magnitude_ok = False
+            k += 1
+            # v must encode the configuration at scale unit * 2^k: after a
+            # reset that wiped the vector (unit 0) both sides are all zeros
+            if magnitude_ok:
+                want = [0] * len(v)
+                want[index[adam_sim.state]] = unit << k
+                for c, plus, minus in pair_at:
+                    value = adam_sim.counters[c]
+                    want[plus], want[minus] = unit << (k + value), unit << (k - value)
+                magnitude_ok = v == want
 
         if halted_turn is None and eve_sim.halted():
             halted_turn = turn

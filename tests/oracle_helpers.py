@@ -878,11 +878,11 @@ def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
     stretch that a reset closes, with the ratio of the vector's 1-norms
     across it and the bound 2^(f-1).  ``magnitude_ok`` checks faithful
     play the long way: on each turn where Eve makes the machine's own move,
-    the token must sit at unit * 2^k after k such turns, every other state
-    coordinate must be 0, and each counter pair must multiply to the
-    token's square and be equal exactly when the counter is 0.  Nothing is
-    checked after a reset that wiped the vector (unit 0).  ``halted_turn``
-    is the first turn that ends with the machine stopped.
+    k such turns into a segment, the vector read by coordinate label must
+    be the literal machine's configuration at scale unit * 2^k, with
+    Fraction(2) ** k: the token on its state, 0 on every other state, and
+    (unit * 2^(k+c), unit * 2^(k-c)) on each counter c's pair.
+    ``halted_turn`` is the first turn that ends with the machine stopped.
     """
     adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
     eve_names = [name for name, _ in g.eve_matrices]
@@ -921,14 +921,12 @@ def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
             _, kind, c, state = move
             counters[c] += {"inc": 1, "zero": 0, "dec": -1}[kind]
             k += 1
-            if unit > 0:
-                token = v[index[state]]
-                magnitude_ok &= token == unit * Fraction(2) ** k
-                magnitude_ok &= all(v[index[q]] == 0 for q in states if q != state)
-                for name in ("x", "y"):
-                    plus, minus = v[index[name + "+"]], v[index[name + "-"]]
-                    magnitude_ok &= plus * minus == token * token
-                    magnitude_ok &= (counters[name] == 0) == (plus == minus)
+            want = {q: 0 for q in states}
+            want[state] = unit * Fraction(2) ** k
+            for name in ("x", "y"):
+                want[name + "+"] = unit * Fraction(2) ** (k + counters[name])
+                want[name + "-"] = unit * Fraction(2) ** (k - counters[name])
+            magnitude_ok &= dict(zip(g.coordinate_labels, v)) == want
         if halted_turn is None and program[state][0] == "stop":
             halted_turn = turn
     final_norm = _norm(v)

@@ -540,6 +540,68 @@ def test_cli_rejects_weights_that_are_not_integers(capsys, tmp_path, args, weigh
         f"error: transition {tr['from']}->{tr['to']} has weight {shown}, not an integer\n"
     )
 
+
+def _fig1_doc(**changes) -> dict:
+    doc = io.arena_to_dict(fig1_arena())
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "args, doc, kind",
+    [
+        (["value"], _fig1_doc(transitions=[["d1", "a", "t1", 1]]), "arena"),
+        (["translate"], _fig1_doc(transitions=[["d1", "a", "t1", 1]]), "arena"),
+        (["value"], _fig1_doc(transitions=5), "arena"),
+        (["value"], _fig1_doc(despot_states=[["d1"]]), "arena"),
+        (["mpg", "--solve"],
+         {"despot_states": ["d"], "tribune_states": ["t"], "transitions": 5}, "mpg"),
+        (["decide", "--query", "jsr<", "--alpha", "100"],
+         {"rows": 1, "cols": 2, "row_sets": [[1, 2]]}, "matrix-set"),
+        (["value"], {"adam": [], "eve": []}, "pair"),
+    ],
+    ids=["list-transition", "list-transition-translate", "transitions-5", "list-state",
+         "mpg-transitions-5", "flat-row-set", "pair-of-lists"],
+)
+def test_cli_rejects_malformed_documents(capsys, tmp_path, args, doc, kind):
+    # a value of the wrong JSON type is an error like any other: exit 2 and
+    # one line naming the document kind, never a traceback
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*args, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {kind} document: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["rows", "cols"])
+@pytest.mark.parametrize(
+    "declared, shown", [(2.9, "2.9"), (2.0, "2.0"), (True, "True"), ("2", "'2'")]
+)
+def test_cli_rejects_declared_sizes_that_are_not_integers(capsys, tmp_path, key, declared, shown):
+    # an n x n set with n = int(declared), so that truncating the declared
+    # size would match it
+    n = int(declared)
+    doc = io.iru_to_dict(iru_set([[tuple(range(1, n + 1))]] * n))
+    doc[key] = declared
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide", "--query", "jsr<", "--alpha", "100", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be a JSON integer, got {shown}\n"
+
+
+@pytest.mark.parametrize("declared", [7.9, 7.0, True, "7"])
+def test_encoded_dimension_must_be_an_integer(declared):
+    doc = io.encoded_to_dict(encode_integer(parse_machine(frozen.M1_PROGRAM_TEXT)))
+    assert doc["dimension"] == 7
+    doc["dimension"] = declared
+    with pytest.raises(ValueError, match="dimension must be a JSON integer"):
+        io.loads_document(json.dumps(doc))
+
+
 def test_cli_error_paths(files, capsys, tmp_path):
     assert main(["value", str(tmp_path / "missing.json")]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -427,3 +428,61 @@ def test_nonneg_audit_refuses_non_integral_entries():
     assert check_nonneg_punishment(
         io.encoded_from_dict(io.encoded_to_dict(encode_nonneg(M1))), M1, 10
     ).turns == 10
+
+
+def swap_x_pair(rows, i, j):
+    # x+ and x- trade places, so an increment grows x- and x runs
+    # backwards; the pair still multiplies to the token's square and is
+    # equal exactly when x is 0
+    rows[i], rows[j] = rows[j], rows[i]
+    for row in rows:
+        row[i], row[j] = row[j], row[i]
+
+
+def grow_x_plus_eightfold(rows, i, j):
+    # an increment of x multiplies x+ by 8 instead of 4; x- stays right
+    if rows[i][i] == "4":
+        rows[i][i] = "8"
+
+
+@pytest.mark.parametrize("tamper", [swap_x_pair, grow_x_plus_eightfold])
+@pytest.mark.parametrize("machine", [LOOPER, M2], ids=["looper", "m2"])
+def test_nonneg_audit_fails_a_counter_pair_off_its_encoding(machine, tamper):
+    doc = io.encoded_to_dict(encode_nonneg(machine))
+    i, j = doc["coordinate_labels"].index("x+"), doc["coordinate_labels"].index("x-")
+    for matrix in doc["eve"]["matrices"]:
+        tamper(matrix["entries"], i, j)
+    g = io.encoded_from_dict(doc)
+    report = check_nonneg_punishment(g, machine, 20)
+    assert not report.magnitude_ok
+    assert report == nonneg_replay_report(g, machine, 20, None)
+    assert check_nonneg_punishment(encode_nonneg(machine), machine, 20).magnitude_ok
+
+
+def test_scripted_play_fails_a_state_token_on_the_wrong_state():
+    # I[q0->q1,x] is tampered to enter q2: the moves stay faithful, so no
+    # deviation is seen, but the vector no longer encodes the machine
+    g = encode_integer(M2)
+    one, q1, q2 = (g.coordinate_labels.index(lab) for lab in ("One", "q1", "q2"))
+    name, matrix = g.eve_matrices[0]
+    assert name == "I[q0->q1,x]"
+    rows = [list(row) for row in matrix.data]
+    rows[one][q1], rows[one][q2] = 0, 1
+    tampered = dataclasses.replace(
+        g, eve_matrices=((name, Matrix(tuple(map(tuple, rows)))),) + g.eve_matrices[1:]
+    )
+    report = run_scripted_play(tampered, M2, 3)
+    assert not report.faithful_invariant_ok
+    assert report.deviations == ()
+    assert run_scripted_play(g, M2, 3).faithful_invariant_ok
+
+
+def test_audits_of_a_machine_that_halts_at_once():
+    # Eve's one move is the q1 self-loop, forced from turn 1 on
+    machine = parse_machine("q0: stop\nq1: inc x -> q1\n")
+    integer = run_scripted_play(encode_integer(machine), machine, 6)
+    assert integer.machine_halted_turn == 1
+    g = encode_nonneg(machine)
+    nonneg = check_nonneg_punishment(g, machine, 6)
+    assert nonneg.halted_turn == 1
+    assert nonneg == nonneg_replay_report(g, machine, 6, None)
