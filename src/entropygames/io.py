@@ -17,7 +17,7 @@ from .games import Arena, MpgArena
 from .iru import IruSet, RowSet
 from .linalg import Matrix
 from .minsky import TwoCounterMachine, format_machine, parse_machine
-from .reductions import INTEGER, EncodedMmg
+from .reductions import INTEGER, EncodedMmg, check_dimension
 
 ARENA = "arena"
 MPG = "mpg"
@@ -183,7 +183,9 @@ def encoded_to_dict(g: EncodedMmg) -> dict:
 
 
 def encoded_from_dict(doc: dict) -> EncodedMmg:
-    return EncodedMmg(
+    """An encoded game, refused when a size disagrees with its declared
+    dimension."""
+    g = EncodedMmg(
         variant=doc["variant"],
         dimension=_declared_int(doc, "dimension"),
         coordinate_labels=tuple(doc["coordinate_labels"]),
@@ -192,6 +194,8 @@ def encoded_from_dict(doc: dict) -> EncodedMmg:
         start_vector=tuple(parse_rational(x) for x in doc["start_vector"]),
         degenerate=bool(doc["degenerate"]),
     )
+    check_dimension(g, "encoded document")
+    return g
 
 
 def detect_kind(doc: dict) -> str:

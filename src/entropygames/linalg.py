@@ -43,11 +43,14 @@ rebuild them from the Fractions.  That denominator need not be the least
 one, which the products do not require; it is not handed on for a
 non-integral ``b``, where such denominators would grow along a chain.
 ``one_norm`` sums numerators over one common denominator the same way.
-The non-negative 2CMM audit (``reductions.check_nonneg_punishment``)
-drives the integer kernel ``_combine`` directly: its vector and matrices
-are integral, so it keeps the vector as Python ints and multiplies it by
-each matrix's cached integer columns, with no Fraction between moves.
-``reductions._program_matrix`` builds both encoders' matrices with it too.
+``reductions._program_matrix`` builds both encoders' 2CMM matrices with
+the integer kernel ``_combine`` and sets their integer rows as
+``_int_rows`` and ``_int_cols``, as ``mat_mul`` does for an integral
+product, so the integer audit's ``vec_mat`` and ``mat_mul`` do not rebuild
+them.  The non-negative audit (``reductions.check_nonneg_punishment``)
+multiplies no Matrix: its vector stays Python ints, and each move is a
+product by the matrix's sparse integer rows, which hold at most five
+non-zeros each.
 Every exact linear system is solved over integers by Edmonds' fraction-free
 pivot ``_pivot``: the resolvent solve ``_resolvent`` and ``lp.lp_max``.
 """

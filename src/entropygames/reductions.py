@@ -82,7 +82,10 @@ def _program_matrix(index: dict[str, int], *steps) -> Matrix:
     simultaneous assignment {target: {source: coeff}}, and the steps run in
     order; an empty combination assigns 0, and a label the step leaves out
     keeps its value.  The program runs on all basis rows at once, over the
-    integer columns: cols[t][i] is coordinate t of row i's image."""
+    integer columns: cols[t][i] is coordinate t of row i's image.  The
+    integer rows are kept as the matrix's ``_int_rows`` and ``_int_cols``,
+    as ``mat_mul`` keeps an integral product's, so no audit rebuilds them
+    from the Fractions."""
     dim = len(index)
     cols = [[int(i == t) for i in range(dim)] for t in range(dim)]
     for step in steps:
@@ -92,10 +95,15 @@ def _program_matrix(index: dict[str, int], *steps) -> Matrix:
         ]
         for t, col in new:
             cols[t] = col
+    rows = tuple(zip(*cols))
     zero = Fraction(0)
-    return Matrix._of_fractions(
-        tuple(tuple(Fraction(x) if x else zero for x in row) for row in zip(*cols))
+    matrix = Matrix._of_fractions(
+        tuple(tuple(Fraction(x) if x else zero for x in row) for row in rows)
     )
+    # the cached_properties read the instance dict first
+    matrix.__dict__["_int_rows"] = tuple((row, 1) for row in rows)
+    matrix.__dict__["_int_cols"] = (rows, (1,) * dim)
+    return matrix
 
 
 def encode_integer(m: TwoCounterMachine) -> EncodedMmg:
@@ -207,11 +215,12 @@ def encode_nonneg(m: TwoCounterMachine) -> EncodedMmg:
 
 
 def _identity_moves(g: EncodedMmg) -> frozenset[str]:
-    """The names of Adam's moves whose matrix is the identity.  Playing one
-    leaves the vector and the product as they are (v I = v, Omega I =
-    Omega), so the audits skip its products."""
-    identity = Matrix.identity(g.dimension)
-    return frozenset(name for name, matrix in g.adam_matrices if matrix == identity)
+    """The names of Adam's moves whose matrix is the identity, read off the
+    integer rows.  Playing one leaves the vector and the product as they
+    are (v I = v, Omega I = Omega), so the audits skip its products."""
+    n = g.dimension
+    identity = tuple((tuple(int(i == j) for j in range(n)), 1) for i in range(n))
+    return frozenset(name for name, matrix in g.adam_matrices if matrix._int_rows == identity)
 
 
 def _log(q: Fraction) -> float:
@@ -284,12 +293,31 @@ _AUDIT_VARIANTS = {
 }
 
 
+def check_dimension(g: EncodedMmg, source: str = "encoding") -> None:
+    """Raise ValueError naming ``source`` unless the coordinate labels, the
+    start vector and every matrix's rows and columns all match the declared
+    dimension.  Otherwise an audit's products stop at the shorter row and
+    audit some other game."""
+    n = g.dimension
+    sizes = [
+        (len(g.coordinate_labels), "coordinate labels"),
+        (len(g.start_vector), "start vector"),
+    ]
+    for name, matrix in g.adam_matrices + g.eve_matrices:
+        sizes.append((matrix.rows, f"rows of matrix {name}"))
+        sizes.append((matrix.cols, f"columns of matrix {name}"))
+    for size, what in sizes:
+        if size != n:
+            raise ValueError(f"{source} declares dimension {n} but has {size} {what}")
+
+
 def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int, cheat_turn):
     """Check the preconditions both audits share, raising ValueError at the
     first one broken: the variant, a move for Eve, a positive horizon, a
-    cheat turn (when given) in 1..horizon, and one Eve matrix per machine
-    move.  Returns the move list, the coordinate index and two fresh
-    simulations, Eve's and Adam's."""
+    cheat turn (when given) in 1..horizon, one Eve matrix per machine move,
+    and sizes that match the declared dimension (``check_dimension``).
+    Returns the move list, the coordinate index and two fresh simulations,
+    Eve's and Adam's."""
     if g.variant != variant:
         raise ValueError(_AUDIT_VARIANTS[variant])
     if g.degenerate:
@@ -301,6 +329,7 @@ def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int,
     moves = machine_transitions(m)
     if len(moves) != len(g.eve_matrices):
         raise ValueError("encoding does not match the machine")
+    check_dimension(g)
     index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
     return moves, index, _EveSimulation(m, moves), _EveSimulation(m, moves)
 
@@ -512,14 +541,25 @@ class NonnegPunishmentReport:
     final_norm: Fraction
 
 
-def _integer_columns(name: str, matrix: Matrix) -> tuple[tuple[int, ...], ...]:
-    """The matrix's integer column numerators laid out by rows, the form
-    ``_combine`` takes; ValueError naming the matrix if an entry is not an
-    integer."""
+def _sparse_rows(name: str, matrix: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each integer row of the matrix as (column, coefficient) pairs for its
+    non-zero entries only, the form ``_sparse_vec_mat`` takes; ValueError
+    naming the matrix if an entry is not an integer."""
     rows, dens = matrix._int_cols
     if any(d != 1 for d in dens):
         raise ValueError(f"matrix {name} has a non-integral entry")
-    return rows
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+def _sparse_vec_mat(v: list[int], rows, width: int) -> list[int]:
+    """The integer row product v m, with m given by ``_sparse_rows``,
+    skipping zero entries of v."""
+    acc = [0] * width
+    for x, row in zip(v, rows):
+        if x:
+            for j, y in row:
+                acc[j] += x * y
+    return acc
 
 
 def check_nonneg_punishment(
@@ -538,17 +578,19 @@ def check_nonneg_punishment(
     ``cheat_turn``, when given, must be in 1..horizon.
 
     Every matrix and the start vector of this encoding are integral, so v
-    stays a list of Python ints and each move is ``linalg._combine`` over
-    the matrix's integer columns; a non-integral entry raises ValueError
-    naming its matrix (or the start vector) before any move is played.  A
-    move whose matrix is the identity leaves v as it is (v I = v), so its
-    product is not formed.  The encoding check compares those ints, with
-    powers of two as shifts; only the norms at the start, at each reset and
-    at the end become Fractions."""
+    stays a list of Python ints.  Each matrix is read once from its integer
+    rows (set by ``_program_matrix``) as sparse rows: (column, coefficient)
+    pairs for the non-zero entries, at most five a row in this encoding.
+    Each move is then ``_sparse_vec_mat`` over them.  A non-integral entry
+    raises ValueError naming its matrix (or the start vector) before any
+    move is played.  A move whose matrix is the identity leaves v as it is
+    (v I = v), so its product is not formed.  The encoding check compares
+    those ints, with powers of two as shifts; only the norms at the start,
+    at each reset and at the end become Fractions."""
     moves, index, eve_sim, adam_sim = _start_play(g, m, NONNEG, horizon, cheat_turn)
     dim = g.dimension
-    adam_cols = {name: _integer_columns(name, matrix) for name, matrix in g.adam_matrices}
-    eve_cols = [_integer_columns(name, matrix) for name, matrix in g.eve_matrices]
+    adam_rows = {name: _sparse_rows(name, matrix) for name, matrix in g.adam_matrices}
+    eve_rows = [_sparse_rows(name, matrix) for name, matrix in g.eve_matrices]
     if any(x.denominator != 1 for x in g.start_vector):
         raise ValueError("the start vector has a non-integral entry")
     v = [x.numerator for x in g.start_vector]
@@ -573,7 +615,7 @@ def check_nonneg_punishment(
         else:
             adam_name = "Id"
         if adam_name not in identity_moves:
-            v = _combine(v, adam_cols[adam_name], dim)
+            v = _sparse_vec_mat(v, adam_rows[adam_name], dim)
         adam_moves.append(adam_name)
         if adam_name != "Id":
             punished = True
@@ -609,7 +651,7 @@ def check_nonneg_punishment(
                 halted_turn = turn
             choice = 0
         eve_name = g.eve_matrices[choice][0]
-        v = _combine(v, eve_cols[choice], dim)
+        v = _sparse_vec_mat(v, eve_rows[choice], dim)
         eve_moves.append(eve_name)
         kind, state, counter, target = moves[choice]
 

@@ -1,0 +1,116 @@
+"""Replay the committed ``check-2cmm`` corpus through ``cli.main``.
+
+``cases.json`` holds, for each run, the command-line arguments and the exact
+stdout, stderr and exit code that run gave.  Each run reads a machine file
+from ``machines/`` in this directory.  The corpus covers both variants, text
+and ``--json``, horizons 1, 2, 20, 150 and 401, with and without a cheat
+turn, on the four audit-2cmm benchmark machines, ZEROLOOP and a machine
+whose initial state halts, plus two runs that exit 2.
+
+    PYTHONPATH=src python tests/golden/replay.py            # compare
+    PYTHONPATH=src python tests/golden/replay.py --rewrite  # store outputs
+
+Comparing prints each run whose output differs and exits 1 if any does.
+``--rewrite`` stores what the importable package prints now; a change that
+moves an expected output says which and why.  Only the standard library
+and the package are needed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CASES = os.path.join(HERE, "cases.json")
+MACHINES = ("looper", "m1", "m2", "m3", "zeroloop", "haltonce")
+# (turns, cheat turn, --json) per machine and variant
+RUNS = (
+    (1, None, False),
+    (2, 1, True),
+    (20, None, False),
+    (20, 2, True),
+    (150, None, True),
+    (150, 3, False),
+    (401, None, False),
+    (401, None, True),
+)
+ERRORS = (
+    ["--turns", "0"],
+    ["--turns", "2", "--cheat-turn", "5"],
+)
+
+
+def plan() -> list[list[str]]:
+    """The argument lists of the corpus, machine paths relative to HERE."""
+    runs = []
+    for machine in MACHINES:
+        path = f"machines/{machine}.2cm"
+        for variant in ("integer", "nonnegative"):
+            for turns, cheat, as_json in RUNS:
+                # 401 turns in one format per variant keeps the replay short
+                if turns == 401 and as_json != (variant == "integer"):
+                    continue
+                args = ["check-2cmm", path, "--variant", variant, "--turns", str(turns)]
+                if cheat is not None:
+                    args += ["--cheat-turn", str(cheat)]
+                if as_json:
+                    args.append("--json")
+                runs.append(args)
+    runs += [["check-2cmm", "machines/m2.2cm"] + extra for extra in ERRORS]
+    return runs
+
+
+def run(args: list[str]) -> dict:
+    """One in-process CLI run: its stdout, stderr and exit code."""
+    from entropygames import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    resolved = [os.path.join(HERE, a) if a.startswith("machines/") else a for a in args]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(resolved)
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def stored() -> list[dict]:
+    with open(CASES, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def differences(cases: list[dict]) -> list[str]:
+    """The argument lines of every stored run whose output differs now."""
+    return [
+        " ".join(case["args"])
+        for case in cases
+        if run(case["args"]) != {key: case[key] for key in ("stdout", "stderr", "exit")}
+    ]
+
+
+def rewrite() -> int:
+    cases = [{"args": args, **run(args)} for args in plan()]
+    with open(CASES, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(cases)} runs to {CASES}")
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--rewrite"]:
+        return rewrite()
+    if argv:
+        print("usage: replay.py [--rewrite]", file=sys.stderr)
+        return 2
+    cases = stored()
+    bad = differences(cases)
+    for line in bad:
+        print(f"differs: {line}")
+    print(f"{len(bad)} of {len(cases)} stored check-2cmm runs differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

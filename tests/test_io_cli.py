@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -599,6 +600,47 @@ def test_encoded_dimension_must_be_an_integer(declared):
     assert doc["dimension"] == 7
     doc["dimension"] = declared
     with pytest.raises(ValueError, match="dimension must be a JSON integer"):
+        io.loads_document(json.dumps(doc))
+
+
+def raise_dimension(doc):
+    doc["dimension"] += 2
+
+
+def drop_a_label(doc):
+    doc["coordinate_labels"].pop()
+
+
+def shorten_the_start_vector(doc):
+    doc["start_vector"].pop()
+
+
+def shrink_an_eve_matrix(doc):
+    entries = doc["eve"]["matrices"][0]["entries"]
+    entries.pop()
+    for row in entries:
+        row.pop()
+
+
+@pytest.mark.parametrize(
+    "tamper,shown",
+    [
+        (raise_dimension, "dimension {n2} but has {n} coordinate labels"),
+        (drop_a_label, "dimension {n} but has {n1} coordinate labels"),
+        (shorten_the_start_vector, "dimension {n} but has {n1} start vector"),
+        (shrink_an_eve_matrix, "dimension {n} but has {n1} rows of matrix {eve}"),
+    ],
+    ids=["raised", "label_dropped", "start_vector_short", "eve_matrix_shrunk"],
+)
+@pytest.mark.parametrize("encode", [encode_integer, encode_nonneg], ids=["integer", "nonneg"])
+def test_encoded_sizes_must_match_the_dimension(encode, tamper, shown):
+    # with the dimension raised, the non-negative audit once returned the
+    # true encoding's report, its products cut to the shorter row
+    doc = io.encoded_to_dict(encode(parse_machine(frozen.M1_PROGRAM_TEXT)))
+    n, eve = doc["dimension"], doc["eve"]["matrices"][0]["name"]
+    tamper(doc)
+    message = "encoded document declares " + shown.format(n=n, n1=n - 1, n2=n + 2, eve=eve)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         io.loads_document(json.dumps(doc))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 from fractions import Fraction
 
@@ -486,3 +487,80 @@ def test_audits_of_a_machine_that_halts_at_once():
     nonneg = check_nonneg_punishment(g, machine, 6)
     assert nonneg.halted_turn == 1
     assert nonneg == nonneg_replay_report(g, machine, 6, None)
+
+
+@pytest.mark.parametrize(
+    "tamper,shown",
+    [
+        (lambda g: {"dimension": g.dimension + 2}, "dimension {n2} but has {n} coordinate labels"),
+        (lambda g: {"coordinate_labels": g.coordinate_labels[:-1]},
+         "dimension {n} but has {n1} coordinate labels"),
+    ],
+    ids=["raised", "label_dropped"],
+)
+@pytest.mark.parametrize(
+    "audit,encode",
+    [(run_scripted_play, encode_integer), (check_nonneg_punishment, encode_nonneg)],
+    ids=["integer", "nonnegative"],
+)
+def test_audits_refuse_sizes_off_the_dimension(audit, encode, tamper, shown):
+    # an in-memory encoding is checked too, before any move: the products
+    # would otherwise stop at the shorter row
+    g = encode(M1)
+    n = g.dimension
+    tampered = dataclasses.replace(g, **tamper(g))
+    message = "encoding declares " + shown.format(n=n, n1=n - 1, n2=n + 2)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        audit(tampered, M1, 10)
+
+
+def random_integer_matrix(rng, n):
+    # sparse rows of small weights, some zero rows, and a few huge entries
+    # of either sign
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            rows.append((0,) * n)
+        else:
+            rows.append(tuple(
+                rng.choice((0, 0, 0, 1, -1, 2, 4, -3, rng.randint(-2**70, 2**70)))
+                for _ in range(n)
+            ))
+    return Matrix(tuple(rows))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sparse_row_product_matches_fraction_sums(n):
+    rng = random.Random(n)
+    matrices = [Matrix.identity(n), Matrix(((0,) * n,) * n)]
+    matrices += [random_integer_matrix(rng, n) for _ in range(25)]
+    vectors = [[0] * n, [1] * n, [-1] * n]
+    vectors += [
+        [rng.choice((0, 0, 1, -2, rng.randint(-2**90, 2**90))) for _ in range(n)]
+        for _ in range(10)
+    ]
+    for m in matrices:
+        rows = reductions._sparse_rows("m", m)
+        assert [[x for _, x in row] for row in rows] == [
+            [x for x in row if x] for row in m.data
+        ]
+        for v in vectors:
+            got = reductions._sparse_vec_mat(v, rows, n)
+            assert got == list(oracle_helpers.fraction_vec_mat(v, m))
+            assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("encode", [encode_integer, encode_nonneg], ids=["integer", "nonneg"])
+@pytest.mark.parametrize("machine", EVERYTHING, ids=["m1", "m2", "m3", "looper", "zeroloop"])
+def test_program_matrices_carry_their_integer_forms(machine, encode):
+    # _program_matrix sets both integer forms; they must equal the ones a
+    # Matrix rebuilds from its Fractions, entries plain ints
+    g = encode(machine)
+    for _, matrix in g.adam_matrices + g.eve_matrices:
+        assert {"_int_rows", "_int_cols"} <= matrix.__dict__.keys()
+        rebuilt = Matrix(matrix.data)
+        assert matrix._int_rows == rebuilt._int_rows
+        assert matrix._int_cols == rebuilt._int_cols
+        rows, dens = matrix._int_cols
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(type(x) is int for row, _ in matrix._int_rows for x in row)
