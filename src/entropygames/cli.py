@@ -299,13 +299,16 @@ def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
             _parse_matrix_chooser(tribune_text, e_set, cfg.seed + 1),
             steps=cfg.horizon,
         )
+        # a product that vanished by the run's last quarter has a tail of 0,
+        # which has no entropy
+        entropy = eg_payoff_entropy(report) if report.tail > 0 else None
         if cfg.machine_readable:
             _emit_json(
                 cfg,
                 {
                     "steps": report.steps,
                     "growth_tail": report.tail,
-                    "entropy_bits": eg_payoff_entropy(report),
+                    "entropy_bits": entropy,
                     "zeroed_at": report.zeroed_at,
                     "per_turn": list(report.per_turn),
                 },
@@ -314,7 +317,7 @@ def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
         _emit_text(
             cfg,
             f"growth estimate {report.tail:.6f} after {report.steps} steps"
-            f" (entropy {eg_payoff_entropy(report):.6f} bits per quarter-move)"
+            + (f" (entropy {entropy:.6f} bits per quarter-move)" if entropy is not None else "")
             + (f"; product vanished at step {report.zeroed_at}" if report.zeroed_at else ""),
         )
         return 0

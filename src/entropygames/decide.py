@@ -414,7 +414,9 @@ def verify_certificate(cert: Certificate, a_set: IruSet, e_set=None, alpha=None)
 @dataclass(frozen=True)
 class SaddlePoint:
     """A pair of members certified extremal against all unilateral
-    deviations, with a certified enclosure of the product's radius."""
+    deviations, with a certified enclosure of the product's radius: the
+    ``spectral_radius`` estimate of the product, possibly read from the
+    saddle check's record, in which case ``iterations`` is 0."""
 
     despot_matrix: Matrix
     tribune_matrix: Matrix
@@ -747,7 +749,11 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     than iru.ENUM_CAP members, as the check does on a non-aligned block of
     more.
     The check itself forms no member grid: it compares single-row
-    deviations on aligned blocks and block members only on the others."""
+    deviations on aligned blocks and block members only on the others.
+    The saddle's radius enclosure is ``spectral_radius``'s, handed the
+    record Despot's last check left for the product (``_saddle_point``):
+    when that record closes on the whole product it is read, with no
+    kernel run."""
     _check_game_shapes(a_set, e_set)
     a_rows = [float_rows(rs.rows) for rs in a_set.row_sets]
     e_rows = [float_rows(rs.rows) for rs in e_set.row_sets]
@@ -760,19 +766,26 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
         e0 = _climb(e_set, e0, a0, 1, cache, "Tribune's side")
         better = _refute(a_set, a0, e0, -1, cache, "Despot's side")
         if better is None:
-            return _saddle_point(a0, e0)
+            return _saddle_point(a0, e0, cache)
         a0 = better
     stage = "exact fallback of the saddle search"
     for a0 in enumerate_members(a_set, stage):
         for e0 in enumerate_members(e_set, stage):
             if _is_saddle(a_set, e_set, a0, e0, cache):
-                return _saddle_point(a0, e0)
+                return _saddle_point(a0, e0, cache)
     raise RuntimeError("no saddle point found; the input violates the minimax structure")
 
 
-def _saddle_point(a0: Matrix, e0: Matrix) -> SaddlePoint:
+def _saddle_point(a0: Matrix, e0: Matrix, cache) -> SaddlePoint:
+    """The saddle (a0, e0) with ``spectral_radius``'s enclosure of its
+    product's radius, given the record Despot's check of the pair left for
+    the product, if any.  The check stored it as its principal submatrix on
+    the union support's blocks, whose integer rows are over least
+    denominators, as mat_mul's need not be, so it is looked up that way."""
+    product = mat_mul(a0, e0)
+    record = realroots.recorded_bounds(cache, principal_submatrix(product, range(product.rows)))
     return SaddlePoint(
-        despot_matrix=a0, tribune_matrix=e0, radius=spectral_radius(mat_mul(a0, e0))
+        despot_matrix=a0, tribune_matrix=e0, radius=spectral_radius(product, _record=record)
     )
 
 

@@ -148,35 +148,6 @@ def right_product(s: IruSet, b: Matrix) -> IruSet:
     return IruSet(tuple(RowSet(tuple(vec_mat(row, b) for row in rs.rows)) for rs in s.row_sets))
 
 
-def sample_conv(s: IruSet, seed: int) -> Matrix:
-    """A reproducible random element of the convex hull of the members.
-
-    The drawing protocol is part of the contract: a ``random.Random(seed)``
-    stream is consumed row set by row set in order, drawing one integer
-    weight ``randint(0, 999)`` per candidate row (skipped entirely for
-    singleton row sets); all-zero draws retry.  Row i of the result is the
-    weighted average of the candidates of row set i."""
-    import random
-
-    rng = random.Random(seed)
-    rows = []
-    for rs in s.row_sets:
-        if rs.size == 1:
-            rows.append(rs.rows[0])
-            continue
-        while True:
-            weights = [rng.randint(0, 999) for _ in range(rs.size)]
-            total = sum(weights)
-            if total:
-                break
-        mixed = tuple(
-            sum(Fraction(w) * row[j] for w, row in zip(weights, rs.rows)) / total
-            for j in range(rs.dim)
-        )
-        rows.append(mixed)
-    return Matrix(tuple(rows))
-
-
 @dataclass(frozen=True)
 class HourglassReport:
     """Outcome of the two alternative clauses tested by hourglass_check.

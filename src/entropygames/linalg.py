@@ -8,14 +8,15 @@ iteration kernel, and one route, ``_dyadic_witness``, turns its iterate into
 an exact witness: for a principal submatrix (a strongly connected block, or
 the whole matrix) it rounds the float Perron iterate onto the dyadic grid of
 step 2^-60, a positive integer vector whose Collatz-Wielandt ratios are
-formed and compared over the integer rows.  ``block_radius_bounds``,
-``spectral_radius`` and ``perron_vector`` all take their witnesses from it.
-The bounds are exact, since any positive vector gives valid
-Collatz-Wielandt bounds; the grid only decides how tight they are.  The
-iterate sums to 1, and an entry below 2^-61 is floored at one grid step,
-which loosens the bounds of a steep matrix.  Entries beyond the float range,
-or so near it that the iterate overflows, raise ValueError naming it
-(``float_rows``).
+formed and compared over the integer rows.  The two enclosure entry
+points, ``block_radius_bounds`` (per block, for comparisons) and
+``spectral_radius`` (the whole matrix), take their witnesses from it, and
+neither runs it twice on the same indices.  The bounds are exact, since any
+positive vector gives valid Collatz-Wielandt bounds; the grid only decides
+how tight they are.  The iterate sums to 1, and an entry below 2^-61 is
+floored at one grid step, which loosens the bounds of a steep matrix.
+Entries beyond the float range, or so near it that the iterate overflows,
+raise ValueError naming it (``float_rows``).
 
 The blocks come from ``support_blocks``, which reads them off the reach
 sets of the support digraph, sinks first: a block comes after every block
@@ -84,16 +85,6 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-class ReducibleMatrixError(ValueError):
-    """Raised when an operation needs irreducibility but the support graph
-    of the matrix splits into several strongly connected components.  The
-    components (lists of row indices) ride along for diagnostics."""
-
-    def __init__(self, message, components):
-        super().__init__(message)
-        self.components = components
 
 
 @dataclass(frozen=True)
@@ -328,6 +319,9 @@ class RadiusEstimate:
     ``witness_upper`` satisfies m v <= upper v (v > 0).  ``converged`` is
     False when the requested width was not reached within the iteration
     budget; the bounds are still valid in that case, just wider.
+    ``iterations`` counts the float kernel's iterations that made this
+    estimate: 0 when none ran, as for a diagonal entry, or when the
+    enclosure was read from an earlier computation's record.
     """
 
     value: float
@@ -340,6 +334,20 @@ class RadiusEstimate:
 
     def width(self) -> Fraction:
         return self.upper - self.lower
+
+
+def _closed_estimate(lower: Fraction, upper: Fraction, w, iterations: int) -> RadiusEstimate:
+    """The converged estimate that one positive vector w certifies at both
+    ends, [lower, upper] being its Collatz-Wielandt ratios' range."""
+    return RadiusEstimate(
+        value=float((lower + upper) / 2),
+        lower=lower,
+        upper=upper,
+        iterations=iterations,
+        converged=True,
+        witness_lower=Vector(w),
+        witness_upper=Vector(w),
+    )
 
 
 def certify_radius_upper(m: Matrix, rho, v) -> bool:
@@ -524,19 +532,27 @@ def principal_submatrix(m: Matrix, block: Sequence[int]) -> Matrix:
     return Matrix._of_fractions(tuple(tuple(m.data[i][j] for j in block) for i in block))
 
 
-def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
+def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL, *, _record=None) -> RadiusEstimate:
     """Certified rational enclosure of the spectral radius of a non-negative
     square matrix.
 
     First ``_dyadic_witness`` runs on the whole matrix; when its bounds close
-    to within tol, that one positive vector certifies both ends.  A row
+    to within tol, that one positive vector certifies both ends.  A caller
+    that holds m's record from a comparison cache, ``block_radius_bounds(m)``
+    (``realroots.cached_bounds``), may pass it as ``_record``.  When that
+    record's critical block is every index and its bounds close within
+    tol = DEFAULT_RADIUS_TOL, the tolerance records are made at, its witness
+    is the one the kernel would give here, and the estimate is read from it
+    with ``iterations`` 0.  Any other record is ignored.  A row
     whose only non-zero entry is its diagonal d has ratio d for every
     positive vector, while the largest ratio is at least rho, which is at
     least the largest diagonal entry; so when such a d lies more than tol
     below that entry the whole-matrix kernel cannot close and is skipped.
     When the gap refuses to close (reducible support is the usual culprit,
     or clustered moduli) the computation reruns per strongly connected
-    block and stitches exact global bounds back together:
+    block and stitches exact global bounds back together.  An irreducible
+    matrix's one block is the whole matrix, whose witness is already in
+    hand, so the kernel never runs twice on the same indices:
 
     * lower: the best block lower bound, witnessed by the block's vector
       extended with zeros.  On a tie the first such block in
@@ -553,25 +569,28 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = m.rows
+    if _record is not None and tol == DEFAULT_RADIUS_TOL:
+        lower, upper, critical, w = _record
+        if critical == list(range(n)) and upper - lower <= tol:
+            return _closed_estimate(lower, upper, w, 0)
     tol_float = float(tol) / _FLOAT_KERNEL_SLACK
     # the diagonal entries of the rows that are zero off their diagonal
     lone = [row[i] for i, row in enumerate(m.data) if not (any(row[:i]) or any(row[i + 1 :]))]
     iterations = 0
     if not lone or min(lone) >= max(row[i] for i, row in enumerate(m.data)) - tol:
-        w, lo, hi, iterations = _dyadic_witness(m, range(n), tol_float)
+        whole = _dyadic_witness(m, range(n), tol_float)
+        w, lo, hi, iterations = whole
         lower, upper = Fraction(*lo), Fraction(*hi)
         if upper - lower <= tol:
-            return RadiusEstimate(
-                value=float((lower + upper) / 2),
-                lower=lower,
-                upper=upper,
-                iterations=iterations,
-                converged=True,
-                witness_lower=Vector(w),
-                witness_upper=Vector(w),
-            )
-    blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in support_blocks(m.data)]
-    iterations += sum(iters for *_, iters in blocks)
+            return _closed_estimate(lower, upper, w, iterations)
+    comps = support_blocks(m.data)
+    if len(comps) == 1:
+        # an irreducible m has no lone row unless n = 1, so whole ran on
+        # its one block
+        blocks = [(comps[0], *whole)]
+    else:
+        blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in comps]
+        iterations += sum(iters for *_, iters in blocks)
     block_upper = max(Fraction(*hi) for _, _, _, hi, _ in blocks)
     # the first block with the largest lower bound; its vector extended by zeros
     comp, w, lo, _, _ = max(blocks, key=lambda block: Fraction(*block[2]))
@@ -603,32 +622,3 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> RadiusEstimate:
         witness_lower=Vector(lower_witness),
         witness_upper=Vector(sol),
     )
-
-
-def perron_vector(m: Matrix, tol=DEFAULT_RADIUS_TOL) -> Vector:
-    """Positive right eigenvector of an irreducible non-negative matrix,
-    normalised to entrywise sum 1: the witness of ``_dyadic_witness`` over
-    its sum, returned when its Collatz-Wielandt ratios span at most 2 tol.
-    Every ratio then lies within tol of their midpoint c, so the residual
-    ||m v - c v||_1 is at most tol; RuntimeError otherwise.
-
-    Raises ReducibleMatrixError (carrying the detected block structure) when
-    the support digraph is not strongly connected.
-    """
-    if not m.is_square:
-        raise ValueError("perron vector needs a square matrix")
-    if not m.is_nonnegative:
-        raise ValueError("perron vector defined for non-negative matrices only")
-    tol = rat(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    comps = support_blocks(m.data)
-    if len(comps) != 1:
-        raise ReducibleMatrixError(
-            f"matrix is reducible: {len(comps)} strongly connected blocks", comps
-        )
-    w, lo, hi, _ = _dyadic_witness(m, range(m.rows), float(tol))
-    if Fraction(*hi) - Fraction(*lo) > 2 * tol:
-        raise RuntimeError("perron iteration failed to reach the requested residual")
-    total = sum(w)
-    return Vector(tuple(Fraction(x, total) for x in w))

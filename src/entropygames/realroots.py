@@ -293,6 +293,12 @@ def cached_bounds(
     return record
 
 
+def recorded_bounds(cache: dict, m: Matrix):
+    """m's radius record when ``cached_bounds`` has stored one in cache, and
+    None otherwise: a lookup under the same key, computing nothing."""
+    return cache.get(m._int_rows)
+
+
 def compare_radius_with_rational(m: Matrix, r) -> int:
     """Sign of rho(m) - r for a non-negative square matrix, exact."""
     return _Roots(charpoly(m)).sign(rat(r))

@@ -54,8 +54,6 @@ SADDLE_PRODUCT = ((2, 1, 1), (1, 0, 1), (1, 1, 2))
 # canonical sorted third row set; column order re-derived below).
 RUNNING_MINMAX = 3.561552812809  # = RUNNING_MAXMIN, both to 1e-12
 
-PERRON_RUNNING = (0.3903882032022076, 0.21922359359558485, 0.3903882032022076)
-
 FOREST_TRACE_AB_AA = [
     (F(1), F(1), F(1)),
     (F(2), F(2), F(2)),

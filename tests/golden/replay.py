@@ -1,11 +1,21 @@
-"""Replay the committed ``check-2cmm`` corpus through ``cli.main``.
+"""Replay the committed CLI corpus through ``cli.main``.
 
 ``cases.json`` holds, for each run, the command-line arguments and the exact
-stdout, stderr and exit code that run gave.  Each run reads a machine file
-from ``machines/`` in this directory.  The corpus covers both variants, text
-and ``--json``, horizons 1, 2, 20, 150 and 401, with and without a cheat
-turn, on the four audit-2cmm benchmark machines, ZEROLOOP and a machine
-whose initial state halts, plus two runs that exit 2.
+stdout, stderr and exit code that run gave.  Each run reads a file from
+``machines/`` or ``games/`` in this directory.  The corpus covers:
+
+- ``check-2cmm``: both variants, text and ``--json``, horizons 1, 2, 20,
+  150 and 401, with and without a cheat turn, on the four audit-2cmm
+  benchmark machines, ZEROLOOP and a machine whose initial state halts,
+  plus two runs that exit 2;
+- ``value --json`` on 72 arenas drawn by ``perfbench.workloads.random_arena``
+  with ``random.Random(1000 n + 10 k + s)``, s = 0-8, at each n x k of
+  ``ARENAS``, and ``value`` as text on Fig. 1 of the paper;
+- ``mpg --solve --json`` on 24 3+3 mean payoff games drawn by
+  ``perfbench.workloads.random_mpg`` with ``random.Random(seed)``, seeds
+  7000-7023 (from 7012 on, the weights are redrawn in 0-30 from the same
+  stream after the draw), and on a 2+2 game with a weight of 1000;
+- ``simulate`` on a pair whose product vanishes at step 2.
 
     PYTHONPATH=src python tests/golden/replay.py            # compare
     PYTHONPATH=src python tests/golden/replay.py --rewrite  # store outputs
@@ -42,6 +52,8 @@ ERRORS = (
     ["--turns", "0"],
     ["--turns", "2", "--cheat-turn", "5"],
 )
+ARENAS = ((2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (2, 4))
+MPGS = [f"mpg_{seed}" for seed in range(7000, 7024)] + ["mpg_2x2_w1000"]
 
 
 def plan() -> list[list[str]]:
@@ -61,6 +73,15 @@ def plan() -> list[list[str]]:
                     args.append("--json")
                 runs.append(args)
     runs += [["check-2cmm", "machines/m2.2cm"] + extra for extra in ERRORS]
+    for n, k in ARENAS:
+        for s in range(9):
+            runs.append(["value", "--json", f"games/arena_{n}x{k}_{1000 * n + 10 * k + s}.json"])
+    runs.append(["value", "games/fig1.json"])
+    runs += [["mpg", "--solve", "--json", f"games/{name}.json"] for name in MPGS]
+    for turns in ("8", "2"):
+        args = ["simulate", "games/vanishing_pair.json", "--turns", turns]
+        args += ["--despot", "constant:0", "--tribune", "constant:0"]
+        runs += [args, args + ["--json"]]
     return runs
 
 
@@ -69,7 +90,9 @@ def run(args: list[str]) -> dict:
     from entropygames import cli
 
     out, err = io.StringIO(), io.StringIO()
-    resolved = [os.path.join(HERE, a) if a.startswith("machines/") else a for a in args]
+    resolved = [
+        os.path.join(HERE, a) if a.startswith(("machines/", "games/")) else a for a in args
+    ]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(resolved)
     return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
@@ -108,7 +131,7 @@ def main(argv: list[str]) -> int:
     bad = differences(cases)
     for line in bad:
         print(f"differs: {line}")
-    print(f"{len(bad)} of {len(cases)} stored check-2cmm runs differ")
+    print(f"{len(bad)} of {len(cases)} stored runs differ")
     return 1 if bad else 0
 
 

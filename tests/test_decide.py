@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from entropygames.decide import (
     verify_certificate,
     verify_saddle,
 )
+from entropygames import io
 from entropygames.games import Arena, MpgArena, arena_to_iru, mpg_to_weighted_eg
 from entropygames.iru import (
     EnumerationCapError,
@@ -39,7 +41,9 @@ from entropygames.iru import (
     right_product,
 )
 from entropygames.linalg import (
+    DEFAULT_RADIUS_TOL,
     Matrix,
+    _resolvent,
     block_radius_bounds,
     mat_mul,
     spectral_radius,
@@ -907,12 +911,13 @@ def _value_12():
 @pytest.mark.parametrize(
     "game, guess, found, verified, answered",
     [
-        # two irreducible 3 x 3 centres, one kernel each, and the saddle's
-        # enclosure of its radius
-        (_fig1, 5, 3, 2, 3),
+        # two irreducible 3 x 3 centres, one kernel each; the saddle's
+        # enclosure of its radius is Despot's centre's record
+        (_fig1, 5, 2, 2, 3),
         # Tribune's centre has a 2-node block and two equal 1-node blocks,
         # which need no kernel; Despot's is a non-aligned 4-node block whose
-        # 16 members are compared by their enclosures (its own included)
+        # 16 members are compared by their enclosures (its own included).
+        # That centre is reducible, so the saddle's enclosure runs a kernel
         (_value_12, 5, 1 + 16 + 1, 1 + 16, 2),
     ],
 )
@@ -946,6 +951,142 @@ def test_saddle_check_runs_one_kernel_per_centre(monkeypatch, game, guess, found
     # every single-row deviation is settled by the witness check, none by
     # compare_radii_enclosed
     assert None not in switches and len(switches) == 2 * answered
+
+
+def _assert_saddle_radius_is_spectral_radius(a_set, e_set):
+    """find_saddle's enclosure of the saddle product's radius, whether read
+    from the check's record or computed, equals spectral_radius's, field by
+    field except ``iterations``."""
+    sp = find_saddle(a_set, e_set)
+    want = spectral_radius(mat_mul(sp.despot_matrix, sp.tribune_matrix))
+    assert dataclasses.replace(sp.radius, iterations=want.iterations) == want
+
+
+def _golden_arena_pairs():
+    """The IruSet pairs of the 72 random_arena games of the golden corpus."""
+    games = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "games")
+    for name in sorted(os.listdir(games)):
+        if name.startswith("arena_"):
+            _, arena = io.load_document(os.path.join(games, name))
+            tr = arena_to_iru(arena)
+            yield tr.a_set, tr.e_set
+
+
+def test_saddle_radius_is_spectral_radius_on_random_arenas():
+    pairs = list(_golden_arena_pairs())
+    assert len(pairs) == 72
+    for a_set, e_set in pairs:
+        _assert_saddle_radius_is_spectral_radius(a_set, e_set)
+
+
+def _two_by_two_mpg(heavy: int):
+    return _mpg_pair(
+        ("d0", "d1"),
+        ("t0", "t1"),
+        (
+            ("d0", "t0", 300), ("d0", "t1", heavy), ("d1", "t0", 1), ("d1", "t1", 0),
+            ("t0", "d0", 1), ("t0", "d1", 520), ("t1", "d0", 1), ("t1", "d1", 1),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "a_set, e_set",
+    [
+        (A_SET, E_SET),
+        _value_12(),
+        # reducible diagonal products, Tribune's members tied at 4
+        (iru_set([[(1, 0), (2, 0)], [(0, 1)]]), iru_set([[(2, 0)], [(0, 2), (0, 3)]])),
+        # nilpotent products: zero radius
+        (iru_set([[(0, 1), (0, 2)], [(0, 0)]]), iru_set([[(1, 0), (1, 1)], [(0, 1)]])),
+        # despot rows with identical product rows against Tribune's zero row
+        (iru_set([[(0, 1), (1, 1)], [(1, 0)]]), iru_set([[(0, 0)], [(1, 2), (2, 1)]])),
+        # one row set shared by both rows: tied members
+        (iru_set([[(1, 2), (2, 1)]] * 2), iru_set([[(1, 1), (0, 2)]] * 2)),
+        # fractional entries over different denominators
+        (
+            iru_set([[(Fraction(1, 3), Fraction(2, 5)), (Fraction(3, 4), 0)], [(1, Fraction(1, 6))]]),
+            iru_set([[(Fraction(1, 2), 1)], [(2, Fraction(1, 7)), (1, 1)]]),
+        ),
+        # a whole-matrix witness that does not close: the steep 2^400 product
+        (iru_set([[(2**400, 1)], [(1, 1)]]), iru_set([[(1, 0)], [(0, 1)]])),
+        # mean payoff games: multiplicities 2^w up to w = 1000
+        _mpg_pair(("d",), ("t",), (("d", "t", 1), ("d", "t", 3), ("t", "d", 2), ("t", "d", 0))),
+        _two_by_two_mpg(30),
+        _two_by_two_mpg(300),
+        _two_by_two_mpg(1000),
+    ],
+)
+def test_saddle_radius_is_spectral_radius_on_hard_cases(a_set, e_set):
+    _assert_saddle_radius_is_spectral_radius(a_set, e_set)
+
+
+def _fractional(s, rng):
+    """s with every entry divided by a random denominator 1-4."""
+    return iru_set(
+        [[tuple(Fraction(x) / rng.randint(1, 4) for x in row) for row in rs.rows]
+         for rs in s.row_sets]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_saddle_radius_is_spectral_radius(rng):
+    # reducible, zero-radius, tied and identical-row pairs, fractional
+    # entries, and mean payoff games with weights up to 1000
+    roll = rng.random()
+    if roll < 0.2:
+        a_set, e_set = _random_mpg_pair(rng)
+    elif roll < 0.3:
+        a_set, e_set = _two_by_two_mpg(rng.randint(0, 1000))
+    else:
+        kinds = ("random", "sparse", "zero", "diagonal", "shared", "duplicate", "rectangular")
+        _, a_set, e_set = _generated_pair(rng, kinds)
+        if roll < 0.5:
+            a_set, e_set = _fractional(a_set, rng), _fractional(e_set, rng)
+    _assert_saddle_radius_is_spectral_radius(a_set, e_set)
+
+
+@pytest.mark.parametrize(
+    "game, lower, witness_lower, doublings, iterations",
+    [
+        # the steep product: the iterate's second entry is floored at one
+        # grid step
+        (
+            (iru_set([[(2**400, 1)], [(1, 1)]]), iru_set([[(1, 0)], [(0, 1)]])),
+            2**60 + 1, (2**60, 1), 435, 3,
+        ),
+        # a saddle product with radius near 2^410: the witness gap is near 2^800
+        (
+            _two_by_two_mpg(1000),
+            Fraction(2305382025005534464, 230492104079731),
+            (1152691012502767232, 230492104079731), 445, 10_000,
+        ),
+    ],
+)
+def test_an_irreducible_enclosure_that_does_not_close_runs_one_kernel(
+    monkeypatch, game, lower, witness_lower, doublings, iterations
+):
+    from entropygames import linalg
+
+    kernels = []
+
+    def counted(*args):
+        kernels.append(args)
+        return real(*args)
+
+    real = linalg.power_enclosure
+    sp = find_saddle(*game)
+    product = mat_mul(sp.despot_matrix, sp.tribune_matrix)
+    monkeypatch.setattr(linalg, "power_enclosure", counted)
+    est = spectral_radius(product)
+    # the one block's witness is the whole matrix's, so the kernel runs once
+    assert len(kernels) == 1 and est.iterations == iterations
+    assert est == sp.radius and not est.converged
+    assert est.lower == lower and est.witness_lower.entries == witness_lower
+    # the resolvent escalation doubles tol / 2 until it certifies
+    assert est.upper == lower + DEFAULT_RADIUS_TOL / 2 * 2**doublings
+    assert est.witness_upper.entries == tuple(_resolvent(product, est.upper))
 
 
 def _assert_extremes_match_sturm(s):

@@ -10,4 +10,10 @@ _spec.loader.exec_module(replay)
 def test_check_2cmm_outputs_match_the_stored_corpus():
     cases = replay.stored()
     assert [case["args"] for case in cases] == replay.plan()
+    assert replay.differences([case for case in cases if case["args"][0] == "check-2cmm"]) == []
+
+
+def test_value_mpg_and_simulate_outputs_match_the_stored_corpus():
+    cases = [case for case in replay.stored() if case["args"][0] != "check-2cmm"]
+    assert {case["args"][0] for case in cases} == {"value", "mpg", "simulate"}
     assert replay.differences(cases) == []

@@ -303,6 +303,27 @@ def test_cli_simulate_pair_growth(files, capsys):
     assert doc["zeroed_at"] is None
 
 
+@pytest.mark.parametrize("turns", [8, 2])
+def test_cli_simulate_reports_a_product_that_vanished(capsys, tmp_path, turns):
+    # (0 1 / 0 0) times the identity, then again: the product is 0 from step 2,
+    # so the tail of the run is 0 and has no entropy
+    path = tmp_path / "pair.json"
+    io.save_document(str(path), (iru_set([[(0, 1)], [(0, 0)]]), iru_set([[(1, 0)], [(0, 1)]])))
+    args = ["simulate", str(path), "--despot", "constant:0", "--tribune", "constant:0",
+            "--turns", str(turns)]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        f"growth estimate 0.000000 after {turns} steps; product vanished at step 2\n"
+    )
+    code, doc = run_json(capsys, [*args, "--json"])
+    assert code == 0
+    assert doc["growth_tail"] == 0.0 and doc["entropy_bits"] is None
+    assert doc["zeroed_at"] == 2
+    assert doc["per_turn"] == [1.0] + [0.0] * (turns - 1)
+
+
 @pytest.mark.parametrize(
     "doc, args, code, out, err",
     [

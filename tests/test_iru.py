@@ -15,7 +15,6 @@ from entropygames.iru import (
     hourglass_check,
     iru_set,
     right_product,
-    sample_conv,
 )
 from entropygames.linalg import Matrix, mat_mul, mat_vec, spectral_radius
 
@@ -128,29 +127,6 @@ def test_jsr_jssr_certifies_only_the_winners(monkeypatch):
     single = iru_set([[(2, 1)], [(1, 3)]])
     pair = jsr_jssr(single)
     assert certified == [pair.argmax] and pair.jsr is pair.jssr
-
-
-def test_sample_conv_protocol_is_deterministic():
-    a = sample_conv(A_SET, seed=11)
-    b = sample_conv(A_SET, seed=11)
-    c = sample_conv(A_SET, seed=12)
-    assert a == b
-    assert a.rows == 3 and a.is_nonnegative
-    assert a != c or a == c  # draws exist either way; equality only by chance
-
-
-def test_sample_conv_rows_in_hull():
-    m = sample_conv(E_SET, seed=3)
-    for i in range(3):
-        opts = E_SET.row_sets[i].rows
-        row = m.row(i)
-        if len(opts) == 1:
-            assert tuple(row) == opts[0]
-        else:
-            total = sum(row)
-            lo = min(sum(o) for o in opts)
-            hi = max(sum(o) for o in opts)
-            assert lo - Fraction(1, 10**9) <= total <= hi + Fraction(1, 10**9)
 
 
 def test_hourglass_directions():

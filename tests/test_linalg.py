@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import _frozen as frozen
 import oracle_helpers
 from entropygames.linalg import (
+    DEFAULT_RADIUS_TOL,
     Matrix,
-    ReducibleMatrixError,
     Vector,
     _dyadic_witness,
     _over_common_denominator,
@@ -24,7 +25,6 @@ from entropygames.linalg import (
     mat_mul,
     mat_vec,
     one_norm,
-    perron_vector,
     principal_submatrix,
     rat,
     spectral_radius,
@@ -425,33 +425,6 @@ def test_certificate_witnesses_from_estimate():
     assert certify_radius_lower(RUNNING, est.lower, est.witness_lower)
 
 
-def test_perron_vector_running():
-    v = perron_vector(RUNNING, Fraction(1, 10**10))
-    expect = frozen.PERRON_RUNNING
-    assert sum(v.entries) == 1
-    for got, want in zip(v.entries, expect):
-        assert float(got) == pytest.approx(want, abs=1e-8)
-    # symmetry of the matrix forces v1 = v3
-    assert abs(v.entries[0] - v.entries[2]) < Fraction(1, 10**8)
-
-
-def test_perron_vector_refuses_a_witness_whose_ratios_span_more_than_twice_tol():
-    # float iterates cannot bring the ratios within 2 * 10^-16 of each other
-    with pytest.raises(RuntimeError, match="requested residual"):
-        perron_vector(RUNNING, Fraction(1, 10**16))
-
-
-def test_perron_vector_flat():
-    v = perron_vector(Matrix(((1, 1), (1, 1))))
-    assert [float(x) for x in v.entries] == pytest.approx([0.5, 0.5], abs=1e-10)
-
-
-def test_perron_vector_reducible_error():
-    with pytest.raises(ReducibleMatrixError) as exc:
-        perron_vector(Matrix.identity(3))
-    assert len(exc.value.components) == 3
-
-
 def _mutual_reach_classes(rows):
     """Blocks by brute force: a breadth-first search from every node, and
     i, j in one class iff each reaches the other."""
@@ -547,6 +520,38 @@ def test_spectral_radius_skips_the_whole_matrix_kernel_below_a_lagging_diagonal_
     assert est.iterations > 0 and est.converged
     assert (est.lower, est.upper) == (Fraction(19, 10), 2)
     assert est.witness_lower.entries == est.witness_upper.entries == (2**60, 1)
+
+
+def test_spectral_radius_reads_only_a_closed_whole_matrix_record(monkeypatch):
+    from entropygames import linalg
+
+    kernels = []
+    real = linalg.power_enclosure
+
+    def counted(*args):
+        kernels.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "power_enclosure", counted)
+    record = block_radius_bounds(RUNNING)
+    kernels.clear()
+    est = spectral_radius(RUNNING, _record=record)
+    assert kernels == [] and est.iterations == 0
+    assert est == dataclasses.replace(spectral_radius(RUNNING), iterations=0)
+    lower, upper, critical, w = record
+    reducible = Matrix(((2, 5), (0, 3)))
+    ignored = [
+        # another tolerance: the kernel would stop elsewhere
+        (RUNNING, record, Fraction(1, 10**6)),
+        # bounds that do not close within tol
+        (RUNNING, (lower - 1, upper, critical, w), DEFAULT_RADIUS_TOL),
+        # a critical block that is not every index
+        (reducible, block_radius_bounds(reducible), DEFAULT_RADIUS_TOL),
+    ]
+    for m, given_record, tol in ignored:
+        kernels.clear()
+        est = spectral_radius(m, tol, _record=given_record)
+        assert kernels and est == spectral_radius(m, tol)
 
 
 def _lagging_row(m: Matrix, tol: Fraction) -> bool:
