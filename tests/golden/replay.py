@@ -15,7 +15,14 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   ``perfbench.workloads.random_mpg`` with ``random.Random(seed)``, seeds
   7000-7023 (from 7012 on, the weights are redrawn in 0-30 from the same
   stream after the draw), and on a 2+2 game with a weight of 1000;
-- ``simulate`` on a pair whose product vanishes at step 2.
+- ``simulate`` on a pair whose product vanishes at step 2;
+- ``FRONT_END``: the subcommands the runs above leave out (``translate``
+  on Fig. 1, ``encode-2cmm`` on m1 in both variants, ``mpg`` without
+  ``--solve``), ``decide --json`` for all six queries, the errors ``main``
+  reports before a subcommand runs (``--tol 0``, ``--tol abc``, ``--turns
+  0``, and ``--tol 0`` with ``--turns 0``, whose tolerance error comes
+  first), ``--json`` before the subcommand, and the three documents beyond
+  the float range that exit 2.
 
     PYTHONPATH=src python tests/golden/replay.py            # compare
     PYTHONPATH=src python tests/golden/replay.py --rewrite  # store outputs
@@ -54,6 +61,32 @@ ERRORS = (
 )
 ARENAS = ((2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (2, 4))
 MPGS = [f"mpg_{seed}" for seed in range(7000, 7024)] + ["mpg_2x2_w1000"]
+# the set queries run on a positive 1 x 1 set with members 2 and 3, whose
+# jsr is 3 and jssr 2, and on a non-positive set; the pair queries on
+# Fig. 1's translated pair
+FRONT_END = (
+    ["translate", "games/fig1.json"],
+    ["encode-2cmm", "machines/m1.2cm"],
+    ["encode-2cmm", "machines/m1.2cm", "--variant", "nonnegative"],
+    ["mpg", "games/mpg_7000.json"],
+    ["decide", "--json", "--query", "jsr<", "--alpha", "3", "games/positive.json"],
+    ["decide", "--json", "--query", "jsr<=", "--alpha", "3", "games/positive.json"],
+    ["decide", "--json", "--query", "jssr>", "--alpha", "19/10", "games/positive.json"],
+    ["decide", "--json", "--query", "jssr>=", "--alpha", "5/2", "games/positive.json"],
+    ["decide", "--json", "--query", "jsr<=", "--alpha", "1/2", "games/unit.json"],
+    ["decide", "--json", "--query", "jssr>", "--alpha", "1/2", "games/unit.json"],
+    ["decide", "--json", "--query", "mm<", "--alpha", "357/100", "games/fig1_pair.json"],
+    ["decide", "--json", "--query", "mm>=", "--alpha", "7/2", "games/fig1_pair.json"],
+    ["value", "games/fig1.json", "--tol", "0"],
+    ["value", "games/fig1.json", "--tol", "abc"],
+    ["simulate", "games/vanishing_pair.json", "--turns", "0"],
+    ["simulate", "games/vanishing_pair.json", "--tol", "0", "--turns", "0"],
+    ["--json", "value", "games/fig1.json"],
+    ["--json", "decide", "--query", "jsr<", "--alpha", "7/2", "games/positive.json"],
+    ["mpg", "--solve", "games/heavy.json"],
+    ["value", "games/near_range.json"],
+    ["value", "games/pair600.json"],
+)
 
 
 def plan() -> list[list[str]]:
@@ -82,7 +115,7 @@ def plan() -> list[list[str]]:
         args = ["simulate", "games/vanishing_pair.json", "--turns", turns]
         args += ["--despot", "constant:0", "--tribune", "constant:0"]
         runs += [args, args + ["--json"]]
-    return runs
+    return runs + [list(args) for args in FRONT_END]
 
 
 def run(args: list[str]) -> dict:
