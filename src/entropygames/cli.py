@@ -5,6 +5,10 @@ value (solve a game), decide (threshold queries with certificates),
 simulate (traces and growth estimates), encode-2cmm / check-2cmm (counter
 machine gadgets), and mpg (mean payoff game reduction).
 
+Each subparser names its handler with ``set_defaults(run=...)``; a handler
+takes the parsed namespace and returns the exit code.  ``main`` parses the
+tolerance and checks it and any --turns before the handler runs.
+
 Exit codes: 0 for success (and for decide: the query holds), 1 for a false
 verdict or a failed check, 2 for any error.  With --json every command
 prints exactly one JSON document on standard output."""
@@ -16,7 +20,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import io
@@ -61,35 +64,16 @@ QUERIES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: the input path and the knobs shared by all
-    commands."""
-
-    input: str
-    output: str | None
-    tol: Fraction
-    horizon: int
-    seed: int
-    machine_readable: bool
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-
-
-def _emit_text(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit_text(args, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(cfg: RunConfig, doc: dict) -> None:
-    _emit_text(cfg, json.dumps(doc, indent=2))
+def _emit_json(args, doc: dict) -> None:
+    _emit_text(args, json.dumps(doc, indent=2))
 
 
 def _interval_doc(lower, upper) -> dict:
@@ -116,27 +100,27 @@ def _certificate_doc(cert) -> dict | None:
     return doc
 
 
-def _load(cfg: RunConfig):
-    return io.load_document(cfg.input)
+def _strategy_text(strategy) -> str:
+    return ", ".join(f"{s}={a}" for s, a in sorted(strategy.choice.items()))
 
 
-def cmd_translate(cfg: RunConfig) -> int:
-    kind, value = _load(cfg)
+def cmd_translate(args) -> int:
+    kind, value = io.load_document(args.input)
     if kind != io.ARENA:
         raise ValueError(f"translate expects an arena document, got {kind}")
     tr = arena_to_iru(value)
-    _emit_text(cfg, io.dumps_document((tr.a_set, tr.e_set)))
+    _emit_text(args, io.dumps_document((tr.a_set, tr.e_set)))
     return 0
 
 
-def cmd_value(cfg: RunConfig) -> int:
-    kind, value = _load(cfg)
+def cmd_value(args) -> int:
+    kind, value = io.load_document(args.input)
     if kind == io.ARENA:
-        sol = solve(value, cfg.tol)
+        sol = solve(value, args.tol)
         vi = sol.value
-        if cfg.machine_readable:
+        if args.json:
             _emit_json(
-                cfg,
+                args,
                 {
                     "value": _interval_doc(vi.lower, vi.upper),
                     "entropy_bits": sol.entropy_bits(),
@@ -150,19 +134,17 @@ def cmd_value(cfg: RunConfig) -> int:
             f"value in [{float(vi.lower):.10f}, {float(vi.upper):.10f}]"
             f" (width {float(vi.width()):.3e})",
             f"entropy {sol.entropy_bits():.10f} bits per quarter-move",
-            "despot strategy: "
-            + ", ".join(f"{s}={a}" for s, a in sorted(sol.despot_strategy.choice.items())),
-            "tribune strategy: "
-            + ", ".join(f"{s}={a}" for s, a in sorted(sol.tribune_strategy.choice.items())),
+            f"despot strategy: {_strategy_text(sol.despot_strategy)}",
+            f"tribune strategy: {_strategy_text(sol.tribune_strategy)}",
         ]
-        _emit_text(cfg, "\n".join(lines))
+        _emit_text(args, "\n".join(lines))
         return 0
     if kind == io.PAIR:
         a_set, e_set = value
-        vi = value_bisection(a_set, e_set, cfg.tol)
-        if cfg.machine_readable:
+        vi = value_bisection(a_set, e_set, args.tol)
+        if args.json:
             _emit_json(
-                cfg,
+                args,
                 {
                     "value": _interval_doc(vi.lower, vi.upper),
                     "bisections": vi.bisections,
@@ -172,7 +154,7 @@ def cmd_value(cfg: RunConfig) -> int:
             )
             return 0
         _emit_text(
-            cfg,
+            args,
             f"value in [{float(vi.lower):.10f}, {float(vi.upper):.10f}]"
             f" (width {float(vi.width()):.3e}, {vi.bisections} bisections)",
         )
@@ -180,10 +162,11 @@ def cmd_value(cfg: RunConfig) -> int:
     raise ValueError(f"value expects an arena or pair document, got {kind}")
 
 
-def cmd_decide(cfg: RunConfig, query: str, alpha_text: str) -> int:
+def cmd_decide(args) -> int:
+    query = args.query
     shape, decide = QUERIES[query]
-    alpha = io.parse_rational(alpha_text)
-    kind, value = _load(cfg)
+    alpha = io.parse_rational(args.alpha)
+    kind, value = io.load_document(args.input)
     if shape == "set":
         if kind != io.MATRIX_SET:
             raise ValueError(f"query {query} expects a matrix-set document, got {kind}")
@@ -192,9 +175,9 @@ def cmd_decide(cfg: RunConfig, query: str, alpha_text: str) -> int:
         if kind != io.PAIR:
             raise ValueError(f"query {query} expects a pair document, got {kind}")
         answer, cert = decide(*value, alpha)
-    if cfg.machine_readable:
+    if args.json:
         _emit_json(
-            cfg,
+            args,
             {
                 "query": query,
                 "alpha": io.format_rational(alpha),
@@ -213,7 +196,7 @@ def cmd_decide(cfg: RunConfig, query: str, alpha_text: str) -> int:
                 lines.append("committed matrix:")
                 for row in cert.chosen_matrix.data:
                     lines.append("  " + " ".join(io.format_rational(x) for x in row))
-        _emit_text(cfg, "\n".join(lines))
+        _emit_text(args, "\n".join(lines))
     return 0 if answer else 1
 
 
@@ -264,18 +247,18 @@ def _member_at(s: IruSet, index: int):
     return s.member(choice[::-1])
 
 
-def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
-    kind, value = _load(cfg)
+def cmd_simulate(args) -> int:
+    kind, value = io.load_document(args.input)
     if kind == io.ARENA:
-        despot = _parse_strategy(despot_text, value, cfg.seed)
-        tribune = _parse_strategy(tribune_text, value, cfg.seed + 1)
-        levels = forest_counts(value, despot, tribune, cfg.horizon)
+        despot = _parse_strategy(args.despot, value, args.seed)
+        tribune = _parse_strategy(args.tribune, value, args.seed + 1)
+        levels = forest_counts(value, despot, tribune, args.turns)
         # even levels count despot states, odd levels tribune states
         sides = (value.despot_states, value.tribune_states)
         sums = [sum(v.entries) for v in levels]
-        if cfg.machine_readable:
+        if args.json:
             _emit_json(
-                cfg,
+                args,
                 {
                     "despot_states": list(value.despot_states),
                     "tribune_states": list(value.tribune_states),
@@ -290,21 +273,21 @@ def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
                 f"{s}={io.format_rational(x)}" for s, x in zip(sides[k % 2], v.entries)
             )
             lines.append(f"half-turn {k:3d}: {cells}   total {io.format_rational(sums[k])}")
-        _emit_text(cfg, "\n".join(lines))
+        _emit_text(args, "\n".join(lines))
         return 0
     if kind == io.PAIR:
         a_set, e_set = value
         report = simulate_payoff(
-            _parse_matrix_chooser(despot_text, a_set, cfg.seed),
-            _parse_matrix_chooser(tribune_text, e_set, cfg.seed + 1),
-            steps=cfg.horizon,
+            _parse_matrix_chooser(args.despot, a_set, args.seed),
+            _parse_matrix_chooser(args.tribune, e_set, args.seed + 1),
+            steps=args.turns,
         )
         # a product that vanished by the run's last quarter has a tail of 0,
         # which has no entropy
         entropy = eg_payoff_entropy(report) if report.tail > 0 else None
-        if cfg.machine_readable:
+        if args.json:
             _emit_json(
-                cfg,
+                args,
                 {
                     "steps": report.steps,
                     "growth_tail": report.tail,
@@ -315,7 +298,7 @@ def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
             )
             return 0
         _emit_text(
-            cfg,
+            args,
             f"growth estimate {report.tail:.6f} after {report.steps} steps"
             + (f" (entropy {entropy:.6f} bits per quarter-move)" if entropy is not None else "")
             + (f"; product vanished at step {report.zeroed_at}" if report.zeroed_at else ""),
@@ -324,30 +307,31 @@ def cmd_simulate(cfg: RunConfig, despot_text: str, tribune_text: str) -> int:
     raise ValueError(f"simulate expects an arena or pair document, got {kind}")
 
 
-def _load_machine(cfg: RunConfig) -> TwoCounterMachine:
-    kind, value = _load(cfg)
+def _load_machine(args) -> TwoCounterMachine:
+    kind, value = io.load_document(args.input)
     if kind != io.MACHINE:
         raise ValueError(f"expected a machine description, got {kind}")
     return value
 
 
-def cmd_encode_2cmm(cfg: RunConfig, variant: str) -> int:
-    m = _load_machine(cfg)
-    encoded = encode_integer(m) if variant == INTEGER else encode_nonneg(m)
+def cmd_encode_2cmm(args) -> int:
+    m = _load_machine(args)
+    encoded = encode_integer(m) if args.variant == INTEGER else encode_nonneg(m)
     if encoded.degenerate:
         print(
             "warning: degenerate machine, every state halts and Eve has no matrices",
             file=sys.stderr,
         )
-    _emit_text(cfg, io.dumps_document(encoded))
+    _emit_text(args, io.dumps_document(encoded))
     return 0
 
 
-def cmd_check_2cmm(cfg: RunConfig, variant: str, cheat_turn: int | None) -> int:
-    m = _load_machine(cfg)
+def cmd_check_2cmm(args) -> int:
+    m = _load_machine(args)
+    variant = args.variant
     if variant == INTEGER:
         g = encode_integer(m)
-        rep = run_scripted_play(g, m, cfg.horizon, cheat_turn)
+        rep = run_scripted_play(g, m, args.turns, args.cheat_turn)
         deviated = bool(rep.deviations) or bool(rep.undetectable)
         ok = rep.faithful_invariant_ok and (
             rep.annihilation_turn is not None if deviated else True
@@ -382,7 +366,7 @@ def cmd_check_2cmm(cfg: RunConfig, variant: str, cheat_turn: int | None) -> int:
         ]
     else:
         g = encode_nonneg(m)
-        rep = check_nonneg_punishment(g, m, cfg.horizon, cheat_turn)
+        rep = check_nonneg_punishment(g, m, args.turns, args.cheat_turn)
         ok = rep.magnitude_ok and rep.segment_bounds_ok and (
             rep.aggregate_below_two if rep.punished else True
         )
@@ -418,24 +402,24 @@ def cmd_check_2cmm(cfg: RunConfig, variant: str, cheat_turn: int | None) -> int:
             + (" (< 2)" if rep.aggregate_below_two else " (NOT < 2)"),
             f"check {'passed' if ok else 'failed'}",
         ]
-    if cfg.machine_readable:
-        _emit_json(cfg, doc)
+    if args.json:
+        _emit_json(args, doc)
     else:
-        _emit_text(cfg, "\n".join(human))
+        _emit_text(args, "\n".join(human))
     return 0 if ok else 1
 
 
-def cmd_mpg(cfg: RunConfig, do_solve: bool) -> int:
-    kind, value = _load(cfg)
+def cmd_mpg(args) -> int:
+    kind, value = io.load_document(args.input)
     if kind != io.MPG:
         raise ValueError(f"mpg expects a mean payoff game document, got {kind}")
-    if not do_solve:
-        _emit_text(cfg, io.dumps_document(mpg_to_weighted_eg(value)))
+    if not args.solve:
+        _emit_text(args, io.dumps_document(mpg_to_weighted_eg(value)))
         return 0
-    (lo, hi), sol = mpg_value(value, cfg.tol)
-    if cfg.machine_readable:
+    (lo, hi), sol = mpg_value(value, args.tol)
+    if args.json:
         _emit_json(
-            cfg,
+            args,
             {
                 "mean_payoff_lower": lo,
                 "mean_payoff_upper": hi,
@@ -446,12 +430,10 @@ def cmd_mpg(cfg: RunConfig, do_solve: bool) -> int:
         )
         return 0
     _emit_text(
-        cfg,
+        args,
         f"mean payoff value in [{lo:.10f}, {hi:.10f}]\n"
-        "despot strategy: "
-        + ", ".join(f"{s}={a}" for s, a in sorted(sol.despot_strategy.choice.items()))
-        + "\ntribune strategy: "
-        + ", ".join(f"{s}={a}" for s, a in sorted(sol.tribune_strategy.choice.items())),
+        f"despot strategy: {_strategy_text(sol.despot_strategy)}\n"
+        f"tribune strategy: {_strategy_text(sol.tribune_strategy)}",
     )
     return 0
 
@@ -491,45 +473,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_flags(common, top_level=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("translate", parents=[common], help="arena to matrix-set pair")
-    p.add_argument("input")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.add_argument("input")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser(
-        "value", parents=[common], help="solve a game from an arena or pair file"
-    )
-    p.add_argument("input")
+    command("translate", cmd_translate, "arena to matrix-set pair")
+    command("value", cmd_value, "solve a game from an arena or pair file")
 
-    p = sub.add_parser("decide", parents=[common], help="threshold query with certificate")
-    p.add_argument("input")
+    p = command("decide", cmd_decide, "threshold query with certificate")
     p.add_argument("--query", required=True, choices=sorted(QUERIES))
     p.add_argument("--alpha", required=True, help="threshold as p/q")
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="trace plays and estimate growth"
-    )
-    p.add_argument("input")
+    p = command("simulate", cmd_simulate, "trace plays and estimate growth")
     p.add_argument("--despot", default="random:", help="despot/adam strategy")
     p.add_argument("--tribune", default="random:", help="tribune/eve strategy")
     p.add_argument("--turns", type=int, default=10)
 
-    p = sub.add_parser(
-        "encode-2cmm", parents=[common], help="encode a counter machine as a game"
-    )
-    p.add_argument("input")
+    p = command("encode-2cmm", cmd_encode_2cmm, "encode a counter machine as a game")
     p.add_argument("--variant", choices=[INTEGER, NONNEG], default=INTEGER)
 
-    p = sub.add_parser(
-        "check-2cmm", parents=[common], help="audit the encoding's invariants by play"
-    )
-    p.add_argument("input")
+    p = command("check-2cmm", cmd_check_2cmm, "audit the encoding's invariants by play")
     p.add_argument("--variant", choices=[INTEGER, NONNEG], default=INTEGER)
     p.add_argument("--turns", type=int, default=50)
     p.add_argument("--cheat-turn", type=int, default=None)
 
-    p = sub.add_parser(
-        "mpg", parents=[common], help="mean payoff game to weighted entropy game"
-    )
-    p.add_argument("input")
+    p = command("mpg", cmd_mpg, "mean payoff game to weighted entropy game")
     p.add_argument("--solve", action="store_true", help="also solve and report log2 value")
     return parser
 
@@ -537,29 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            input=args.input,
-            output=args.output,
-            tol=io.parse_rational(args.tol),
-            horizon=getattr(args, "turns", 50),
-            seed=args.seed,
-            machine_readable=args.json,
-        )
-        if args.subcommand == "translate":
-            return cmd_translate(cfg)
-        if args.subcommand == "value":
-            return cmd_value(cfg)
-        if args.subcommand == "decide":
-            return cmd_decide(cfg, args.query, args.alpha)
-        if args.subcommand == "simulate":
-            return cmd_simulate(cfg, args.despot, args.tribune)
-        if args.subcommand == "encode-2cmm":
-            return cmd_encode_2cmm(cfg, args.variant)
-        if args.subcommand == "check-2cmm":
-            return cmd_check_2cmm(cfg, args.variant, args.cheat_turn)
-        if args.subcommand == "mpg":
-            return cmd_mpg(cfg, args.solve)
-        raise ValueError(f"unknown subcommand {args.subcommand!r}")
+        args.tol = io.parse_rational(args.tol)
+        if args.tol <= 0:
+            raise ValueError("tolerance must be positive")
+        if getattr(args, "turns", 1) < 1:
+            raise ValueError("horizon must be at least 1")
+        return args.run(args)
     except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -564,9 +564,15 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     and -1 for the minimiser (Despot).  This is the block split of the
     module docstring: the centre is split along the blocks of the union
     support, and the critical blocks are found by exact comparisons of the
-    blocks' C_BB with each other.  Aligned blocks, an irreducible centre's
-    only block among them, compare their single-row deviations in row
-    order, each against the block centre's witness first (``_deviation``).
+    blocks' C_BB with each other.  A block is aligned when its centre's
+    record in the comparison cache (``realroots.cached_bounds``), the one
+    the comparisons read, has every index as its critical block: C_BB is
+    then irreducible, and no reach sets are built to find that out.  A
+    block centre beyond the float range has no record and counts as
+    aligned, so each of its deviations raises the float-range error of the
+    first matrix it meets.  Aligned blocks, an irreducible centre's only
+    block among them, compare their single-row deviations in row order,
+    each against the block centre's witness first (``_deviation``).
     Non-aligned blocks compare their own members, and so does a
     non-critical aligned block on Tribune's side whose deviation beats
     C_BB but not C.  A refuting block row maps back to the first candidate
@@ -576,7 +582,6 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     products = [[vec_mat(r, other) for r in rs.rows] for rs in s.row_sets]
     blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
     centres = [principal_submatrix(centre, block) for block in blocks]
-    aligned = [len(support_blocks(local.data)) == 1 for local in centres]
     critical = {0}
     top = centres[0]
     for k in range(1, len(blocks)):
@@ -590,7 +595,11 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
         if sign < 0 and k not in critical:
             continue
         options = _block_options(s, products, block)
-        if not aligned[k]:
+        try:
+            aligned = realroots.cached_bounds(cache, centres[k])[2] == list(range(len(block)))
+        except ValueError:
+            aligned = True
+        if not aligned:
             choice = _block_member(options, top, sign, cache, side)
         else:
             choice, deviation = _deviation(options, centres[k], sign, cache)
@@ -636,8 +645,7 @@ def _deviation(options, local: Matrix, sign: int, cache):
     (``realroots.cached_bounds``): local is irreducible, so it is its own
     critical block and the record carries its witness.  Only a deviation
     left open is built and compared by ``realroots.compare_radii_enclosed``,
-    which reads the same record.  So local's kernel runs once, and only
-    when it has a deviation.  Beyond the float range local has no record
+    which reads the same record.  So local's kernel runs once.  Beyond the float range local has no record
     and every deviation is left open; the comparisons then raise the
     float-range error of whichever matrix they meet first."""
     deviations = [
@@ -752,8 +760,9 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     deviations on aligned blocks and block members only on the others.
     The saddle's radius enclosure is ``spectral_radius``'s, handed the
     record Despot's last check left for the product (``_saddle_point``):
-    when that record closes on the whole product it is read, with no
-    kernel run."""
+    when that record encloses the whole product as one block, its bounds
+    and witness stand in for the whole-product kernel run, closed or
+    not."""
     _check_game_shapes(a_set, e_set)
     a_rows = [float_rows(rs.rows) for rs in a_set.row_sets]
     e_rows = [float_rows(rs.rows) for rs in e_set.row_sets]

@@ -540,10 +540,10 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL, *, _record=None) -> Radiu
     to within tol, that one positive vector certifies both ends.  A caller
     that holds m's record from a comparison cache, ``block_radius_bounds(m)``
     (``realroots.cached_bounds``), may pass it as ``_record``.  When that
-    record's critical block is every index and its bounds close within
-    tol = DEFAULT_RADIUS_TOL, the tolerance records are made at, its witness
-    is the one the kernel would give here, and the estimate is read from it
-    with ``iterations`` 0.  Any other record is ignored.  A row
+    record's critical block is every index and tol = DEFAULT_RADIUS_TOL, the
+    tolerance records are made at, its witness and bounds are the ones the
+    kernel would give here, and they stand in for that whole-matrix attempt,
+    closed or not, with no kernel run.  Any other record is ignored.  A row
     whose only non-zero entry is its diagonal d has ratio d for every
     positive vector, while the largest ratio is at least rho, which is at
     least the largest diagonal entry; so when such a d lies more than tol
@@ -569,24 +569,26 @@ def spectral_radius(m: Matrix, tol=DEFAULT_RADIUS_TOL, *, _record=None) -> Radiu
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = m.rows
-    if _record is not None and tol == DEFAULT_RADIUS_TOL:
-        lower, upper, critical, w = _record
-        if critical == list(range(n)) and upper - lower <= tol:
-            return _closed_estimate(lower, upper, w, 0)
     tol_float = float(tol) / _FLOAT_KERNEL_SLACK
     # the diagonal entries of the rows that are zero off their diagonal
     lone = [row[i] for i, row in enumerate(m.data) if not (any(row[:i]) or any(row[i + 1 :]))]
     iterations = 0
-    if not lone or min(lone) >= max(row[i] for i, row in enumerate(m.data)) - tol:
+    if _record is not None and tol == DEFAULT_RADIUS_TOL and _record[2] == list(range(n)):
+        lower, upper, _, w = _record
+        whole = (w, lower.as_integer_ratio(), upper.as_integer_ratio(), 0)
+    elif not lone or min(lone) >= max(row[i] for i, row in enumerate(m.data)) - tol:
         whole = _dyadic_witness(m, range(n), tol_float)
+    else:
+        whole = None
+    if whole is not None:
         w, lo, hi, iterations = whole
         lower, upper = Fraction(*lo), Fraction(*hi)
         if upper - lower <= tol:
             return _closed_estimate(lower, upper, w, iterations)
     comps = support_blocks(m.data)
     if len(comps) == 1:
-        # an irreducible m has no lone row unless n = 1, so whole ran on
-        # its one block
+        # an irreducible m has no lone row unless n = 1, so whole is its
+        # one block's witness
         blocks = [(comps[0], *whole)]
     else:
         blocks = [(comp, *_dyadic_witness(m, comp, tol_float)) for comp in comps]

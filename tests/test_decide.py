@@ -953,6 +953,32 @@ def test_saddle_check_runs_one_kernel_per_centre(monkeypatch, game, guess, found
     assert None not in switches and len(switches) == 2 * answered
 
 
+
+@pytest.mark.parametrize("game, found, verified", [(_fig1, 9, 4), (_value_12, 26, 20)])
+def test_saddle_check_reads_alignment_from_the_centre_records(monkeypatch, game, found,
+                                                              verified):
+    # each refutation builds the reach sets of its union support, and
+    # block_radius_bounds those of each block centre it records; whether a
+    # block is aligned is read off that record, with no pass of its own.
+    # On Fig. 1, verify_saddle's two refutations each make those two passes
+    from entropygames import decide, linalg
+
+    passes = []
+    real = linalg.support_blocks
+
+    def counted(rows):
+        passes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(decide, "support_blocks", counted)
+    monkeypatch.setattr(linalg, "support_blocks", counted)
+    a_set, e_set = game()
+    sp = find_saddle(a_set, e_set)
+    assert len(passes) == found
+    passes.clear()
+    assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+    assert len(passes) == verified
+
 def _assert_saddle_radius_is_spectral_radius(a_set, e_set):
     """find_saddle's enclosure of the saddle product's radius, whether read
     from the check's record or computed, equals spectral_radius's, field by
@@ -1082,12 +1108,38 @@ def test_an_irreducible_enclosure_that_does_not_close_runs_one_kernel(
     est = spectral_radius(product)
     # the one block's witness is the whole matrix's, so the kernel runs once
     assert len(kernels) == 1 and est.iterations == iterations
-    assert est == sp.radius and not est.converged
+    # the saddle's enclosure stands on the check's record of the product, so
+    # it ran no kernel of its own
+    assert sp.radius == dataclasses.replace(est, iterations=0) and not est.converged
     assert est.lower == lower and est.witness_lower.entries == witness_lower
     # the resolvent escalation doubles tol / 2 until it certifies
     assert est.upper == lower + DEFAULT_RADIUS_TOL / 2 * 2**doublings
     assert est.witness_upper.entries == tuple(_resolvent(product, est.upper))
 
+
+
+def test_a_saddle_record_that_does_not_close_spares_the_saddle_kernel(monkeypatch):
+    # the weight-1000 MPG's saddle product has a whole-matrix record whose
+    # gap is near 2^800: the saddle's enclosure starts from that record's
+    # witness, so find_saddle runs two guess and two exact kernels, the
+    # exact ones being the two centre records
+    from entropygames import decide, linalg
+
+    kernels = []
+
+    def counted(tag, real):
+        def kernel(*args):
+            result = real(*args)
+            kernels.append((tag, result[2]))
+            return result
+        return kernel
+
+    monkeypatch.setattr(decide, "power_enclosure", counted("guess", decide.power_enclosure))
+    monkeypatch.setattr(linalg, "power_enclosure", counted("exact", linalg.power_enclosure))
+    sp = find_saddle(*_two_by_two_mpg(1000))
+    assert sorted(tag for tag, _ in kernels) == ["exact", "exact", "guess", "guess"]
+    assert sum(iterations for _, iterations in kernels) == 24_000
+    assert sp.radius.iterations == 0 and not sp.radius.converged
 
 def _assert_extremes_match_sturm(s):
     """jsr_jssr against the member scan by Sturm comparisons: members of s

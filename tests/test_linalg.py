@@ -522,7 +522,7 @@ def test_spectral_radius_skips_the_whole_matrix_kernel_below_a_lagging_diagonal_
     assert est.witness_lower.entries == est.witness_upper.entries == (2**60, 1)
 
 
-def test_spectral_radius_reads_only_a_closed_whole_matrix_record(monkeypatch):
+def test_spectral_radius_reads_only_a_whole_matrix_record(monkeypatch):
     from entropygames import linalg
 
     kernels = []
@@ -538,13 +538,10 @@ def test_spectral_radius_reads_only_a_closed_whole_matrix_record(monkeypatch):
     est = spectral_radius(RUNNING, _record=record)
     assert kernels == [] and est.iterations == 0
     assert est == dataclasses.replace(spectral_radius(RUNNING), iterations=0)
-    lower, upper, critical, w = record
     reducible = Matrix(((2, 5), (0, 3)))
     ignored = [
         # another tolerance: the kernel would stop elsewhere
         (RUNNING, record, Fraction(1, 10**6)),
-        # bounds that do not close within tol
-        (RUNNING, (lower - 1, upper, critical, w), DEFAULT_RADIUS_TOL),
         # a critical block that is not every index
         (reducible, block_radius_bounds(reducible), DEFAULT_RADIUS_TOL),
     ]
@@ -552,6 +549,15 @@ def test_spectral_radius_reads_only_a_closed_whole_matrix_record(monkeypatch):
         kernels.clear()
         est = spectral_radius(m, tol, _record=given_record)
         assert kernels and est == spectral_radius(m, tol)
+    # a whole-matrix record that does not close stands in for the kernel's
+    # attempt all the same: the resolvent route starts from its witness
+    steep = Matrix(((2**400, 1), (1, 1)))
+    record = block_radius_bounds(steep)
+    assert record[1] - record[0] > DEFAULT_RADIUS_TOL
+    kernels.clear()
+    est = spectral_radius(steep, _record=record)
+    assert kernels == [] and est.iterations == 0 and not est.converged
+    assert est == dataclasses.replace(spectral_radius(steep), iterations=0)
 
 
 def _lagging_row(m: Matrix, tol: Fraction) -> bool:
