@@ -645,9 +645,10 @@ def _deviation(options, local: Matrix, sign: int, cache):
     (``realroots.cached_bounds``): local is irreducible, so it is its own
     critical block and the record carries its witness.  Only a deviation
     left open is built and compared by ``realroots.compare_radii_enclosed``,
-    which reads the same record.  So local's kernel runs once.  Beyond the float range local has no record
-    and every deviation is left open; the comparisons then raise the
-    float-range error of whichever matrix they meet first."""
+    which reads the same record.  So local's kernel runs once.  Beyond the
+    float range local has no record and every deviation is left open; the
+    comparisons then raise the float-range error of whichever matrix they
+    meet first."""
     deviations = [
         (pos, q) for pos, choices in enumerate(options) for q in choices if q != local.data[pos]
     ]

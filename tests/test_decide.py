@@ -953,7 +953,6 @@ def test_saddle_check_runs_one_kernel_per_centre(monkeypatch, game, guess, found
     assert None not in switches and len(switches) == 2 * answered
 
 
-
 @pytest.mark.parametrize("game, found, verified", [(_fig1, 9, 4), (_value_12, 26, 20)])
 def test_saddle_check_reads_alignment_from_the_centre_records(monkeypatch, game, found,
                                                               verified):
@@ -978,6 +977,7 @@ def test_saddle_check_reads_alignment_from_the_centre_records(monkeypatch, game,
     passes.clear()
     assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
     assert len(passes) == verified
+
 
 def _assert_saddle_radius_is_spectral_radius(a_set, e_set):
     """find_saddle's enclosure of the saddle product's radius, whether read
@@ -1117,7 +1117,6 @@ def test_an_irreducible_enclosure_that_does_not_close_runs_one_kernel(
     assert est.witness_upper.entries == tuple(_resolvent(product, est.upper))
 
 
-
 def test_a_saddle_record_that_does_not_close_spares_the_saddle_kernel(monkeypatch):
     # the weight-1000 MPG's saddle product has a whole-matrix record whose
     # gap is near 2^800: the saddle's enclosure starts from that record's
@@ -1140,6 +1139,7 @@ def test_a_saddle_record_that_does_not_close_spares_the_saddle_kernel(monkeypatc
     assert sorted(tag for tag, _ in kernels) == ["exact", "exact", "guess", "guess"]
     assert sum(iterations for _, iterations in kernels) == 24_000
     assert sp.radius.iterations == 0 and not sp.radius.converged
+
 
 def _assert_extremes_match_sturm(s):
     """jsr_jssr against the member scan by Sturm comparisons: members of s
