@@ -6,8 +6,10 @@ simulate (traces and growth estimates), encode-2cmm / check-2cmm (counter
 machine gadgets), and mpg (mean payoff game reduction).
 
 Each subparser names its handler with ``set_defaults(run=...)``; a handler
-takes the parsed namespace and returns the exit code.  ``main`` parses the
-tolerance and checks it and any --turns before the handler runs.
+takes the parsed namespace and returns the exit code.  ``main`` checks any
+--turns before the handler runs.  Only value and mpg --solve read --tol, so
+they parse and check it themselves, before anything else; every other
+subcommand accepts any --tol and ignores it.
 
 Exit codes: 0 for success (and for decide: the query holds), 1 for a false
 verdict or a failed check, 2 for any error.  With --json every command
@@ -113,10 +115,19 @@ def cmd_translate(args) -> int:
     return 0
 
 
+def _tolerance(args) -> Fraction:
+    """The --tol flag as a positive rational."""
+    tol = io.parse_rational(args.tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return tol
+
+
 def cmd_value(args) -> int:
+    tol = _tolerance(args)
     kind, value = io.load_document(args.input)
     if kind == io.ARENA:
-        sol = solve(value, args.tol)
+        sol = solve(value, tol)
         vi = sol.value
         if args.json:
             _emit_json(
@@ -141,7 +152,7 @@ def cmd_value(args) -> int:
         return 0
     if kind == io.PAIR:
         a_set, e_set = value
-        vi = value_bisection(a_set, e_set, args.tol)
+        vi = value_bisection(a_set, e_set, tol)
         if args.json:
             _emit_json(
                 args,
@@ -410,13 +421,14 @@ def cmd_check_2cmm(args) -> int:
 
 
 def cmd_mpg(args) -> int:
+    tol = _tolerance(args) if args.solve else None
     kind, value = io.load_document(args.input)
     if kind != io.MPG:
         raise ValueError(f"mpg expects a mean payoff game document, got {kind}")
     if not args.solve:
         _emit_text(args, io.dumps_document(mpg_to_weighted_eg(value)))
         return 0
-    (lo, hi), sol = mpg_value(value, args.tol)
+    (lo, hi), sol = mpg_value(value, tol)
     if args.json:
         _emit_json(
             args,
@@ -507,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tol = io.parse_rational(args.tol)
-        if args.tol <= 0:
-            raise ValueError("tolerance must be positive")
         if getattr(args, "turns", 1) < 1:
             raise ValueError("horizon must be at least 1")
         return args.run(args)

@@ -117,8 +117,24 @@ entry j.
   below.  On a critical block, rho(C_BB) is rho(C).  On Tribune's side a
   deviation can beat C_BB and stay at most rho(C) only on a non-critical
   block, and that block alone then falls back to its own members.
-* A non-aligned block is enumerated over its own rows: the IruSet of its
-  restricted rows, where rows that coincide count once, through
+* On Despot's side a non-aligned critical block first tries its class
+  certificate.  Let K be the critical block that C_BB's record in the
+  comparison cache names (``linalg.block_radius_bounds``), a strongly
+  connected class of C_BB with rho(C_KK) = rho(C_BB) = rho(C).  C_KK is
+  irreducible, so the lemma applies to it with every candidate row of a
+  K-row restricted to K's columns.  If no such deviation lowers
+  rho(C_KK), then r_K . x >= rho(C) x_i for the Perron vector x > 0 of
+  C_KK and every candidate row r of every row i of K.  Let v be x on K and
+  0 on the rest of B.  Every member M has (M_BB v)_i = r_K . x >= rho(C)
+  v_i on K, and (M_BB v)_i >= 0 = rho(C) v_i off K, so M_BB v >= rho(C) v
+  with v >= 0 non-zero, and rho(M_BB) >= rho(C) by Collatz-Wielandt.  No
+  member brings B below rho(C), so Despot is not refuted.  A K-deviation
+  that lowers rho(C_KK) proves nothing about B, as the deviating row's
+  entries outside K's columns can keep every member at rho(C) or above,
+  and a record that names no critical block gives no K.
+* A non-aligned block that this does not settle, any on Tribune's side
+  included, is enumerated over its own rows: the IruSet of its restricted
+  rows, where rows that coincide count once, through
   ``iru.enumerate_members``, which refuses a block of more than
   ``iru.ENUM_CAP`` members with an EnumerationCapError naming the side.
 
@@ -572,12 +588,15 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
     aligned, so each of its deviations raises the float-range error of the
     first matrix it meets.  Aligned blocks, an irreducible centre's only
     block among them, compare their single-row deviations in row order,
-    each against the block centre's witness first (``_deviation``).
-    Non-aligned blocks compare their own members, and so does a
-    non-critical aligned block on Tribune's side whose deviation beats
-    C_BB but not C.  A refuting block row maps back to the first candidate
-    row with that restriction.  A block of more than iru.ENUM_CAP members
-    raises EnumerationCapError naming the reducible centre and ``side``."""
+    each against the block centre's witness first (``_deviation``).  On
+    Despot's side a non-aligned block first tries its class certificate
+    (``_class_certificate``), and when that holds, no member beats own.
+    The non-aligned blocks this leaves compare their own members, and so
+    does a non-critical aligned block on Tribune's side whose deviation
+    beats C_BB but not C.  A refuting block row maps back to the first
+    candidate row with that restriction.  A block of more than
+    iru.ENUM_CAP members raises EnumerationCapError naming the reducible
+    centre and ``side``."""
     centre = mat_mul(own, other)
     products = [[vec_mat(r, other) for r in rs.rows] for rs in s.row_sets]
     blocks = support_blocks([[any(col) for col in zip(*rows)] for rows in products])
@@ -600,7 +619,8 @@ def _refute(s: IruSet, own: Matrix, other: Matrix, sign: int, cache, side: str):
         except ValueError:
             aligned = True
         if not aligned:
-            choice = _block_member(options, top, sign, cache, side)
+            certified = sign < 0 and _class_certificate(options, centres[k], cache)
+            choice = None if certified else _block_member(options, top, sign, cache, side)
         else:
             choice, deviation = _deviation(options, centres[k], sign, cache)
             # beating C_BB beats C on a critical block; a non-critical one,
@@ -633,6 +653,24 @@ def _block_options(s: IruSet, products, block: list[int]) -> list[dict]:
             seen.setdefault(tuple(p[j] for j in block), r)
         options.append(seen)
     return options
+
+
+def _class_certificate(options, local: Matrix, cache) -> bool:
+    """Whether the critical class of the reducible block centre local shows
+    that none of the block's members has a radius below rho(local).
+
+    The class K is the critical block that local's record names
+    (``realroots.cached_bounds``), so rho(local_KK) = rho(local).  Each
+    K-row's candidates are restricted to K's columns, and when no such
+    single-row deviation of local_KK lowers its radius (``_deviation``),
+    the Perron vector of local_KK, extended by zero, is the class
+    certificate of the module docstring.  A record that names no class
+    certifies nothing."""
+    block = realroots.cached_bounds(cache, local)[2]
+    if block is None:
+        return False
+    restricted = [dict.fromkeys(tuple(q[j] for j in block) for q in options[pos]) for pos in block]
+    return _deviation(restricted, principal_submatrix(local, block), -1, cache)[0] is None
 
 
 def _deviation(options, local: Matrix, sign: int, cache):
@@ -758,7 +796,8 @@ def find_saddle(a_set: IruSet, e_set: IruSet) -> SaddlePoint:
     than iru.ENUM_CAP members, as the check does on a non-aligned block of
     more.
     The check itself forms no member grid: it compares single-row
-    deviations on aligned blocks and block members only on the others.
+    deviations on aligned blocks and block members only on the others,
+    and on Despot's side only where their class certificate fails.
     The saddle's radius enclosure is ``spectral_radius``'s, handed the
     record Despot's last check left for the product (``_saddle_point``):
     when that record encloses the whole product as one block, its bounds
@@ -809,7 +848,8 @@ def verify_saddle(a_set: IruSet, e_set: IruSet, a0: Matrix, e0: Matrix) -> bool:
     needs only its single-row deviations, by the lemma in the module
     docstring.  A reducible one is split along the blocks of the union
     support of its side's product rows: aligned blocks need only their
-    deviations, and the others compare their own members, raising
+    deviations, and the others compare their own members, on Despot's
+    side only where their class certificate fails, raising
     EnumerationCapError on a block of more than iru.ENUM_CAP."""
     if not a_set.contains_matrix(a0) or not e_set.contains_matrix(e0):
         return False

@@ -10,7 +10,8 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   plus two runs that exit 2;
 - ``value --json`` on 72 arenas drawn by ``perfbench.workloads.random_arena``
   with ``random.Random(1000 n + 10 k + s)``, s = 0-8, at each n x k of
-  ``ARENAS``, and ``value`` as text on Fig. 1 of the paper;
+  ``ARENAS``, on the three larger ones of ``SCAN_ARENAS`` drawn the same
+  way, and ``value`` as text on Fig. 1 of the paper;
 - ``mpg --solve --json`` on 24 3+3 mean payoff games drawn by
   ``perfbench.workloads.random_mpg`` with ``random.Random(seed)``, seeds
   7000-7023 (from 7012 on, the weights are redrawn in 0-30 from the same
@@ -18,11 +19,13 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
 - ``simulate`` on a pair whose product vanishes at step 2;
 - ``FRONT_END``: the subcommands the runs above leave out (``translate``
   on Fig. 1, ``encode-2cmm`` on m1 in both variants, ``mpg`` without
-  ``--solve``), ``decide --json`` for all six queries, the errors ``main``
-  reports before a subcommand runs (``--tol 0``, ``--tol abc``, ``--turns
-  0``, and ``--tol 0`` with ``--turns 0``, whose tolerance error comes
-  first), ``--json`` before the subcommand, and the three documents beyond
-  the float range that exit 2.
+  ``--solve``), ``decide --json`` for all six queries, the tolerance
+  errors of ``value`` (``--tol 0``, ``--tol abc``), the horizon error
+  ``main`` reports before a subcommand runs (``--turns 0``, alone and with
+  ``--tol 0`` on ``simulate``, which reads no tolerance), ``check-2cmm``
+  with ``--tol 0`` and ``translate`` with ``--tol abc``, which ignore the
+  flag and exit 0, ``--json`` before the subcommand, and the three
+  documents beyond the float range that exit 2.
 
     PYTHONPATH=src python tests/golden/replay.py            # compare
     PYTHONPATH=src python tests/golden/replay.py --rewrite  # store outputs
@@ -60,6 +63,9 @@ ERRORS = (
     ["--turns", "2", "--cheat-turn", "5"],
 )
 ARENAS = ((2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (2, 4))
+# larger arenas drawn the same way, whose saddle checks meet non-aligned
+# blocks on Despot's side: 8 x 2 at s = 2 and 5, 6 x 3 at s = 4
+SCAN_ARENAS = ("arena_8x2_8022", "arena_8x2_8025", "arena_6x3_6034")
 MPGS = [f"mpg_{seed}" for seed in range(7000, 7024)] + ["mpg_2x2_w1000"]
 # the set queries run on a positive 1 x 1 set with members 2 and 3, whose
 # jsr is 3 and jssr 2, and on a non-positive set; the pair queries on
@@ -81,6 +87,8 @@ FRONT_END = (
     ["value", "games/fig1.json", "--tol", "abc"],
     ["simulate", "games/vanishing_pair.json", "--turns", "0"],
     ["simulate", "games/vanishing_pair.json", "--tol", "0", "--turns", "0"],
+    ["check-2cmm", "machines/m1.2cm", "--tol", "0"],
+    ["translate", "games/fig1.json", "--tol", "abc"],
     ["--json", "value", "games/fig1.json"],
     ["--json", "decide", "--query", "jsr<", "--alpha", "7/2", "games/positive.json"],
     ["mpg", "--solve", "games/heavy.json"],
@@ -109,6 +117,7 @@ def plan() -> list[list[str]]:
     for n, k in ARENAS:
         for s in range(9):
             runs.append(["value", "--json", f"games/arena_{n}x{k}_{1000 * n + 10 * k + s}.json"])
+    runs += [["value", "--json", f"games/{name}.json"] for name in SCAN_ARENAS]
     runs.append(["value", "games/fig1.json"])
     runs += [["mpg", "--solve", "--json", f"games/{name}.json"] for name in MPGS]
     for turns in ("8", "2"):

@@ -502,9 +502,57 @@ def test_find_saddle_matches_grid_oracle(rng):
 
 
 _SIDE_KINDS = (
-    "aligned", "nonaligned", "critical", "zero", "rational", "tied", "identical", "mpg",
-    "rectangular",
+    "aligned", "nonaligned", "critical", "class", "zero", "rational", "tied", "identical",
+    "mpg", "rectangular",
 )
+
+
+def _relabel(rng, cands, picks):
+    """The candidate rows and own picks of a side under one random
+    permutation of its rows and columns."""
+    n = len(cands)
+    perm = rng.sample(range(n), n)
+    cands = [
+        [[r[perm.index(j)] for j in range(n)] for r in cands[perm.index(i)]] for i in range(n)
+    ]
+    return cands, [picks[perm.index(i)] for i in range(n)]
+
+
+def _class_rows(rng, n):
+    """The candidate rows of a "class" side, each row set's own row first:
+    one block of n >= 2 rows whose own rows make a reducible centre.
+
+    The own rows of a class K, the first rows, are positive on K's columns
+    and zero elsewhere; the other own rows feed K only.  Each K-row has one
+    or two more candidates: its own row raised on K's columns, or half the
+    time redrawn there, with random entries outside K; together they reach
+    every row outside K.  So against the identity the union support is one
+    non-aligned block whose critical class is K, and a member whose K-rows
+    are all raised keeps rho(own) or more, which makes many draws exact
+    ties on Despot's side."""
+    size = rng.randint(1, n - 1)
+    own = [[rng.randint(1, 2) if j < size else 0 for j in range(n)] for _ in range(size)]
+    for _ in range(size, n):
+        row = [rng.randint(0, 2) for _ in range(size)] + [0] * (n - size)
+        row[rng.randrange(size)] = rng.randint(1, 2)
+        own.append(row)
+    cands = []
+    for i, row in enumerate(own):
+        more = []
+        for _ in range(rng.randint(1, 2)):
+            if i >= size:
+                more.append([rng.randint(0, 2) for _ in range(n)])
+            elif rng.random() < 0.5:
+                more.append([x + rng.randint(0, 1) for x in row[:size]])
+            else:
+                more.append([rng.randint(0, 2) for _ in range(size)])
+            if i < size:
+                more[-1] += [rng.choice((0, 0, 1)) for _ in range(n - size)]
+        cands.append([row] + more)
+    for j in range(size, n):
+        reaching = cands[rng.randrange(size)][-1]
+        reaching[j] = reaching[j] or rng.randint(1, 2)
+    return cands
 
 
 def _side(rng):
@@ -520,10 +568,12 @@ def _side(rng):
     copies the first (two critical blocks); a zero own block (zero radius);
     diagonal and lower triangular blocks (rational radii); 0/1 entries
     (tied members); one pool of rows for every row set (identical rows);
-    one entry 2^w per row (MPG-shaped); random rows of another length.
-    ``other`` is the identity half of the time, else random."""
+    one entry 2^w per row (MPG-shaped); random rows of another length;
+    and a non-aligned block whose critical class copies or raises its own
+    rows (``_class_rows``: class), against the identity.  ``other`` is
+    otherwise the identity half of the time, else random."""
     kind = rng.choice(_SIDE_KINDS)
-    n = rng.randint(2 if kind == "critical" else 1, 5)
+    n = rng.randint(2 if kind in ("critical", "class") else 1, 5)
     most = 3 if n <= 3 else 2
     counts = [rng.randint(2 if kind == "nonaligned" else 1, most) for _ in range(n)]
     picks = [rng.randrange(c) for c in counts]
@@ -535,6 +585,9 @@ def _side(rng):
         pool = [[rng.randint(0, 2) for _ in range(n)] for _ in range(2)]
         counts, picks = [2] * n, [rng.randrange(2) for _ in range(n)]
         cands = [pool] * n
+        other = Matrix.identity(n)
+    elif kind == "class":
+        cands, picks = _relabel(rng, _class_rows(rng, n), [0] * n)
         other = Matrix.identity(n)
     else:
         sizes = [rng.randint(1, n // 2)] * 2 if kind == "critical" else []
@@ -576,12 +629,7 @@ def _side(rng):
                     row(size + i, False)[:size] + r[:size] + [0] * (n - 2 * size)
                     for r in cands[i]
                 ]
-        perm = rng.sample(range(n), n)
-        cands = [
-            [[r[perm.index(j)] for j in range(n)] for r in cands[perm.index(i)]]
-            for i in range(n)
-        ]
-        picks = [picks[perm.index(i)] for i in range(n)]
+        cands, picks = _relabel(rng, cands, picks)
         other = Matrix.identity(n) if rng.random() < 0.5 else Matrix(
             tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(n))
         )
@@ -658,6 +706,44 @@ def test_block_split_hard_cases(rows, own, sign, refuted):
     other = Matrix.identity(own.rows)
     found = _assert_refute_matches_member_scan(s, own, other, sign)
     assert (found is not None) == refuted
+
+
+# the block of Despot's side that saddle-grid's 3 x 2 arena 8 scans, drawn
+# with random.Random("saddle-grid:3x2:8"): its centre has radius 16, that of
+# the critical class of its first and third rows
+_SADDLE_GRID_BLOCK = [[(1, 0, 3), (2, 4, 12)], [(3, 0, 9)], [(5, 0, 15), (3, 4, 15)]]
+
+
+@pytest.mark.parametrize(
+    "rows, own, scans, refuted",
+    [
+        # the critical class {0} has radius 2, and its row's other candidate
+        # only raises it: no member lies below 2, with no member compared
+        ([[(2, 1), (3, 0)], [(0, 1), (1, 0)]], [(2, 1), (0, 1)], 0, False),
+        # (1, 0) lowers the class, so the block's members are compared, and
+        # ((1, 0), (0, 1)) has radius 1
+        ([[(2, 1), (1, 0)], [(0, 1), (1, 1)]], [(2, 1), (0, 1)], 1, True),
+        # (3, 4, 15) lowers the class, but the entry 4 into the second row
+        # keeps every member that takes it at radius 16 or more
+        (_SADDLE_GRID_BLOCK, [(1, 0, 3), (3, 0, 9), (5, 0, 15)], 1, False),
+    ],
+)
+def test_class_certificate_settles_despot_ties(monkeypatch, rows, own, scans, refuted):
+    from entropygames import decide
+
+    calls = []
+    real = decide._block_member
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decide, "_block_member", counted)
+    s, own = iru_set(rows), Matrix(tuple(own))
+    assert len(support_blocks(own.data)) > 1  # a reducible centre
+    found = _assert_refute_matches_member_scan(s, own, Matrix.identity(own.rows), -1)
+    assert (found is not None) == refuted
+    assert len(calls) == scans
 
 
 def test_aligned_blocks_enumerate_no_member(monkeypatch):
@@ -915,10 +1001,11 @@ def _value_12():
         # enclosure of its radius is Despot's centre's record
         (_fig1, 5, 2, 2, 3),
         # Tribune's centre has a 2-node block and two equal 1-node blocks,
-        # which need no kernel; Despot's is a non-aligned 4-node block whose
-        # 16 members are compared by their enclosures (its own included).
-        # That centre is reducible, so the saddle's enclosure runs a kernel
-        (_value_12, 5, 1 + 16 + 1, 1 + 16, 2),
+        # which need no kernel; Despot's is a non-aligned 4-node block,
+        # settled by its critical class: one kernel for that 2-node block's
+        # own record, and three deviations that all raise it.  That centre
+        # is reducible, so the saddle's enclosure runs a kernel
+        (_value_12, 5, 1 + 1 + 1 + 1, 1 + 1 + 1, 2 + 3),
     ],
 )
 def test_saddle_check_runs_one_kernel_per_centre(monkeypatch, game, guess, found, verified,
@@ -953,7 +1040,7 @@ def test_saddle_check_runs_one_kernel_per_centre(monkeypatch, game, guess, found
     assert None not in switches and len(switches) == 2 * answered
 
 
-@pytest.mark.parametrize("game, found, verified", [(_fig1, 9, 4), (_value_12, 26, 20)])
+@pytest.mark.parametrize("game, found, verified", [(_fig1, 9, 4), (_value_12, 12, 6)])
 def test_saddle_check_reads_alignment_from_the_centre_records(monkeypatch, game, found,
                                                               verified):
     # each refutation builds the reach sets of its union support, and
@@ -979,6 +1066,38 @@ def test_saddle_check_reads_alignment_from_the_centre_records(monkeypatch, game,
     assert len(passes) == verified
 
 
+@pytest.mark.parametrize(
+    "name, signs",
+    [
+        # each saddle check meets one non-aligned block on Despot's side,
+        # which its critical class settles
+        ("arena_4x2_4020", []),
+        ("arena_6x2_6023", []),
+        ("arena_4x3_4034", []),
+        # the scan still runs on Despot's side where a deviation lowers the
+        # critical class, on 6021 after a scan on Tribune's side
+        ("arena_6x2_6021", [1, -1, 1, -1]),
+        ("arena_4x3_4037", [-1, -1]),
+    ],
+)
+def test_member_scans_of_find_and_verify_on_golden_arenas(monkeypatch, name, signs):
+    # the sign of each block scan find_saddle and then verify_saddle make
+    from entropygames import decide
+
+    calls = []
+    real = decide._block_member
+
+    def counted(options, top, sign, cache, side):
+        calls.append(sign)
+        return real(options, top, sign, cache, side)
+
+    monkeypatch.setattr(decide, "_block_member", counted)
+    a_set, e_set = _golden_arena(f"{name}.json")
+    sp = find_saddle(a_set, e_set)
+    assert verify_saddle(a_set, e_set, sp.despot_matrix, sp.tribune_matrix)
+    assert calls == signs
+
+
 def _assert_saddle_radius_is_spectral_radius(a_set, e_set):
     """find_saddle's enclosure of the saddle product's radius, whether read
     from the check's record or computed, equals spectral_radius's, field by
@@ -988,19 +1107,26 @@ def _assert_saddle_radius_is_spectral_radius(a_set, e_set):
     assert dataclasses.replace(sp.radius, iterations=want.iterations) == want
 
 
+_GOLDEN_GAMES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "games")
+
+
+def _golden_arena(name: str):
+    """The IruSet pair of the golden corpus's arena document name."""
+    _, arena = io.load_document(os.path.join(_GOLDEN_GAMES, name))
+    tr = arena_to_iru(arena)
+    return tr.a_set, tr.e_set
+
+
 def _golden_arena_pairs():
-    """The IruSet pairs of the 72 random_arena games of the golden corpus."""
-    games = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "games")
-    for name in sorted(os.listdir(games)):
+    """The IruSet pairs of the 75 random_arena games of the golden corpus."""
+    for name in sorted(os.listdir(_GOLDEN_GAMES)):
         if name.startswith("arena_"):
-            _, arena = io.load_document(os.path.join(games, name))
-            tr = arena_to_iru(arena)
-            yield tr.a_set, tr.e_set
+            yield _golden_arena(name)
 
 
 def test_saddle_radius_is_spectral_radius_on_random_arenas():
     pairs = list(_golden_arena_pairs())
-    assert len(pairs) == 72
+    assert len(pairs) == 75
     for a_set, e_set in pairs:
         _assert_saddle_radius_is_spectral_radius(a_set, e_set)
 
