@@ -211,6 +211,15 @@ def cmd_decide(args) -> int:
     return 0 if answer else 1
 
 
+def _strategy_int(text: str, rest: str, what: str) -> int:
+    """``rest``, the part of strategy ``text`` after its colon, as an int;
+    ValueError naming the strategy and the text otherwise."""
+    try:
+        return int(rest)
+    except ValueError:
+        raise ValueError(f"strategy {text!r}: {what} {rest!r} is not an integer") from None
+
+
 def _parse_strategy(text: str, arena: Arena, seed: int):
     head, sep, rest = text.partition(":")
     if head == "positional" and sep:
@@ -226,7 +235,7 @@ def _parse_strategy(text: str, arena: Arena, seed: int):
     if head == "script" and sep:
         return ("script", rest)
     if head == "random":
-        return ("random", int(rest) if rest else seed)
+        return ("random", _strategy_int(text, rest, "seed") if rest else seed)
     raise ValueError(
         f"unrecognised strategy {text!r}; use positional:s=a,..., constant:a, "
         "script:letters or random:seed"
@@ -237,12 +246,19 @@ def _parse_matrix_chooser(text: str, s: IruSet, seed: int):
     """A simulate_payoff source from a matrix game strategy: constant:INDEX
     fixes the member at INDEX in itertools.product order (negative indices
     count from the end), random:SEED draws members.  No member list is
-    formed: randrange(size) draws as choice from one would."""
+    formed: randrange(size) draws as choice from one would.  An INDEX
+    outside -size..size-1 raises ValueError naming it and the size."""
     head, sep, rest = text.partition(":")
     if head == "constant" and sep:
-        return _member_at(s, range(s.size)[int(rest)])
+        index = _strategy_int(text, rest, "index")
+        if not -s.size <= index < s.size:
+            raise ValueError(
+                f"strategy {text!r}: index {index} is out of range for a set of "
+                f"{s.size} members, indices {-s.size}..{s.size - 1}"
+            )
+        return _member_at(s, range(s.size)[index])
     if head == "random":
-        rng = random.Random(int(rest) if rest else seed)
+        rng = random.Random(_strategy_int(text, rest, "seed") if rest else seed)
         return lambda turn, history: _member_at(s, rng.randrange(s.size))
     raise ValueError(
         f"unrecognised matrix strategy {text!r}; use constant:INDEX or random:SEED"

@@ -47,9 +47,11 @@ non-integral ``b``, where such denominators would grow along a chain.
 ``reductions._program_matrix`` builds both encoders' 2CMM matrices with
 the integer kernel ``_combine`` and sets their integer rows as
 ``_int_rows`` and ``_int_cols``, as ``mat_mul`` does for an integral
-product, so the integer audit's ``vec_mat`` and ``mat_mul`` do not rebuild
-them.  The non-negative audit (``reductions.check_nonneg_punishment``)
-multiplies no Matrix: its vector stays Python ints, and each move is a
+product, so the integer audit does not rebuild them.  That audit calls
+``vec_mat`` on every move, but ``mat_mul`` only from the first turn that
+leaves its vector zero, since its running product cannot vanish before
+(see ``reductions``).  The non-negative audit
+(``reductions.check_nonneg_punishment``) multiplies no Matrix: its vector stays Python ints, and each move is a
 product by the matrix's sparse integer rows, which hold at most five
 non-zeros each.
 Every exact linear system is solved over integers by Edmonds' fraction-free

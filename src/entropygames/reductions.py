@@ -21,13 +21,27 @@ capping long-run growth strictly below 2 on punished plays.
 One builder, ``_program_matrix``, makes every matrix of both encoders, and
 the two audits share one pre-play check (``_start_play``) and one machine
 simulation (``_EveSimulation``).
+
+The integer audit's verdict is whether the running product Omega of the
+matrices played becomes zero.  Its vector v starts at the start vector s
+and Omega at the identity, and both take the same factors, so v = s Omega
+on every turn: while v is not zero, neither is Omega.  The audit therefore
+multiplies only v on each move and keeps the matrices played as Omega's
+factors.  It forms Omega the first time a turn ends with v = 0, multiplies
+it on every move from then on, and stops at the first turn whose Omega is
+zero.  This rests on v = s Omega alone, not on the shape of any encoder's
+matrices, so it holds for loaded and tampered encodings too.  In
+``encode_integer`` Init is e_E^T s, of rank one, so Omega = e_E^T v from
+turn 1 on: Omega is formed once, at the annihilation, and a play that never
+annihilates never forms it until its report's ``final_product`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import Matrix, _combine, mat_mul, vec_mat
 from .minsky import INC, JZDEC, STOP, TwoCounterMachine
@@ -334,6 +348,14 @@ def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int,
     return moves, index, _EveSimulation(m, moves), _EveSimulation(m, moves)
 
 
+def _product(factors, dim: int) -> Matrix:
+    """The identity of size dim times each factor in turn, by ``mat_mul``."""
+    product = Matrix.identity(dim)
+    for factor in factors:
+        product = mat_mul(product, factor)
+    return product
+
+
 @dataclass(frozen=True)
 class ScriptedPlayReport:
     """Transcript of a scripted integer-variant play.
@@ -346,7 +368,14 @@ class ScriptedPlayReport:
     trigger; ``undetectable`` lists deviations that left no negative
     coordinate, which the audit cannot punish.  ``cheat_played`` is None
     when no cheat was requested and False when the requested turn offered
-    no alternative move."""
+    no alternative move.
+
+    ``factors`` are the matrices of the running product Omega in the order
+    played: every move whose matrix is not the identity, up to the
+    annihilation turn or the end of the play.  ``final_product`` is their
+    product, Omega at the end of the play.  A play that formed Omega hands
+    it on; otherwise it is formed from ``factors`` when first read and then
+    kept.  It is not a field, so equality compares the factors instead."""
 
     turns: int
     adam_moves: tuple[str, ...]
@@ -359,7 +388,11 @@ class ScriptedPlayReport:
     machine_halted_turn: int | None
     annihilation_turn: int | None
     cheat_played: bool | None
-    final_product: Matrix
+    factors: tuple[Matrix, ...] = field(repr=False)
+
+    @cached_property
+    def final_product(self) -> Matrix:
+        return _product(self.factors, len(self.vectors[0]))
 
 
 def run_scripted_play(
@@ -380,13 +413,18 @@ def run_scripted_play(
 
     Products that cannot change the play are not formed.  A move whose
     matrix is the identity leaves v and the running product Omega as they
-    are.  Once Omega is zero (``annihilation_turn``) it stays zero, and so
-    does v, which is always the start vector times Omega; the report then
-    carries that zero matrix as ``final_product``."""
+    are.  v is multiplied on every other move, but Omega is not: since
+    v = s Omega for the start vector s, Omega is formed (``_product``) only
+    at the end of the first turn that leaves v = 0, and multiplied on every
+    move from then on.  ``annihilation_turn`` is the first turn whose Omega
+    is zero; from then on nothing is multiplied, since Omega and v stay
+    zero.  A play that never formed Omega leaves it to the report's
+    ``final_product``, formed on first read."""
     _, index, eve_sim, adam_sim = _start_play(g, m, INTEGER, max_turns, cheat_turn)
     labels = g.coordinate_labels
     v = list(g.start_vector)
-    omega = Matrix.identity(g.dimension)
+    factors: list[Matrix] = []
+    omega = None  # formed once v is zero
     adam_moves: list[str] = []
     eve_moves: list[str] = []
     vectors: list[tuple[Fraction, ...]] = []
@@ -413,7 +451,9 @@ def run_scripted_play(
         if annihilation_turn is None and adam_name not in identity_moves:
             adam_matrix = adam_by_name[adam_name]
             v = list(vec_mat(v, adam_matrix))
-            omega = mat_mul(omega, adam_matrix)
+            factors.append(adam_matrix)
+            if omega is not None:
+                omega = mat_mul(omega, adam_matrix)
         adam_moves.append(adam_name)
         if adam_name == "P" and v[index["E"]] != 0:
             # the punish step is built to cancel E exactly; anything else
@@ -440,7 +480,9 @@ def run_scripted_play(
         eve_name, eve_matrix = g.eve_matrices[choice]
         if annihilation_turn is None:
             v = list(vec_mat(v, eve_matrix))
-            omega = mat_mul(omega, eve_matrix)
+            factors.append(eve_matrix)
+            if omega is not None:
+                omega = mat_mul(omega, eve_matrix)
         eve_moves.append(eve_name)
         eve_sim.apply(choice)
 
@@ -469,10 +511,12 @@ def run_scripted_play(
                 adam_sim.apply(choice)
 
         vectors.append(tuple(v))
-        if annihilation_turn is None and not any(
-            any(nums) for nums, _ in omega._int_rows
-        ):
-            annihilation_turn = turn
+        if annihilation_turn is None:
+            # v = s Omega: Omega can vanish only on a turn that leaves v = 0
+            if omega is None and not any(v):
+                omega = _product(factors, g.dimension)
+            if omega is not None and not any(any(nums) for nums, _ in omega._int_rows):
+                annihilation_turn = turn
 
         # while the play is faithful, v must encode the machine's configuration
         if faithful_so_far and invariant_ok:
@@ -483,7 +527,7 @@ def run_scripted_play(
         if halted_turn is None and eve_sim.halted():
             halted_turn = turn
 
-    return ScriptedPlayReport(
+    report = ScriptedPlayReport(
         turns=max_turns,
         adam_moves=tuple(adam_moves),
         eve_moves=tuple(eve_moves),
@@ -495,8 +539,12 @@ def run_scripted_play(
         machine_halted_turn=halted_turn,
         annihilation_turn=annihilation_turn,
         cheat_played=cheat_played,
-        final_product=omega,
+        factors=tuple(factors),
     )
+    if omega is not None:
+        # the cached_property reads the instance dict first
+        report.__dict__["final_product"] = omega
+    return report
 
 
 @dataclass(frozen=True)

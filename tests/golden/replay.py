@@ -7,7 +7,9 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
 - ``check-2cmm``: both variants, text and ``--json``, horizons 1, 2, 20,
   150 and 401, with and without a cheat turn, on the four audit-2cmm
   benchmark machines, ZEROLOOP and a machine whose initial state halts,
-  plus two runs that exit 2;
+  plus two runs that exit 2, and ``LONG_PLAYS``: the integer variant over
+  1000 turns, with ``--json``, on the looper and ZEROLOOP, whose running
+  products never vanish;
 - ``value --json`` on 72 arenas drawn by ``perfbench.workloads.random_arena``
   with ``random.Random(1000 n + 10 k + s)``, s = 0-8, at each n x k of
   ``ARENAS``, on the three larger ones of ``SCAN_ARENAS`` drawn the same
@@ -16,7 +18,9 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   ``perfbench.workloads.random_mpg`` with ``random.Random(seed)``, seeds
   7000-7023 (from 7012 on, the weights are redrawn in 0-30 from the same
   stream after the draw), and on a 2+2 game with a weight of 1000;
-- ``simulate`` on a pair whose product vanishes at step 2;
+- ``simulate`` on a pair whose product vanishes at step 2, and
+  ``STRATEGY_ERRORS``: strategies on Fig. 1's arena and pair that exit 2
+  naming a member index out of range or a text that is not an integer;
 - ``FRONT_END``: the subcommands the runs above leave out (``translate``
   on Fig. 1, ``encode-2cmm`` on m1 in both variants, ``mpg`` without
   ``--solve``), ``decide --json`` for all six queries, the tolerance
@@ -62,11 +66,22 @@ ERRORS = (
     ["--turns", "0"],
     ["--turns", "2", "--cheat-turn", "5"],
 )
+# faithful integer plays that never annihilate, 1000 turns each
+LONG_PLAYS = ("looper", "zeroloop")
 ARENAS = ((2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (2, 4))
 # larger arenas drawn the same way, whose saddle checks meet non-aligned
 # blocks on Despot's side: 8 x 2 at s = 2 and 5, 6 x 3 at s = 4
 SCAN_ARENAS = ("arena_8x2_8022", "arena_8x2_8025", "arena_6x3_6034")
 MPGS = [f"mpg_{seed}" for seed in range(7000, 7024)] + ["mpg_2x2_w1000"]
+# (document, Despot's strategy, Tribune's); Fig. 1's Despot set has 2 members
+STRATEGY_ERRORS = (
+    ("fig1_pair", "constant:9", "constant:0"),
+    ("fig1_pair", "constant:-3", "constant:0"),
+    ("fig1_pair", "constant:x", "constant:0"),
+    ("fig1_pair", "constant:0", "random:x"),
+    ("fig1", "random:x", "constant:a"),
+    ("fig1", "constant:a", "random:1.5"),
+)
 # the set queries run on a positive 1 x 1 set with members 2 and 3, whose
 # jsr is 3 and jssr 2, and on a non-positive set; the pair queries on
 # Fig. 1's translated pair
@@ -114,6 +129,11 @@ def plan() -> list[list[str]]:
                     args.append("--json")
                 runs.append(args)
     runs += [["check-2cmm", "machines/m2.2cm"] + extra for extra in ERRORS]
+    runs += [
+        ["check-2cmm", f"machines/{machine}.2cm", "--variant", "integer", "--turns", "1000",
+         "--json"]
+        for machine in LONG_PLAYS
+    ]
     for n, k in ARENAS:
         for s in range(9):
             runs.append(["value", "--json", f"games/arena_{n}x{k}_{1000 * n + 10 * k + s}.json"])
@@ -124,6 +144,10 @@ def plan() -> list[list[str]]:
         args = ["simulate", "games/vanishing_pair.json", "--turns", turns]
         args += ["--despot", "constant:0", "--tribune", "constant:0"]
         runs += [args, args + ["--json"]]
+    for doc, despot, tribune in STRATEGY_ERRORS:
+        runs.append(
+            ["simulate", f"games/{doc}.json", "--despot", despot, "--tribune", tribune]
+        )
     return runs + [list(args) for args in FRONT_END]
 
 

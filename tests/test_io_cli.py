@@ -354,6 +354,20 @@ def test_cli_simulate_reports_a_product_that_vanished(capsys, tmp_path, turns):
         # script: plays an arena, not a matrix pair
         ("pair", ["simulate", "--despot", "script:ab", "--tribune", "constant:a"], 2, "",
          "error: unrecognised matrix strategy 'script:ab'; use constant:INDEX or random:SEED\n"),
+        # a pair's member index and a seed must be integers, and the index
+        # within the set's members
+        ("pair", ["simulate", "--despot", "constant:9", "--tribune", "constant:0"], 2, "",
+         "error: strategy 'constant:9': index 9 is out of range for a set of 2 members, "
+         "indices -2..1\n"),
+        ("pair", ["simulate", "--despot", "constant:x", "--tribune", "constant:0"], 2, "",
+         "error: strategy 'constant:x': index 'x' is not an integer\n"),
+        ("pair", ["simulate", "--despot", "constant:0", "--tribune", "random:x"], 2, "",
+         "error: strategy 'random:x': seed 'x' is not an integer\n"),
+        ("arena", ["simulate", "--despot", "random:x", "--tribune", "constant:a"], 2, "",
+         "error: strategy 'random:x': seed 'x' is not an integer\n"),
+        # on an arena, constant: names an action
+        ("arena", ["simulate", "--despot", "constant:x", "--tribune", "constant:a"], 2, "",
+         "error: oracle chose action 'x' illegal in state 'd1'\n"),
         ("pair", ["simulate", "--despot", "constant:1", "--tribune", "constant:2", "--turns",
                   "300"], 0,
          "growth estimate 3.578006 after 300 steps (entropy 0.459789 bits per quarter-move)\n",
@@ -836,7 +850,10 @@ def test_matrix_chooser_index_out_of_range_exits_2(files, capsys):
              files["pair"]]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: range object index out of range\n"
+        assert capsys.readouterr().err == (
+            f"error: strategy 'constant:{index}': index {index} is out of range for a set "
+            "of 2 members, indices -2..1\n"
+        )
 
 
 def test_cli_mm_query_beyond_the_float_range_exits_2(capsys, tmp_path):

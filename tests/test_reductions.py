@@ -7,7 +7,7 @@ import pytest
 
 import _frozen as frozen
 import oracle_helpers
-from entropygames import io, reductions
+from entropygames import io, linalg, reductions
 from entropygames.linalg import Matrix, one_norm, vec_mat
 from entropygames.minsky import parse_machine, run_machine
 from entropygames.reductions import (
@@ -335,13 +335,16 @@ def audit_cases():
 def test_audits_replay_with_fraction_products(monkeypatch, machine, cheat):
     # the non-negative audit multiplies integers without vec_mat; its
     # reference is test_nonneg_audit_matches_a_fraction_replay
+    # a play that never forms its product forms it when first read, so
+    # the fast one is read before the patch
     g = encode_integer(machine)
     fast = run_scripted_play(g, machine, 40, cheat)
+    fast_product = fast.final_product
     monkeypatch.setattr(reductions, "mat_mul", oracle_helpers.fraction_mat_mul)
     monkeypatch.setattr(reductions, "vec_mat", oracle_helpers.fraction_vec_mat)
     slow = run_scripted_play(g, machine, 40, cheat)
     assert fast.vectors == slow.vectors
-    assert fast.final_product == slow.final_product
+    assert fast_product == slow.final_product
     assert fast.annihilation_turn == slow.annihilation_turn
     assert fast == slow
 
@@ -379,6 +382,101 @@ def test_audits_match_a_replay_of_every_move(machine, cheat):
             )
             assert cut.annihilation_turn is None
             assert cut.final_product == slow.final_product
+
+
+def looper_with_a_vanishing_start(image="One"):
+    """encode_integer(LOOPER) with Init cut to one row, x's, which is the
+    unit row of ``image``.  The start vector is 0 on x, so v is 0 from turn
+    1 on, while the product keeps a row.  Eve's matrix maps e_One to
+    e_One + e_x, so with the default image the product's row grows by e_x
+    on every turn."""
+    g = encode_integer(LOOPER)
+    n, x = g.dimension, g.coordinate_labels.index("x")
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    image_row = unit[g.coordinate_labels.index(image)]
+    init = Matrix(tuple(image_row if i == x else (0,) * n for i in range(n)))
+    assert g.adam_matrices[0][0] == "Init"
+    return dataclasses.replace(g, adam_matrices=(("Init", init),) + g.adam_matrices[1:])
+
+
+def looper_whose_product_vanishes_on_turn_2():
+    """The encoding above with Init's row e_x, and Eve's one matrix tampered
+    to map e_x to e_y and e_y to 0: the product e_x^T e_x E is not 0 after
+    turn 1, and is after turn 2."""
+    g = looper_with_a_vanishing_start("x")
+    n = g.dimension
+    x, y = g.coordinate_labels.index("x"), g.coordinate_labels.index("y")
+    (name, matrix), = g.eve_matrices
+    rows = [list(row) for row in matrix.data]
+    rows[x] = [int(j == y) for j in range(n)]
+    rows[y] = [0] * n
+    return dataclasses.replace(g, eve_matrices=((name, Matrix(tuple(map(tuple, rows)))),))
+
+
+@pytest.mark.parametrize(
+    "tampered,annihilation",
+    [(looper_with_a_vanishing_start, None), (looper_whose_product_vanishes_on_turn_2, 2)],
+    ids=["never", "turn2"],
+)
+def test_a_zero_vector_does_not_annihilate_the_product(tampered, annihilation):
+    # s Init = 0 but Init is not 0: the audit forms the product at the end
+    # of turn 1 and must keep multiplying it, and annihilation waits for the
+    # product itself to vanish
+    g = tampered()
+    program = as_program(LOOPER)
+    for horizon in (1, 2, 3, 7, 150):
+        fast = run_scripted_play(g, LOOPER, horizon)
+        slow = oracle_helpers.replay_audit(
+            g, LOOPER.states, program, fast.adam_moves, fast.eve_moves
+        )
+        assert all(not any(v) for v in fast.vectors)
+        assert fast.vectors == slow.vectors
+        assert fast.annihilation_turn == slow.annihilation_turn
+        assert fast.final_product == slow.final_product
+        assert fast.annihilation_turn == (annihilation if horizon >= 2 else None)
+
+
+def count_products(monkeypatch) -> list:
+    """Patch reductions.mat_mul to record one entry per call."""
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return linalg.mat_mul(a, b)
+
+    monkeypatch.setattr(reductions, "mat_mul", counting)
+    return calls
+
+
+def test_a_play_that_never_annihilates_forms_its_product_when_read(monkeypatch):
+    # v is not 0 on any turn of the faithful looper, so the play multiplies
+    # no product; the report forms it from its 151 factors, Init and 150 Eve
+    # moves, on the first read only
+    g = encode_integer(LOOPER)
+    calls = count_products(monkeypatch)
+    report = run_scripted_play(g, LOOPER, 150)
+    assert calls == []
+    slow = oracle_helpers.replay_audit(
+        g, LOOPER.states, as_program(LOOPER), report.adam_moves, report.eve_moves
+    )
+    assert report.final_product == slow.final_product
+    assert len(calls) == len(report.factors) == 151
+    assert report.final_product is report.final_product
+    assert len(calls) == 151
+
+
+def test_a_play_forms_its_product_once_at_the_annihilation(monkeypatch):
+    # m1 halts at turn 2 and the punishment zeroes v at turn 5: the product
+    # of its 9 factors is formed then, and nothing after
+    g = encode_integer(M1)
+    calls = count_products(monkeypatch)
+    before = run_scripted_play(g, M1, 4)
+    assert calls == [] and before.annihilation_turn is None
+    report = run_scripted_play(g, M1, 148)
+    assert report.annihilation_turn == 5
+    assert len(calls) == len(report.factors) == 9
+    assert not any(any(row) for row in report.final_product.data)
+    assert len(calls) == 9
 
 
 def nonneg_replay_report(g, machine, horizon, cheat):
