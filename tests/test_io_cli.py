@@ -354,6 +354,14 @@ def test_cli_simulate_reports_a_product_that_vanished(capsys, tmp_path, turns):
         # script: plays an arena, not a matrix pair
         ("pair", ["simulate", "--despot", "script:ab", "--tribune", "constant:a"], 2, "",
          "error: unrecognised matrix strategy 'script:ab'; use constant:INDEX or random:SEED\n"),
+        ("pair", ["simulate", "--despot", "constant:1", "--tribune", "constant:2", "--turns",
+                  "300"], 0,
+         "growth estimate 3.578006 after 300 steps (entropy 0.459789 bits per quarter-move)\n",
+         ""),
+        ("mpg", ["mpg", "--solve", "--tol", "1/100"], 0,
+         "mean payoff value in [3.0000000000, 3.0007042690]\n"
+         "despot strategy: d=d>t\n"
+         "tribune strategy: t=t>d\n", ""),
         # a pair's member index and a seed must be integers, and the index
         # within the set's members
         ("pair", ["simulate", "--despot", "constant:9", "--tribune", "constant:0"], 2, "",
@@ -368,14 +376,6 @@ def test_cli_simulate_reports_a_product_that_vanished(capsys, tmp_path, turns):
         # on an arena, constant: names an action
         ("arena", ["simulate", "--despot", "constant:x", "--tribune", "constant:a"], 2, "",
          "error: oracle chose action 'x' illegal in state 'd1'\n"),
-        ("pair", ["simulate", "--despot", "constant:1", "--tribune", "constant:2", "--turns",
-                  "300"], 0,
-         "growth estimate 3.578006 after 300 steps (entropy 0.459789 bits per quarter-move)\n",
-         ""),
-        ("mpg", ["mpg", "--solve", "--tol", "1/100"], 0,
-         "mean payoff value in [3.0000000000, 3.0007042690]\n"
-         "despot strategy: d=d>t\n"
-         "tribune strategy: t=t>d\n", ""),
     ],
 )
 def test_cli_text_output_and_strategy_errors(files, capsys, doc, args, code, out, err):
