@@ -29,7 +29,19 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   ``--tol 0`` on ``simulate``, which reads no tolerance), ``check-2cmm``
   with ``--tol 0`` and ``translate`` with ``--tol abc``, which ignore the
   flag and exit 0, ``--json`` before the subcommand, and the three
-  documents beyond the float range that exit 2.
+  documents beyond the float range that exit 2;
+- ``KNOWN_ANSWERS``: ``value`` on hand-built arenas whose values are 6, 3, 5
+  and 12, one of them with 2^20 members a side, ``decide`` as text on
+  Fig. 1's pair and on the two small sets above, a seeded random play of
+  Fig. 1's pair over 300 turns, and three ``check-2cmm`` runs as text;
+- ``REFUSED_INPUTS``: one run that exits 2 for each document or document
+  kind the CLI refuses: a weight or a declared size that is no integer, a
+  malformed transition, each broken rule of an arena's or a mean payoff
+  game's graph, mismatched or missing row sets, a pair whose shapes do not
+  chain, an unrecognised document, and the wrong kind for ``translate``, a
+  set query of ``decide``, ``simulate`` and ``check-2cmm``.
+
+Runs are only ever appended, so a stored run keeps its position.
 
     PYTHONPATH=src python tests/golden/replay.py            # compare
     PYTHONPATH=src python tests/golden/replay.py --rewrite  # store outputs
@@ -110,6 +122,59 @@ FRONT_END = (
     ["value", "games/near_range.json"],
     ["value", "games/pair600.json"],
 )
+# runs whose answers a reader can check by hand: arenas whose values are
+# exactly 6 (tied members), 3 (Tribune's saddle product is diag(2, 3)), 5
+# (20 disjoint games, 2^20 members a side) and 12 (a Perron vector off the
+# dyadic grid), mm< on Fig. 1's pair, whose certificate commits Despot to the
+# saddle member, a seeded random play of that pair, the audits on m1 and the
+# looper, and the set queries on the non-positive and the positive set
+KNOWN_ANSWERS = (
+    ["value", "games/weighted.json"],
+    ["value", "games/reducible.json"],
+    ["value", "games/separable.json"],
+    ["value", "--json", "games/value12.json"],
+    ["decide", "--query", "mm<", "--alpha", "357/100", "games/fig1_pair.json"],
+    ["simulate", "games/fig1_pair.json", "--despot", "random:3", "--tribune", "constant:2",
+     "--turns", "300"],
+    ["check-2cmm", "--variant", "nonnegative", "--turns", "400", "machines/m1.2cm"],
+    ["check-2cmm", "--variant", "integer", "--turns", "200", "--cheat-turn", "1",
+     "machines/m1.2cm"],
+    ["check-2cmm", "--variant", "integer", "--turns", "150", "machines/looper.2cm"],
+    ["decide", "--query", "jssr>", "--alpha", "1/2", "games/unit.json"],
+    ["decide", "--query", "jssr>=", "--alpha", "1/2", "games/unit.json"],
+    ["decide", "--json", "--query", "jssr>=", "--alpha", "1/2", "games/unit.json"],
+    ["decide", "--query", "jsr<=", "--alpha", "3", "games/positive.json"],
+    ["decide", "--query", "jsr<=", "--alpha", "29/10", "games/positive.json"],
+    ["decide", "--query", "jssr>", "--alpha", "19/10", "games/positive.json"],
+    ["decide", "--query", "jssr>", "--alpha", "2", "games/positive.json"],
+)
+# documents and document kinds the CLI refuses, each with exit code 2 and one
+# error line naming the broken precondition
+REFUSED_INPUTS = (
+    ["value", "games/fractional.json"],
+    ["value", "games/list_transition.json"],
+    ["decide", "--query", "jsr<", "--alpha", "100", "games/rows29.json"],
+    ["value", "games/error_arena_one_side.json"],
+    ["value", "games/error_arena_shared_state.json"],
+    ["value", "games/error_arena_alphabet.json"],
+    ["value", "games/error_arena_unknown_state.json"],
+    ["value", "games/error_arena_tribune_edge.json"],
+    ["mpg", "games/error_mpg_one_side.json"],
+    ["mpg", "games/error_mpg_shared_state.json"],
+    ["mpg", "games/error_mpg_unknown_state.json"],
+    ["mpg", "games/error_mpg_tribune_edge.json"],
+    ["decide", "--query", "jsr<", "--alpha", "3", "games/error_dimensions.json"],
+    ["value", "games/error_structure.json"],
+    ["value", "games/error_top_level.json"],
+    ["decide", "--query", "jsr<", "--alpha", "3", "games/error_no_row_sets.json"],
+    ["decide", "--query", "jsr<", "--alpha", "3", "games/error_row_lengths.json"],
+    ["decide", "--query", "jsr<", "--alpha", "3", "games/error_row_set_lengths.json"],
+    ["decide", "--query", "mm<", "--alpha", "3", "games/error_shapes.json"],
+    ["translate", "games/fig1_pair.json"],
+    ["decide", "--query", "jsr<", "--alpha", "3", "games/fig1_pair.json"],
+    ["simulate", "games/positive.json"],
+    ["check-2cmm", "games/fig1.json"],
+)
 
 
 def plan() -> list[list[str]]:
@@ -148,7 +213,7 @@ def plan() -> list[list[str]]:
         runs.append(
             ["simulate", f"games/{doc}.json", "--despot", despot, "--tribune", tribune]
         )
-    return runs + [list(args) for args in FRONT_END]
+    return runs + [list(args) for args in FRONT_END + KNOWN_ANSWERS + REFUSED_INPUTS]
 
 
 def run(args: list[str]) -> dict:

@@ -11,10 +11,14 @@ _spec.loader.exec_module(replay)
 SUBCOMMANDS = {"translate", "value", "decide", "simulate", "encode-2cmm", "check-2cmm", "mpg"}
 
 
+# the groups that end the plan, in order
+TAIL = replay.FRONT_END + replay.KNOWN_ANSWERS + replay.REFUSED_INPUTS
+
+
 def _split():
-    """The stored runs before FRONT_END's, and FRONT_END's, which end the plan."""
+    """The stored runs before TAIL's, and TAIL's."""
     cases = replay.stored()
-    return cases[: -len(replay.FRONT_END)], cases[-len(replay.FRONT_END) :]
+    return cases[: -len(TAIL)], cases[-len(TAIL) :]
 
 
 def test_check_2cmm_outputs_match_the_stored_corpus():
@@ -31,7 +35,8 @@ def test_value_mpg_and_simulate_outputs_match_the_stored_corpus():
 
 def test_every_subcommand_and_front_end_error_matches_the_stored_corpus():
     cases = _split()[1]
-    assert [case["args"] for case in cases] == [list(args) for args in replay.FRONT_END]
+    assert [case["args"] for case in cases] == [list(args) for args in TAIL]
+    assert {case["exit"] for case in cases[-len(replay.REFUSED_INPUTS) :]} == {2}
     assert {arg for case in replay.stored() for arg in case["args"]} >= SUBCOMMANDS
     queries = {args[args.index("--query") + 1] for args in replay.FRONT_END if "--query" in args}
     assert queries == set(QUERIES)
