@@ -32,6 +32,33 @@ DESPOT = "despot"
 TRIBUNE = "tribune"
 
 
+def _check_graph(despot: tuple[str, ...], tribune: tuple[str, ...], edges) -> None:
+    """Refuse the (source, target, weight) edges unless they form a
+    bipartite graph between the players' states: both players have a state,
+    no name is repeated or shared, every edge leaves a known state and
+    crosses to the other player with an integer weight, and no state is
+    blocking, which would strand the token."""
+    if not despot or not tribune:
+        raise ValueError("both players need at least one state")
+    if len(set(despot)) != len(despot) or len(set(tribune)) != len(tribune):
+        raise ValueError("duplicate state names")
+    if set(despot) & set(tribune):
+        raise ValueError("state sets must be disjoint")
+    other = {**dict.fromkeys(despot, set(tribune)), **dict.fromkeys(tribune, set(despot))}
+    blocking = set(other)
+    for frm, to, weight in edges:
+        if frm not in other:
+            raise ValueError(f"unknown state {frm!r}")
+        if to not in other[frm]:
+            raise ValueError(f"transition {frm}->{to} must cross to the other player")
+        if type(weight) is not int:  # never rounded, and a bool is no weight
+            raise ValueError(f"transition {frm}->{to} has weight {weight!r}, not an integer")
+        blocking.discard(frm)
+    for state in despot + tribune:
+        if state in blocking:
+            raise ValueError(f"blocking state {state!r} has no outgoing transition")
+
+
 @dataclass(frozen=True)
 class Arena:
     """A bipartite game arena.
@@ -53,42 +80,22 @@ class Arena:
         despot = tuple(self.despot_states)
         tribune = tuple(self.tribune_states)
         alphabet = tuple(self.alphabet)
-        if not despot or not tribune:
-            raise ValueError("both players need at least one state")
-        if len(set(despot)) != len(despot) or len(set(tribune)) != len(tribune):
-            raise ValueError("duplicate state names")
-        if set(despot) & set(tribune):
-            raise ValueError("state sets must be disjoint")
-        if not alphabet or len(set(alphabet)) != len(alphabet):
+        transitions = tuple(self.transitions)
+        _check_graph(despot, tribune, [(frm, to, w) for frm, _, to, w in transitions])
+        actions = set(alphabet)
+        if not alphabet or len(actions) != len(alphabet):
             raise ValueError("alphabet must be non-empty without duplicates")
-        d_set, t_set, a_set = set(despot), set(tribune), set(alphabet)
         merged: dict[tuple[str, str, str], int] = {}
-        for frm, action, to, weight in self.transitions:
-            if action not in a_set:
+        for frm, action, to, weight in transitions:
+            if action not in actions:
                 raise ValueError(f"unknown action {action!r}")
-            if frm in d_set:
-                if to not in t_set:
-                    raise ValueError(f"transition {frm}->{to} must cross to the other player")
-            elif frm in t_set:
-                if to not in d_set:
-                    raise ValueError(f"transition {frm}->{to} must cross to the other player")
-            else:
-                raise ValueError(f"unknown state {frm!r}")
-            if type(weight) is not int:  # never rounded, and a bool is no weight
-                raise ValueError(f"transition {frm}->{to} has weight {weight!r}, not an integer")
             if weight <= 0:
                 raise ValueError("transition multiplicities must be positive")
             merged[(frm, action, to)] = merged.get((frm, action, to), 0) + weight
-        cleaned = tuple((frm, action, to, w) for (frm, action, to), w in sorted(merged.items()))
-        outgoing = {s: 0 for s in despot + tribune}
-        for frm, _, _, _ in cleaned:
-            outgoing[frm] += 1
-        for state, count in outgoing.items():
-            if count == 0:
-                raise ValueError(f"blocking state {state!r} has no outgoing transition")
         object.__setattr__(self, "despot_states", despot)
         object.__setattr__(self, "tribune_states", tribune)
         object.__setattr__(self, "alphabet", alphabet)
+        cleaned = tuple((frm, action, to, w) for (frm, action, to), w in sorted(merged.items()))
         object.__setattr__(self, "transitions", cleaned)
 
     def actions_from(self, state: str) -> tuple[str, ...]:
@@ -214,15 +221,15 @@ class GameSolution:
     value: ValueInterval
     despot_strategy: PositionalStrategy
     tribune_strategy: PositionalStrategy
-    saddle: SaddlePoint
+
+    @property
+    def saddle(self) -> SaddlePoint:
+        return self.value.saddle
 
     def entropy_bits(self) -> float:
         """Entropy of the game: log2 of the value, divided by the four
         quarter-moves that make up one full turn."""
-        mid = float(self.value.midpoint())
-        if mid <= 0:
-            return float("-inf")
-        return math.log2(mid) / 4
+        return eg_payoff_entropy(self.value.midpoint())
 
 
 def solve(a: Arena, tol=Fraction(1, 10**6)) -> GameSolution:
@@ -240,12 +247,10 @@ def solve(a: Arena, tol=Fraction(1, 10**6)) -> GameSolution:
         raise ValueError("tolerance must be positive")
     tr = arena_to_iru(a)
     vi = value_bisection(tr.a_set, tr.e_set, tol / 2)
-    sp = vi.saddle
     return GameSolution(
         value=vi,
-        despot_strategy=tr.despot_strategy_for(sp.despot_matrix),
-        tribune_strategy=tr.tribune_strategy_for(sp.tribune_matrix),
-        saddle=sp,
+        despot_strategy=tr.despot_strategy_for(vi.saddle.despot_matrix),
+        tribune_strategy=tr.tribune_strategy_for(vi.saddle.tribune_matrix),
     )
 
 
@@ -308,19 +313,17 @@ def forest_counts(
     by_source: dict[str, dict[str, list[tuple[str, int]]]] = {}
     for frm, action, to, weight in a.transitions:
         by_source.setdefault(frm, {}).setdefault(action, []).append((to, weight))
-    levels: list[Vector] = []
     current = {s: Fraction(1) for s in a.despot_states}
-    levels.append(Vector(tuple(current[s] for s in a.despot_states)))
+    levels = [Vector(tuple(current[s] for s in a.despot_states))]
     sides = (
         (a.despot_states, a.tribune_states, despot_oracle),
         (a.tribune_states, a.despot_states, tribune_oracle),
     )
-    history: list[Vector] = [levels[0]]
     for half in range(2 * turns):
         sources, targets, oracle = sides[half % 2]
         nxt = {s: Fraction(0) for s in targets}
         for state in sources:
-            action = oracle(state, half, history)
+            action = oracle(state, half, levels)
             options = by_source.get(state, {}).get(action)
             if options is None:
                 raise ValueError(
@@ -331,9 +334,7 @@ def forest_counts(
                 for to, weight in options:
                     nxt[to] += count * weight
         current = nxt
-        vec = Vector(tuple(current[s] for s in targets))
-        levels.append(vec)
-        history.append(vec)
+        levels.append(Vector(tuple(current[s] for s in targets)))
     return levels
 
 
@@ -476,36 +477,13 @@ class MpgArena:
     def __post_init__(self):
         despot = tuple(self.despot_states)
         tribune = tuple(self.tribune_states)
-        if not despot or not tribune:
-            raise ValueError("both players need at least one state")
-        if set(despot) & set(tribune):
-            raise ValueError("state sets must be disjoint")
-        d_set, t_set = set(despot), set(tribune)
-        cleaned = []
-        for frm, to, weight in self.transitions:
-            if frm in d_set:
-                if to not in t_set:
-                    raise ValueError(f"transition {frm}->{to} must alternate sides")
-            elif frm in t_set:
-                if to not in d_set:
-                    raise ValueError(f"transition {frm}->{to} must alternate sides")
-            else:
-                raise ValueError(f"unknown state {frm!r}")
-            if type(weight) is not int:  # never rounded, and a bool is no weight
-                raise ValueError(f"transition {frm}->{to} has weight {weight!r}, not an integer")
-            if weight < 0:
-                raise ValueError("weights must be non-negative")
-            cleaned.append((frm, to, weight))
-        cleaned = tuple(sorted(set(cleaned)))
-        outgoing = {s: 0 for s in despot + tribune}
-        for frm, _, _ in cleaned:
-            outgoing[frm] += 1
-        for state, count in outgoing.items():
-            if count == 0:
-                raise ValueError(f"blocking state {state!r} has no outgoing transition")
+        edges = tuple((frm, to, weight) for frm, to, weight in self.transitions)
+        _check_graph(despot, tribune, edges)
+        if any(weight < 0 for _, _, weight in edges):
+            raise ValueError("weights must be non-negative")
         object.__setattr__(self, "despot_states", despot)
         object.__setattr__(self, "tribune_states", tribune)
-        object.__setattr__(self, "transitions", cleaned)
+        object.__setattr__(self, "transitions", tuple(sorted(set(edges))))
 
 
 def mpg_to_weighted_eg(m: MpgArena) -> Arena:

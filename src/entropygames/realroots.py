@@ -68,23 +68,20 @@ def poly_monic(p: Poly) -> Poly:
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    a = poly_trim(list(a))
+    r = poly_trim(list(a))
     b = poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and poly_trim(r):
-        r = poly_trim(r)
-        if len(r) < len(b):
-            break
+    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
+    while r and len(r) >= len(b):
         shift = len(r) - len(b)
         factor = r[-1] / b[-1]
         q[shift] = factor
         for i, c in enumerate(b):
             r[shift + i] -= factor * c
         r = poly_trim(r)
-    return poly_trim(q), poly_trim(r)
+    # r stays trimmed, and q's top entry is a[-1] / b[-1] when q has one
+    return q, r
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -726,6 +726,16 @@ _SADDLE_GRID_BLOCK = [[(1, 0, 3), (2, 4, 12)], [(3, 0, 9)], [(5, 0, 15), (3, 4, 
         # (3, 4, 15) lowers the class, but the entry 4 into the second row
         # keeps every member that takes it at radius 16 or more
         (_SADDLE_GRID_BLOCK, [(1, 0, 3), (3, 0, 9), (5, 0, 15)], 1, False),
+        # two copies of ((1, 1), (1, 0)) joined by an edge: both classes
+        # have radius (1 + sqrt 5) / 2, so the record names no class and
+        # certifies nothing; the member lowering both classes to 1 is found
+        (
+            [[(1, 1, 0, 0), (0, 1, 0, 0)], [(1, 0, 1, 0)], [(0, 0, 1, 1), (0, 0, 0, 1)],
+             [(0, 0, 1, 0), (1, 0, 1, 0)]],
+            [(1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 0)],
+            1,
+            True,
+        ),
     ],
 )
 def test_class_certificate_settles_despot_ties(monkeypatch, rows, own, scans, refuted):

@@ -491,8 +491,10 @@ def test_eg_payoff_entropy_values():
 def test_mpg_arena_validation():
     with pytest.raises(ValueError, match="blocking state"):
         MpgArena(("u",), ("v",), (("v", "u", 1),))
-    with pytest.raises(ValueError, match="alternate"):
+    with pytest.raises(ValueError, match="^transition u->w must cross to the other player$"):
         MpgArena(("u", "w"), ("v",), (("u", "w", 1), ("v", "u", 1)))
+    with pytest.raises(ValueError, match="^duplicate state names$"):
+        MpgArena(("d", "d"), ("t",), (("d", "t", 1), ("t", "d", 0)))
     with pytest.raises(ValueError, match="non-negative"):
         MpgArena(("u",), ("v",), (("u", "v", -1), ("v", "u", 1)))
 

@@ -436,6 +436,36 @@ def test_a_zero_vector_does_not_annihilate_the_product(tampered, annihilation):
         assert fast.annihilation_turn == (annihilation if horizon >= 2 else None)
 
 
+def m1_whose_product_outlives_its_vector():
+    """encode_integer(M1) with a 1 added to Init at (y, y), and F[q0] cut to
+    the single entry from row y to column q0.  A cheat on turn 1 is flashed
+    on q0 on turn 2, so F[q0] is played on turn 3: it leaves v = 0 while
+    the product keeps Init's y row, which P and Init, Adam's moves on turns
+    4 and 5, must multiply before the product vanishes on turn 5."""
+    g = encode_integer(M1)
+    n, labels = g.dimension, g.coordinate_labels
+    y, q0 = labels.index("y"), labels.index("q0")
+    adam = dict(g.adam_matrices)
+    init = [list(row) for row in adam["Init"].data]
+    init[y][y] = 1
+    adam["Init"] = Matrix(tuple(map(tuple, init)))
+    adam["F[q0]"] = Matrix(tuple(tuple(int((i, j) == (y, q0)) for j in range(n)) for i in range(n)))
+    return dataclasses.replace(g, adam_matrices=tuple((name, adam[name]) for name in adam))
+
+
+def test_adam_multiplies_a_product_formed_on_an_earlier_turn():
+    g = m1_whose_product_outlives_its_vector()
+    program = as_program(M1)
+    for horizon in (3, 4, 5, 12):
+        fast = run_scripted_play(g, M1, horizon, 1)
+        slow = oracle_helpers.replay_audit(g, M1.states, program, fast.adam_moves, fast.eve_moves)
+        assert fast.adam_moves[:5] == ("Init", "Id", "F[q0]", "P", "Init")[:horizon]
+        assert fast.vectors == slow.vectors
+        assert fast.annihilation_turn == slow.annihilation_turn
+        assert fast.final_product == slow.final_product
+        assert fast.annihilation_turn == (5 if horizon >= 5 else None)
+
+
 def count_products(monkeypatch) -> list:
     """Patch reductions.mat_mul to record one entry per call."""
     calls = []
