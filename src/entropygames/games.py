@@ -92,10 +92,10 @@ class Arena:
             if weight <= 0:
                 raise ValueError("transition multiplicities must be positive")
             merged[(frm, action, to)] = merged.get((frm, action, to), 0) + weight
+        cleaned = tuple((frm, action, to, w) for (frm, action, to), w in sorted(merged.items()))
         object.__setattr__(self, "despot_states", despot)
         object.__setattr__(self, "tribune_states", tribune)
         object.__setattr__(self, "alphabet", alphabet)
-        cleaned = tuple((frm, action, to, w) for (frm, action, to), w in sorted(merged.items()))
         object.__setattr__(self, "transitions", cleaned)
 
     def actions_from(self, state: str) -> tuple[str, ...]:

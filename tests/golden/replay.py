@@ -31,8 +31,8 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   flag and exit 0, ``--json`` before the subcommand, and the three
   documents beyond the float range that exit 2;
 - ``KNOWN_ANSWERS``: ``value`` on hand-built arenas whose values are 6, 3, 5
-  and 12, one of them with 2^20 members a side, ``decide`` as text on
-  Fig. 1's pair and on the two small sets above, a seeded random play of
+  and 12, one of them with 2^20 members a side, ``decide`` on Fig. 1's
+  pair and on the two small sets above, a seeded random play of
   Fig. 1's pair over 300 turns, and three ``check-2cmm`` runs as text;
 - ``REFUSED_INPUTS``: one run that exits 2 for each document or document
   kind the CLI refuses: a weight or a declared size that is no integer, a

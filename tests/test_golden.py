@@ -22,9 +22,9 @@ def _split():
 
 
 def test_check_2cmm_outputs_match_the_stored_corpus():
-    cases = replay.stored()
-    assert [case["args"] for case in cases] == replay.plan()
-    assert replay.differences([case for case in cases if case["args"][0] == "check-2cmm"]) == []
+    assert [case["args"] for case in replay.stored()] == replay.plan()
+    cases = [case for case in _split()[0] if case["args"][0] == "check-2cmm"]
+    assert replay.differences(cases) == []
 
 
 def test_value_mpg_and_simulate_outputs_match_the_stored_corpus():
