@@ -175,6 +175,25 @@ REFUSED_INPUTS = (
     ["simulate", "games/positive.json"],
     ["check-2cmm", "games/fig1.json"],
 )
+# runs that show a fault, each stored as the program first gave it: a lie on
+# turn 1 on a machine of two self-loops, which both audits fail to punish
+# (exit 1), and five inputs refused with a message that named no missing key
+# or unknown state (exit 2)
+FAULTS = (
+    ["check-2cmm", "machines/twoloops.2cm", "--variant", "integer", "--turns", "8",
+     "--cheat-turn", "1"],
+    ["check-2cmm", "machines/twoloops.2cm", "--variant", "integer", "--turns", "50",
+     "--cheat-turn", "1"],
+    ["check-2cmm", "machines/twoloops.2cm", "--variant", "nonnegative", "--turns", "8",
+     "--cheat-turn", "1"],
+    ["check-2cmm", "machines/twoloops.2cm", "--variant", "nonnegative", "--turns", "50",
+     "--cheat-turn", "1"],
+    ["value", "games/error_arena_missing_key.json"],
+    ["mpg", "games/error_mpg_missing_key.json"],
+    ["simulate", "games/fig1.json", "--despot", "positional:d1=a", "--tribune", "constant:a"],
+    ["value", "games/error_arena_unknown_target.json"],
+    ["mpg", "games/error_mpg_unknown_target.json"],
+)
 
 
 def plan() -> list[list[str]]:
@@ -213,7 +232,7 @@ def plan() -> list[list[str]]:
         runs.append(
             ["simulate", f"games/{doc}.json", "--despot", despot, "--tribune", tribune]
         )
-    return runs + [list(args) for args in FRONT_END + KNOWN_ANSWERS + REFUSED_INPUTS]
+    return runs + [list(args) for args in FRONT_END + KNOWN_ANSWERS + REFUSED_INPUTS + FAULTS]
 
 
 def run(args: list[str]) -> dict:

@@ -853,11 +853,100 @@ def _lie(program, state, counters, eve_names, faithful):
     return next((name for name in eve_names if name != faithful), faithful)
 
 
-def _source_and_counter(name):
-    """(source state, counter) of an encoded move name such as I[q0->q1,x]."""
+def _move_parts(name):
+    """(prefix, source state, target state, counter) of an encoded move name
+    such as I[q0->q1,x]."""
     body = name[2:-1]
-    arrow = body.index("->")
-    return body[:arrow], body[body.rindex(",") + 1 :]
+    arrow, comma = body.index("->"), body.rindex(",")
+    return name[0], body[:arrow], body[arrow + 2 : comma], body[comma + 1 :]
+
+
+def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
+    """Play the integer audit with the Fraction loops and the literal
+    machine alone, and return the fields of its ScriptedPlayReport that a
+    transcript shows: the moves, ``vectors``, ``faithful_invariant_ok``,
+    ``deviations``, ``flashes``, ``undetectable``, ``machine_halted_turn``,
+    ``annihilation_turn`` and ``cheat_played``.
+
+    The literal machine (``program``, starting at states[0]) gives Eve's
+    move each turn; on ``cheat_turn`` she lies once (``_lie``) and once it
+    has stopped she plays the first encoded move.  Eve's machine then
+    follows the move she played, read from its name: it enters the move's
+    target and increments, decrements or, on a zero move, negates the
+    move's counter.  Adam plays Init on turn 1 and on the last turn of each
+    punishment, which restarts the machine, and Id otherwise.  On a turn
+    that ends with his script empty, before the vector is 0, he audits Eve:
+    a move that is not the machine's own is a deviation.  He answers it
+    with F on the first negative coordinate, A (-value - 1) times, then P
+    and Init; with no negative coordinate he lists it as undetectable and
+    plays on.  Every move is multiplied into the vector (fraction_vec_mat).
+
+    ``annihilation_turn`` is the first turn that ends with v = 0.  That is
+    the first turn whose product is 0 for ``encode_integer``'s matrices,
+    whose Init is e_E^T s; a tampered encoding needs ``replay_audit``.
+    ``faithful_invariant_ok`` checks each turn before the first deviation:
+    v read by coordinate label is 1 on the machine's state, its counters on
+    x and y, 1 on One and E, and 0 elsewhere.  ``machine_halted_turn`` is
+    the first turn that ends with the machine stopped or on which Eve plays
+    a stopped machine's forced move; as in the audit, a lie told on a
+    stopped machine's turn does not count as that turn's halt."""
+    adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
+    eve_names = [name for name, _ in g.eve_matrices]
+    labels = g.coordinate_labels
+    v = tuple(g.start_vector)
+    adam_moves, eve_moves, vectors = [], [], []
+    deviations, flashes, undetectable, script = [], [], [], []
+    state, counters = states[0], {"x": 0, "y": 0}
+    invariant_ok = True
+    halted_turn = annihilation_turn = None
+    cheat_played = None if cheat_turn is None else False
+    for turn in range(1, horizon + 1):
+        a = "Init" if turn == 1 else script.pop(0) if script else "Id"
+        v = fraction_vec_mat(v, adam[a])
+        adam_moves.append(a)
+        if a == "Init":
+            state, counters = states[0], {"x": 0, "y": 0}
+        move = _faithful_move(program, state, counters)
+        faithful = move[0] if move else None
+        if halted_turn is None and faithful is None and turn != cheat_turn:
+            halted_turn = turn
+        e = faithful or eve_names[0]
+        if turn == cheat_turn:
+            e = _lie(program, state, counters, eve_names, faithful)
+            cheat_played = e != faithful
+        v = fraction_vec_mat(v, eve[e])
+        eve_moves.append(e)
+        prefix, _, state, c = _move_parts(e)
+        counters[c] = {"I": counters[c] + 1, "D": counters[c] - 1, "K": -counters[c]}[prefix]
+        if not script and annihilation_turn is None and e != faithful:
+            deviations.append((turn, e, faithful))
+            negative = next((i for i, x in enumerate(v) if x < 0), None)
+            if negative is None:
+                undetectable.append(turn)
+            else:
+                flashes.append((turn, labels[negative], v[negative]))
+                script = [f"F[{labels[negative]}]"] + ["A"] * int(-v[negative] - 1) + ["P", "Init"]
+        vectors.append(v)
+        if annihilation_turn is None and not any(v):
+            annihilation_turn = turn
+        if invariant_ok and not deviations:
+            want = {lab: 0 for lab in labels}
+            want.update({state: 1, **counters, "One": 1, "E": 1})
+            invariant_ok = dict(zip(labels, v)) == want
+        if halted_turn is None and program[state][0] == "stop":
+            halted_turn = turn
+    return dict(
+        adam_moves=tuple(adam_moves),
+        eve_moves=tuple(eve_moves),
+        vectors=tuple(vectors),
+        faithful_invariant_ok=invariant_ok,
+        deviations=tuple(deviations),
+        flashes=tuple(flashes),
+        undetectable=tuple(undetectable),
+        machine_halted_turn=halted_turn,
+        annihilation_turn=annihilation_turn,
+        cheat_played=cheat_played,
+    )
 
 
 def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
@@ -915,7 +1004,7 @@ def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
         eve_moves.append(e)
         a = "Id"
         if e != faithful:
-            source, c = _source_and_counter(e)
+            _, source, _, c = _move_parts(e)
             a = "P[q]" if faithful is None or source != state else f"P[{c}]"
         else:
             _, kind, c, state = move

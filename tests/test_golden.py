@@ -12,7 +12,7 @@ SUBCOMMANDS = {"translate", "value", "decide", "simulate", "encode-2cmm", "check
 
 
 # the groups that end the plan, in order
-TAIL = replay.FRONT_END + replay.KNOWN_ANSWERS + replay.REFUSED_INPUTS
+TAIL = replay.FRONT_END + replay.KNOWN_ANSWERS + replay.REFUSED_INPUTS + replay.FAULTS
 
 
 def _split():
@@ -36,7 +36,11 @@ def test_value_mpg_and_simulate_outputs_match_the_stored_corpus():
 def test_every_subcommand_and_front_end_error_matches_the_stored_corpus():
     cases = _split()[1]
     assert [case["args"] for case in cases] == [list(args) for args in TAIL]
-    assert {case["exit"] for case in cases[-len(replay.REFUSED_INPUTS) :]} == {2}
+    refused_end = len(cases) - len(replay.FAULTS)
+    refused = cases[refused_end - len(replay.REFUSED_INPUTS) : refused_end]
+    assert {case["exit"] for case in refused} == {2}
+    # the audits of the two self-loops fail; the five refused inputs exit 2
+    assert [case["exit"] for case in cases[refused_end:]] == [1] * 4 + [2] * 5
     assert {arg for case in replay.stored() for arg in case["args"]} >= SUBCOMMANDS
     queries = {args[args.index("--query") + 1] for args in replay.FRONT_END if "--query" in args}
     assert queries == set(QUERIES)

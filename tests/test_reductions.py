@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,17 @@ import _frozen as frozen
 import oracle_helpers
 from entropygames import io, linalg, reductions
 from entropygames.linalg import Matrix, one_norm, vec_mat
-from entropygames.minsky import parse_machine, run_machine
+from entropygames.minsky import (
+    COUNTERS,
+    INC,
+    JZDEC,
+    STOP,
+    Instruction,
+    TwoCounterMachine,
+    format_machine,
+    parse_machine,
+    run_machine,
+)
 from entropygames.reductions import (
     INTEGER,
     NONNEG,
@@ -615,6 +626,45 @@ def test_audits_of_a_machine_that_halts_at_once():
     nonneg = check_nonneg_punishment(g, machine, 6)
     assert nonneg.halted_turn == 1
     assert nonneg == nonneg_replay_report(g, machine, 6, None)
+
+
+def small_machines():
+    """Every machine of one or two states in which some state does not
+    halt: 4 of one state and 168 of two."""
+    for n in (1, 2):
+        states = tuple(f"q{i}" for i in range(n))
+        instructions = (
+            [Instruction(STOP)]
+            + [Instruction(INC, c, t) for c in COUNTERS for t in states]
+            + [Instruction(JZDEC, c, t, u) for c in COUNTERS for t in states for u in states]
+        )
+        for chosen in itertools.product(instructions, repeat=n):
+            if any(ins.kind != STOP for ins in chosen):
+                yield TwoCounterMachine(states, dict(zip(states, chosen)))
+
+
+SMALL_MACHINES = list(small_machines())
+
+
+@pytest.mark.parametrize("variant", [INTEGER, NONNEG])
+def test_both_audits_match_a_replay_on_every_small_machine(variant):
+    # 8 turns of each machine, honest and with a lie on turn 1 or 2; the
+    # reference plays the literal machine with Adam's script.  Only the
+    # transcript is compared, no verdict: some of these plays fail the check
+    assert len(SMALL_MACHINES) == 172
+    for machine in SMALL_MACHINES:
+        program = as_program(machine)
+        for cheat in (None, 1, 2):
+            where = f"{format_machine(machine)}cheat turn {cheat}"
+            if variant == INTEGER:
+                g = encode_integer(machine)
+                slow = oracle_helpers.replay_integer_audit(g, machine.states, program, 8, cheat)
+                fast = run_scripted_play(g, machine, 8, cheat)
+                assert {key: getattr(fast, key) for key in slow} == slow, where
+            else:
+                g = encode_nonneg(machine)
+                fast = check_nonneg_punishment(g, machine, 8, cheat)
+                assert fast == nonneg_replay_report(g, machine, 8, cheat), where
 
 
 @pytest.mark.parametrize(
