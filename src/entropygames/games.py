@@ -36,8 +36,8 @@ def _check_graph(despot: tuple[str, ...], tribune: tuple[str, ...], edges) -> No
     """Refuse the (source, target, weight) edges unless they form a
     bipartite graph between the players' states: both players have a state,
     no name is repeated or shared, every edge leaves a known state and
-    crosses to the other player with an integer weight, and no state is
-    blocking, which would strand the token."""
+    enters a known state of the other player with an integer weight, and no
+    state is blocking, which would strand the token."""
     if not despot or not tribune:
         raise ValueError("both players need at least one state")
     if len(set(despot)) != len(despot) or len(set(tribune)) != len(tribune):
@@ -47,8 +47,9 @@ def _check_graph(despot: tuple[str, ...], tribune: tuple[str, ...], edges) -> No
     other = {**dict.fromkeys(despot, set(tribune)), **dict.fromkeys(tribune, set(despot))}
     blocking = set(other)
     for frm, to, weight in edges:
-        if frm not in other:
-            raise ValueError(f"unknown state {frm!r}")
+        for state in (frm, to):
+            if state not in other:
+                raise ValueError(f"unknown state {state!r}")
         if to not in other[frm]:
             raise ValueError(f"transition {frm}->{to} must cross to the other player")
         if type(weight) is not int:  # never rounded, and a bool is no weight
@@ -269,10 +270,16 @@ def as_action_oracle(spec, arena: Arena | None = None) -> StrategyOracle:
     if callable(spec):
         return spec
     if isinstance(spec, PositionalStrategy):
-        return lambda state, half, history: spec.action(state)
+        spec = spec.choice
     if isinstance(spec, Mapping):
         table = dict(spec)
-        return lambda state, half, history: table[state]
+
+        def positional(state, half, history):
+            if state not in table:
+                raise ValueError(f"positional strategy has no action for state {state!r}")
+            return table[state]
+
+        return positional
     if isinstance(spec, tuple) and len(spec) == 2:
         tag, payload = spec
         if tag == "constant":

@@ -225,7 +225,7 @@ def loads_document(text: str):
     """Parse a document from text; returns (kind, value).  JSON documents
     are dispatched on structure, anything else is machine text.  A value of
     the wrong JSON type, such as a list where an object or a string belongs,
-    raises ValueError naming the document kind."""
+    or a missing key raises ValueError naming the document kind."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -235,6 +235,8 @@ def loads_document(text: str):
     kind = detect_kind(doc)
     try:
         return kind, _FROM_DICT[kind](doc)
+    except KeyError as exc:
+        raise ValueError(f"malformed {kind} document: missing key {exc.args[0]!r}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {kind} document: {exc}") from exc
 

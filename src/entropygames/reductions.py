@@ -20,7 +20,12 @@ capping long-run growth strictly below 2 on punished plays.
 
 One builder, ``_program_matrix``, makes every matrix of both encoders, and
 the two audits share one pre-play check (``_start_play``) and one machine
-simulation (``_EveSimulation``).
+run (``_EveSimulation``).  Eve's moves are public, so Adam reads his
+expected move off her run before she moves: a move other than that one is a
+deviation.  Only two moves can be: the lie on the cheat turn, and the move
+Eve is forced to play once the machine has halted.  The integer audit counts
+a deviation only on a turn Adam audits, that is, outside a punishment and
+before the product vanishes.
 
 The integer audit's verdict is whether the running product Omega of the
 matrices played becomes zero.  Its vector v starts at the start vector s
@@ -243,15 +248,19 @@ def _log(q: Fraction) -> float:
 
 
 class _EveSimulation:
-    """Eve's private machine run: faithful moves, forced moves once halted,
-    and optional deliberate deviations.  After any deviation the simulation
-    follows the formal semantics of the move actually played, so it stays in
-    step with the public vector: the integer zero move negates its counter.
+    """The machine run of an audit: faithful moves, forced moves once
+    halted, and optional deliberate deviations.  Each audit keeps one run,
+    and Adam reads his expected move, ``faithful_move``, off it before Eve
+    moves.  A deviation is a move other than that one: the lie at the cheat
+    turn or a forced move after a halt.
 
-    Both audits use this one class.  ``check_nonneg_punishment``, whose
-    zero move swaps the counter pair and so keeps the counter, applies a
-    move only when it equals Adam's expected faithful move, with both
-    simulations in step.  A faithful zero move meets a zero counter, where
+    ``run_scripted_play`` applies every move played, so the run follows the
+    formal semantics of a deviation too and stays in step with the public
+    vector: the integer zero move negates its counter.  A deviation Adam
+    punishes ends with Init, which restarts the run before he audits again.
+    ``check_nonneg_punishment``, whose zero move swaps the counter pair and
+    so keeps the counter, applies only faithful moves, and every deviation
+    draws a reset.  A faithful zero move meets a zero counter, where
     negating the counter and leaving it agree."""
 
     def __init__(self, machine: TwoCounterMachine, moves):
@@ -330,8 +339,7 @@ def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int,
     first one broken: the variant, a move for Eve, a positive horizon, a
     cheat turn (when given) in 1..horizon, one Eve matrix per machine move,
     and sizes that match the declared dimension (``check_dimension``).
-    Returns the move list, the coordinate index and two fresh simulations,
-    Eve's and Adam's."""
+    Returns the coordinate index and a fresh machine run."""
     if g.variant != variant:
         raise ValueError(_AUDIT_VARIANTS[variant])
     if g.degenerate:
@@ -345,7 +353,7 @@ def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int,
         raise ValueError("encoding does not match the machine")
     check_dimension(g)
     index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
-    return moves, index, _EveSimulation(m, moves), _EveSimulation(m, moves)
+    return index, _EveSimulation(m, moves)
 
 
 def _product(factors, dim: int) -> Matrix:
@@ -405,8 +413,8 @@ def run_scripted_play(
     Eve simulating the machine (forced to keep moving after a halt, and
     optionally told to cheat deliberately at ``cheat_turn``).
 
-    Adam opens with Init, monitors with Id, and on observing a move that
-    contradicts his own simulation flashes the negative coordinate, adjusts
+    Adam opens with Init, monitors with Id, and on observing a move other
+    than the machine run's next one flashes the negative coordinate, adjusts
     it up to -1, punishes and reinitialises; that zeroes the running product
     exactly.  Deviations that leave no negative coordinate are reported as
     undetectable.  ``cheat_turn``, when given, must be in 1..max_turns.
@@ -420,7 +428,7 @@ def run_scripted_play(
     is zero; from then on nothing is multiplied, since Omega and v stay
     zero.  A play that never formed Omega leaves it to the report's
     ``final_product``, formed on first read."""
-    _, index, eve_sim, adam_sim = _start_play(g, m, INTEGER, max_turns, cheat_turn)
+    index, sim = _start_play(g, m, INTEGER, max_turns, cheat_turn)
     labels = g.coordinate_labels
     v = list(g.start_vector)
     factors: list[Matrix] = []
@@ -432,7 +440,6 @@ def run_scripted_play(
     flashes = []
     undetectable = []
     queue: list[str] = []
-    faithful_so_far = True
     invariant_ok = True
     halted_turn = None
     annihilation_turn = None
@@ -462,19 +469,17 @@ def run_scripted_play(
                 f"punish step left E = {v[index['E']]} instead of 0 at turn {turn}"
             )
         if adam_name == "Init":
-            adam_sim.reset()
-            eve_sim.reset()
+            sim.reset()
 
         # Eve's move
-        expected = adam_sim.faithful_move()
-        choice = eve_sim.faithful_move()
+        expected = choice = sim.faithful_move()
         if cheat_turn == turn:
-            lie = eve_sim.deviating_move()
+            lie = sim.deviating_move()
             if lie is not None:
                 choice = lie
                 cheat_played = True
         if choice is None:
-            if halted_turn is None and eve_sim.halted():
+            if halted_turn is None:
                 halted_turn = turn
             choice = 0  # forced: the machine halted but the play goes on
         eve_name, eve_matrix = g.eve_matrices[choice]
@@ -484,31 +489,22 @@ def run_scripted_play(
             if omega is not None:
                 omega = mat_mul(omega, eve_matrix)
         eve_moves.append(eve_name)
-        eve_sim.apply(choice)
+        sim.apply(choice)
 
         # Adam's audit; once the product is zero the game is decided and
         # nothing remains to monitor
-        if not queue and annihilation_turn is None:
-            if expected is None or choice != expected:
-                faithful_so_far = False
-                deviations.append(
-                    (turn, eve_name, g.eve_matrices[expected][0] if expected is not None else None)
-                )
-                negatives = [i for i, val in enumerate(v) if val < 0]
-                if negatives:
-                    target = negatives[0]
-                    value = v[target]
-                    flashes.append((turn, labels[target], value))
-                    queue = (
-                        [f"F[{labels[target]}]"]
-                        + ["A"] * (int(-value) - 1)
-                        + ["P", "Init"]
-                    )
-                else:
-                    undetectable.append(turn)
-                    adam_sim.apply(choice)
+        if not queue and annihilation_turn is None and choice != expected:
+            deviations.append(
+                (turn, eve_name, g.eve_matrices[expected][0] if expected is not None else None)
+            )
+            negatives = [i for i, val in enumerate(v) if val < 0]
+            if negatives:
+                target = negatives[0]
+                value = v[target]
+                flashes.append((turn, labels[target], value))
+                queue = [f"F[{labels[target]}]"] + ["A"] * (int(-value) - 1) + ["P", "Init"]
             else:
-                adam_sim.apply(choice)
+                undetectable.append(turn)
 
         vectors.append(tuple(v))
         if annihilation_turn is None:
@@ -519,12 +515,12 @@ def run_scripted_play(
                 annihilation_turn = turn
 
         # while the play is faithful, v must encode the machine's configuration
-        if faithful_so_far and invariant_ok:
+        if not deviations and invariant_ok:
             want = [0] * len(v)
-            for lab, value in {eve_sim.state: 1, **eve_sim.counters, "One": 1, "E": 1}.items():
+            for lab, value in {sim.state: 1, **sim.counters, "One": 1, "E": 1}.items():
                 want[index[lab]] = value
             invariant_ok = v == want
-        if halted_turn is None and eve_sim.halted():
+        if halted_turn is None and sim.halted():
             halted_turn = turn
 
     report = ScriptedPlayReport(
@@ -635,7 +631,7 @@ def check_nonneg_punishment(
     (v I = v), so its product is not formed.  The encoding check compares
     those ints, with powers of two as shifts; only the norms at the start,
     at each reset and at the end become Fractions."""
-    moves, index, eve_sim, adam_sim = _start_play(g, m, NONNEG, horizon, cheat_turn)
+    index, sim = _start_play(g, m, NONNEG, horizon, cheat_turn)
     dim = g.dimension
     adam_rows = {name: _sparse_rows(name, matrix) for name, matrix in g.adam_matrices}
     eve_rows = [_sparse_rows(name, matrix) for name, matrix in g.eve_matrices]
@@ -646,7 +642,6 @@ def check_nonneg_punishment(
     eve_moves: list[str] = []
     pending_reset: str | None = None
     halted_turn = None
-    punished = False
     magnitude_ok = True
     segments: list[PunishmentSegment] = []
     segment_start = 1
@@ -666,7 +661,6 @@ def check_nonneg_punishment(
             v = _sparse_vec_mat(v, adam_rows[adam_name], dim)
         adam_moves.append(adam_name)
         if adam_name != "Id":
-            punished = True
             after_norm = Fraction(sum(v))
             f = turn - segment_start + 1
             ratio = (
@@ -683,15 +677,13 @@ def check_nonneg_punishment(
             )
             segment_start = turn + 1
             segment_base_norm = after_norm
-            adam_sim.reset()
-            eve_sim.reset()
+            sim.reset()
             unit = v[index[m.initial_state]]
             k = 0
 
-        expected = adam_sim.faithful_move()
-        choice = eve_sim.faithful_move()
+        expected = choice = sim.faithful_move()
         if cheat_turn == turn:
-            lie = eve_sim.deviating_move()
+            lie = sim.deviating_move()
             if lie is not None:
                 choice = lie
         if choice is None:
@@ -701,31 +693,30 @@ def check_nonneg_punishment(
         eve_name = g.eve_matrices[choice][0]
         v = _sparse_vec_mat(v, eve_rows[choice], dim)
         eve_moves.append(eve_name)
-        kind, state, counter, target = moves[choice]
+        _, state, counter, _ = sim.moves[choice]
 
         # a reset played this turn has been consumed, so Adam audits every
-        # Eve move; after a contradiction both private runs restart on the
-        # reset he answers with
-        if expected is None or choice != expected:
-            if expected is None or state != adam_sim.state:
+        # Eve move; after a deviation the run restarts on the reset he
+        # answers with
+        if choice != expected:
+            if expected is None or state != sim.state:
                 pending_reset = "P[q]"
             else:
                 pending_reset = f"P[{counter}]"
         else:
-            adam_sim.apply(choice)
-            eve_sim.apply(choice)
+            sim.apply(choice)
             k += 1
             # v must encode the configuration at scale unit * 2^k: after a
             # reset that wiped the vector (unit 0) both sides are all zeros
             if magnitude_ok:
                 want = [0] * len(v)
-                want[index[adam_sim.state]] = unit << k
+                want[index[sim.state]] = unit << k
                 for c, plus, minus in pair_at:
-                    value = adam_sim.counters[c]
+                    value = sim.counters[c]
                     want[plus], want[minus] = unit << (k + value), unit << (k - value)
                 magnitude_ok = v == want
 
-        if halted_turn is None and eve_sim.halted():
+        if halted_turn is None and sim.halted():
             halted_turn = turn
 
     final_norm = Fraction(sum(v))
@@ -739,7 +730,7 @@ def check_nonneg_punishment(
         adam_moves=tuple(adam_moves),
         eve_moves=tuple(eve_moves),
         halted_turn=halted_turn,
-        punished=punished,
+        punished=bool(segments),
         magnitude_ok=magnitude_ok,
         segments=tuple(segments),
         segment_bounds_ok=all(s.within_bound for s in segments),

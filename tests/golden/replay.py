@@ -39,7 +39,16 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   malformed transition, each broken rule of an arena's or a mean payoff
   game's graph, mismatched or missing row sets, a pair whose shapes do not
   chain, an unrecognised document, and the wrong kind for ``translate``, a
-  set query of ``decide``, ``simulate`` and ``check-2cmm``.
+  set query of ``decide``, ``simulate`` and ``check-2cmm``;
+- ``FAULTS``: runs that show a fault, each first stored as the program gave
+  it before any fix: ``check-2cmm --cheat-turn 1`` as text, at 8 and 50
+  turns in both variants, on ``twoloops.2cm`` (``q0: inc x -> q0`` and
+  ``q1: inc x -> q1``), whose lie the integer audit cannot detect and the
+  non-negative audit punishes with aggregate growth above 2, so each exits
+  1; and five inputs that exit 2: an arena and a mean payoff game
+  transition without ``"from"``, a positional strategy that leaves out a
+  state the play reaches, and an arena and a mean payoff game edge into a
+  state that does not exist.
 
 Runs are only ever appended, so a stored run keeps its position.
 
@@ -175,8 +184,8 @@ REFUSED_INPUTS = (
     ["simulate", "games/positive.json"],
     ["check-2cmm", "games/fig1.json"],
 )
-# runs that show a fault, each stored as the program first gave it: a lie on
-# turn 1 on a machine of two self-loops, which both audits fail to punish
+# runs that show a fault, each first stored as the program gave it: a lie on
+# turn 1 on a machine of two self-loops, on which both audits' checks fail
 # (exit 1), and five inputs refused with a message that named no missing key
 # or unknown state (exit 2)
 FAULTS = (

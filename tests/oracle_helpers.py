@@ -27,8 +27,9 @@ fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced, and
 replay_audit replays an integer audit's transcript through them, every move
 multiplied, as the reference for the products the audits skip;
-replay_nonneg_audit plays the whole non-negative audit with them and the
-literal machine, the reference for its integer loop.
+replay_integer_audit and replay_nonneg_audit play the whole integer and
+non-negative audits with them and the literal machine, the references for
+the audits' loops and for the one machine run each keeps.
 fraction_charpoly is the Faddeev-LeVerrier loop over Fractions that the
 integer one in realroots.charpoly replaced, and fraction_solve_exact and
 fraction_lp_max (with its tableau step fraction_pivot) are the Gauss-Jordan
@@ -343,12 +344,12 @@ def fraction_mat_vec(m, v):
 
 
 def fraction_vec_mat(v, m):
-    """The row product v m of a Matrix by Fraction sums."""
+    """The row product v m of a Matrix by Fraction sums over the non-zero
+    entries of v."""
     if m.rows != len(v):
         raise ValueError("dimension mismatch in vector-matrix product")
-    return tuple(
-        sum(v[i] * m.data[i][j] for i in range(m.rows)) for j in range(m.cols)
-    )
+    terms = [(x, row) for x, row in zip(v, m.data) if x]
+    return tuple(sum((x * row[j] for x, row in terms), Fraction(0)) for j in range(m.cols))
 
 
 def fraction_charpoly(m):

@@ -9,6 +9,7 @@ import _frozen as frozen
 import oracle_helpers
 from entropygames.decide import _switch
 from entropygames.games import (
+    DESPOT,
     Arena,
     MpgArena,
     PositionalStrategy,
@@ -48,6 +49,8 @@ def test_arena_validation():
         Arena(("u",), ("v",), ("a",), (("v", "a", "u", 1),))
     with pytest.raises(ValueError, match="must cross"):
         Arena(("u", "w"), ("v",), ("a",), (("u", "a", "w", 1), ("v", "a", "u", 1)))
+    with pytest.raises(ValueError, match="^unknown state 'zz'$"):
+        Arena(("u",), ("v",), ("a",), (("u", "a", "zz", 1), ("v", "a", "u", 1)))
     with pytest.raises(ValueError, match="duplicate"):
         Arena(("u", "u"), ("v",), ("a",), (("u", "a", "v", 1), ("v", "a", "u", 1)))
     with pytest.raises(ValueError, match="unknown action"):
@@ -327,6 +330,10 @@ def test_oracle_errors():
         as_action_oracle(42)
     with pytest.raises(ValueError, match="need the arena"):
         as_action_oracle(("random", 1))
+    # Fig. 1's d1 reaches t2, whose action a reaches d2
+    for despot in ({"d1": "a"}, PositionalStrategy(DESPOT, {"d1": "a"})):
+        with pytest.raises(ValueError, match="^positional strategy has no action for state 'd2'$"):
+            forest_counts(a, despot, ("constant", "a"), 3)
     with pytest.raises(ValueError):
         forest_counts(a, ("constant", "a"), ("constant", "a"), -1)
 
@@ -493,6 +500,8 @@ def test_mpg_arena_validation():
         MpgArena(("u",), ("v",), (("v", "u", 1),))
     with pytest.raises(ValueError, match="^transition u->w must cross to the other player$"):
         MpgArena(("u", "w"), ("v",), (("u", "w", 1), ("v", "u", 1)))
+    with pytest.raises(ValueError, match="^unknown state 'zz'$"):
+        MpgArena(("u",), ("v",), (("u", "zz", 1), ("v", "u", 1)))
     with pytest.raises(ValueError, match="^duplicate state names$"):
         MpgArena(("d", "d"), ("t",), (("d", "t", 1), ("t", "d", 0)))
     with pytest.raises(ValueError, match="non-negative"):

@@ -611,6 +611,29 @@ def test_cli_rejects_malformed_documents(capsys, tmp_path, args, doc, kind):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, kind, key",
+    [
+        (_fig1_doc(transitions=[{"action": "a", "to": "t1"}]), "arena", "from"),
+        ({"despot_states": ["d"], "tribune_states": ["t"], "transitions": [{"from": "d"}]},
+         "mpg", "to"),
+        ({"row_sets": [[[1]]], "cols": 1}, "matrix-set", "rows"),
+        ({"adam": {"rows": 1, "cols": 1, "row_sets": [[[1]]]}, "eve": {"rows": 1}}, "pair",
+         "row_sets"),
+        ({"variant": "integer"}, "encoded", "dimension"),
+    ],
+    ids=["arena", "mpg", "matrix-set", "pair", "encoded"],
+)
+def test_cli_names_a_missing_key(capsys, tmp_path, doc, kind, key):
+    # a missing key once escaped as a bare KeyError: "error: 'from'"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["value", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed {kind} document: missing key '{key}'\n"
+
+
 @pytest.mark.parametrize("key", ["rows", "cols"])
 @pytest.mark.parametrize(
     "declared, shown", [(2.9, "2.9"), (2.0, "2.0"), (True, "True"), ("2", "'2'")]
