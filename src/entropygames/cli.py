@@ -35,7 +35,6 @@ from .decide import (
     value_bisection,
 )
 from .games import (
-    Arena,
     MpgArena,
     arena_to_iru,
     eg_payoff_entropy,
@@ -220,7 +219,7 @@ def _strategy_int(text: str, rest: str, what: str) -> int:
         raise ValueError(f"strategy {text!r}: {what} {rest!r} is not an integer") from None
 
 
-def _parse_strategy(text: str, arena: Arena, seed: int):
+def _parse_strategy(text: str, seed: int):
     head, sep, rest = text.partition(":")
     if head == "positional" and sep:
         table = {}
@@ -277,8 +276,8 @@ def _member_at(s: IruSet, index: int):
 def cmd_simulate(args) -> int:
     kind, value = io.load_document(args.input)
     if kind == io.ARENA:
-        despot = _parse_strategy(args.despot, value, args.seed)
-        tribune = _parse_strategy(args.tribune, value, args.seed + 1)
+        despot = _parse_strategy(args.despot, args.seed)
+        tribune = _parse_strategy(args.tribune, args.seed + 1)
         levels = forest_counts(value, despot, tribune, args.turns)
         # even levels count despot states, odd levels tribune states
         sides = (value.despot_states, value.tribune_states)
@@ -359,7 +358,7 @@ def cmd_check_2cmm(args) -> int:
     if variant == INTEGER:
         g = encode_integer(m)
         rep = run_scripted_play(g, m, args.turns, args.cheat_turn)
-        deviated = bool(rep.deviations) or bool(rep.undetectable)
+        deviated = bool(rep.deviations)
         ok = rep.faithful_invariant_ok and (
             rep.annihilation_turn is not None if deviated else True
         )

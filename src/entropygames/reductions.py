@@ -20,12 +20,16 @@ capping long-run growth strictly below 2 on punished plays.
 
 One builder, ``_program_matrix``, makes every matrix of both encoders, and
 the two audits share one pre-play check (``_start_play``) and one machine
-run (``_EveSimulation``).  Eve's moves are public, so Adam reads his
-expected move off her run before she moves: a move other than that one is a
-deviation.  Only two moves can be: the lie on the cheat turn, and the move
-Eve is forced to play once the machine has halted.  The integer audit counts
-a deviation only on a turn Adam audits, that is, outside a punishment and
-before the product vanishes.
+run (``_EveSimulation``), which decides Eve's every move.  Eve's moves are
+public, so Adam reads his expected move off her run before she moves: a
+move other than that one is a deviation.  Only two moves can be: the lie on
+the cheat turn, and the move Eve is forced to play once the machine has
+halted.  A halted machine has no move of its own, so it forces move 0, and
+the first such turn is the halt unless the move entering the stop state was
+recorded first.  A cheat is a lie only while the machine has a move of its
+own: on a halted turn Eve plays the forced move, as an honest Eve would.
+The integer audit counts a deviation only on a turn Adam audits, that is,
+outside a punishment and before the product vanishes.
 
 The integer audit's verdict is whether the running product Omega of the
 matrices played becomes zero.  Its vector v starts at the start vector s
@@ -248,11 +252,14 @@ def _log(q: Fraction) -> float:
 
 
 class _EveSimulation:
-    """The machine run of an audit: faithful moves, forced moves once
-    halted, and optional deliberate deviations.  Each audit keeps one run,
-    and Adam reads his expected move, ``faithful_move``, off it before Eve
-    moves.  A deviation is a move other than that one: the lie at the cheat
-    turn or a forced move after a halt.
+    """The machine run of an audit, which decides Eve's every move
+    (``play``).  Each audit keeps one run and Adam reads his expected move,
+    the machine's own, off it before Eve moves.  A deviation is a move
+    other than that one.  A halted machine has no move of its own: Eve is
+    forced to play move 0, a deviation, and the first such turn is the
+    run's ``halted_turn`` unless a move entering a stop state set it first.
+    On ``cheat_turn`` Eve lies, but only while the machine has a move of its
+    own and another move exists; ``cheat_played`` says whether she did.
 
     ``run_scripted_play`` applies every move played, so the run follows the
     formal semantics of a deviation too and stays in step with the public
@@ -263,43 +270,46 @@ class _EveSimulation:
     draws a reset.  A faithful zero move meets a zero counter, where
     negating the counter and leaving it agree."""
 
-    def __init__(self, machine: TwoCounterMachine, moves):
+    def __init__(self, machine: TwoCounterMachine, moves, cheat_turn: int | None):
         self.machine = machine
         self.moves = moves
         self.move_index = {(kind, state): k for k, (kind, state, _, _) in enumerate(moves)}
+        self.cheat_turn = cheat_turn
+        self.cheat_played = None if cheat_turn is None else False
+        self.halted_turn = None
+        self.turn = 0
         self.reset()
 
     def reset(self):
         self.state = self.machine.initial_state
         self.counters = {"x": 0, "y": 0}
 
-    def halted(self) -> bool:
-        return self.machine.program[self.state].kind == STOP
-
-    def faithful_move(self):
+    def play(self, turn: int) -> tuple[int, int | None]:
+        """Eve's move on ``turn`` and the machine's own, ``(played,
+        expected)``.  A halted machine has none (``expected`` is None): Eve
+        plays move 0, and the turn is the halt.  On the cheat turn she lies
+        only while the machine has a move of its own: the wrong branch of a
+        zero test, otherwise the first other move in encoder order."""
+        self.turn = turn
         ins = self.machine.program[self.state]
         if ins.kind == STOP:
-            return None
+            if self.halted_turn is None:
+                self.halted_turn = turn
+            return 0, None
         if ins.kind == INC:
-            return self.move_index[("inc", self.state)]
-        branch = "zero" if self.counters[ins.counter] == 0 else "dec"
-        return self.move_index[(branch, self.state)]
-
-    def deviating_move(self):
-        """A deterministic lie: the wrong branch from the current state when
-        one exists, otherwise the first move from another state.  None when
-        every available move is the faithful one."""
-        faithful = self.faithful_move()
-        ins = self.machine.program[self.state]
+            expected = self.move_index[("inc", self.state)]
+        else:
+            branch = "zero" if self.counters[ins.counter] == 0 else "dec"
+            expected = self.move_index[(branch, self.state)]
+        if turn != self.cheat_turn or len(self.moves) == 1:
+            return expected, expected
+        self.cheat_played = True
         if ins.kind == JZDEC:
-            other = "dec" if self.counters[ins.counter] == 0 else "zero"
-            return self.move_index[(other, self.state)]
-        for k, (kind, state, counter, target) in enumerate(self.moves):
-            if k != faithful:
-                return k
-        return None
+            return self.move_index[("dec" if branch == "zero" else "zero", self.state)], expected
+        return int(expected == 0), expected
 
     def apply(self, move_id: int):
+        """Follow move ``move_id``; one entering a stop state is the halt."""
         kind, state, counter, target = self.moves[move_id]
         self.state = target
         if kind == "inc":
@@ -308,6 +318,8 @@ class _EveSimulation:
             self.counters[counter] -= 1
         elif kind == "zero":
             self.counters[counter] = -self.counters[counter]
+        if self.halted_turn is None and self.machine.program[target].kind == STOP:
+            self.halted_turn = self.turn
 
 
 _AUDIT_VARIANTS = {
@@ -353,7 +365,7 @@ def _start_play(g: EncodedMmg, m: TwoCounterMachine, variant: str, horizon: int,
         raise ValueError("encoding does not match the machine")
     check_dimension(g)
     index = {lab: i for i, lab in enumerate(g.coordinate_labels)}
-    return index, _EveSimulation(m, moves)
+    return index, _EveSimulation(m, moves, cheat_turn)
 
 
 def _product(factors, dim: int) -> Matrix:
@@ -376,7 +388,8 @@ class ScriptedPlayReport:
     trigger; ``undetectable`` lists deviations that left no negative
     coordinate, which the audit cannot punish.  ``cheat_played`` is None
     when no cheat was requested and False when the requested turn offered
-    no alternative move.
+    no lie: the machine had halted, so Eve played the forced move, or it
+    had no other move.
 
     ``factors`` are the matrices of the running product Omega in the order
     played: every move whose matrix is not the identity, up to the
@@ -411,7 +424,8 @@ def run_scripted_play(
 ) -> ScriptedPlayReport:
     """Play the integer-variant game with Adam running his audit script and
     Eve simulating the machine (forced to keep moving after a halt, and
-    optionally told to cheat deliberately at ``cheat_turn``).
+    optionally told to cheat at ``cheat_turn``), each move chosen by
+    ``_EveSimulation.play``.
 
     Adam opens with Init, monitors with Id, and on observing a move other
     than the machine run's next one flashes the negative coordinate, adjusts
@@ -439,22 +453,15 @@ def run_scripted_play(
     deviations = []
     flashes = []
     undetectable = []
-    queue: list[str] = []
+    schedule = ["Init"]
     invariant_ok = True
-    halted_turn = None
     annihilation_turn = None
-    cheat_played = None if cheat_turn is None else False
     adam_by_name = dict(g.adam_matrices)
     identity_moves = _identity_moves(g)
 
     for turn in range(1, max_turns + 1):
         # Adam's move
-        if turn == 1:
-            adam_name = "Init"
-        elif queue:
-            adam_name = queue.pop(0)
-        else:
-            adam_name = "Id"
+        adam_name = schedule.pop(0) if schedule else "Id"
         if annihilation_turn is None and adam_name not in identity_moves:
             adam_matrix = adam_by_name[adam_name]
             v = list(vec_mat(v, adam_matrix))
@@ -472,16 +479,7 @@ def run_scripted_play(
             sim.reset()
 
         # Eve's move
-        expected = choice = sim.faithful_move()
-        if cheat_turn == turn:
-            lie = sim.deviating_move()
-            if lie is not None:
-                choice = lie
-                cheat_played = True
-        if choice is None:
-            if halted_turn is None:
-                halted_turn = turn
-            choice = 0  # forced: the machine halted but the play goes on
+        choice, expected = sim.play(turn)
         eve_name, eve_matrix = g.eve_matrices[choice]
         if annihilation_turn is None:
             v = list(vec_mat(v, eve_matrix))
@@ -493,7 +491,7 @@ def run_scripted_play(
 
         # Adam's audit; once the product is zero the game is decided and
         # nothing remains to monitor
-        if not queue and annihilation_turn is None and choice != expected:
+        if not schedule and annihilation_turn is None and choice != expected:
             deviations.append(
                 (turn, eve_name, g.eve_matrices[expected][0] if expected is not None else None)
             )
@@ -502,7 +500,7 @@ def run_scripted_play(
                 target = negatives[0]
                 value = v[target]
                 flashes.append((turn, labels[target], value))
-                queue = [f"F[{labels[target]}]"] + ["A"] * (int(-value) - 1) + ["P", "Init"]
+                schedule += [f"F[{labels[target]}]"] + ["A"] * (int(-value) - 1) + ["P", "Init"]
             else:
                 undetectable.append(turn)
 
@@ -520,8 +518,6 @@ def run_scripted_play(
             for lab, value in {sim.state: 1, **sim.counters, "One": 1, "E": 1}.items():
                 want[index[lab]] = value
             invariant_ok = v == want
-        if halted_turn is None and sim.halted():
-            halted_turn = turn
 
     report = ScriptedPlayReport(
         turns=max_turns,
@@ -532,9 +528,9 @@ def run_scripted_play(
         deviations=tuple(deviations),
         flashes=tuple(flashes),
         undetectable=tuple(undetectable),
-        machine_halted_turn=halted_turn,
+        machine_halted_turn=sim.halted_turn,
         annihilation_turn=annihilation_turn,
-        cheat_played=cheat_played,
+        cheat_played=sim.cheat_played,
         factors=tuple(factors),
     )
     if omega is not None:
@@ -615,7 +611,8 @@ def check_nonneg_punishment(
     """Audit the non-negative encoding over a bounded horizon.
 
     Eve simulates the machine (forced to keep playing after a halt,
-    optionally cheating once); Adam watches with Id and answers any
+    optionally cheating once), each move chosen by ``_EveSimulation.play``
+    as in ``run_scripted_play``; Adam watches with Id and answers any
     contradiction with the matching reset: P[q] for a state lie, P[x]/P[y]
     for a counter lie.  The report collects the exact per-segment growth
     ratios and whether faithful play kept the exact encoding.
@@ -640,8 +637,7 @@ def check_nonneg_punishment(
     v = [x.numerator for x in g.start_vector]
     adam_moves: list[str] = []
     eve_moves: list[str] = []
-    pending_reset: str | None = None
-    halted_turn = None
+    schedule: list[str] = []
     magnitude_ok = True
     segments: list[PunishmentSegment] = []
     segment_start = 1
@@ -652,11 +648,7 @@ def check_nonneg_punishment(
     identity_moves = _identity_moves(g)
 
     for turn in range(1, horizon + 1):
-        if pending_reset is not None:
-            adam_name = pending_reset
-            pending_reset = None
-        else:
-            adam_name = "Id"
+        adam_name = schedule.pop(0) if schedule else "Id"
         if adam_name not in identity_moves:
             v = _sparse_vec_mat(v, adam_rows[adam_name], dim)
         adam_moves.append(adam_name)
@@ -681,15 +673,7 @@ def check_nonneg_punishment(
             unit = v[index[m.initial_state]]
             k = 0
 
-        expected = choice = sim.faithful_move()
-        if cheat_turn == turn:
-            lie = sim.deviating_move()
-            if lie is not None:
-                choice = lie
-        if choice is None:
-            if halted_turn is None:
-                halted_turn = turn
-            choice = 0
+        choice, expected = sim.play(turn)
         eve_name = g.eve_matrices[choice][0]
         v = _sparse_vec_mat(v, eve_rows[choice], dim)
         eve_moves.append(eve_name)
@@ -699,10 +683,8 @@ def check_nonneg_punishment(
         # Eve move; after a deviation the run restarts on the reset he
         # answers with
         if choice != expected:
-            if expected is None or state != sim.state:
-                pending_reset = "P[q]"
-            else:
-                pending_reset = f"P[{counter}]"
+            lied_state = expected is None or state != sim.state
+            schedule.append("P[q]" if lied_state else f"P[{counter}]")
         else:
             sim.apply(choice)
             k += 1
@@ -716,9 +698,6 @@ def check_nonneg_punishment(
                     want[plus], want[minus] = unit << (k + value), unit << (k - value)
                 magnitude_ok = v == want
 
-        if halted_turn is None and sim.halted():
-            halted_turn = turn
-
     final_norm = Fraction(sum(v))
     # growth per turn (final / start)^(1/horizon), reported in log space so
     # long horizons cannot overflow; the < 2 verdict is decided exactly
@@ -729,7 +708,7 @@ def check_nonneg_punishment(
         turns=horizon,
         adam_moves=tuple(adam_moves),
         eve_moves=tuple(eve_moves),
-        halted_turn=halted_turn,
+        halted_turn=sim.halted_turn,
         punished=bool(segments),
         magnitude_ok=magnitude_ok,
         segments=tuple(segments),

@@ -56,9 +56,10 @@ Runs are only ever appended, so a stored run keeps its position.
     PYTHONPATH=src python tests/golden/replay.py --rewrite  # store outputs
 
 Comparing prints each run whose output differs and exits 1 if any does.
-``--rewrite`` stores what the importable package prints now; a change that
-moves an expected output says which and why.  Only the standard library
-and the package are needed.
+``--rewrite`` stores what the importable package prints now, first printing
+``moved:`` and the arguments of each run that differs from the stored run at
+its position, then their count; a change that moves an expected output says
+which and why.  Only the standard library and the package are needed.
 """
 
 from __future__ import annotations
@@ -272,7 +273,14 @@ def differences(cases: list[dict]) -> list[str]:
 
 
 def rewrite() -> int:
+    """Store every run of the plan, first naming each run that differs from
+    the stored run at its position."""
     cases = [{"args": args, **run(args)} for args in plan()]
+    old = stored() if os.path.exists(CASES) else []
+    moved = [" ".join(new["args"]) for new, case in zip(cases, old) if new != case]
+    for line in moved:
+        print(f"moved: {line}")
+    print(f"{len(moved)} runs moved")
     with open(CASES, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")

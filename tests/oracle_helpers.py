@@ -841,10 +841,10 @@ def replay_audit(g, states, program, adam_moves, eve_moves):
 
 
 def _lie(program, state, counters, eve_names, faithful):
-    """The move a cheating Eve plays instead: the other branch of a zero
-    test, otherwise the first move in encoder order that is not the
-    machine's own (the first move once the machine has stopped), or the
-    machine's own move when no other exists."""
+    """The move a cheating Eve plays instead of the machine's own move
+    ``faithful``: the other branch of a zero test, otherwise the first move
+    in encoder order that is not ``faithful``, or ``faithful`` when no other
+    exists."""
     ins = program[state]
     if ins[0] == "jzdec":
         c = ins[1]
@@ -870,11 +870,11 @@ def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
     ``annihilation_turn`` and ``cheat_played``.
 
     The literal machine (``program``, starting at states[0]) gives Eve's
-    move each turn; on ``cheat_turn`` she lies once (``_lie``) and once it
-    has stopped she plays the first encoded move.  Eve's machine then
-    follows the move she played, read from its name: it enters the move's
-    target and increments, decrements or, on a zero move, negates the
-    move's counter.  Adam plays Init on turn 1 and on the last turn of each
+    move each turn; on ``cheat_turn`` she lies once (``_lie``) if it has a
+    move, and once it has stopped she plays the first encoded move.  Eve's
+    machine then follows the move she played, read from its name: it enters
+    the move's target and increments, decrements or, on a zero move, negates
+    the move's counter.  Adam plays Init on turn 1 and on the last turn of each
     punishment, which restarts the machine, and Id otherwise.  On a turn
     that ends with his script empty, before the vector is 0, he audits Eve:
     a move that is not the machine's own is a deviation.  He answers it
@@ -889,8 +889,7 @@ def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
     v read by coordinate label is 1 on the machine's state, its counters on
     x and y, 1 on One and E, and 0 elsewhere.  ``machine_halted_turn`` is
     the first turn that ends with the machine stopped or on which Eve plays
-    a stopped machine's forced move; as in the audit, a lie told on a
-    stopped machine's turn does not count as that turn's halt."""
+    a stopped machine's forced move, on the cheat turn too."""
     adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
     eve_names = [name for name, _ in g.eve_matrices]
     labels = g.coordinate_labels
@@ -909,10 +908,10 @@ def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
             state, counters = states[0], {"x": 0, "y": 0}
         move = _faithful_move(program, state, counters)
         faithful = move[0] if move else None
-        if halted_turn is None and faithful is None and turn != cheat_turn:
+        if halted_turn is None and faithful is None:
             halted_turn = turn
         e = faithful or eve_names[0]
-        if turn == cheat_turn:
+        if turn == cheat_turn and faithful is not None:
             e = _lie(program, state, counters, eve_names, faithful)
             cheat_played = e != faithful
         v = fraction_vec_mat(v, eve[e])
@@ -955,12 +954,12 @@ def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
     machine alone, and return the fields of its NonnegPunishmentReport.
 
     The literal machine (``program``, starting at states[0]) gives Eve's
-    move each turn; on ``cheat_turn`` she lies once (``_lie``) and once it
-    has stopped she plays the first encoded move.  Adam answers a move
-    that is not the machine's own on the next turn, with P[q] when the
-    machine has stopped or the move leaves another state and P[c] on the
-    move's counter c otherwise; every other turn he plays Id.  A reset
-    restarts the machine, and the unit is then the start state's
+    move each turn; on ``cheat_turn`` she lies once (``_lie``) if it has a
+    move, and once it has stopped she plays the first encoded move.  Adam
+    answers a move that is not the machine's own on the next turn, with
+    P[q] when the machine has stopped or the move leaves another state and
+    P[c] on the move's counter c otherwise; every other turn he plays Id.
+    A reset restarts the machine, and the unit is then the start state's
     coordinate.  Every move is multiplied into the vector
     (fraction_vec_mat), identity moves too.
 
@@ -999,7 +998,7 @@ def replay_nonneg_audit(g, states, program, horizon, cheat_turn=None):
         move = _faithful_move(program, state, counters)
         faithful = move[0] if move else None
         e = faithful or eve_names[0]
-        if turn == cheat_turn:
+        if turn == cheat_turn and faithful is not None:
             e = _lie(program, state, counters, eve_names, faithful)
         v = fraction_vec_mat(v, eve[e])
         eve_moves.append(e)

@@ -626,6 +626,18 @@ def test_audits_of_a_machine_that_halts_at_once():
     nonneg = check_nonneg_punishment(g, machine, 6)
     assert nonneg.halted_turn == 1
     assert nonneg == nonneg_replay_report(g, machine, 6, None)
+    # a cheat on a halted turn offers no lie: Eve plays the forced move, and
+    # the play is the honest one, halt included
+    for machine, horizon, cheat in ((machine, 6, 1), (M1, 20, 2)):
+        g = encode_integer(machine)
+        honest = run_scripted_play(g, machine, horizon)
+        cheated = run_scripted_play(g, machine, horizon, cheat)
+        assert cheated == dataclasses.replace(honest, cheat_played=False)
+        assert cheated.machine_halted_turn == 1
+        g = encode_nonneg(machine)
+        cheated = check_nonneg_punishment(g, machine, horizon, cheat)
+        assert cheated == check_nonneg_punishment(g, machine, horizon)
+        assert cheated.halted_turn == 1
 
 
 def small_machines():
