@@ -187,8 +187,9 @@ REFUSED_INPUTS = (
 )
 # runs that show a fault, each first stored as the program gave it: a lie on
 # turn 1 on a machine of two self-loops, on which both audits' checks fail
-# (exit 1), and five inputs refused with a message that named no missing key
-# or unknown state (exit 2)
+# (exit 1), five inputs refused with a message that named no missing key
+# or unknown state (exit 2), and both audits of a lie into a stop state on a
+# machine that never halts (exit 0)
 FAULTS = (
     ["check-2cmm", "machines/twoloops.2cm", "--variant", "integer", "--turns", "8",
      "--cheat-turn", "1"],
@@ -203,6 +204,10 @@ FAULTS = (
     ["simulate", "games/fig1.json", "--despot", "positional:d1=a", "--tribune", "constant:a"],
     ["value", "games/error_arena_unknown_target.json"],
     ["mpg", "games/error_mpg_unknown_target.json"],
+    ["check-2cmm", "machines/liehalt.2cm", "--variant", "integer", "--turns", "6",
+     "--cheat-turn", "2", "--json"],
+    ["check-2cmm", "machines/liehalt.2cm", "--variant", "nonnegative", "--turns", "6",
+     "--cheat-turn", "2", "--json"],
 )
 
 

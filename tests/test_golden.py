@@ -39,8 +39,9 @@ def test_every_subcommand_and_front_end_error_matches_the_stored_corpus():
     refused_end = len(cases) - len(replay.FAULTS)
     refused = cases[refused_end - len(replay.REFUSED_INPUTS) : refused_end]
     assert {case["exit"] for case in refused} == {2}
-    # the audits of the two self-loops fail; the five refused inputs exit 2
-    assert [case["exit"] for case in cases[refused_end:]] == [1] * 4 + [2] * 5
+    # the audits of the two self-loops fail, the five refused inputs exit 2,
+    # and the audits of the lie into a stop state pass
+    assert [case["exit"] for case in cases[refused_end:]] == [1] * 4 + [2] * 5 + [0] * 2
     assert {arg for case in replay.stored() for arg in case["args"]} >= SUBCOMMANDS
     queries = {args[args.index("--query") + 1] for args in replay.FRONT_END if "--query" in args}
     assert queries == set(QUERIES)
