@@ -6,10 +6,20 @@ simulate (traces and growth estimates), encode-2cmm / check-2cmm (counter
 machine gadgets), and mpg (mean payoff game reduction).
 
 Each subparser names its handler with ``set_defaults(run=...)``; a handler
-takes the parsed namespace and returns the exit code.  ``main`` checks any
---turns before the handler runs.  Only value and mpg --solve read --tol, so
-they parse and check it themselves, before anything else; every other
-subcommand accepts any --tol and ignores it.
+takes the parsed namespace and returns ``(exit code, document, lines)``: the
+result as a JSON-ready dict and as lines of text.  A command whose result is
+itself a document file (translate, encode-2cmm, mpg without --solve) returns
+None for the dict and the file's text as its one line.  No handler reads
+--json or -o: ``main`` is the one place a result is written.  It writes
+``json.dumps(document, indent=2)`` under --json when there is a document and
+the joined lines otherwise, to the -o file or to standard output, adding a
+final newline only when the text has none.  The write runs inside the same
+``try`` as the handler, so a file that cannot be opened exits 2 like any
+other error.
+
+``main`` checks any --turns before the handler runs.  Only value and mpg
+--solve read --tol, so they parse and check it themselves, before anything
+else; every other subcommand accepts any --tol and ignores it.
 
 Exit codes: 0 for success (and for decide: the query holds), 1 for a false
 verdict or a failed check, 2 for any error.  With --json every command
@@ -65,18 +75,6 @@ QUERIES = {
 }
 
 
-def _emit_text(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(args, doc: dict) -> None:
-    _emit_text(args, json.dumps(doc, indent=2))
-
-
 def _interval_doc(lower, upper) -> dict:
     return {
         "lower": io.format_rational(lower),
@@ -105,13 +103,12 @@ def _strategy_text(strategy) -> str:
     return ", ".join(f"{s}={a}" for s, a in sorted(strategy.choice.items()))
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args):
     kind, value = io.load_document(args.input)
     if kind != io.ARENA:
         raise ValueError(f"translate expects an arena document, got {kind}")
     tr = arena_to_iru(value)
-    _emit_text(args, io.dumps_document((tr.a_set, tr.e_set)))
-    return 0
+    return 0, None, [io.dumps_document((tr.a_set, tr.e_set))]
 
 
 def _tolerance(args) -> Fraction:
@@ -122,57 +119,44 @@ def _tolerance(args) -> Fraction:
     return tol
 
 
-def cmd_value(args) -> int:
+def cmd_value(args):
     tol = _tolerance(args)
     kind, value = io.load_document(args.input)
     if kind == io.ARENA:
         sol = solve(value, tol)
-        vi = sol.value
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "value": _interval_doc(vi.lower, vi.upper),
-                    "entropy_bits": sol.entropy_bits(),
-                    "despot_strategy": dict(sol.despot_strategy.choice),
-                    "tribune_strategy": dict(sol.tribune_strategy.choice),
-                    "bisections": vi.bisections,
-                },
-            )
-            return 0
+        vi, bits = sol.value, sol.entropy_bits()
+        doc = {
+            "value": _interval_doc(vi.lower, vi.upper),
+            "entropy_bits": bits,
+            "despot_strategy": dict(sol.despot_strategy.choice),
+            "tribune_strategy": dict(sol.tribune_strategy.choice),
+            "bisections": vi.bisections,
+        }
         lines = [
             f"value in [{float(vi.lower):.10f}, {float(vi.upper):.10f}]"
             f" (width {float(vi.width()):.3e})",
-            f"entropy {sol.entropy_bits():.10f} bits per quarter-move",
+            f"entropy {bits:.10f} bits per quarter-move",
             f"despot strategy: {_strategy_text(sol.despot_strategy)}",
             f"tribune strategy: {_strategy_text(sol.tribune_strategy)}",
         ]
-        _emit_text(args, "\n".join(lines))
-        return 0
+        return 0, doc, lines
     if kind == io.PAIR:
-        a_set, e_set = value
-        vi = value_bisection(a_set, e_set, tol)
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "value": _interval_doc(vi.lower, vi.upper),
-                    "bisections": vi.bisections,
-                    "lower_certificate": _certificate_doc(vi.lower_certificate),
-                    "upper_certificate": _certificate_doc(vi.upper_certificate),
-                },
-            )
-            return 0
-        _emit_text(
-            args,
+        vi = value_bisection(*value, tol)
+        doc = {
+            "value": _interval_doc(vi.lower, vi.upper),
+            "bisections": vi.bisections,
+            "lower_certificate": _certificate_doc(vi.lower_certificate),
+            "upper_certificate": _certificate_doc(vi.upper_certificate),
+        }
+        line = (
             f"value in [{float(vi.lower):.10f}, {float(vi.upper):.10f}]"
-            f" (width {float(vi.width()):.3e}, {vi.bisections} bisections)",
+            f" (width {float(vi.width()):.3e}, {vi.bisections} bisections)"
         )
-        return 0
+        return 0, doc, [line]
     raise ValueError(f"value expects an arena or pair document, got {kind}")
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args):
     query = args.query
     shape, decide = QUERIES[query]
     alpha = io.parse_rational(args.alpha)
@@ -185,29 +169,19 @@ def cmd_decide(args) -> int:
         if kind != io.PAIR:
             raise ValueError(f"query {query} expects a pair document, got {kind}")
         answer, cert = decide(*value, alpha)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "query": query,
-                "alpha": io.format_rational(alpha),
-                "answer": answer,
-                "certificate": _certificate_doc(cert),
-            },
-        )
-    else:
-        lines = [f"{query} {io.format_rational(alpha)}: {'true' if answer else 'false'}"]
-        if cert is not None:
-            lines.append(
-                "certificate vector: "
-                + " ".join(io.format_rational(x) for x in cert.vector)
-            )
-            if cert.chosen_matrix is not None:
-                lines.append("committed matrix:")
-                for row in cert.chosen_matrix.data:
-                    lines.append("  " + " ".join(io.format_rational(x) for x in row))
-        _emit_text(args, "\n".join(lines))
-    return 0 if answer else 1
+    doc = {
+        "query": query,
+        "alpha": io.format_rational(alpha),
+        "answer": answer,
+        "certificate": _certificate_doc(cert),
+    }
+    lines = [f"{query} {doc['alpha']}: {'true' if answer else 'false'}"]
+    if cert is not None:
+        lines.append("certificate vector: " + " ".join(doc["certificate"]["vector"]))
+        if cert.chosen_matrix is not None:
+            lines.append("committed matrix:")
+            lines += ["  " + " ".join(row) for row in doc["certificate"]["chosen_matrix"]]
+    return (0 if answer else 1), doc, lines
 
 
 def _strategy_int(text: str, rest: str, what: str) -> int:
@@ -273,7 +247,7 @@ def _member_at(s: IruSet, index: int):
     return s.member(choice[::-1])
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     kind, value = io.load_document(args.input)
     if kind == io.ARENA:
         despot = _parse_strategy(args.despot, args.seed)
@@ -281,26 +255,17 @@ def cmd_simulate(args) -> int:
         levels = forest_counts(value, despot, tribune, args.turns)
         # even levels count despot states, odd levels tribune states
         sides = (value.despot_states, value.tribune_states)
-        sums = [sum(v.entries) for v in levels]
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "despot_states": list(value.despot_states),
-                    "tribune_states": list(value.tribune_states),
-                    "levels": [[io.format_rational(x) for x in v.entries] for v in levels],
-                    "level_sums": [io.format_rational(x) for x in sums],
-                },
-            )
-            return 0
+        doc = {
+            "despot_states": list(value.despot_states),
+            "tribune_states": list(value.tribune_states),
+            "levels": [[io.format_rational(x) for x in v.entries] for v in levels],
+            "level_sums": [io.format_rational(sum(v.entries)) for v in levels],
+        }
         lines = []
-        for k, v in enumerate(levels):
-            cells = ", ".join(
-                f"{s}={io.format_rational(x)}" for s, x in zip(sides[k % 2], v.entries)
-            )
-            lines.append(f"half-turn {k:3d}: {cells}   total {io.format_rational(sums[k])}")
-        _emit_text(args, "\n".join(lines))
-        return 0
+        for k, (entries, total) in enumerate(zip(doc["levels"], doc["level_sums"])):
+            cells = ", ".join(f"{s}={x}" for s, x in zip(sides[k % 2], entries))
+            lines.append(f"half-turn {k:3d}: {cells}   total {total}")
+        return 0, doc, lines
     if kind == io.PAIR:
         a_set, e_set = value
         report = simulate_payoff(
@@ -311,25 +276,19 @@ def cmd_simulate(args) -> int:
         # a product that vanished by the run's last quarter has a tail of 0,
         # which has no entropy
         entropy = eg_payoff_entropy(report) if report.tail > 0 else None
-        if args.json:
-            _emit_json(
-                args,
-                {
-                    "steps": report.steps,
-                    "growth_tail": report.tail,
-                    "entropy_bits": entropy,
-                    "zeroed_at": report.zeroed_at,
-                    "per_turn": list(report.per_turn),
-                },
-            )
-            return 0
-        _emit_text(
-            args,
+        doc = {
+            "steps": report.steps,
+            "growth_tail": report.tail,
+            "entropy_bits": entropy,
+            "zeroed_at": report.zeroed_at,
+            "per_turn": list(report.per_turn),
+        }
+        line = (
             f"growth estimate {report.tail:.6f} after {report.steps} steps"
             + (f" (entropy {entropy:.6f} bits per quarter-move)" if entropy is not None else "")
-            + (f"; product vanished at step {report.zeroed_at}" if report.zeroed_at else ""),
+            + (f"; product vanished at step {report.zeroed_at}" if report.zeroed_at else "")
         )
-        return 0
+        return 0, doc, [line]
     raise ValueError(f"simulate expects an arena or pair document, got {kind}")
 
 
@@ -340,7 +299,7 @@ def _load_machine(args) -> TwoCounterMachine:
     return value
 
 
-def cmd_encode_2cmm(args) -> int:
+def cmd_encode_2cmm(args):
     m = _load_machine(args)
     encoded = encode_integer(m) if args.variant == INTEGER else encode_nonneg(m)
     if encoded.degenerate:
@@ -348,11 +307,10 @@ def cmd_encode_2cmm(args) -> int:
             "warning: degenerate machine, every state halts and Eve has no matrices",
             file=sys.stderr,
         )
-    _emit_text(args, io.dumps_document(encoded))
-    return 0
+    return 0, None, [io.dumps_document(encoded)]
 
 
-def cmd_check_2cmm(args) -> int:
+def cmd_check_2cmm(args):
     m = _load_machine(args)
     variant = args.variant
     if variant == INTEGER:
@@ -379,7 +337,7 @@ def cmd_check_2cmm(args) -> int:
             "cheat_played": rep.cheat_played,
             "ok": ok,
         }
-        human = [
+        lines = [
             f"integer variant, {rep.turns} turns",
             f"faithful invariant: {'held' if rep.faithful_invariant_ok else 'BROKEN'}",
             f"machine halted: "
@@ -417,7 +375,7 @@ def cmd_check_2cmm(args) -> int:
             "aggregate_below_two": rep.aggregate_below_two,
             "ok": ok,
         }
-        human = [
+        lines = [
             f"non-negative variant, {rep.turns} turns",
             f"machine halted: " + (f"turn {rep.halted_turn}" if rep.halted_turn else "no"),
             f"punished: {'yes' if rep.punished else 'no'}"
@@ -428,41 +386,30 @@ def cmd_check_2cmm(args) -> int:
             + (" (< 2)" if rep.aggregate_below_two else " (NOT < 2)"),
             f"check {'passed' if ok else 'failed'}",
         ]
-    if args.json:
-        _emit_json(args, doc)
-    else:
-        _emit_text(args, "\n".join(human))
-    return 0 if ok else 1
+    return (0 if ok else 1), doc, lines
 
 
-def cmd_mpg(args) -> int:
+def cmd_mpg(args):
     tol = _tolerance(args) if args.solve else None
     kind, value = io.load_document(args.input)
     if kind != io.MPG:
         raise ValueError(f"mpg expects a mean payoff game document, got {kind}")
     if not args.solve:
-        _emit_text(args, io.dumps_document(mpg_to_weighted_eg(value)))
-        return 0
+        return 0, None, [io.dumps_document(mpg_to_weighted_eg(value))]
     (lo, hi), sol = mpg_value(value, tol)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "mean_payoff_lower": lo,
-                "mean_payoff_upper": hi,
-                "entropy_game_value": _interval_doc(sol.value.lower, sol.value.upper),
-                "despot_strategy": dict(sol.despot_strategy.choice),
-                "tribune_strategy": dict(sol.tribune_strategy.choice),
-            },
-        )
-        return 0
-    _emit_text(
-        args,
-        f"mean payoff value in [{lo:.10f}, {hi:.10f}]\n"
-        f"despot strategy: {_strategy_text(sol.despot_strategy)}\n"
+    doc = {
+        "mean_payoff_lower": lo,
+        "mean_payoff_upper": hi,
+        "entropy_game_value": _interval_doc(sol.value.lower, sol.value.upper),
+        "despot_strategy": dict(sol.despot_strategy.choice),
+        "tribune_strategy": dict(sol.tribune_strategy.choice),
+    }
+    lines = [
+        f"mean payoff value in [{lo:.10f}, {hi:.10f}]",
+        f"despot strategy: {_strategy_text(sol.despot_strategy)}",
         f"tribune strategy: {_strategy_text(sol.tribune_strategy)}",
-    )
-    return 0
+    ]
+    return 0, doc, lines
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
@@ -536,7 +483,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "turns", 1) < 1:
             raise ValueError("horizon must be at least 1")
-        return args.run(args)
+        code, doc, lines = args.run(args)
+        text = json.dumps(doc, indent=2) if args.json and doc is not None else "\n".join(lines)
+        text += "" if text.endswith("\n") else "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, KeyError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -367,7 +367,14 @@ def _as_matrix_oracle(source, chooser, side: str):
         return lambda turn, history: source
     if isinstance(source, IruSet):
         if chooser is not None:
-            return chooser
+
+            def checked(turn, history):
+                m = chooser(turn, history)
+                if isinstance(m, Matrix) and not source.contains_matrix(m):
+                    raise ValueError(f"{side} chooser played a non-member on turn {turn}")
+                return m
+
+            return checked
         if source.size == 1:
             only = source.member((0,) * source.n_rows)
             return lambda turn, history: only
@@ -400,7 +407,9 @@ def simulate_payoff(
     """Simulate a play of the matrix multiplication game and report growth.
 
     Sources may be single matrices, IruSets (with an accompanying chooser
-    ``(turn, history) -> Matrix``), or matrix-valued callables.  One turn
+    ``(turn, history) -> Matrix``, whose every matrix must be a member of
+    its set: ValueError naming the side and the turn otherwise), or
+    matrix-valued callables.  One turn
     multiplies by one Adam choice and one Eve choice.  Products are tracked
     in floats with per-step renormalisation, so long plays neither overflow
     nor underflow.  Whether the product has vanished is decided exactly:

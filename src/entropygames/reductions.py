@@ -31,6 +31,12 @@ own: on a halted turn Eve plays the forced move, as an honest Eve would.
 The integer audit counts a deviation only on a turn Adam audits, that is,
 outside a punishment and before the product vanishes.
 
+The halt is the first turn on which the machine's own run halts.  A lie
+takes the run off that path until ``reset()`` (Adam's Init) puts it back,
+and no halt is recorded while it is off: a lie into a stop state is not the
+machine's halt.  The non-negative audit never follows a lie, so only the
+integer audit's run leaves the path.
+
 The integer audit's verdict is whether the running product Omega of the
 matrices played becomes zero.  Its vector v starts at the start vector s
 and Omega at the identity, and both take the same factors, so v = s Omega
@@ -260,6 +266,8 @@ class _EveSimulation:
     run's ``halted_turn`` unless a move entering a stop state set it first.
     On ``cheat_turn`` Eve lies, but only while the machine has a move of its
     own and another move exists; ``cheat_played`` says whether she did.
+    Following the lie puts the run ``off_path`` until ``reset``, and no halt
+    is recorded while it is.
 
     ``run_scripted_play`` applies every move played, so the run follows the
     formal semantics of a deviation too and stays in step with the public
@@ -283,17 +291,19 @@ class _EveSimulation:
     def reset(self):
         self.state = self.machine.initial_state
         self.counters = {"x": 0, "y": 0}
+        self.off_path = False
 
     def play(self, turn: int) -> tuple[int, int | None]:
         """Eve's move on ``turn`` and the machine's own, ``(played,
         expected)``.  A halted machine has none (``expected`` is None): Eve
-        plays move 0, and the turn is the halt.  On the cheat turn she lies
-        only while the machine has a move of its own: the wrong branch of a
-        zero test, otherwise the first other move in encoder order."""
+        plays move 0, and the turn is the halt unless the run is off the
+        machine's path.  On the cheat turn she lies only while the machine
+        has a move of its own: the wrong branch of a zero test, otherwise
+        the first other move in encoder order."""
         self.turn = turn
         ins = self.machine.program[self.state]
         if ins.kind == STOP:
-            if self.halted_turn is None:
+            if self.halted_turn is None and not self.off_path:
                 self.halted_turn = turn
             return 0, None
         if ins.kind == INC:
@@ -309,7 +319,9 @@ class _EveSimulation:
         return int(expected == 0), expected
 
     def apply(self, move_id: int):
-        """Follow move ``move_id``; one entering a stop state is the halt."""
+        """Follow move ``move_id``.  Following the lie takes the run off the
+        machine's path; on the path, a move entering a stop state is the
+        halt."""
         kind, state, counter, target = self.moves[move_id]
         self.state = target
         if kind == "inc":
@@ -318,7 +330,13 @@ class _EveSimulation:
             self.counters[counter] -= 1
         elif kind == "zero":
             self.counters[counter] = -self.counters[counter]
-        if self.halted_turn is None and self.machine.program[target].kind == STOP:
+        if self.cheat_played and self.turn == self.cheat_turn:
+            self.off_path = True
+        if (
+            self.halted_turn is None
+            and not self.off_path
+            and self.machine.program[target].kind == STOP
+        ):
             self.halted_turn = self.turn
 
 

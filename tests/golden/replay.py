@@ -48,7 +48,10 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   1; and five inputs that exit 2: an arena and a mean payoff game
   transition without ``"from"``, a positional strategy that leaves out a
   state the play reaches, and an arena and a mean payoff game edge into a
-  state that does not exist.
+  state that does not exist; and ``check-2cmm --turns 6 --cheat-turn 2
+  --json`` in both variants on ``liehalt.2cm`` (``q0: ifz x -> q0 else dec
+  -> q1``, ``q1: stop``), which never halts on its own: the lie enters the
+  stop state, and the integer audit reported it as the machine's halt.
 
 Runs are only ever appended, so a stored run keeps its position.
 
@@ -58,8 +61,10 @@ Runs are only ever appended, so a stored run keeps its position.
 Comparing prints each run whose output differs and exits 1 if any does.
 ``--rewrite`` stores what the importable package prints now, first printing
 ``moved:`` and the arguments of each run that differs from the stored run at
-its position, then their count; a change that moves an expected output says
-which and why.  Only the standard library and the package are needed.
+its position, then their count, then ``added:`` and the arguments of each
+run past the stored ones; a change that moves an expected output says which
+and why.  A plan with fewer runs than are stored makes ``--rewrite`` exit 1
+without writing.  Only the standard library and the package are needed.
 """
 
 from __future__ import annotations
@@ -279,13 +284,25 @@ def differences(cases: list[dict]) -> list[str]:
 
 def rewrite() -> int:
     """Store every run of the plan, first naming each run that differs from
-    the stored run at its position."""
-    cases = [{"args": args, **run(args)} for args in plan()]
+    the stored run at its position and then each run past the stored ones.
+    A plan shorter than the stored corpus would drop runs: write nothing
+    and return 1."""
+    runs = plan()
     old = stored() if os.path.exists(CASES) else []
+    if len(runs) < len(old):
+        print(
+            f"the plan has {len(runs)} runs but {len(old)} are stored; "
+            "runs are appended, never removed",
+            file=sys.stderr,
+        )
+        return 1
+    cases = [{"args": args, **run(args)} for args in runs]
     moved = [" ".join(new["args"]) for new, case in zip(cases, old) if new != case]
     for line in moved:
         print(f"moved: {line}")
     print(f"{len(moved)} runs moved")
+    for new in cases[len(old) :]:
+        print(f"added: {' '.join(new['args'])}")
     with open(CASES, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, indent=1)
         fh.write("\n")

@@ -889,7 +889,9 @@ def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
     v read by coordinate label is 1 on the machine's state, its counters on
     x and y, 1 on One and E, and 0 elsewhere.  ``machine_halted_turn`` is
     the first turn that ends with the machine stopped or on which Eve plays
-    a stopped machine's forced move, on the cheat turn too."""
+    a stopped machine's forced move, on the cheat turn too, counting only
+    turns on which the machine is on its own path: from the lie until the
+    next Init it is off it."""
     adam, eve = dict(g.adam_matrices), dict(g.eve_matrices)
     eve_names = [name for name, _ in g.eve_matrices]
     labels = g.coordinate_labels
@@ -900,20 +902,21 @@ def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
     invariant_ok = True
     halted_turn = annihilation_turn = None
     cheat_played = None if cheat_turn is None else False
+    lied = False
     for turn in range(1, horizon + 1):
         a = "Init" if turn == 1 else script.pop(0) if script else "Id"
         v = fraction_vec_mat(v, adam[a])
         adam_moves.append(a)
         if a == "Init":
-            state, counters = states[0], {"x": 0, "y": 0}
+            state, counters, lied = states[0], {"x": 0, "y": 0}, False
         move = _faithful_move(program, state, counters)
         faithful = move[0] if move else None
-        if halted_turn is None and faithful is None:
+        if halted_turn is None and faithful is None and not lied:
             halted_turn = turn
         e = faithful or eve_names[0]
         if turn == cheat_turn and faithful is not None:
             e = _lie(program, state, counters, eve_names, faithful)
-            cheat_played = e != faithful
+            cheat_played = lied = e != faithful
         v = fraction_vec_mat(v, eve[e])
         eve_moves.append(e)
         prefix, _, state, c = _move_parts(e)
@@ -933,7 +936,7 @@ def replay_integer_audit(g, states, program, horizon, cheat_turn=None):
             want = {lab: 0 for lab in labels}
             want.update({state: 1, **counters, "One": 1, "E": 1})
             invariant_ok = dict(zip(labels, v)) == want
-        if halted_turn is None and program[state][0] == "stop":
+        if halted_turn is None and program[state][0] == "stop" and not lied:
             halted_turn = turn
     return dict(
         adam_moves=tuple(adam_moves),

@@ -476,6 +476,24 @@ def test_simulate_payoff_matches_numpy_on_audited_2cmm_plays(program, cheat_turn
     assert report.zeroed_at == play.annihilation_turn
 
 
+def test_simulate_payoff_refuses_a_chooser_outside_its_set():
+    # 2 x 2 sets, so a matrix of the right shape that is no member multiplies
+    # without a shape error
+    a_set = iru_set([[(1, 0), (0, 1)], [(1, 1)]])
+    e_set = iru_set([[(1, 0)], [(0, 1)]])
+    big = Matrix(((100, 100), (100, 100)))
+    assert not a_set.contains_matrix(big) and not e_set.contains_matrix(big)
+    member = a_set.member((0, 0))
+    eye = e_set.member((0, 0))
+    with pytest.raises(ValueError, match="^adam chooser played a non-member on turn 1$"):
+        simulate_payoff(a_set, e_set, adam=lambda t, h: big, eve=lambda t, h: eye, steps=5)
+    late = lambda t, h: big if t == 3 else eye
+    with pytest.raises(ValueError, match="^eve chooser played a non-member on turn 3$"):
+        simulate_payoff(a_set, e_set, adam=lambda t, h: member, eve=late, steps=5)
+    ok = simulate_payoff(a_set, e_set, adam=lambda t, h: member, eve=lambda t, h: eye, steps=5)
+    assert ok.zeroed_at is None
+
+
 def test_simulate_payoff_errors():
     a0 = Matrix(frozen.SADDLE_A0)
     with pytest.raises(ValueError):

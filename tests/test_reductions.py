@@ -640,6 +640,27 @@ def test_audits_of_a_machine_that_halts_at_once():
         assert cheated.halted_turn == 1
 
 
+def test_a_lie_into_a_stop_state_is_not_the_halt():
+    # the machine never halts on its own: q0 zero-tests x and loops, and only
+    # the decrement branch, Eve's lie on turn 2, enters the stop state
+    machine = parse_machine("q0: ifz x -> q0 else dec -> q1\nq1: stop\n")
+    integer = run_scripted_play(encode_integer(machine), machine, 6, 2)
+    assert integer.cheat_played and [d[0] for d in integer.deviations] == [2]
+    assert integer.machine_halted_turn is None
+    nonneg = check_nonneg_punishment(encode_nonneg(machine), machine, 6, 2)
+    assert nonneg.punished and nonneg.halted_turn is None
+    # M2 halts on its own on turn 3.  The lie on turn 2 enters the stop
+    # state, Init puts the run back on its path on turn 5, and the machine's
+    # own run halts two turns later
+    g = encode_integer(M2)
+    assert run_scripted_play(g, M2, 20).machine_halted_turn == 3
+    cheated = run_scripted_play(g, M2, 20, 2)
+    assert cheated.adam_moves[:5] == ("Init", "Id", "F[x]", "P", "Init")
+    assert cheated.machine_halted_turn == 7
+    # an unpunished lie leaves the run off its path to the end of the play
+    assert run_scripted_play(g, M2, 2, 1).machine_halted_turn is None
+
+
 def small_machines():
     """Every machine of one or two states in which some state does not
     halt: 4 of one state and 168 of two."""
