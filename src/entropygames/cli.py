@@ -9,7 +9,9 @@ Each subparser names its handler with ``set_defaults(run=...)``; a handler
 takes the parsed namespace and returns ``(exit code, document, lines)``: the
 result as a JSON-ready dict and as lines of text.  A command whose result is
 itself a document file (translate, encode-2cmm, mpg without --solve) returns
-None for the dict and the file's text as its one line.  No handler reads
+None for the dict and the file's text as its one line.  Both renderings
+format the same values, computed once, so building the one that is not
+printed cannot fail where the printed one would not.  No handler reads
 --json or -o: ``main`` is the one place a result is written.  It writes
 ``json.dumps(document, indent=2)`` under --json when there is a document and
 the joined lines otherwise, to the -o file or to standard output, adding a
@@ -23,7 +25,7 @@ else; every other subcommand accepts any --tol and ignores it.
 
 Exit codes: 0 for success (and for decide: the query holds), 1 for a false
 verdict or a failed check, 2 for any error.  With --json every command
-prints exactly one JSON document on standard output."""
+prints exactly one JSON document, on standard output or in the -o file."""
 
 from __future__ import annotations
 
