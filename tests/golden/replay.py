@@ -51,7 +51,10 @@ stdout, stderr and exit code that run gave.  Each run reads a file from
   state that does not exist; and ``check-2cmm --turns 6 --cheat-turn 2
   --json`` in both variants on ``liehalt.2cm`` (``q0: ifz x -> q0 else dec
   -> q1``, ``q1: stop``), which never halts on its own: the lie enters the
-  stop state, and the integer audit reported it as the machine's halt.
+  stop state, and the integer audit reported it as the machine's halt;
+- ``PAIR_VALUES``: ``value --json`` on Fig. 1's pair and on a pair whose
+  saddle product is nilpotent (value 0), the only runs that print the
+  certificate vectors of both ends of a value bracket.
 
 Runs are only ever appended, so a stored run keeps its position.
 
@@ -214,6 +217,12 @@ FAULTS = (
     ["check-2cmm", "machines/liehalt.2cm", "--variant", "nonnegative", "--turns", "6",
      "--cheat-turn", "2", "--json"],
 )
+# value brackets with both certificates: Fig. 1's pair, and a pair whose
+# saddle product is nilpotent, so its radius is 0
+PAIR_VALUES = (
+    ["value", "--json", "games/fig1_pair.json"],
+    ["value", "--json", "games/vanishing_pair.json"],
+)
 
 
 def plan() -> list[list[str]]:
@@ -252,7 +261,8 @@ def plan() -> list[list[str]]:
         runs.append(
             ["simulate", f"games/{doc}.json", "--despot", despot, "--tribune", tribune]
         )
-    return runs + [list(args) for args in FRONT_END + KNOWN_ANSWERS + REFUSED_INPUTS + FAULTS]
+    tail = FRONT_END + KNOWN_ANSWERS + REFUSED_INPUTS + FAULTS + PAIR_VALUES
+    return runs + [list(args) for args in tail]
 
 
 def run(args: list[str]) -> dict:
