@@ -14,7 +14,10 @@ members.  The first is decided by Howard policy iteration on the resolvent
 (alpha I - M)^-1 of one member M at a time, switching rows until none
 improves: exact linear solves, no LP.  The second is one feasibility LP
 over v >= 0 (``lp_max``'s variables are non-negative), normalised by
-sum(v) = 1.  The non-strict variant of the first and the strict variant of
+sum(v) = 1.  Both first try a candidate vector their caller may hand them:
+``_verify_rows``, the row check of ``verify_certificate``, tests it exactly
+over the integers, and a candidate that passes is the certificate, with no
+resolvent and no LP.  The non-strict variant of the first and the strict variant of
 the second are single feasibility LPs too, over v >= 1 with r . v <= alpha
 v_i, or with r . v - alpha v_i >= 1, but they are equivalences only for
 strictly positive sets, and the procedures refuse to answer otherwise.
@@ -29,7 +32,9 @@ members (``find_saddle``): the value is the radius of the saddle product,
 bracketed on a dyadic grid from the saddle's certified enclosure of that
 radius, narrowed by Sturm signs only when the rounded bracket is wider
 than the tolerance, and certified at each end with one player committed
-to their saddle strategy, by policy iteration above and one LP below.
+to their saddle strategy.  The candidates are the saddle's own
+Collatz-Wielandt witnesses, checked exactly at the bracket's ends; policy
+iteration above and one LP below run only where a witness fails.
 The pair is guessed by float strategy iteration: Tribune answers a despot
 member by row switching on the product set E a (Protasov's spectral
 simplex method), and Despot improves against that answer in a
@@ -146,6 +151,7 @@ whole sides and is capped the same way.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,6 +167,7 @@ from .linalg import (
     _resolvent,
     float_rows,
     mat_mul,
+    mat_vec,
     principal_submatrix,
     rat,
     spectral_radius,
@@ -185,6 +192,8 @@ MM_LE = "mm_le"
 MM_GE = "mm_ge"
 
 _CERTIFICATE_KINDS = (JSR_LT, JSR_LE, JSSR_GT, JSSR_GE, MM_LT, MM_LE, MM_GE)
+# the inequality each set-level kind requires of r . v against alpha v_i
+_HOLDS = {JSR_LT: operator.lt, JSR_LE: operator.le, JSSR_GT: operator.gt, JSSR_GE: operator.ge}
 
 
 class PositivityRequiredError(ValueError):
@@ -229,11 +238,16 @@ def _shifted(s: IruSet, alpha: Fraction):
             yield tuple(x - alpha if j == i else x for j, x in enumerate(row))
 
 
-def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
+def decide_jsr_lt(s: IruSet, alpha, *, _candidate=None) -> tuple[bool, Certificate | None]:
     """Is the joint spectral radius of S strictly below alpha?
 
     Exact: returns (True, certificate) or (False, None).  The certificate
     vector v >= 1 satisfies r . v < alpha v_i for every candidate row.
+
+    A caller holding a likely certificate, such as ``value_bisection``'s
+    from the saddle's witness, may pass it as ``_candidate``: when
+    ``_verify_rows`` accepts it at alpha, it is the certificate, and
+    otherwise the answer is decided as below.
 
     Howard policy iteration on the resolvent, with no LP and no float.  For
     alpha > 0 and the current member M, v = alpha ``_resolvent(M, alpha)``
@@ -250,6 +264,8 @@ def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
     alpha = rat(alpha)
     if alpha <= 0:
         return False, None
+    if _candidate is not None and _verify_rows(s, _candidate, alpha, JSR_LT):
+        return True, Certificate(JSR_LT, _candidate)
     n = s.n_rows
     choice = [0] * n
     while True:
@@ -268,15 +284,19 @@ def decide_jsr_lt(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
             return True, Certificate(JSR_LT, v)
 
 
-def decide_jssr_ge(s: IruSet, alpha) -> tuple[bool, Certificate | None]:
+def decide_jssr_ge(s: IruSet, alpha, *, _candidate=None) -> tuple[bool, Certificate | None]:
     """Is the joint spectral subradius of S at least alpha?
 
     Exact, by one feasibility LP: a common expansion vector v >= 0 (the
     LP's variables are non-negative) with r . v >= alpha v_i for every
     candidate row, normalised by sum(v) = 1 to break homogeneity.  The
-    certificate is the solution scaled to maximum 1."""
+    certificate is the solution scaled to maximum 1.  A ``_candidate``
+    vector that ``_verify_rows`` accepts at alpha is the certificate
+    instead, with no LP, as in ``decide_jsr_lt``."""
     _require_square(s)
     alpha = rat(alpha)
+    if _candidate is not None and _verify_rows(s, _candidate, alpha, JSSR_GE):
+        return True, Certificate(JSSR_GE, _candidate)
     n = s.n_rows
     cons = [(coeffs, GREATER_EQUAL, Fraction(0)) for coeffs in _shifted(s, alpha)]
     cons.append(((Fraction(1),) * n, EQUAL, Fraction(1)))
@@ -334,10 +354,11 @@ def _check_game_shapes(a_set: IruSet, e_set: IruSet):
         )
 
 
-def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha):
+def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha, candidate=None):
     """Commit the certifying player (Tribune for MM_GE, else Despot) to their
     saddle strategy, a one-member side's member with no search and
-    find_saddle's otherwise, and decide the product set this leaves."""
+    find_saddle's otherwise, and decide the product set this leaves, handing
+    on a candidate certificate vector when there is one."""
     _check_game_shapes(a_set, e_set)
     tribune = kind == MM_GE
     decide = {MM_LT: decide_jsr_lt, MM_LE: decide_jsr_le, MM_GE: decide_jssr_ge}[kind]
@@ -347,22 +368,32 @@ def _committed(kind: str, a_set: IruSet, e_set: IruSet, alpha):
     else:
         sp = find_saddle(a_set, e_set)
         chosen = sp.tribune_matrix if tribune else sp.despot_matrix
-    ok, cert = decide(right_product(other, chosen), alpha)
+    product = right_product(other, chosen)
+    if candidate is None:
+        ok, cert = decide(product, alpha)
+    else:
+        ok, cert = decide(product, alpha, _candidate=candidate)
     return ok, cert and Certificate(kind, cert.vector, chosen_matrix=chosen)
 
 
-def decide_mm_lt(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate | None]:
+def decide_mm_lt(
+    a_set: IruSet, e_set: IruSet, alpha, *, _candidate=None
+) -> tuple[bool, Certificate | None]:
     """Is the game value strictly below alpha?  Exactly when Despot's saddle
     strategy a0 leaves a product set E a0 with joint spectral radius below
-    alpha (``decide_jsr_lt``); the certificate carries a0 and its vector."""
-    return _committed(MM_LT, a_set, e_set, alpha)
+    alpha (``decide_jsr_lt``); the certificate carries a0 and its vector.
+    ``_candidate`` is handed on to ``decide_jsr_lt``."""
+    return _committed(MM_LT, a_set, e_set, alpha, _candidate)
 
 
-def decide_mm_ge(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate | None]:
+def decide_mm_ge(
+    a_set: IruSet, e_set: IruSet, alpha, *, _candidate=None
+) -> tuple[bool, Certificate | None]:
     """Is the game value at least alpha?  Dual to decide_mm_lt: Tribune's
     saddle strategy e0 must leave a product set A e0 with joint spectral
-    subradius at least alpha (``decide_jssr_ge``, one LP)."""
-    return _committed(MM_GE, a_set, e_set, alpha)
+    subradius at least alpha (``decide_jssr_ge``, one LP unless the
+    ``_candidate`` handed on to it is accepted)."""
+    return _committed(MM_GE, a_set, e_set, alpha, _candidate)
 
 
 def decide_mm_le(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate | None]:
@@ -377,26 +408,26 @@ def decide_mm_le(a_set: IruSet, e_set: IruSet, alpha) -> tuple[bool, Certificate
 
 
 def _verify_rows(s: IruSet, vector, alpha: Fraction, kind: str) -> bool:
+    """Whether vector certifies kind (JSR_LT, JSR_LE, JSSR_GT or JSSR_GE)
+    for s at alpha, over the integers.  With v = nums / d over the lcm d of
+    its denominators, alpha = p / q and a candidate row r = r_nums / e over
+    its own, r . v against alpha v_i is q (r_nums . nums) against p e nums_i,
+    both sides times the positive d e q."""
     n = s.n_rows
     if len(vector) != n or s.n_cols != n:
         raise ValueError("certificate vector has the wrong dimension")
+    ((nums, d),) = _over_common_denominator([vector])
     if kind in (JSR_LT, JSR_LE, JSSR_GT):
-        if any(x < 1 for x in vector):
+        if any(x < d for x in nums):
             return False
-    else:
-        if any(x < 0 for x in vector) or max(vector) < 1:
-            return False
-    for i, rs in enumerate(s.row_sets):
-        bound = alpha * vector[i]
-        for row in rs.rows:
-            img = sum(x * y for x, y in zip(row, vector))
-            if kind == JSR_LT and not img < bound:
-                return False
-            if kind == JSR_LE and not img <= bound:
-                return False
-            if kind == JSSR_GT and not img > bound:
-                return False
-            if kind == JSSR_GE and not img >= bound:
+    elif any(x < 0 for x in nums) or max(nums) < d:
+        return False
+    holds = _HOLDS[kind]
+    p, q = alpha.numerator, alpha.denominator
+    for x, rs in zip(nums, s.row_sets):
+        bound = p * x
+        for row, e in _over_common_denominator(rs.rows):
+            if not holds(q * sum(a * b for a, b in zip(row, nums)), bound * e):
                 return False
     return True
 
@@ -914,6 +945,14 @@ def _only(m: Matrix) -> IruSet:
     return IruSet(tuple(RowSet((row,)) for row in m.data))
 
 
+def _primitive(vector) -> tuple[int, ...]:
+    """The rational vector scaled to integers with no common factor: its
+    denominators cleared, then its gcd divided out."""
+    ((nums, _),) = _over_common_denominator([vector])
+    g = math.gcd(*nums) or 1
+    return tuple(x // g for x in nums)
+
+
 def value_bisection(a_set: IruSet, e_set: IruSet, tol) -> ValueInterval:
     """Bracket the game value to within tol, with one certificate per end.
 
@@ -928,15 +967,34 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol) -> ValueInterval:
     ``realroots.bisect_radius`` halves it to the step on the
     characteristic polynomial of a0 e0.  The endpoints stay on the grid,
     and a value on the grid comes back exactly as lower.  Committing
-    Despot to a0 certifies value < upper by Howard policy iteration over
-    Tribune's rows (``decide_jsr_lt``, no LP), and committing Tribune to
-    e0 certifies value >= lower with one expansion LP
-    (``decide_jssr_ge``): with independent rows, the joint spectral radius
-    (subradius) of a set is its largest (smallest) member radius, which the
-    saddle pins to the value.  These certificates are exact, so a wrong
-    enclosure raises ValueError, from bisect_radius's check before its
-    first halving or from a certificate that fails, rather than yield a
-    wrong bracket."""
+    Despot to a0 certifies value < upper on Tribune's rows E a0
+    (``decide_jsr_lt``), and committing Tribune to e0 certifies value >=
+    lower on Despot's rows A e0 (``decide_jssr_ge``): with independent
+    rows, the joint spectral radius (subradius) of a set is its largest
+    (smallest) member radius, which the saddle pins to the value.
+
+    Each end is first offered a candidate from the saddle's enclosure, as
+    a primitive integer vector (denominators cleared, gcd divided out):
+
+    * lower: the witness w >= 0 with a0 e0 w >= radius.lower w, where
+      radius.lower >= lower unless Sturm halving moved lower.  On an
+      irreducible a0 e0 with Perron vector x, the saddle and the
+      single-row lemma of the module docstring give r e0 . x >= rho x_i
+      for every row r Despot could switch to, and w approximates x;
+    * upper: e0 u, for the witness u > 0 with a0 e0 u <= radius.upper u.
+      On e0's own rows, (e0 a0)(e0 u) = e0 (a0 e0 u) <= radius.upper
+      (e0 u) < upper (e0 u), and the saddle bounds Tribune's other rows
+      the same way at e0 a0's Perron vector e0 x.  A zero entry, from a
+      zero row of e0, fails the check's v >= 1.
+
+    ``_verify_rows`` checks each candidate exactly at lower or upper, so
+    floats decide nothing.  A candidate that fails, as where the value
+    lies on the grid, so that lower is the value itself, and the saddle
+    product is reducible, leaves its end to Howard policy iteration (no
+    LP) above and one expansion LP below.  These certificates are exact,
+    so a wrong enclosure raises ValueError, from bisect_radius's check
+    before its first halving or from a certificate that fails, rather than
+    yield a wrong bracket."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -953,8 +1011,14 @@ def value_bisection(a_set: IruSet, e_set: IruSet, tol) -> ValueInterval:
         lower, upper, steps = realroots.bisect_radius(
             mat_mul(sp.despot_matrix, sp.tribune_matrix), lower, upper, tol
         )
-    ge_ok, lower_cert = decide_mm_ge(a_set, _only(sp.tribune_matrix), lower)
-    lt_ok, upper_cert = decide_mm_lt(_only(sp.despot_matrix), e_set, upper)
+    a0, e0, radius = sp.despot_matrix, sp.tribune_matrix, sp.radius
+    ge_ok, lower_cert = decide_mm_ge(
+        a_set, _only(e0), lower, _candidate=_primitive(radius.witness_lower.entries)
+    )
+    lt_ok, upper_cert = decide_mm_lt(
+        _only(a0), e_set, upper,
+        _candidate=_primitive(mat_vec(e0, radius.witness_upper.entries)),
+    )
     if not (ge_ok and lt_ok):
         raise ValueError("the bracket must satisfy lower <= rho < upper")
     return ValueInterval(

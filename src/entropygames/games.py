@@ -241,8 +241,10 @@ def solve(a: Arena, tol=Fraction(1, 10**6)) -> GameSolution:
     the optimal positional strategies returned here, rounds the saddle
     product's certified radius enclosure out onto a dyadic value bracket,
     halved by Sturm signs only when it is wider than tol/2, and certifies
-    both ends with one player committed to their saddle strategy: the upper
-    end by Howard policy iteration, the lower end by one expansion LP."""
+    both ends with one player committed to their saddle strategy: each end
+    by the saddle's own radius witness where an exact row check accepts it,
+    and otherwise the upper end by Howard policy iteration and the lower
+    end by one expansion LP."""
     tol = rat(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -361,6 +363,11 @@ class GrowthReport:
 
 
 def _as_matrix_oracle(source, chooser, side: str):
+    if chooser is not None and not isinstance(source, IruSet):
+        raise ValueError(
+            f"{side} chooser needs an IruSet source; a matrix or callable source "
+            "already fixes every turn"
+        )
     if callable(source):
         return source
     if isinstance(source, Matrix):
@@ -409,7 +416,8 @@ def simulate_payoff(
     Sources may be single matrices, IruSets (with an accompanying chooser
     ``(turn, history) -> Matrix``, whose every matrix must be a member of
     its set: ValueError naming the side and the turn otherwise), or
-    matrix-valued callables.  One turn
+    matrix-valued callables.  A chooser beside a matrix or callable source
+    would never run, so it raises ValueError naming the side.  One turn
     multiplies by one Adam choice and one Eve choice.  Products are tracked
     in floats with per-step renormalisation, so long plays neither overflow
     nor underflow.  Whether the product has vanished is decided exactly:

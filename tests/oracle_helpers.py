@@ -23,6 +23,8 @@ replaced in decide.find_saddle, and member_scan_refute, the scan over
 every member of a side that the block split replaced in decide._refute,
 and contraction_lp, the strict contraction
 LP that Howard policy iteration replaced in decide.decide_jsr_lt.
+fraction_verify_rows is the Fraction row check that the integer
+cross-multiplication in decide._verify_rows replaced.
 fraction_mat_mul, fraction_mat_vec and fraction_vec_mat are the entrywise
 Fraction loops that the integer-numerator products in linalg replaced, and
 replay_audit replays an integer audit's transcript through them, every move
@@ -688,6 +690,31 @@ def contraction_lp(s, alpha):
     if result.status == OPTIMAL:
         return True, result.solution
     return False, None
+
+
+def fraction_verify_rows(s, vector, alpha, kind):
+    """Whether vector certifies kind ("jsr_lt", "jsr_le", "jssr_gt" or
+    "jssr_ge") for the square set s at alpha, over Fractions: v >= 1 for
+    the first three kinds, v >= 0 with max(v) >= 1 for the last, and r . v
+    against alpha v_i for every candidate row r of every row set i."""
+    vector = [Fraction(x) for x in vector]
+    alpha = Fraction(alpha)
+    if kind == "jssr_ge":
+        if any(x < 0 for x in vector) or max(vector) < 1:
+            return False
+    elif any(x < 1 for x in vector):
+        return False
+    holds = {
+        "jsr_lt": lambda img, bound: img < bound,
+        "jsr_le": lambda img, bound: img <= bound,
+        "jssr_gt": lambda img, bound: img > bound,
+        "jssr_ge": lambda img, bound: img >= bound,
+    }[kind]
+    for i, rs in enumerate(s.row_sets):
+        for row in rs.rows:
+            if not holds(sum(x * y for x, y in zip(row, vector)), alpha * vector[i]):
+                return False
+    return True
 
 
 def fraction_solve_exact(rows, rhs):

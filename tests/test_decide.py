@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,12 @@ from entropygames.decide import (
     ValueInterval,
     _climb,
     _deviation,
+    _only,
     _refute,
     _row_switch,
     _switched,
     _valuation,
+    _verify_rows,
     decide_jsr_le,
     decide_jsr_lt,
     decide_jssr_ge,
@@ -46,6 +50,7 @@ from entropygames.linalg import (
     _resolvent,
     block_radius_bounds,
     mat_mul,
+    mat_vec,
     spectral_radius,
     support_blocks,
 )
@@ -154,6 +159,64 @@ def test_verification_structural_errors():
         verify_certificate(cert2, A_SET, alpha=4)  # missing second set
     with pytest.raises(ValueError):
         Certificate("no_such_kind", (1, 1))
+
+
+_ROW_KINDS = ("jsr_lt", "jsr_le", "jssr_gt", "jssr_ge")
+
+
+def _fraction(rng, zeros=0.3):
+    """0 with probability zeros, else p/q with p in 1-6 and q in 1-4."""
+    return Fraction(0) if rng.random() < zeros else Fraction(rng.randint(1, 6), rng.randint(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_integer_row_check_matches_the_fraction_reference(rng):
+    n = rng.randint(1, 4)
+    s = iru_set(
+        [[tuple(_fraction(rng) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+         for _ in range(n)]
+    )
+    # entries below 1 and zeros, so the v >= 1 and max(v) >= 1 tests both
+    # meet vectors they refuse
+    vector = tuple(_fraction(rng, zeros=0.15) / rng.randint(1, 3) for _ in range(n))
+    if rng.random() < 0.5:
+        # equality at the bound: alpha is the ratio of one candidate row
+        i = rng.choice([i for i, x in enumerate(vector) if x] or [0])
+        row = rng.choice(s.row_sets[i].rows)
+        image = sum(x * y for x, y in zip(row, vector))
+        alpha = image / vector[i] if vector[i] else Fraction(rng.randint(0, 4))
+    else:
+        alpha = Fraction(rng.randint(0, 12), rng.randint(1, 5))
+    for kind in _ROW_KINDS:
+        assert _verify_rows(s, vector, alpha, kind) == oracle_helpers.fraction_verify_rows(
+            s, vector, alpha, kind
+        )
+
+
+@pytest.mark.parametrize(
+    "vector, alpha, verdicts",
+    [
+        # every row maps (1, 1) to 2 = alpha v_i: the non-strict kinds hold
+        ((1, 1), 2, (False, True, False, True)),
+        ((1, 1), Fraction(5, 2), (True, True, False, False)),
+        ((1, 1), Fraction(3, 2), (False, False, True, True)),
+        # (1/2, 1/2) has images 1 = 2 v_i, but entries below 1: v >= 1
+        # refuses it for the first three kinds, and max(v) >= 1 for jssr_ge
+        ((Fraction(1, 2), Fraction(1, 2)), 2, (False, False, False, False)),
+        # (3/2, 3/2) is 3/2 (1, 1): the same equalities at alpha 2
+        ((Fraction(3, 2), Fraction(3, 2)), 2, (False, True, False, True)),
+        # a zero entry, which only jssr_ge admits: row set 0's images are
+        # 2 and 1 = alpha v_0, and row 1's image 2 >= 0
+        ((2, 0), Fraction(1, 2), (False, False, False, True)),
+    ],
+)
+def test_integer_row_check_at_the_bound(vector, alpha, verdicts):
+    s = iru_set([[(1, 1), (Fraction(1, 2), Fraction(3, 2))], [(1, 1)]])
+    assert tuple(_verify_rows(s, vector, Fraction(alpha), k) for k in _ROW_KINDS) == verdicts
+    assert verdicts == tuple(
+        oracle_helpers.fraction_verify_rows(s, vector, alpha, k) for k in _ROW_KINDS
+    )
 
 
 def test_norm_bound_running():
@@ -401,6 +464,114 @@ def test_value_bracket_matches_norm_bound_route(rng):
         assert interval.lower <= value < interval.upper
         if (value / _grid_step(tol)).denominator == 1:
             assert interval.lower == value
+
+
+def _primitive_reference(vector):
+    """A rational vector scaled by the lcm of its denominators, then
+    divided by the gcd of the integers this gives."""
+    d = math.lcm(*(Fraction(x).denominator for x in vector))
+    ints = [int(Fraction(x) * d) for x in vector]
+    g = math.gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def _mutants(vector):
+    """The candidate with its largest entry halved (rounded down), and with
+    that entry zeroed."""
+    k = max(range(len(vector)), key=vector.__getitem__)
+    return {
+        "lowered": vector[:k] + (vector[k] // 2,) + vector[k + 1 :],
+        "zeroed": vector[:k] + (0,) + vector[k + 1 :],
+    }
+
+
+def _assert_witness_route_matches_howard_and_lp(a_set, e_set, tol, counts):
+    """value_bisection, whose certificates start from the saddle's
+    witnesses, against the Howard and LP route at both ends of the same
+    bracket.
+
+    The candidates are the saddle's lower witness, and Tribune's e0 times
+    its upper witness when that is positive, each primitive.  At each end
+    the certificate is the candidate exactly when the Fraction row check
+    accepts it, and the Howard or LP certificate otherwise; both verify.
+    A candidate with one entry lowered or zeroed is accepted exactly when
+    that check accepts it, and falls back to the same Howard or LP
+    certificate when it does not.  At the other end's threshold, past
+    rho, the candidate certifies nothing and the answer is no.  counts
+    tallies (end, route) and (end, mutation, accepted)."""
+    interval = value_bisection(a_set, e_set, tol)
+    _assert_bracket(interval, a_set, e_set, tol)
+    sp = interval.saddle
+    a0, e0 = sp.despot_matrix, sp.tribune_matrix
+    column = mat_vec(e0, sp.radius.witness_upper.entries)
+    ends = (
+        (
+            "lower", decide_mm_ge, (a_set, _only(e0)), right_product(a_set, e0),
+            "jssr_ge", interval.lower, interval.upper,
+            _primitive_reference(sp.radius.witness_lower.entries), interval.lower_certificate,
+        ),
+        (
+            "upper", decide_mm_lt, (_only(a0), e_set), right_product(e_set, a0),
+            "jsr_lt", interval.upper, interval.lower,
+            _primitive_reference(column) if all(x > 0 for x in column) else None,
+            interval.upper_certificate,
+        ),
+    )
+    for end, decide, sets, product, kind, alpha, past, candidate, cert in ends:
+        ok, fallback = decide(*sets, alpha)
+        assert ok and verify_certificate(fallback, a_set, e_set, alpha=alpha)
+        witness = candidate is not None and oracle_helpers.fraction_verify_rows(
+            product, candidate, alpha, kind
+        )
+        counts[end, "witness" if witness else "fallback"] += 1
+        assert cert == (
+            Certificate(fallback.kind, candidate, chosen_matrix=fallback.chosen_matrix)
+            if witness
+            else fallback
+        )
+        if candidate is None:
+            continue
+        for mutation, mutant in _mutants(candidate).items():
+            accepted = oracle_helpers.fraction_verify_rows(product, mutant, alpha, kind)
+            counts[end, mutation, accepted] += 1
+            ok, got = decide(*sets, alpha, _candidate=mutant)
+            assert ok and verify_certificate(got, a_set, e_set, alpha=alpha)
+            assert got.vector == (mutant if accepted else fallback.vector)
+        assert decide(*sets, past, _candidate=candidate) == (False, None)
+
+
+# pairs whose saddle products the generators meet rarely: Fig. 1's, the 2 +
+# 2 mean payoff game of value 8, a nilpotent product, a reducible diagonal
+# one with members tied at 4, and despot rows whose product rows coincide
+_WITNESS_HARD_PAIRS = (
+    (A_SET, E_SET),
+    _mpg_pair(("d1", "d2"), ("t1", "t2"), (
+        ("d1", "t1", 1), ("d1", "t2", 3), ("d2", "t1", 0), ("d2", "t2", 2),
+        ("t1", "d1", 2), ("t1", "d2", 0), ("t2", "d1", 1), ("t2", "d2", 3),
+    )),
+    (iru_set([[(0, 1), (0, 2)], [(0, 0)]]), iru_set([[(1, 0), (1, 1)], [(0, 1)]])),
+    (iru_set([[(1, 0), (2, 0)], [(0, 1)]]), iru_set([[(2, 0)], [(0, 2), (0, 3)]])),
+    (iru_set([[(0, 1), (1, 1)], [(1, 0)]]), iru_set([[(0, 0)], [(1, 2), (2, 1)]])),
+)
+
+
+def test_witness_certificates_match_the_howard_and_lp_route():
+    counts = collections.Counter()
+    for a_set, e_set in _WITNESS_HARD_PAIRS:
+        _assert_witness_route_matches_howard_and_lp(a_set, e_set, Fraction(1, 2 * 10**6), counts)
+    kinds = ("random", "sparse", "zero", "diagonal", "shared", "duplicate", "rectangular")
+    for seed in range(150):
+        rng = random.Random(3500 + seed)
+        if rng.random() < 0.25:
+            a_set, e_set = _random_mpg_pair(rng)
+        else:
+            _, a_set, e_set = _generated_pair(rng, kinds)
+        tol = rng.choice([Fraction(1, 16), Fraction(1, 1000), Fraction(1, 2 * 10**6)])
+        _assert_witness_route_matches_howard_and_lp(a_set, e_set, tol, counts)
+    # both routes at both ends, and refused mutants of both candidates
+    for end in ("lower", "upper"):
+        assert counts[end, "witness"] and counts[end, "fallback"]
+        assert counts[end, "lowered", False] and counts[end, "zeroed", False]
 
 
 def _with_radius(monkeypatch, lower, upper):

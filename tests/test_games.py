@@ -226,7 +226,7 @@ def test_solve_running_game():
 def test_solve_runs_one_saddle_search_and_few_lps(monkeypatch):
     from entropygames import decide
 
-    calls = {"find_saddle": 0, "lp_max": 0}
+    calls = {"find_saddle": 0, "lp_max": 0, "_resolvent": 0}
 
     def counted(name):
         original = getattr(decide, name)
@@ -237,19 +237,39 @@ def test_solve_runs_one_saddle_search_and_few_lps(monkeypatch):
 
         monkeypatch.setattr(decide, name, wrapper)
 
-    counted("find_saddle")
-    counted("lp_max")
-    mpg = MpgArena(("d1", "d2"), ("t1", "t2"), (
+    for name in calls:
+        counted(name)
+    two_by_two = MpgArena(("d1", "d2"), ("t1", "t2"), (
         ("d1", "t1", 1), ("d1", "t2", 3), ("d2", "t1", 0), ("d2", "t2", 2),
         ("t1", "d1", 2), ("t1", "d2", 0), ("t2", "d1", 1), ("t2", "d2", 3),
     ))
-    for arena in (fig1_arena(), mpg_to_weighted_eg(mpg)):
-        calls.update(find_saddle=0, lp_max=0)
+    despot, tribune = ("d0", "d1", "d2"), ("t0", "t1", "t2")
+    # the two mean payoff games of the solve-cli benchmark: values 32 and 4
+    mpg0 = MpgArena(despot, tribune, (
+        ("d0", "t0", 1), ("d0", "t2", 2), ("d1", "t2", 3), ("d1", "t0", 3),
+        ("d2", "t0", 1), ("d2", "t2", 1), ("t0", "d1", 2), ("t0", "d0", 3),
+        ("t1", "d2", 2), ("t1", "d1", 0), ("t2", "d1", 3), ("t2", "d2", 0),
+    ))
+    mpg1 = MpgArena(despot, tribune, (
+        ("d0", "t2", 0), ("d0", "t0", 1), ("d1", "t2", 2), ("d1", "t1", 3),
+        ("d2", "t0", 1), ("d2", "t2", 0), ("t0", "d1", 2), ("t0", "d0", 2),
+        ("t1", "d0", 3), ("t1", "d1", 1), ("t2", "d1", 0), ("t2", "d2", 2),
+    ))
+    # the saddle's own witnesses certify both ends with no LP and no
+    # resolvent, at Fig. 1's irrational value and at mpg1's value 4 alike.
+    # The 2 + 2 game (value 8) and mpg0 (value 32) have a value on the
+    # dyadic grid, where the lower end is the value itself, and a reducible
+    # saddle product whose lower witness certifies less, so one expansion LP
+    # certifies their lower end; their upper end still takes no resolvent
+    for arena, lps in (
+        (fig1_arena(), 0),
+        (mpg_to_weighted_eg(mpg1), 0),
+        (mpg_to_weighted_eg(two_by_two), 1),
+        (mpg_to_weighted_eg(mpg0), 1),
+    ):
+        calls.update(find_saddle=0, lp_max=0, _resolvent=0)
         solve(arena)
-        # policy iteration certifies the upper end with no LP, and one
-        # normalised expansion LP certifies the lower end
-        assert calls["find_saddle"] == 1
-        assert calls["lp_max"] == 1
+        assert calls == {"find_saddle": 1, "lp_max": lps, "_resolvent": 0}
 
 
 def separable_arena(copies: int) -> Arena:
@@ -492,6 +512,18 @@ def test_simulate_payoff_refuses_a_chooser_outside_its_set():
         simulate_payoff(a_set, e_set, adam=lambda t, h: member, eve=late, steps=5)
     ok = simulate_payoff(a_set, e_set, adam=lambda t, h: member, eve=lambda t, h: eye, steps=5)
     assert ok.zeroed_at is None
+
+
+def test_simulate_payoff_refuses_a_chooser_beside_a_matrix_or_callable_source():
+    eye, double = Matrix(((1, 0), (0, 1))), Matrix(((2, 0), (0, 2)))
+    big = lambda t, h: Matrix(((100, 100), (100, 100)))
+    with pytest.raises(ValueError, match="^adam chooser needs an IruSet source"):
+        simulate_payoff(eye, double, adam=big, steps=5)
+    with pytest.raises(ValueError, match="^eve chooser needs an IruSet source"):
+        simulate_payoff(eye, lambda t, h: double, eve=big, steps=5)
+    # without the chooser the fixed matrices play: the product after turn t
+    # has 1-norm 2^(t + 1), so the tail, from turn 4, is 2^(5/4)
+    assert simulate_payoff(eye, double, steps=5).tail == pytest.approx(2 ** 1.25)
 
 
 def test_simulate_payoff_errors():
