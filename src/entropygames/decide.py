@@ -17,10 +17,11 @@ over v >= 0 (``lp_max``'s variables are non-negative), normalised by
 sum(v) = 1.  Both first try a candidate vector their caller may hand them:
 ``_verify_rows``, the row check of ``verify_certificate``, tests it exactly
 over the integers, and a candidate that passes is the certificate, with no
-resolvent and no LP.  The non-strict variant of the first and the strict variant of
-the second are single feasibility LPs too, over v >= 1 with r . v <= alpha
-v_i, or with r . v - alpha v_i >= 1, but they are equivalences only for
-strictly positive sets, and the procedures refuse to answer otherwise.
+resolvent and no LP.  The non-strict variant of the first and the strict
+variant of the second are single feasibility LPs too, over v >= 1 with
+r . v <= alpha v_i, or with r . v - alpha v_i >= 1, but they are
+equivalences only for strictly positive sets, and the procedures refuse to
+answer otherwise.
 
 Matrix multiplication game thresholds reduce to these: the game is
 determined, so for a saddle (a0, e0) the value is below alpha exactly when
